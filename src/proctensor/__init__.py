@@ -34,6 +34,7 @@ from .channels import (
     swap_unitary,
 )
 from .processes import (
+    CausalityError,
     CausalityReport,
     CircuitProcessSpec,
     ProcessTensor,

@@ -15,9 +15,10 @@ from pathlib import Path
 from . import io
 from .channels import channel_M, depolarizing_choi
 from .config import DEFAULT_TOL
-from .linalg import DensityMatrix, LinalgError
+from .linalg import LinalgError
 from .metrics import audit_bounds, correlation_report
 from .processes import (
+    CausalityError,
     RandomSpec,
     build_from_circuit,
     nm_depolarizing_process,
@@ -38,6 +39,16 @@ def _parse_dims(text: str) -> list[int]:
     if not dims or any(d < 2 for d in dims):
         raise argparse.ArgumentTypeError(f"dimensions must be >= 2: {text!r}")
     return dims
+
+
+def _parse_tol(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0: {text!r}")
+    return tol
 
 
 def _grid(points: int) -> list[float]:
@@ -67,19 +78,30 @@ def cmd_emit_figure(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
-    spec = io.load_process_spec(args.infile)
-    pt = build_from_circuit(spec)
-    causality = verify_causality(pt, args.tol if args.tol else DEFAULT_TOL.causal)
-    report = correlation_report(pt)
-    audit = audit_bounds(report)
-    lines = io.causality_lines(causality) + io.report_lines(report) + io.audit_lines(audit)
+def _write_lines(out: str | None, lines: list[str]) -> None:
     text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
+    if out:
+        Path(out).write_text(text)
     else:
         sys.stdout.write(text)
-    return EXIT_OK if (causality.passed and audit.passed) else EXIT_VIOLATION
+
+
+def cmd_analyze(args: argparse.Namespace) -> int:
+    spec = io.load_process_spec(args.infile)
+    tol = DEFAULT_TOL.causal if args.tol is None else args.tol
+    try:
+        pt = build_from_circuit(spec, tol)
+    except CausalityError as exc:
+        _write_lines(args.out, io.causality_lines(exc.report))
+        return EXIT_VIOLATION
+    report = correlation_report(pt)
+    audit = audit_bounds(report)
+    lines = io.causality_lines(pt.causality) + io.report_lines(report) + io.audit_lines(audit)
+    _write_lines(args.out, lines)
+    return EXIT_OK if audit.passed else EXIT_VIOLATION
+
+
+SLACK_NAMES = ("unordered", "ordered", "max_nonmarkov", "markov_tradeoff", "total_tradeoff")
 
 
 def cmd_audit_random(args: argparse.Namespace) -> int:
@@ -87,17 +109,19 @@ def cmd_audit_random(args: argparse.Namespace) -> int:
         print("error: --samples must be >= 1", file=sys.stderr)
         return EXIT_USAGE
     t0 = time.monotonic()
-    tol = args.tol if args.tol else DEFAULT_TOL.xcheck
+    tol = DEFAULT_TOL.xcheck if args.tol is None else args.tol
     worst_causality = 0.0
-    min_slacks: dict[str, float] = {}
+    min_slacks = dict.fromkeys(SLACK_NAMES, math.inf)
     violations = 0
     for k in range(args.samples):
         spec = RandomSpec(n=args.n, d=args.d, d_env=args.denv, seed=args.seed + k)
-        pt = random_process(spec)
-        causality = verify_causality(pt)
-        worst_causality = max(
-            worst_causality, causality.base_residual, *causality.residuals
-        )
+        try:
+            pt = random_process(spec)
+        except CausalityError as exc:
+            worst_causality = max(worst_causality, exc.report.worst)
+            violations += 1
+            continue
+        worst_causality = max(worst_causality, pt.causality.worst)
         audit = audit_bounds(correlation_report(pt), tol)
         slacks = {
             "unordered": min(audit.unordered_slack),
@@ -107,8 +131,8 @@ def cmd_audit_random(args: argparse.Namespace) -> int:
             "total_tradeoff": audit.total_tradeoff_slack,
         }
         for name, s in slacks.items():
-            min_slacks[name] = min(min_slacks.get(name, math.inf), s)
-        if not (audit.passed and causality.passed):
+            min_slacks[name] = min(min_slacks[name], s)
+        if not audit.passed:
             violations += 1
     elapsed = time.monotonic() - t0
     lines = [
@@ -118,15 +142,11 @@ def cmd_audit_random(args: argparse.Namespace) -> int:
         f"d_env = {args.denv}",
         f"seed = {args.seed}",
     ]
-    for name in ("unordered", "ordered", "max_nonmarkov", "markov_tradeoff", "total_tradeoff"):
+    for name in SLACK_NAMES:
         lines.append(f"min_slack_{name} = {io.fmt(min_slacks[name])}")
     lines.append(f"worst_causality_residual = {io.fmt(worst_causality)}")
     lines.append(f"violations = {violations}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write_lines(args.out, lines)
     # keep the summary file deterministic; timing goes to stderr only
     print(f"audit wall time: {elapsed:.2f}s", file=sys.stderr)
     return EXIT_OK if violations == 0 else EXIT_VIOLATION
@@ -135,17 +155,15 @@ def cmd_audit_random(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     path = Path(args.infile)
     head = path.read_text(encoding="utf-8", errors="replace")[: len(io.CHOI_MAGIC)]
+    tol = DEFAULT_TOL.causal if args.tol is None else args.tol
     if head == io.CHOI_MAGIC:
-        state: DensityMatrix = io.load_choi(path)
+        report = verify_causality(io.load_choi(path), tol)
     else:
-        state = build_from_circuit(io.load_process_spec(path)).state
-    tol = args.tol if args.tol else DEFAULT_TOL.causal
-    report = verify_causality(state, tol)
-    text = "\n".join(io.causality_lines(report)) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+        try:
+            report = build_from_circuit(io.load_process_spec(path), tol).causality
+        except CausalityError as exc:
+            report = exc.report
+    _write_lines(args.out, io.causality_lines(report))
     return EXIT_OK if report.passed else EXIT_VIOLATION
 
 
@@ -158,7 +176,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--out", default=None, help="output file path")
-        p.add_argument("--tol", type=float, default=None, help="tolerance override")
+        p.add_argument("--tol", type=_parse_tol, default=None,
+                       help="tolerance override (finite, >= 0)")
 
     p = sub.add_parser("sweep-depolarizing", help="CSV of channel correlation vs p")
     p.add_argument("--d", type=_parse_dims, default=[2], help="comma-separated dims")

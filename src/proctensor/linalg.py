@@ -308,10 +308,12 @@ def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
         and b.factor is not None
         and a.factor.shape[1] + b.factor.shape[1] < a.dim
     ):
-        # a - b acts within the joint column space; project there first
-        q, _ = np.linalg.qr(np.concatenate([a.factor, b.factor], axis=1))
-        pa = q.conj().T @ a.factor
-        pb = q.conj().T @ b.factor
+        # a - b acts within the joint column space; project there first.
+        # With [Fa Fb] = QR, Q^dag [Fa Fb] = R: R's column blocks are the
+        # projected factors, so Q itself is never formed.
+        ka = a.factor.shape[1]
+        r = np.linalg.qr(np.concatenate([a.factor, b.factor], axis=1), mode="r")
+        pa, pb = r[:, :ka], r[:, ka:]
         w = np.linalg.eigvalsh(pa @ pa.conj().T - pb @ pb.conj().T)
     else:
         w = np.linalg.eigvalsh(a.mat - b.mat)

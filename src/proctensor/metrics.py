@@ -18,7 +18,7 @@ from .linalg import (
     partial_trace,
     relative_entropy,
 )
-from .processes import ProcessTensor
+from .processes import ProcessTensor, slot_shape
 
 
 @dataclass(frozen=True)
@@ -55,13 +55,8 @@ class BoundAudit:
 def _as_state(pt: ProcessTensor | DensityMatrix) -> tuple[DensityMatrix, int, int]:
     if isinstance(pt, ProcessTensor):
         return pt.state, pt.n, pt.d
-    k = pt.num_subsystems
-    if k == 0 or k % 2 != 0:
-        raise ValueError(f"expected an even slot count, got {k}")
-    d = pt.dims[0]
-    if any(dim != d for dim in pt.dims):
-        raise ValueError(f"slot dimensions must be uniform, got {pt.dims}")
-    return pt, k // 2, d
+    n, d = slot_shape(pt)
+    return pt, n, d
 
 
 def correlation_report(pt: ProcessTensor | DensityMatrix) -> CorrelationReport:

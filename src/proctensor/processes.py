@@ -39,34 +39,69 @@ class CausalityReport:
     tol: float
     passed: bool
 
+    @classmethod
+    def judge(
+        cls, residuals: tuple[float, ...], base_residual: float, tol: float
+    ) -> "CausalityReport":
+        """Report whose ``passed`` compares every residual with ``tol``."""
+        passed = all(res <= tol for res in residuals) and base_residual <= tol
+        return cls(residuals=residuals, base_residual=base_residual, tol=tol, passed=passed)
+
+    @property
+    def worst(self) -> float:
+        """Largest residual, base level included."""
+        return max(self.residuals + (self.base_residual,))
+
+
+class CausalityError(ValueError):
+    """A state fails the causality hierarchy; ``report`` holds its residuals."""
+
+    def __init__(self, report: CausalityReport) -> None:
+        super().__init__(
+            f"causality hierarchy violated: worst residual "
+            f"{report.worst:.3e} > {report.tol:.1e}"
+        )
+        self.report = report
+
+
+def slot_shape(state: DensityMatrix) -> tuple[int, int]:
+    """(n, d) of a state on 2n slots of uniform dimension d; raises otherwise."""
+    k = state.num_subsystems
+    if k == 0 or k % 2 != 0:
+        raise ValueError(f"a process tensor needs an even slot count, got {k}")
+    d = state.dims[0]
+    if any(dim != d for dim in state.dims):
+        raise ValueError(f"slot dimensions must be uniform, got {state.dims}")
+    return k // 2, d
+
 
 @dataclass(frozen=True)
 class ProcessTensor:
-    """Causality-verified Choi state of an n-step process."""
+    """Causality-verified Choi state of an n-step process.
+
+    ``causality`` is the hierarchy's report, computed once at construction
+    with the tolerance it was built with; its ``passed`` is always true.
+    """
 
     state: DensityMatrix
     n: int
     d: int
+    causality: CausalityReport
 
     @classmethod
     def from_state(
         cls, state: DensityMatrix, tol_causal: float | None = None
     ) -> "ProcessTensor":
-        k = state.num_subsystems
-        if k == 0 or k % 2 != 0:
-            raise ValueError(f"a process tensor needs an even slot count, got {k}")
-        d = state.dims[0]
-        if any(dim != d for dim in state.dims):
-            raise ValueError(f"slot dimensions must be uniform, got {state.dims}")
-        pt = cls(state=state, n=k // 2, d=d)
+        """Verify ``state`` against the hierarchy; raises ``CausalityError`` if it fails.
+
+        ``tol_causal`` defaults to ``state.tol.causal``.
+        """
+        n, d = slot_shape(state)
         tol = state.tol.causal if tol_causal is None else tol_causal
         report = verify_causality(state, tol)
         if not report.passed:
-            raise ValueError(
-                f"causality hierarchy violated: worst residual "
-                f"{max(report.residuals + (report.base_residual,)):.3e} > {tol:.1e}"
-            )
-        return pt
+            raise CausalityError(report)
+        return cls(state=state, n=n, d=d, causality=report)
 
 
 @dataclass(frozen=True)
@@ -124,13 +159,16 @@ class RandomSpec:
             raise ValueError(f"invalid (n, d, d_env) = {(self.n, self.d, self.d_env)}")
 
 
-def build_from_circuit(spec: CircuitProcessSpec) -> ProcessTensor:
+def build_from_circuit(
+    spec: CircuitProcessSpec, tol_causal: float | None = None
+) -> ProcessTensor:
     """Simulate the Choi-generating circuit and return the process tensor.
 
     A fresh maximally entangled pair feeds each step: its live half passes
     through the step unitary (becoming output slot o_j) while the kept half
     becomes input slot i_{j-1}. A single purified environment survives across
-    steps and is traced out at the end.
+    steps and is traced out at the end. The result is verified by
+    ``ProcessTensor.from_state(state, tol_causal)``.
     """
     n, d, de = spec.n, spec.d, spec.d_env
     psi_env = purify(spec.env_state, spec.tol)  # (de, r)
@@ -153,7 +191,7 @@ def build_from_circuit(spec: CircuitProcessSpec) -> ProcessTensor:
         vec = np.moveaxis(t, [0, 1], [live_ax, env_ax])
     m = vec.reshape(d ** (2 * n), de * r)
     state = DensityMatrix(None, (d,) * (2 * n), spec.tol, factor=m)
-    return ProcessTensor.from_state(state)
+    return ProcessTensor.from_state(state, tol_causal)
 
 
 def verify_causality(
@@ -164,9 +202,13 @@ def verify_causality(
     For each level j (from n down to 1) the output slot o_j of the
     first-j-steps marginal must trace away into the previous marginal
     tensored with a maximally mixed input.
+
+    A ``ProcessTensor`` is not checked again: its carried residuals, which
+    do not depend on the tolerance, are judged against ``tol``.
     """
     if isinstance(state, ProcessTensor):
-        state = state.state
+        report = state.causality
+        return CausalityReport.judge(report.residuals, report.base_residual, tol)
     k = state.num_subsystems
     if k == 0 or k % 2 != 0:
         raise ValueError(f"expected an even slot count, got {k}")
@@ -195,9 +237,7 @@ def verify_causality(
                 )
         residuals.append(trace_distance(lhs, rhs))
     base = trace_distance(partial_trace(state, (0,)), maximally_mixed(state.dims[0]))
-    residuals = tuple(reversed(residuals))
-    passed = all(res <= tol for res in residuals) and base <= tol
-    return CausalityReport(residuals=residuals, base_residual=base, tol=tol, passed=passed)
+    return CausalityReport.judge(tuple(reversed(residuals)), base, tol)
 
 
 def nm_depolarizing_process(p: float) -> ProcessTensor:

@@ -4,10 +4,13 @@ import math
 import numpy as np
 import pytest
 
+import proctensor.cli
+import proctensor.processes
 from proctensor import (
     DensityMatrix,
     build_from_circuit,
     cnot_swap_process,
+    haar_unitary,
     kron,
     max_entangled_state,
     maximally_mixed,
@@ -36,6 +39,23 @@ def cnot_swap_spec_doc() -> dict:
         "env": complex_to_pairs(np.diag([1.0, 0.0])),
         "unitaries": [complex_to_pairs(cnot), complex_to_pairs(swap_unitary(2))],
     }
+
+
+def haar_spec_doc(seed: int) -> dict:
+    rng = np.random.default_rng(seed)
+    return {
+        "n": 3,
+        "d": 2,
+        "d_env": 2,
+        "env_init": "maximally-mixed",
+        "unitaries": [complex_to_pairs(haar_unitary(4, rng)) for _ in range(3)],
+    }
+
+
+def write_spec(tmp_path, doc: dict):
+    path = tmp_path / "proc.json"
+    path.write_text(json.dumps(doc))
+    return path
 
 
 class TestSpecFile:
@@ -197,3 +217,61 @@ class TestVerifyCommand:
         path = tmp_path / "mixed.txt"
         save_choi(maximally_mixed((2, 2, 2, 2)), path)
         assert main(["verify", "--in", str(path)]) == 0
+
+
+class TestTolerance:
+    def test_zero_tolerance_is_honoured_by_verify(self, tmp_path, capsys):
+        path = write_spec(tmp_path, haar_spec_doc(5))
+        assert main(["verify", "--in", str(path)]) == 0
+        capsys.readouterr()
+        assert main(["verify", "--in", str(path), "--tol", "0"]) == 1
+        assert "causality_pass = False" in capsys.readouterr().out
+
+    def test_analyze_loose_tolerance_passes(self, tmp_path):
+        path = write_spec(tmp_path, haar_spec_doc(6))
+        out = tmp_path / "report.txt"
+        assert main(["analyze", "--in", str(path), "--tol", "1e-6", "--out", str(out)]) == 0
+        assert "causality_pass = True" in out.read_text()
+
+    def test_analyze_failed_hierarchy_exits_one(self, tmp_path):
+        path = write_spec(tmp_path, haar_spec_doc(7))
+        out = tmp_path / "report.txt"
+        assert main(["analyze", "--in", str(path), "--tol", "0", "--out", str(out)]) == 1
+        lines = out.read_text().splitlines()
+        assert lines[-1] == "causality_pass = False"
+        assert all(ln.startswith("causality_") for ln in lines)
+
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf", "x"])
+    def test_invalid_tolerance_is_usage_error(self, tol, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["audit-random", "--samples", "1", "--tol", tol])
+        assert info.value.code == 2
+        assert "--tol" in capsys.readouterr().err
+
+
+class TestVerifyOnce:
+    def test_audit_checks_each_sample_once(self, tmp_path, monkeypatch):
+        calls = []
+        real = proctensor.processes.verify_causality
+
+        def counting(state, tol):
+            calls.append(tol)
+            return real(state, tol)
+
+        # the CLI's own binding counts too, so a second check would show
+        monkeypatch.setattr(proctensor.processes, "verify_causality", counting)
+        monkeypatch.setattr(proctensor.cli, "verify_causality", counting)
+        out = tmp_path / "audit.txt"
+        assert main(["audit-random", "--n", "2", "--samples", "3", "--out", str(out)]) == 0
+        assert calls == [1e-9] * 3
+
+    def test_audit_counts_failed_hierarchy_as_violation(self, tmp_path, monkeypatch):
+        real = proctensor.processes.verify_causality
+        monkeypatch.setattr(
+            proctensor.processes, "verify_causality", lambda state, tol: real(state, 0.0)
+        )
+        out = tmp_path / "audit.txt"
+        assert main(["audit-random", "--n", "2", "--samples", "3", "--out", str(out)]) == 1
+        fields = dict(ln.split(" = ") for ln in out.read_text().splitlines())
+        assert fields["violations"] == "3"
+        assert 0.0 < float(fields["worst_causality_residual"]) <= 1e-9

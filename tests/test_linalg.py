@@ -244,3 +244,26 @@ class TestTraceDistance:
     def test_dimension_mismatch(self, rng):
         with pytest.raises(ValueError):
             trace_distance(random_density(rng, (2,)), random_density(rng, (3,)))
+
+    @pytest.mark.parametrize("ka, kb", [(3, 3), (2, 5), (7, 8)])
+    @pytest.mark.parametrize("relation", ["identical", "close", "unrelated"])
+    def test_factor_branch_matches_dense_spectrum(self, rng, ka, kb, relation):
+        # ka + kb < dim selects the QR-projected branch; the reference is the
+        # dense spectrum of a.mat - b.mat. (7, 8) sums to dim - 1.
+        dim = 16
+
+        def ginibre(k):
+            return rng.standard_normal((dim, k)) + 1j * rng.standard_normal((dim, k))
+
+        for _ in range(5):
+            fa = ginibre(ka)
+            if relation == "unrelated":
+                fb = ginibre(kb)
+            else:
+                fb = np.hstack([fa, np.zeros((dim, kb - ka))])
+                if relation == "close":
+                    fb = fb + 1e-14 * ginibre(kb)
+            a = DensityMatrix(None, (2,) * 4, factor=fa / np.linalg.norm(fa))
+            b = DensityMatrix(None, (2,) * 4, factor=fb / np.linalg.norm(fb))
+            dense = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(a.mat - b.mat)))
+            assert abs(trace_distance(a, b) - dense) <= 1e-12

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proctensor import (
+    CausalityError,
     CircuitProcessSpec,
     DensityMatrix,
     DilationSpec,
@@ -95,6 +98,39 @@ class TestVerifyCausality:
         assert not report.passed
         with pytest.raises(ValueError):
             ProcessTensor.from_state(state)
+
+    def test_causality_error_carries_failed_report(self):
+        phi4 = max_entangled_state(4)
+        state = DensityMatrix(phi4.mat, (2, 2, 2, 2))
+        with pytest.raises(CausalityError) as info:
+            ProcessTensor.from_state(state)
+        report = info.value.report
+        assert not report.passed
+        assert report == verify_causality(state)
+
+    def test_report_is_carried_with_the_build_tolerance(self, rng):
+        spec = random_circuit_spec(rng, n=2)
+        pt = build_from_circuit(spec, tol_causal=1e-6)
+        assert pt.causality.tol == 1e-6 and pt.causality.passed
+        with pytest.raises(CausalityError) as info:
+            build_from_circuit(spec, tol_causal=0.0)
+        assert info.value.report.residuals == pt.causality.residuals
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 4),
+        d_env=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        env_init=st.sampled_from(["maximally-mixed", "pure-ground", "seeded-random"]),
+        tol=st.floats(0.0, 1e-6),
+    )
+    def test_carried_report_matches_fresh_check(self, n, d_env, seed, env_init, tol):
+        pt = random_process(RandomSpec(n=n, d=2, d_env=d_env, seed=seed, env_init=env_init))
+        carried, fresh = verify_causality(pt, tol), verify_causality(pt.state, tol)
+        assert carried.residuals == fresh.residuals
+        assert carried.base_residual == fresh.base_residual
+        assert carried.tol == fresh.tol == tol
+        assert carried.passed == fresh.passed
 
     def test_all_maximally_mixed_passes(self):
         state = maximally_mixed((2, 2, 2, 2))
