@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Iterable, get_args
 
 import numpy as np
 
 from .linalg import DensityMatrix
 from .metrics import BoundAudit, CorrelationReport
-from .processes import CausalityReport, CircuitProcessSpec, _random_env
+from .processes import CausalityReport, CircuitProcessSpec, EnvInit, random_env
 
 CHOI_MAGIC = "proctensor-choi"
 
@@ -78,10 +78,10 @@ def load_process_spec(path: str | Path) -> CircuitProcessSpec:
             raise SpecFileError(f"field 'env' is not a valid density matrix: {exc}") from exc
     else:
         env_init = doc.get("env_init", "maximally-mixed")
-        if env_init not in ("maximally-mixed", "pure-ground", "seeded-random"):
+        if env_init not in get_args(EnvInit):
             raise SpecFileError(f"field 'env_init' has unknown value {env_init!r}")
         rng = np.random.default_rng(int(doc.get("seed", 0)))
-        env = _random_env(rng, d_env, env_init)
+        env = random_env(rng, d_env, env_init)
     raw_us = _require(doc, "unitaries", list)
     if not isinstance(raw_us, list) or len(raw_us) != n:
         raise SpecFileError(f"field 'unitaries' must list exactly n = {n} matrices")

@@ -82,6 +82,13 @@ class TestSpecFile:
         with pytest.raises(SpecFileError, match="unitaries"):
             load_process_spec(path)
 
+    def test_unknown_env_init_named(self, tmp_path):
+        doc = cnot_swap_spec_doc()
+        del doc["env"]
+        doc["env_init"] = "thermal"
+        with pytest.raises(SpecFileError, match="env_init"):
+            load_process_spec(write_spec(tmp_path, doc))
+
     def test_env_init_variants(self, tmp_path):
         doc = cnot_swap_spec_doc()
         del doc["env"]
@@ -251,27 +258,48 @@ class TestTolerance:
 
 class TestVerifyOnce:
     def test_audit_checks_each_sample_once(self, tmp_path, monkeypatch):
-        calls = []
-        real = proctensor.processes.verify_causality
+        chains, generic = [], []
+        real_levels = proctensor.processes._level_residuals
+        real_verify = proctensor.processes.verify_causality
 
-        def counting(state, tol):
-            calls.append(tol)
-            return real(state, tol)
+        def counting_levels(chain, d):
+            chains.append(len(chain))
+            return real_levels(chain, d)
+
+        def counting_verify(state, tol):
+            generic.append(tol)
+            return real_verify(state, tol)
 
         # the CLI's own binding counts too, so a second check would show
-        monkeypatch.setattr(proctensor.processes, "verify_causality", counting)
-        monkeypatch.setattr(proctensor.cli, "verify_causality", counting)
+        monkeypatch.setattr(proctensor.processes, "_level_residuals", counting_levels)
+        monkeypatch.setattr(proctensor.processes, "verify_causality", counting_verify)
+        monkeypatch.setattr(proctensor.cli, "verify_causality", counting_verify)
         out = tmp_path / "audit.txt"
         assert main(["audit-random", "--n", "2", "--samples", "3", "--out", str(out)]) == 0
-        assert calls == [1e-9] * 3
+        # one hierarchy per sample, on the prefix chain; passing samples
+        # never reach the generic check
+        assert chains == [2] * 3
+        assert generic == []
 
     def test_audit_counts_failed_hierarchy_as_violation(self, tmp_path, monkeypatch):
-        real = proctensor.processes.verify_causality
+        generic = []
+        real_build = proctensor.processes.build_from_circuit
+        real_verify = proctensor.processes.verify_causality
+
+        def counting_verify(state, tol):
+            generic.append(tol)
+            return real_verify(state, tol)
+
+        # at tolerance 0 both the prefix bounds and the generic hierarchy fail
         monkeypatch.setattr(
-            proctensor.processes, "verify_causality", lambda state, tol: real(state, 0.0)
+            proctensor.processes,
+            "build_from_circuit",
+            lambda spec, tol_causal=None: real_build(spec, 0.0),
         )
+        monkeypatch.setattr(proctensor.processes, "verify_causality", counting_verify)
         out = tmp_path / "audit.txt"
         assert main(["audit-random", "--n", "2", "--samples", "3", "--out", str(out)]) == 1
+        assert generic == [0.0] * 3
         fields = dict(ln.split(" = ") for ln in out.read_text().splitlines())
         assert fields["violations"] == "3"
         assert 0.0 < float(fields["worst_causality_residual"]) <= 1e-9
