@@ -15,7 +15,6 @@ from .linalg import (
     partial_trace,
     partial_transpose,
     permute_subsystems,
-    purify,
     relative_entropy,
     trace_distance,
     von_neumann_entropy,

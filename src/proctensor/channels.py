@@ -22,7 +22,6 @@ from .linalg import (
     mutual_information,
     partial_trace,
     partial_transpose,
-    purify,
     trace_distance,
     unitarity_residual,
     von_neumann_entropy,
@@ -117,7 +116,7 @@ def _eta_vector(spec: DilationSpec) -> tuple[np.ndarray, int]:
     Returns the amplitude tensor and the ancilla (purification) dimension.
     """
     d, de = spec.d_sys, spec.d_env
-    psi_er = purify(spec.env_state, spec.tol)  # (de, r)
+    psi_er = spec.env_state.factor  # (de, r)
     r = psi_er.shape[1]
     vec = np.multiply.outer(max_entangled_vector(d), psi_er)  # (in, sys, env, anc)
     u = spec.unitary.reshape(d, de, d, de)
@@ -131,7 +130,7 @@ def choi_from_dilation(spec: DilationSpec) -> ChannelChoi:
     d = spec.d_sys
     vec, _ = _eta_vector(spec)
     m = vec.reshape(d * d, -1)
-    return ChannelChoi(DensityMatrix(m @ m.conj().T, (d, d)))
+    return ChannelChoi(DensityMatrix(None, (d, d), factor=m))
 
 
 def apply_channel(choi: ChannelChoi, rho: DensityMatrix) -> DensityMatrix:
@@ -143,7 +142,7 @@ def apply_channel(choi: ChannelChoi, rho: DensityMatrix) -> DensityMatrix:
     # With unit-trace Choi states the correct prefactor is d_in * d_out.
     big = kron(rho.mat, np.eye(d_out)) @ upsilon_t
     t = big.reshape(d_in, d_out, d_in, d_out)
-    out = d_in * np.einsum("iaib->ab", t)
+    out = d_in * np.trace(t, axis1=0, axis2=2)
     return DensityMatrix(out, (d_out,), rho.tol)
 
 
@@ -157,8 +156,7 @@ def eta_diagnostics(spec: DilationSpec) -> EtaDiagnostics:
     d = spec.d_sys
     vec, r = _eta_vector(spec)
     dims = (d, d, spec.d_env, r)
-    flat = vec.reshape(-1)
-    eta = DensityMatrix(np.outer(flat, flat.conj()), dims, spec.tol)
+    eta = DensityMatrix(None, dims, spec.tol, factor=vec.reshape(-1, 1))
 
     def mi(a: tuple[int, ...], b: tuple[int, ...]) -> float:
         joint = partial_trace(eta, a + b)

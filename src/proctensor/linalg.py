@@ -4,10 +4,11 @@ Index convention: the leftmost tensor factor is the slowest-varying
 (big-endian) index, matching ``numpy.kron`` with the left operand first.
 All entropic quantities are in nats.
 
-States may carry a low-rank factor F with rho = F F^dag (circuit outputs
-and purified products arise this way). Spectral quantities are then
-computed from the small Gram matrix F^dag F and the dense matrix is only
-materialized on demand, which keeps large-but-low-rank states cheap.
+Every state carries a factor F with rho = F F^dag (see ``DensityMatrix``
+for how a dense input gets one). Partial traces and permutations reshape F,
+spectra come from the small Gram matrix F^dag F when F is narrow, and the
+dense matrix is only materialized on demand, which keeps
+large-but-low-rank states cheap.
 """
 
 from __future__ import annotations
@@ -50,9 +51,15 @@ class DensityMatrix:
     """Hermitian, PSD, unit-trace matrix with a subsystem-shape annotation.
 
     ``dims`` lists the subsystem dimensions, slowest-varying first; their
-    product must equal the matrix dimension. Construct either from a dense
-    matrix (fully validated) or from a factor F with rho = F F^dag
-    (Hermiticity and positivity then hold by construction).
+    product must equal the matrix dimension. Construct from exactly one of
+    a dense matrix or a factor F with rho = F F^dag.
+
+    A dense matrix is fully validated, and the eigendecomposition w, V that
+    checks positivity gives its factor V[:, w > tol.psd] sqrt(w[w > tol.psd]):
+    eigenvalues at or below ``tol.psd`` are dropped. ``mat`` is then the
+    validated input array itself. A factor is checked for shape, finiteness
+    and trace (Hermiticity and positivity hold by construction), and ``mat``
+    is F F^dag, formed on first use.
     """
 
     __slots__ = ("_mat", "_factor", "dims", "tol")
@@ -70,21 +77,8 @@ class DensityMatrix:
         if any(d < 1 for d in self.dims):
             raise ValueError(f"subsystem dimensions must be >= 1, got {self.dims}")
         dim = math.prod(self.dims)
-        if mat is None and factor is None:
-            raise ValueError("provide a dense matrix or a factor")
-        if factor is not None:
-            factor = np.asarray(factor, dtype=complex)
-            if factor.ndim != 2 or factor.shape[0] != dim:
-                raise ValueError(
-                    f"factor shape {factor.shape} does not match dimension {dim}"
-                )
-            if not np.all(np.isfinite(factor)):
-                raise ValueError("factor entries must be finite")
-            tr = float(np.sum(np.abs(factor) ** 2))
-            if abs(tr - 1.0) > tol.tr:
-                raise NotAStateError(f"trace {tr} deviates from 1 beyond {tol.tr:.1e}")
-            factor.setflags(write=False)
-        self._factor = factor
+        if sum(arg is None for arg in (mat, factor)) != 1:
+            raise ValueError("provide exactly one of a dense matrix or a factor")
         if mat is not None:
             mat = np.asarray(mat, dtype=complex)
             if mat.ndim != 2 or mat.shape != (dim, dim):
@@ -102,18 +96,30 @@ class DensityMatrix:
             tr = complex(np.trace(mat))
             if abs(tr - 1.0) > tol.tr:
                 raise NotAStateError(f"trace {tr} deviates from 1 beyond {tol.tr:.1e}")
-            if factor is None:
-                lo = float(np.linalg.eigvalsh(mat)[0])
-                if lo < -tol.psd:
-                    raise NotAStateError(
-                        f"minimum eigenvalue {lo:.3e} < -{tol.psd:.1e}"
-                    )
+            w, v = np.linalg.eigh(mat)
+            if w[0] < -tol.psd:
+                raise NotAStateError(f"minimum eigenvalue {w[0]:.3e} < -{tol.psd:.1e}")
+            keep = w > tol.psd
+            factor = v[:, keep] * np.sqrt(w[keep])
             mat.setflags(write=False)
+        else:
+            factor = np.asarray(factor, dtype=complex)
+            if factor.ndim != 2 or factor.shape[0] != dim:
+                raise ValueError(
+                    f"factor shape {factor.shape} does not match dimension {dim}"
+                )
+            if not np.all(np.isfinite(factor)):
+                raise ValueError("factor entries must be finite")
+            tr = float(np.sum(np.abs(factor) ** 2))
+            if abs(tr - 1.0) > tol.tr:
+                raise NotAStateError(f"trace {tr} deviates from 1 beyond {tol.tr:.1e}")
+        factor.setflags(write=False)
+        self._factor = factor
         self._mat = mat
 
     @property
     def mat(self) -> np.ndarray:
-        """Dense matrix; materialized from the factor on first use."""
+        """Dense matrix: the validated input, or F F^dag formed on first use."""
         if self._mat is None:
             mat = self._factor @ self._factor.conj().T
             mat.setflags(write=False)
@@ -121,7 +127,8 @@ class DensityMatrix:
         return self._mat
 
     @property
-    def factor(self) -> np.ndarray | None:
+    def factor(self) -> np.ndarray:
+        """Factor F with rho = F F^dag, shape (dim, rank)."""
         return self._factor
 
     @property
@@ -150,7 +157,7 @@ def maximally_mixed(dims: Sequence[int] | int) -> DensityMatrix:
     """Identity over the given subsystem dims, normalized to unit trace."""
     dims = (dims,) if isinstance(dims, int) else tuple(dims)
     n = math.prod(dims)
-    return DensityMatrix(np.eye(n) / n, dims, factor=np.eye(n) / math.sqrt(n))
+    return DensityMatrix(None, dims, factor=np.eye(n) / math.sqrt(n))
 
 
 def max_entangled_vector(d: int) -> np.ndarray:
@@ -161,7 +168,7 @@ def max_entangled_vector(d: int) -> np.ndarray:
 def max_entangled_state(d: int) -> DensityMatrix:
     """Normalized maximally entangled two-qudit state."""
     v = max_entangled_vector(d).reshape(-1, 1)
-    return DensityMatrix(np.outer(v, v.conj()), (d, d), factor=v)
+    return DensityMatrix(None, (d, d), factor=v)
 
 
 def _check_subset(subset: Sequence[int], n: int, *, name: str = "subset") -> tuple[int, ...]:
@@ -182,24 +189,12 @@ def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
     keep = tuple(sorted(keep))
     k = rho.num_subsystems
     out_dims = tuple(rho.dims[i] for i in keep)
-    out_dim = math.prod(out_dims)
-    if rho.factor is not None:
-        traced = tuple(i for i in range(k) if i not in keep)
-        rank = rho.factor.shape[1]
-        t = rho.factor.reshape(rho.dims + (rank,))
-        t = t.transpose(keep + traced + (k,))
-        new_factor = t.reshape(out_dim, -1)
-        if new_factor.shape[1] < out_dim:
-            return DensityMatrix(None, out_dims, rho.tol, factor=new_factor)
-        return DensityMatrix(
-            new_factor @ new_factor.conj().T, out_dims, rho.tol, factor=new_factor
-        )
-    t = rho.mat.reshape(rho.dims + rho.dims)
-    row = list(range(k))
-    col = [i if i not in keep else k + i for i in range(k)]
-    out = [i for i in keep] + [k + i for i in keep]
-    reduced = np.einsum(t, row + col, out)
-    return DensityMatrix(reduced.reshape(out_dim, out_dim), out_dims, rho.tol)
+    traced = tuple(i for i in range(k) if i not in keep)
+    rank = rho.factor.shape[1]
+    t = rho.factor.reshape(rho.dims + (rank,))
+    t = t.transpose(keep + traced + (k,))
+    new_factor = t.reshape(math.prod(out_dims), -1)
+    return DensityMatrix(None, out_dims, rho.tol, factor=new_factor)
 
 
 def partial_transpose(rho: DensityMatrix, subset: Sequence[int]) -> np.ndarray:
@@ -220,14 +215,10 @@ def permute_subsystems(rho: DensityMatrix, perm: Sequence[int]) -> DensityMatrix
     if len(perm) != k:
         raise ValueError("perm must cover every subsystem")
     new_dims = tuple(rho.dims[p] for p in perm)
-    if rho.factor is not None:
-        rank = rho.factor.shape[1]
-        t = rho.factor.reshape(rho.dims + (rank,))
-        new_factor = t.transpose(tuple(perm) + (k,)).reshape(rho.dim, rank)
-        return DensityMatrix(None, new_dims, rho.tol, factor=new_factor)
-    t = rho.mat.reshape(rho.dims + rho.dims)
-    t = t.transpose(tuple(perm) + tuple(k + p for p in perm))
-    return DensityMatrix(t.reshape(rho.dim, rho.dim), new_dims, rho.tol)
+    rank = rho.factor.shape[1]
+    t = rho.factor.reshape(rho.dims + (rank,))
+    new_factor = t.transpose(tuple(perm) + (k,)).reshape(rho.dim, rank)
+    return DensityMatrix(None, new_dims, rho.tol, factor=new_factor)
 
 
 def eigenvalues_hermitian(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
@@ -239,8 +230,8 @@ def eigenvalues_hermitian(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.nd
 
 
 def state_spectrum(rho: DensityMatrix) -> np.ndarray:
-    """Nonzero-padded spectrum of a state, using the Gram matrix of a factor."""
-    if rho.factor is not None and rho.factor.shape[1] < rho.dim:
+    """Zero-padded spectrum of a state, from the Gram matrix F^dag F when F is narrow."""
+    if rho.factor.shape[1] < rho.dim:
         gram = rho.factor.conj().T @ rho.factor
         w = np.linalg.eigvalsh(gram)
         return np.concatenate([np.zeros(rho.dim - w.size), w])
@@ -271,11 +262,8 @@ def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     tol = rho.tol
     s, v = np.linalg.eigh(sigma.mat)
     support = s > tol.supp
-    if rho.factor is not None:
-        # <v_i| rho |v_i> = row norms of V^dag F
-        diag = np.sum(np.abs(v.conj().T @ rho.factor) ** 2, axis=1)
-    else:
-        diag = np.einsum("ij,jk,ki->i", v.conj().T, rho.mat, v).real
+    # <v_i| rho |v_i> = row norms of V^dag F
+    diag = np.sum(np.abs(v.conj().T @ rho.factor) ** 2, axis=1)
     leakage = float(np.sum(diag[~support]))
     if leakage > tol.supp:
         return math.inf
@@ -303,11 +291,7 @@ def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
     """Half the trace norm of a - b."""
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    if (
-        a.factor is not None
-        and b.factor is not None
-        and a.factor.shape[1] + b.factor.shape[1] < a.dim
-    ):
+    if a.factor.shape[1] + b.factor.shape[1] < a.dim:
         # a - b acts within the joint column space; project there first.
         # With [Fa Fb] = QR, Q^dag [Fa Fb] = R: R's column blocks are the
         # projected factors, so Q itself is never formed.
@@ -319,13 +303,3 @@ def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
         w = np.linalg.eigvalsh(a.mat - b.mat)
     return float(0.5 * np.sum(np.abs(w)))
 
-
-def purify(rho: DensityMatrix, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """Spectral square-root purification, shape (dim, rank).
-
-    Eigenvalues below ``tol.psd`` are dropped, so the ancilla dimension is
-    the numerical rank of rho.
-    """
-    w, v = np.linalg.eigh(rho.mat)
-    keep = w > tol.psd
-    return v[:, keep] * np.sqrt(w[keep])

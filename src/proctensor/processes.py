@@ -24,7 +24,6 @@ from .linalg import (
     maximally_mixed,
     partial_trace,
     permute_subsystems,
-    purify,
     trace_distance,
     unitarity_residual,
 )
@@ -179,7 +178,7 @@ def build_from_circuit(
     a failed hierarchy raises ``CausalityError``.
     """
     n, d, de = spec.n, spec.d, spec.d_env
-    psi_env = purify(spec.env_state, spec.tol)  # (de, r)
+    psi_env = spec.env_state.factor  # (de, r)
     r = psi_env.shape[1]
     working = d ** (2 * n) * de * r
     if working > max_dense_dim():
@@ -214,15 +213,8 @@ def _level_residuals(chain: Sequence[DensityMatrix], d: int) -> list[float]:
             rhs = maximally_mixed(d)
         else:
             prev = chain[j - 2]
-            if prev.factor is not None:
-                rhs = DensityMatrix(
-                    None,
-                    prev.dims + (d,),
-                    m.tol,
-                    factor=np.kron(prev.factor, np.eye(d) / math.sqrt(d)),
-                )
-            else:
-                rhs = DensityMatrix(kron(prev.mat, np.eye(d) / d), prev.dims + (d,), m.tol)
+            fac = np.kron(prev.factor, np.eye(d) / math.sqrt(d))
+            rhs = DensityMatrix(None, prev.dims + (d,), m.tol, factor=fac)
         residuals.append(trace_distance(lhs, rhs))
     return residuals
 
@@ -258,19 +250,29 @@ def _prefix_causality(
     prefix chain's factors have rank 2 d d_env r or less, where the generic
     marginals grow as d^{2(n-j)}.
 
-    The bounds hold in exact arithmetic, while a computed generic residual
-    may exceed its computed bound by rounding, so they certify a pass only
-    ``_ROUNDING`` or more below ``tol``. Otherwise the generic hierarchy of
-    P_n decides and its report is returned. The verdict is therefore
-    ``verify_causality``'s, and the bounds never turn a pass into a failure.
+    The bounds are judged by ``_certified``, so the verdict is
+    ``verify_causality``'s and the bounds never turn a pass into a failure.
     """
     eps = _level_residuals(prefixes, d)
     tails = list(itertools.accumulate(reversed(eps)))[::-1]  # sum_{k>=j} eps_k
     bounds = (tails[0],) + tuple(2.0 * t for t in tails[1:])
-    report = CausalityReport.judge(bounds, tails[0], tol)
+    return _certified(bounds, tails[0], prefixes[-1], tol)
+
+
+def _certified(
+    residuals: tuple[float, ...], base_residual: float, state: DensityMatrix, tol: float
+) -> CausalityReport:
+    """Judge upper bounds on the generic residuals of ``state`` at ``tol``.
+
+    The bounds hold in exact arithmetic, while a computed generic residual
+    may exceed its computed bound by rounding, so they certify a pass only
+    ``_ROUNDING`` or more below ``tol``. Otherwise the generic hierarchy of
+    ``state`` decides and its report is returned.
+    """
+    report = CausalityReport.judge(residuals, base_residual, tol)
     if report.worst + _ROUNDING <= tol:
         return report
-    return verify_causality(prefixes[-1], tol)
+    return verify_causality(state, tol)
 
 
 def verify_causality(
@@ -284,12 +286,15 @@ def verify_causality(
     one above it. The base residual is the level-1 residual: the first-input
     marginal against the maximally mixed state.
 
-    A ``ProcessTensor`` is not checked again: its carried residuals, which
-    do not depend on the tolerance, are judged against ``tol``.
+    A ``ProcessTensor`` carries residuals that do not depend on the
+    tolerance and bound the generic ones from above: prefix bounds or the
+    generic residuals themselves. They decide when they pass ``_ROUNDING``
+    or more below ``tol``; otherwise the hierarchy is computed from the
+    state, so the verdict is always the generic one.
     """
     if isinstance(state, ProcessTensor):
         report = state.causality
-        return CausalityReport.judge(report.residuals, report.base_residual, tol)
+        return _certified(report.residuals, report.base_residual, state.state, tol)
     n, d = slot_shape(state)
     chain = [state]
     for j in range(n - 1, 0, -1):
@@ -378,9 +383,9 @@ def random_env(rng: np.random.Generator, d_env: int, env_init: EnvInit) -> Densi
     if env_init == "maximally-mixed":
         return maximally_mixed(d_env)
     if env_init == "pure-ground":
-        mat = np.zeros((d_env, d_env))
-        mat[0, 0] = 1.0
-        return DensityMatrix(mat, (d_env,))
+        ground = np.zeros((d_env, 1))
+        ground[0, 0] = 1.0
+        return DensityMatrix(None, (d_env,), factor=ground)
     if env_init == "seeded-random":
         g = rng.standard_normal((d_env, d_env)) + 1j * rng.standard_normal((d_env, d_env))
         mat = g @ g.conj().T

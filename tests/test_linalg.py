@@ -15,11 +15,15 @@ from proctensor import (
     mutual_information,
     partial_trace,
     partial_transpose,
+    permute_subsystems,
     relative_entropy,
     trace_distance,
     von_neumann_entropy,
 )
 from proctensor.channels import depolarizing_choi, swap_unitary
+from proctensor.config import DEFAULT_TOL
+from proctensor.io import load_choi, save_choi
+from proctensor.linalg import state_spectrum
 
 from conftest import random_density, random_pure
 
@@ -42,6 +46,44 @@ class TestDensityMatrix:
     def test_rejects_bad_shape_product(self):
         with pytest.raises(ValueError):
             DensityMatrix(np.eye(4) / 4, (2, 3))
+
+
+class TestDenseInput:
+    def test_needs_exactly_one_of_mat_and_factor(self):
+        v = np.array([[1.0], [0.0]])
+        with pytest.raises(ValueError):
+            DensityMatrix(v @ v.T, (2,), factor=v)
+        with pytest.raises(ValueError):
+            DensityMatrix(None, (2,))
+
+    def test_mat_is_the_input_array(self, rng):
+        mat = np.array(random_density(rng, (2, 3)).mat)
+        assert DensityMatrix(mat, (2, 3)).mat is mat
+
+    def test_choi_file_round_trips_byte_for_byte(self, rng, tmp_path):
+        first, second = tmp_path / "first.txt", tmp_path / "second.txt"
+        save_choi(random_density(rng, (2, 2, 2, 2), rank=3), first)
+        save_choi(load_choi(first), second)
+        assert second.read_bytes() == first.read_bytes()
+
+    @pytest.mark.parametrize("rank", [1, 3, None])
+    def test_factor_reproduces_mat(self, rng, rank):
+        rho = random_density(rng, (2, 3, 2), rank=rank)
+        err = np.linalg.norm(rho.mat - rho.factor @ rho.factor.conj().T, 2)
+        assert err <= rho.dim * DEFAULT_TOL.psd
+
+    @pytest.mark.parametrize("rank", [1, 3, None])
+    def test_factor_has_one_column_per_eigenvalue_above_cutoff(self, rng, rank):
+        rho = random_density(rng, (2, 3, 2), rank=rank)
+        w = np.linalg.eigvalsh(rho.mat)
+        assert rho.factor.shape[1] == np.count_nonzero(w > DEFAULT_TOL.psd)
+        assert rho.factor.shape[1] == (rho.dim if rank is None else rank)
+
+    def test_eigenvalues_at_the_cutoff(self):
+        psd = DEFAULT_TOL.psd
+        for small, kept in ((10 * psd, 2), (psd / 10, 1), (-psd / 10, 1)):
+            rho = DensityMatrix(np.diag([1.0 - small, small]), (2,))
+            assert rho.factor.shape == (2, kept)
 
 
 class TestKron:
@@ -267,3 +309,55 @@ class TestTraceDistance:
             b = DensityMatrix(None, (2,) * 4, factor=fb / np.linalg.norm(fb))
             dense = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(a.mat - b.mat)))
             assert abs(trace_distance(a, b) - dense) <= 1e-12
+
+
+def dense_partial_trace(mat: np.ndarray, dims: tuple[int, ...], keep: tuple[int, ...]) -> np.ndarray:
+    k = len(dims)
+    row = list(range(k))
+    col = [k + i if i in keep else i for i in range(k)]
+    out = list(keep) + [k + i for i in keep]
+    side = math.prod(dims[i] for i in keep)
+    return np.einsum(mat.reshape(dims + dims), row + col, out).reshape(side, side)
+
+
+def dense_relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
+    w = np.clip(np.linalg.eigvalsh(rho), 0.0, None)
+    s, v = np.linalg.eigh(sigma)
+    overlap = np.einsum("ij,jk,ki->i", v.conj().T, rho, v).real
+    return float(np.sum(w[w > 0] * np.log(w[w > 0])) - np.sum(overlap * np.log(s)))
+
+
+class TestFactorRoutesMatchDenseFormulas:
+    """Every state operation against a numpy formula on the dense matrix."""
+
+    DIMS = (2, 3, 2)
+
+    @pytest.fixture(params=[None, 5, 2], ids=["full-rank", "rank-5", "rank-2"])
+    def rho(self, request, rng):
+        return random_density(rng, self.DIMS, rank=request.param)
+
+    def test_partial_trace(self, rho):
+        for keep in ((0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)):
+            got = partial_trace(rho, keep).mat
+            assert np.max(np.abs(got - dense_partial_trace(rho.mat, rho.dims, keep))) <= 1e-12
+
+    def test_permute_subsystems(self, rho):
+        for perm in ((0, 1, 2), (2, 0, 1), (1, 2, 0), (2, 1, 0)):
+            got = permute_subsystems(rho, perm).mat
+            t = rho.mat.reshape(rho.dims + rho.dims).transpose(perm + tuple(3 + p for p in perm))
+            assert np.max(np.abs(got - t.reshape(rho.dim, rho.dim))) <= 1e-12
+
+    def test_state_spectrum(self, rho):
+        got = state_spectrum(rho)
+        assert np.max(np.abs(got - np.linalg.eigvalsh(rho.mat))) <= 1e-12
+
+    def test_trace_distance(self, rho, rng):
+        for rank in (None, 4, 1):
+            other = random_density(rng, self.DIMS, rank=rank)
+            dense = 0.5 * np.sum(np.abs(np.linalg.eigvalsh(rho.mat - other.mat)))
+            assert abs(trace_distance(rho, other) - dense) <= 1e-12
+
+    def test_relative_entropy(self, rho, rng):
+        sigma = random_density(rng, self.DIMS)
+        dense = dense_relative_entropy(rho.mat, sigma.mat)
+        assert abs(relative_entropy(rho, sigma) - dense) <= 1e-12
