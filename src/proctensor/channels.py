@@ -57,7 +57,7 @@ class ChannelChoi:
 
 @dataclass(frozen=True)
 class DilationSpec:
-    """Unitary system-environment dilation: rho -> tr_E[U (rho x env) U^dag]."""
+    """Unitary dilation rho -> tr_E[U (rho x env) U^dag]; env's factor purifies env."""
 
     d_sys: int
     env_state: DensityMatrix

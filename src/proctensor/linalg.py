@@ -55,11 +55,13 @@ class DensityMatrix:
     a dense matrix or a factor F with rho = F F^dag.
 
     A dense matrix is fully validated, and the eigendecomposition w, V that
-    checks positivity gives its factor V[:, w > tol.psd] sqrt(w[w > tol.psd]):
-    eigenvalues at or below ``tol.psd`` are dropped. ``mat`` is then the
-    validated input array itself. A factor is checked for shape, finiteness
-    and trace (Hermiticity and positivity hold by construction), and ``mat``
-    is F F^dag, formed on first use.
+    checks positivity gives its factor: the eigenpairs with w above the
+    rounding level w.max() dim eps (``numpy.linalg.matrix_rank``'s cut-off),
+    so no tolerance sets the rank; ``mat`` is the validated input array. A
+    given factor is checked for shape and finiteness, and ``mat`` is F F^dag,
+    formed on first use. Either way the factor must have unit trace, so an
+    input whose negative eigenvalues, allowed by ``tol.psd`` but dropped,
+    sum beyond ``tol.tr`` is rejected.
     """
 
     __slots__ = ("_mat", "_factor", "dims", "tol")
@@ -99,7 +101,7 @@ class DensityMatrix:
             w, v = np.linalg.eigh(mat)
             if w[0] < -tol.psd:
                 raise NotAStateError(f"minimum eigenvalue {w[0]:.3e} < -{tol.psd:.1e}")
-            keep = w > tol.psd
+            keep = w > w[-1] * dim * np.finfo(float).eps
             factor = v[:, keep] * np.sqrt(w[keep])
             mat.setflags(write=False)
         else:
@@ -110,9 +112,9 @@ class DensityMatrix:
                 )
             if not np.all(np.isfinite(factor)):
                 raise ValueError("factor entries must be finite")
-            tr = float(np.sum(np.abs(factor) ** 2))
-            if abs(tr - 1.0) > tol.tr:
-                raise NotAStateError(f"trace {tr} deviates from 1 beyond {tol.tr:.1e}")
+        tr = float(np.sum(np.abs(factor) ** 2))
+        if abs(tr - 1.0) > tol.tr:
+            raise NotAStateError(f"factor trace {tr} deviates from 1 beyond {tol.tr:.1e}")
         factor.setflags(write=False)
         self._factor = factor
         self._mat = mat

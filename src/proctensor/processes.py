@@ -32,20 +32,24 @@ from .channels import fredkin_unitary, swap_unitary
 
 @dataclass(frozen=True)
 class CausalityReport:
-    """Per-level residuals of the trace-condition hierarchy."""
+    """Per-level residuals of the trace-condition hierarchy.
+
+    ``bounds`` marks residuals that are upper bounds on the generic ones.
+    """
 
     residuals: tuple[float, ...]  # level j = residuals[j-1], j = n down to 1
     base_residual: float          # first-input marginal vs maximally mixed
     tol: float
     passed: bool
+    bounds: bool = False
 
     @classmethod
     def judge(
-        cls, residuals: tuple[float, ...], base_residual: float, tol: float
+        cls, residuals: tuple[float, ...], base_residual: float, tol: float, bounds: bool = False
     ) -> "CausalityReport":
         """Report whose ``passed`` compares every residual with ``tol``."""
         passed = all(res <= tol for res in residuals) and base_residual <= tol
-        return cls(residuals=residuals, base_residual=base_residual, tol=tol, passed=passed)
+        return cls(residuals, base_residual, tol, passed, bounds)
 
     @property
     def worst(self) -> float:
@@ -112,7 +116,8 @@ class CircuitProcessSpec:
     """Circuit description of an n-step dilation, one unitary per step.
 
     Each unitary acts on system (x) environment, system first; the same
-    environment, initially ``env_state``, threads through all steps.
+    environment, initially ``env_state``, threads through all steps. Its
+    factor purifies it, with a rank that no tolerance sets (``DensityMatrix``).
     """
 
     n: int
@@ -255,22 +260,22 @@ def _prefix_causality(
     """
     eps = _level_residuals(prefixes, d)
     tails = list(itertools.accumulate(reversed(eps)))[::-1]  # sum_{k>=j} eps_k
-    bounds = (tails[0],) + tuple(2.0 * t for t in tails[1:])
-    return _certified(bounds, tails[0], prefixes[-1], tol)
+    upper = (tails[0],) + tuple(2.0 * t for t in tails[1:])
+    report = CausalityReport.judge(upper, tails[0], tol, bounds=True)
+    return _certified(report, prefixes[-1], tol)
 
 
-def _certified(
-    residuals: tuple[float, ...], base_residual: float, state: DensityMatrix, tol: float
-) -> CausalityReport:
-    """Judge upper bounds on the generic residuals of ``state`` at ``tol``.
+def _certified(report: CausalityReport, state: DensityMatrix, tol: float) -> CausalityReport:
+    """Judge the residuals of ``report``, computed for ``state``, at ``tol``.
 
-    The bounds hold in exact arithmetic, while a computed generic residual
-    may exceed its computed bound by rounding, so they certify a pass only
-    ``_ROUNDING`` or more below ``tol``. Otherwise the generic hierarchy of
-    ``state`` decides and its report is returned.
+    Generic residuals are judged as they are. Bounds hold in exact
+    arithmetic, while a computed generic residual may exceed its computed
+    bound by rounding, so they certify a pass only ``_ROUNDING`` or more
+    below ``tol``. Otherwise the generic hierarchy of ``state`` decides and
+    its report is returned.
     """
-    report = CausalityReport.judge(residuals, base_residual, tol)
-    if report.worst + _ROUNDING <= tol:
+    report = CausalityReport.judge(report.residuals, report.base_residual, tol, report.bounds)
+    if not report.bounds or report.worst + _ROUNDING <= tol:
         return report
     return verify_causality(state, tol)
 
@@ -287,14 +292,13 @@ def verify_causality(
     marginal against the maximally mixed state.
 
     A ``ProcessTensor`` carries residuals that do not depend on the
-    tolerance and bound the generic ones from above: prefix bounds or the
-    generic residuals themselves. They decide when they pass ``_ROUNDING``
+    tolerance: the generic residuals, which are re-judged at ``tol``, or
+    prefix bounds on them, which decide only when they pass ``_ROUNDING``
     or more below ``tol``; otherwise the hierarchy is computed from the
     state, so the verdict is always the generic one.
     """
     if isinstance(state, ProcessTensor):
-        report = state.causality
-        return _certified(report.residuals, report.base_residual, state.state, tol)
+        return _certified(state.causality, state.state, tol)
     n, d = slot_shape(state)
     chain = [state]
     for j in range(n - 1, 0, -1):

@@ -225,6 +225,15 @@ class TestVerifyCommand:
         save_choi(maximally_mixed((2, 2, 2, 2)), path)
         assert main(["verify", "--in", str(path)]) == 0
 
+    def test_choi_with_eigenvalues_below_psd_passes(self, tmp_path):
+        # Eigenvalues 0.9e-10, below tol.psd, stay in the factor, so every
+        # marginal keeps unit trace and the hierarchy passes.
+        e = 0.9e-10
+        phi = max_entangled_state(2).mat
+        path = tmp_path / "choi.txt"
+        save_choi(DensityMatrix((1 - 3 * e) * phi + e * (np.eye(4) - phi), (2, 2)), path)
+        assert main(["verify", "--in", str(path)]) == 0
+
 
 class TestTolerance:
     def test_zero_tolerance_is_honoured_by_verify(self, tmp_path, capsys):

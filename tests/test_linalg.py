@@ -28,6 +28,7 @@ from proctensor.linalg import state_spectrum
 from conftest import random_density, random_pure
 
 LN2 = math.log(2)
+EPS = np.finfo(float).eps
 
 
 class TestDensityMatrix:
@@ -70,20 +71,38 @@ class TestDenseInput:
     def test_factor_reproduces_mat(self, rng, rank):
         rho = random_density(rng, (2, 3, 2), rank=rank)
         err = np.linalg.norm(rho.mat - rho.factor @ rho.factor.conj().T, 2)
-        assert err <= rho.dim * DEFAULT_TOL.psd
+        assert err <= rho.dim * EPS
 
     @pytest.mark.parametrize("rank", [1, 3, None])
-    def test_factor_has_one_column_per_eigenvalue_above_cutoff(self, rng, rank):
+    def test_factor_has_one_column_per_eigenvalue_above_rounding(self, rng, rank):
         rho = random_density(rng, (2, 3, 2), rank=rank)
         w = np.linalg.eigvalsh(rho.mat)
-        assert rho.factor.shape[1] == np.count_nonzero(w > DEFAULT_TOL.psd)
+        assert rho.factor.shape[1] == np.count_nonzero(w > w[-1] * rho.dim * EPS)
         assert rho.factor.shape[1] == (rho.dim if rank is None else rank)
 
-    def test_eigenvalues_at_the_cutoff(self):
+    def test_small_eigenvalues_are_kept_and_rounding_noise_dropped(self):
         psd = DEFAULT_TOL.psd
-        for small, kept in ((10 * psd, 2), (psd / 10, 1), (-psd / 10, 1)):
+        for small, kept in ((10 * psd, 2), (psd, 2), (1e-13, 2), (1e-17, 1), (-psd / 10, 1)):
             rho = DensityMatrix(np.diag([1.0 - small, small]), (2,))
             assert rho.factor.shape == (2, kept)
+
+    def test_tiny_eigenvalues_keep_the_trace(self):
+        # Eigenvalues 0.9e-10 sit below tol.psd, yet the factor keeps them,
+        # so its partial traces are unit-trace states equal to the dense ones.
+        e = 0.9e-10
+        phi = max_entangled_state(2).mat
+        mat = (1 - 3 * e) * phi + e * (np.eye(4) - phi)
+        rho = DensityMatrix(mat, (2, 2))
+        assert rho.factor.shape == (4, 4)
+        got = partial_trace(rho, (0,)).mat
+        assert np.max(np.abs(got - dense_partial_trace(mat, (2, 2), (0,)))) <= 1e-12
+
+    def test_negative_eigenvalues_that_break_the_factor_trace_are_rejected(self):
+        # Each eigenvalue -0.9e-10 is allowed by tol.psd, but a factor cannot
+        # carry them, and without them its trace is 1 + 2.7e-10.
+        e = 0.9e-10
+        with pytest.raises(NotAStateError, match="factor trace"):
+            DensityMatrix(np.diag([1.0 + 3 * e, -e, -e, -e]), (2, 2))
 
 
 class TestKron:
@@ -320,6 +339,16 @@ def dense_partial_trace(mat: np.ndarray, dims: tuple[int, ...], keep: tuple[int,
     return np.einsum(mat.reshape(dims + dims), row + col, out).reshape(side, side)
 
 
+def tiny_eigenvalue_density(rng: np.random.Generator, dims) -> DensityMatrix:
+    """Full-rank state with two large eigenvalues, the rest in (1e-12, 1e-10]."""
+    dim = math.prod(dims)
+    w = np.concatenate([[0.6, 0.4], np.geomspace(2e-12, 1e-10, dim - 2)])
+    w /= w.sum()
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
+    mat = (q * w) @ q.conj().T
+    return DensityMatrix(0.5 * (mat + mat.conj().T), dims)
+
+
 def dense_relative_entropy(rho: np.ndarray, sigma: np.ndarray) -> float:
     w = np.clip(np.linalg.eigvalsh(rho), 0.0, None)
     s, v = np.linalg.eigh(sigma)
@@ -332,8 +361,10 @@ class TestFactorRoutesMatchDenseFormulas:
 
     DIMS = (2, 3, 2)
 
-    @pytest.fixture(params=[None, 5, 2], ids=["full-rank", "rank-5", "rank-2"])
+    @pytest.fixture(params=[None, 5, 2, "tiny"], ids=["full-rank", "rank-5", "rank-2", "tiny"])
     def rho(self, request, rng):
+        if request.param == "tiny":
+            return tiny_eigenvalue_density(rng, self.DIMS)
         return random_density(rng, self.DIMS, rank=request.param)
 
     def test_partial_trace(self, rho):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import proctensor.processes
 from proctensor import (
     CausalityError,
     CircuitProcessSpec,
@@ -186,7 +187,8 @@ class TestVerifyCausality:
         # dense matrices.
         assume(d ** (2 * n) <= 3**8)
         spec = seeded_circuit_spec(n, d, d_env, seed, env_init)
-        generic = verify_causality(build_from_circuit(spec, 1.0).state, tol)
+        pt = build_from_circuit(spec, 1.0)
+        generic = verify_causality(pt.state, tol)
         try:
             carried = build_from_circuit(spec, tol).causality
         except CausalityError as exc:
@@ -196,8 +198,7 @@ class TestVerifyCausality:
         for g, b in zip(generic.residuals, carried.residuals, strict=True):
             assert g <= b + 1e-14
         assert generic.base_residual <= carried.base_residual + 1e-14
-        pt = build_from_circuit(spec, 1.0)
-        assert verify_causality(pt, tol).passed == verify_causality(pt.state, tol).passed
+        assert verify_causality(pt, tol).passed == generic.passed
 
     def test_carried_bounds_defer_to_the_generic_hierarchy(self):
         # The carried bounds (7.3e-16) exceed the exact residuals of this
@@ -208,6 +209,20 @@ class TestVerifyCausality:
         assert generic.passed
         assert pt.causality.worst > 5e-16
         assert verify_causality(pt, 5e-16) == generic
+
+    def test_carried_generic_residuals_are_rejudged_without_recomputing(self, monkeypatch):
+        built = random_process(RandomSpec(n=3, d=2, d_env=4, seed=0))
+        assert built.causality.bounds
+        pt = ProcessTensor.from_state(built.state)
+        assert not pt.causality.bounds
+        fresh = verify_causality(pt.state, 0.0)
+        chains = []
+        real = proctensor.processes._level_residuals
+        monkeypatch.setattr(
+            proctensor.processes, "_level_residuals", lambda c, d: chains.append(c) or real(c, d)
+        )
+        assert verify_causality(pt, 0.0) == fresh
+        assert chains == []
 
     def test_generic_hierarchy_decides_when_the_bounds_fail(self):
         # Unitaries about 1e-10 off unitary leak at every level. The prefix
