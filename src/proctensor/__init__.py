@@ -1,6 +1,6 @@
 """Numerical laboratory for temporal correlations in multitime quantum processes."""
 
-from .config import DEFAULT_TOL, Tolerances, max_dense_dim
+from .config import DEFAULT_TOL, max_dense_dim
 from .linalg import (
     DensityMatrix,
     DimensionLimitError,

@@ -8,11 +8,11 @@ system first.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOL, Tolerances
+from .config import DEFAULT_TOL
 from .linalg import (
     DensityMatrix,
     kron,
@@ -43,7 +43,7 @@ class ChannelChoi:
             raise ValueError("a channel Choi state carries exactly two subsystems")
         marginal = partial_trace(self.state, (0,))
         res = trace_distance(marginal, maximally_mixed(self.d_in))
-        if res > self.state.tol.eig:
+        if res > DEFAULT_TOL.eig:
             raise ValueError(f"input marginal deviates from maximally mixed by {res:.3e}")
 
     @property
@@ -57,12 +57,14 @@ class ChannelChoi:
 
 @dataclass(frozen=True)
 class DilationSpec:
-    """Unitary dilation rho -> tr_E[U (rho x env) U^dag]; env's factor purifies env."""
+    """Unitary dilation rho -> tr_E[U (rho x env) U^dag]; env's factor purifies env.
+
+    The unitarity residual of ``unitary`` must be at most ``DEFAULT_TOL.eig``.
+    """
 
     d_sys: int
     env_state: DensityMatrix
     unitary: np.ndarray
-    tol: Tolerances = field(default=DEFAULT_TOL, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         u = np.asarray(self.unitary, dtype=complex)
@@ -73,8 +75,8 @@ class DilationSpec:
                 f"unitary shape {u.shape} does not match d_sys*d_env = {expected}"
             )
         res = unitarity_residual(u)
-        if res > self.tol.eig:
-            raise ValueError(f"unitarity residual {res:.3e} > {self.tol.eig:.1e}")
+        if res > DEFAULT_TOL.eig:
+            raise ValueError(f"unitarity residual {res:.3e} > {DEFAULT_TOL.eig:.1e}")
         u.setflags(write=False)
 
     @property
@@ -143,7 +145,7 @@ def apply_channel(choi: ChannelChoi, rho: DensityMatrix) -> DensityMatrix:
     big = kron(rho.mat, np.eye(d_out)) @ upsilon_t
     t = big.reshape(d_in, d_out, d_in, d_out)
     out = d_in * np.trace(t, axis1=0, axis2=2)
-    return DensityMatrix(out, (d_out,), rho.tol)
+    return DensityMatrix(out, (d_out,))
 
 
 def channel_M(choi: ChannelChoi) -> float:
@@ -156,7 +158,7 @@ def eta_diagnostics(spec: DilationSpec) -> EtaDiagnostics:
     d = spec.d_sys
     vec, r = _eta_vector(spec)
     dims = (d, d, spec.d_env, r)
-    eta = DensityMatrix(None, dims, spec.tol, factor=vec.reshape(-1, 1))
+    eta = DensityMatrix(None, dims, factor=vec.reshape(-1, 1))
 
     def mi(a: tuple[int, ...], b: tuple[int, ...]) -> float:
         joint = partial_trace(eta, a + b)

@@ -88,9 +88,8 @@ def _write_lines(out: str | None, lines: list[str]) -> None:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     spec = io.load_process_spec(args.infile)
-    tol = DEFAULT_TOL.causal if args.tol is None else args.tol
     try:
-        pt = build_from_circuit(spec, tol)
+        pt = build_from_circuit(spec, args.tol)
     except CausalityError as exc:
         _write_lines(args.out, io.causality_lines(exc.report))
         return EXIT_VIOLATION
@@ -109,7 +108,6 @@ def cmd_audit_random(args: argparse.Namespace) -> int:
         print("error: --samples must be >= 1", file=sys.stderr)
         return EXIT_USAGE
     t0 = time.monotonic()
-    tol = DEFAULT_TOL.xcheck if args.tol is None else args.tol
     worst_causality = 0.0
     min_slacks = dict.fromkeys(SLACK_NAMES, math.inf)
     violations = 0
@@ -122,7 +120,7 @@ def cmd_audit_random(args: argparse.Namespace) -> int:
             violations += 1
             continue
         worst_causality = max(worst_causality, pt.causality.worst)
-        audit = audit_bounds(correlation_report(pt), tol)
+        audit = audit_bounds(correlation_report(pt), args.tol)
         slacks = {
             "unordered": min(audit.unordered_slack),
             "ordered": min(audit.ordered_slack),
@@ -155,12 +153,11 @@ def cmd_audit_random(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     path = Path(args.infile)
     head = path.read_text(encoding="utf-8", errors="replace")[: len(io.CHOI_MAGIC)]
-    tol = DEFAULT_TOL.causal if args.tol is None else args.tol
     if head == io.CHOI_MAGIC:
-        report = verify_causality(io.load_choi(path), tol)
+        report = verify_causality(io.load_choi(path), args.tol)
     else:
         try:
-            report = build_from_circuit(io.load_process_spec(path), tol).causality
+            report = build_from_circuit(io.load_process_spec(path), args.tol).causality
         except CausalityError as exc:
             report = exc.report
     _write_lines(args.out, io.causality_lines(report))
@@ -174,10 +171,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def common(p: argparse.ArgumentParser, tol: float | None = None) -> None:
         p.add_argument("--out", default=None, help="output file path")
-        p.add_argument("--tol", type=_parse_tol, default=None,
-                       help="tolerance override (finite, >= 0)")
+        if tol is not None:
+            p.add_argument("--tol", type=_parse_tol, default=tol,
+                           help=f"tolerance (finite, >= 0; default {tol})")
 
     p = sub.add_parser("sweep-depolarizing", help="CSV of channel correlation vs p")
     p.add_argument("--d", type=_parse_dims, default=[2], help="comma-separated dims")
@@ -194,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="full report for a process-spec file")
     p.add_argument("--in", dest="infile", required=True, help="process-spec JSON")
-    common(p)
+    common(p, DEFAULT_TOL.causal)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("audit-random", help="randomized bound audit")
@@ -203,12 +201,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--denv", type=int, default=4)
     p.add_argument("--samples", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-    common(p)
+    common(p, DEFAULT_TOL.xcheck)
     p.set_defaults(func=cmd_audit_random)
 
     p = sub.add_parser("verify", help="causality check of a spec or Choi file")
     p.add_argument("--in", dest="infile", required=True, help="spec JSON or Choi file")
-    common(p)
+    common(p, DEFAULT_TOL.causal)
     p.set_defaults(func=cmd_verify)
 
     return parser

@@ -1,4 +1,4 @@
-"""Numerical tolerances and global limits."""
+"""Numerical tolerances and global limits; ``DEFAULT_TOL`` is the one source of tolerances."""
 
 from __future__ import annotations
 
@@ -8,10 +8,13 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class Tolerances:
-    """Tolerance bundle used across the package.
+    """Type of ``DEFAULT_TOL``, whose values are fixed: nothing accepts a bundle.
 
-    All values are overridable; the defaults are comfortable for
-    double-precision eigensolvers at the supported dense dimensions.
+    The values suit double-precision eigensolvers at the supported dense
+    dimensions. ``causal`` and ``xcheck`` are the defaults of the per-call
+    overrides: ``tol_causal`` of ``build_from_circuit`` and
+    ``ProcessTensor.from_state``, ``verify_causality(state, tol)``,
+    ``audit_bounds(report, tol)`` and the CLI's ``--tol``.
     """
 
     herm: float = 1e-10     # Hermiticity residual

@@ -92,41 +92,33 @@ def load_process_spec(path: str | Path) -> CircuitProcessSpec:
         raise SpecFileError(f"field 'unitaries': {exc}") from exc
 
 
-def dump_process_spec(spec: CircuitProcessSpec, path: str | Path) -> None:
-    doc = {
-        "n": spec.n,
-        "d": spec.d,
-        "d_env": spec.d_env,
-        "env": complex_to_pairs(spec.env_state.mat),
-        "unitaries": [complex_to_pairs(u) for u in spec.unitaries],
-    }
-    Path(path).write_text(json.dumps(doc) + "\n")
+def slot_labels(n: int) -> str:
+    """The ``slots=`` value of an n-step Choi file: i0,o1,i1,o2,...,i{n-1},o{n}."""
+    return ",".join(f"i{m // 2}" if m % 2 == 0 else f"o{(m + 1) // 2}" for m in range(2 * n))
 
 
 def save_choi(state: DensityMatrix, path: str | Path) -> None:
     """Write a 2n-slot Choi state in the text interchange format."""
-    k = state.num_subsystems
-    n = k // 2
-    labels = []
-    for m in range(k):
-        labels.append(f"i{m // 2}" if m % 2 == 0 else f"o{(m + 1) // 2}")
-    lines = [f"{CHOI_MAGIC} n={n} d={state.dims[0]} slots={','.join(labels)}"]
+    n = state.num_subsystems // 2
+    lines = [f"{CHOI_MAGIC} n={n} d={state.dims[0]} slots={slot_labels(n)}"]
     for row in state.mat:
         lines.append(" ".join(f"{fmt(z.real)} {fmt(z.imag)}" for z in row))
     Path(path).write_text("\n".join(lines) + "\n")
 
 
 def load_choi(path: str | Path) -> DensityMatrix:
-    """Read a Choi state written by ``save_choi``."""
+    """Read a Choi state written by ``save_choi``; its slots must be in canonical order."""
     text = Path(path).read_text().strip().splitlines()
     if not text or not text[0].startswith(CHOI_MAGIC):
         raise SpecFileError(f"{path} is not a serialized Choi file")
-    header = dict(tok.split("=", 1) for tok in text[0].split()[1:])
     try:
+        header = dict(tok.split("=", 1) for tok in text[0].split()[1:])
         n = int(header["n"])
         d = int(header["d"])
     except (KeyError, ValueError) as exc:
         raise SpecFileError(f"malformed Choi header: {text[0]!r}") from exc
+    if header.get("slots") != slot_labels(n):
+        raise SpecFileError(f"Choi header must list slots={slot_labels(n)}: {text[0]!r}")
     dim = d ** (2 * n)
     if len(text) - 1 != dim:
         raise SpecFileError(f"expected {dim} matrix rows, found {len(text) - 1}")

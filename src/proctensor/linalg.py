@@ -18,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .config import DEFAULT_TOL, Tolerances, max_dense_dim
+from .config import DEFAULT_TOL, max_dense_dim
 
 
 class LinalgError(Exception):
@@ -60,22 +60,17 @@ class DensityMatrix:
     so no tolerance sets the rank; ``mat`` is the validated input array. A
     given factor is checked for shape and finiteness, and ``mat`` is F F^dag,
     formed on first use. Either way the factor must have unit trace, so an
-    input whose negative eigenvalues, allowed by ``tol.psd`` but dropped,
-    sum beyond ``tol.tr`` is rejected.
+    input whose negative eigenvalues, allowed by ``DEFAULT_TOL.psd`` but
+    dropped, sum beyond ``DEFAULT_TOL.tr`` is rejected.
     """
 
-    __slots__ = ("_mat", "_factor", "dims", "tol")
+    __slots__ = ("_mat", "_factor", "dims")
 
     def __init__(
-        self,
-        mat: np.ndarray | None,
-        dims: Sequence[int],
-        tol: Tolerances = DEFAULT_TOL,
-        *,
-        factor: np.ndarray | None = None,
+        self, mat: np.ndarray | None, dims: Sequence[int], *, factor: np.ndarray | None = None
     ) -> None:
+        tol = DEFAULT_TOL
         self.dims = tuple(int(d) for d in dims)
-        self.tol = tol
         if any(d < 1 for d in self.dims):
             raise ValueError(f"subsystem dimensions must be >= 1, got {self.dims}")
         dim = math.prod(self.dims)
@@ -196,7 +191,7 @@ def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
     t = rho.factor.reshape(rho.dims + (rank,))
     t = t.transpose(keep + traced + (k,))
     new_factor = t.reshape(math.prod(out_dims), -1)
-    return DensityMatrix(None, out_dims, rho.tol, factor=new_factor)
+    return DensityMatrix(None, out_dims, factor=new_factor)
 
 
 def partial_transpose(rho: DensityMatrix, subset: Sequence[int]) -> np.ndarray:
@@ -220,14 +215,14 @@ def permute_subsystems(rho: DensityMatrix, perm: Sequence[int]) -> DensityMatrix
     rank = rho.factor.shape[1]
     t = rho.factor.reshape(rho.dims + (rank,))
     new_factor = t.transpose(tuple(perm) + (k,)).reshape(rho.dim, rank)
-    return DensityMatrix(None, new_dims, rho.tol, factor=new_factor)
+    return DensityMatrix(None, new_dims, factor=new_factor)
 
 
-def eigenvalues_hermitian(m: np.ndarray, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def eigenvalues_hermitian(m: np.ndarray) -> np.ndarray:
     """Real spectrum of a Hermitian matrix, ascending."""
     res = hermiticity_residual(np.asarray(m))
-    if res > tol.herm:
-        raise NotHermitianError(f"Hermiticity residual {res:.3e} > {tol.herm:.1e}")
+    if res > DEFAULT_TOL.herm:
+        raise NotHermitianError(f"Hermiticity residual {res:.3e} > {DEFAULT_TOL.herm:.1e}")
     return np.linalg.eigvalsh(m)
 
 
@@ -240,9 +235,9 @@ def state_spectrum(rho: DensityMatrix) -> np.ndarray:
     return np.linalg.eigvalsh(rho.mat)
 
 
-def _entropy_from_spectrum(w: np.ndarray, tol: Tolerances) -> float:
-    if float(w.min(initial=0.0)) < -tol.psd:
-        raise NotAStateError(f"negative eigenvalue {w.min():.3e} beyond -{tol.psd:.1e}")
+def _entropy_from_spectrum(w: np.ndarray) -> float:
+    if float(w.min(initial=0.0)) < -DEFAULT_TOL.psd:
+        raise NotAStateError(f"negative eigenvalue {w.min():.3e} beyond -{DEFAULT_TOL.psd:.1e}")
     w = np.clip(w, 0.0, None)
     nz = w[w > 0.0]
     return float(-np.sum(nz * np.log(nz)))
@@ -250,24 +245,23 @@ def _entropy_from_spectrum(w: np.ndarray, tol: Tolerances) -> float:
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """-sum(lambda ln lambda) in nats, with 0 ln 0 := 0."""
-    return _entropy_from_spectrum(state_spectrum(rho), rho.tol)
+    return _entropy_from_spectrum(state_spectrum(rho))
 
 
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:
     """tr[rho (ln rho - ln sigma)] in nats, evaluated on sigma's support.
 
-    Returns ``math.inf`` when rho has weight beyond ``tol.supp`` outside
-    sigma's support.
+    Returns ``math.inf`` when rho has weight beyond ``DEFAULT_TOL.supp``
+    outside sigma's support.
     """
     if rho.dim != sigma.dim:
         raise ValueError(f"dimension mismatch: {rho.dim} vs {sigma.dim}")
-    tol = rho.tol
     s, v = np.linalg.eigh(sigma.mat)
-    support = s > tol.supp
+    support = s > DEFAULT_TOL.supp
     # <v_i| rho |v_i> = row norms of V^dag F
     diag = np.sum(np.abs(v.conj().T @ rho.factor) ** 2, axis=1)
     leakage = float(np.sum(diag[~support]))
-    if leakage > tol.supp:
+    if leakage > DEFAULT_TOL.supp:
         return math.inf
     tr_rho_ln_rho = -von_neumann_entropy(rho)
     tr_rho_ln_sigma = float(np.sum(diag[support] * np.log(s[support])))

@@ -7,6 +7,7 @@ correlations, and the non-Markovian correlations across step blocks.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -93,15 +94,17 @@ def non_markovianity_crosscheck(pt: ProcessTensor | DensityMatrix) -> float:
     Independent route to the non-Markovian correlations: distance to the
     closest Markov (product-of-steps) Choi state. May return ``math.inf``
     on support mismatch; never silently capped.
+
+    Each step marginal gets a fresh factor from the eigh of its own
+    d^2-sided matrix, so the product's factor has at most d^{2n} columns
+    (the marginals' own factors can be far wider), and only
+    ``relative_entropy`` eigendecomposes the product.
     """
     state, n, _ = _as_state(pt)
-    product = None
-    dims: tuple[int, ...] = ()
-    for j in range(n):
-        marg = partial_trace(state, (2 * j, 2 * j + 1))
-        product = marg.mat if product is None else kron(product, marg.mat)
-        dims = dims + marg.dims
-    return relative_entropy(state, DensityMatrix(product, dims, state.tol))
+    margs = (partial_trace(state, (2 * j, 2 * j + 1)) for j in range(n))
+    factors = [DensityMatrix(m.mat, m.dims).factor for m in margs]
+    product = DensityMatrix(None, state.dims, factor=functools.reduce(kron, factors))
+    return relative_entropy(state, product)
 
 
 def audit_bounds(

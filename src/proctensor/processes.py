@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Literal, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_TOL, Tolerances, max_dense_dim
+from .config import DEFAULT_TOL, max_dense_dim
 from .linalg import (
     DensityMatrix,
     DimensionLimitError,
@@ -94,14 +94,10 @@ class ProcessTensor:
 
     @classmethod
     def from_state(
-        cls, state: DensityMatrix, tol_causal: float | None = None
+        cls, state: DensityMatrix, tol_causal: float = DEFAULT_TOL.causal
     ) -> "ProcessTensor":
-        """Verify ``state`` against the hierarchy; raises ``CausalityError`` if it fails.
-
-        ``tol_causal`` defaults to ``state.tol.causal``.
-        """
-        tol = state.tol.causal if tol_causal is None else tol_causal
-        return cls._carry(state, verify_causality(state, tol))
+        """Verify ``state`` against the hierarchy; raises ``CausalityError`` if it fails."""
+        return cls._carry(state, verify_causality(state, tol_causal))
 
     @classmethod
     def _carry(cls, state: DensityMatrix, report: CausalityReport) -> "ProcessTensor":
@@ -118,13 +114,14 @@ class CircuitProcessSpec:
     Each unitary acts on system (x) environment, system first; the same
     environment, initially ``env_state``, threads through all steps. Its
     factor purifies it, with a rank that no tolerance sets (``DensityMatrix``).
+    Each unitary's residual ``unitarity_residual`` must be at most
+    ``DEFAULT_TOL.eig``.
     """
 
     n: int
     d: int
     env_state: DensityMatrix
     unitaries: tuple[np.ndarray, ...]
-    tol: Tolerances = field(default=DEFAULT_TOL, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -140,7 +137,7 @@ class CircuitProcessSpec:
             if u.shape != (dim, dim):
                 raise ValueError(f"unitary {j} has shape {u.shape}, expected {(dim, dim)}")
             res = unitarity_residual(u)
-            if res > self.tol.eig:
+            if res > DEFAULT_TOL.eig:
                 raise ValueError(f"unitary {j} unitarity residual {res:.3e}")
             u.setflags(write=False)
 
@@ -168,7 +165,7 @@ class RandomSpec:
 
 
 def build_from_circuit(
-    spec: CircuitProcessSpec, tol_causal: float | None = None
+    spec: CircuitProcessSpec, tol_causal: float = DEFAULT_TOL.causal
 ) -> ProcessTensor:
     """Simulate the Choi-generating circuit and return the process tensor.
 
@@ -179,8 +176,8 @@ def build_from_circuit(
 
     The circuit is simulated one step at a time, so after step j the state
     is the j-step prefix process P_j. Causality is decided on this chain by
-    ``_prefix_causality`` with ``tol_causal`` (default ``spec.tol.causal``);
-    a failed hierarchy raises ``CausalityError``.
+    ``_prefix_causality`` with ``tol_causal``; a failed hierarchy raises
+    ``CausalityError``.
     """
     n, d, de = spec.n, spec.d, spec.d_env
     psi_env = spec.env_state.factor  # (de, r)
@@ -200,9 +197,8 @@ def build_from_circuit(
         # t axes: (slots, ancilla, o_j, env, i_{j-1})
         vec = t.transpose(0, 4, 2, 3, 1).reshape(-1, de, r) / math.sqrt(d)
         factor = vec.reshape(-1, de * r)
-        prefixes.append(DensityMatrix(None, (d,) * (2 * j), spec.tol, factor=factor))
-    tol = spec.tol.causal if tol_causal is None else tol_causal
-    return ProcessTensor._carry(prefixes[-1], _prefix_causality(prefixes, d, tol))
+        prefixes.append(DensityMatrix(None, (d,) * (2 * j), factor=factor))
+    return ProcessTensor._carry(prefixes[-1], _prefix_causality(prefixes, d, tol_causal))
 
 
 def _level_residuals(chain: Sequence[DensityMatrix], d: int) -> list[float]:
@@ -219,7 +215,7 @@ def _level_residuals(chain: Sequence[DensityMatrix], d: int) -> list[float]:
         else:
             prev = chain[j - 2]
             fac = np.kron(prev.factor, np.eye(d) / math.sqrt(d))
-            rhs = DensityMatrix(None, prev.dims + (d,), m.tol, factor=fac)
+            rhs = DensityMatrix(None, prev.dims + (d,), factor=fac)
         residuals.append(trace_distance(lhs, rhs))
     return residuals
 

@@ -16,7 +16,8 @@ from proctensor import (
     maximally_mixed,
 )
 from proctensor.channels import swap_unitary
-from proctensor.cli import main
+from proctensor.cli import build_parser, main
+from proctensor.config import DEFAULT_TOL
 from proctensor.io import (
     SpecFileError,
     complex_to_pairs,
@@ -113,6 +114,25 @@ class TestChoiFile:
         path.write_text("not a choi file\n")
         with pytest.raises(SpecFileError):
             load_choi(path)
+
+    def test_save_load_is_byte_identical(self, tmp_path):
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        save_choi(cnot_swap_process().state, a)
+        save_choi(load_choi(a), b)
+        assert a.read_bytes() == b.read_bytes()
+        assert a.read_text().splitlines()[0] == "proctensor-choi n=2 d=2 slots=i0,o1,i1,o2"
+
+    @pytest.mark.parametrize("slots", [" slots=o1,i0,o2,i1", "", " slots=i0,o1,i1,o2 junk"])
+    def test_bad_slots_header_exit_two(self, tmp_path, slots, capsys):
+        path = tmp_path / "choi.txt"
+        save_choi(cnot_swap_process().state, path)
+        lines = path.read_text().splitlines()
+        lines[0] = "proctensor-choi n=2 d=2" + slots
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SpecFileError):
+            load_choi(path)
+        assert main(["verify", "--in", str(path)]) == 2
+        assert "slots=i0,o1,i1,o2" in capsys.readouterr().err
 
 
 class TestSweepCommand:
@@ -226,7 +246,7 @@ class TestVerifyCommand:
         assert main(["verify", "--in", str(path)]) == 0
 
     def test_choi_with_eigenvalues_below_psd_passes(self, tmp_path):
-        # Eigenvalues 0.9e-10, below tol.psd, stay in the factor, so every
+        # Eigenvalues 0.9e-10, below DEFAULT_TOL.psd, stay in the factor, so every
         # marginal keeps unit trace and the hierarchy passes.
         e = 0.9e-10
         phi = max_entangled_state(2).mat
@@ -256,6 +276,32 @@ class TestTolerance:
         lines = out.read_text().splitlines()
         assert lines[-1] == "causality_pass = False"
         assert all(ln.startswith("causality_") for ln in lines)
+
+    @pytest.mark.parametrize(
+        "argv, default",
+        [
+            (["analyze", "--in", "x"], DEFAULT_TOL.causal),
+            (["verify", "--in", "x"], DEFAULT_TOL.causal),
+            (["audit-random"], DEFAULT_TOL.xcheck),
+        ],
+    )
+    def test_default_tolerance_per_command(self, argv, default):
+        assert build_parser().parse_args(argv).tol == default
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["emit-figure", "--figure", "fig6", "--grid", "3"],
+            ["emit-figure", "--figure", "fig2", "--grid", "3"],
+            ["sweep-depolarizing", "--grid", "3"],
+        ],
+    )
+    def test_tolerance_rejected_where_unread(self, tmp_path, argv, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(argv + ["--tol", "0", "--out", str(tmp_path / "out.csv")])
+        assert info.value.code == 2
+        assert "--tol" in capsys.readouterr().err
+        assert not (tmp_path / "out.csv").exists()
 
     @pytest.mark.parametrize("tol", ["-1", "nan", "inf", "x"])
     def test_invalid_tolerance_is_usage_error(self, tol, capsys):

@@ -87,7 +87,7 @@ class TestDenseInput:
             assert rho.factor.shape == (2, kept)
 
     def test_tiny_eigenvalues_keep_the_trace(self):
-        # Eigenvalues 0.9e-10 sit below tol.psd, yet the factor keeps them,
+        # Eigenvalues 0.9e-10 sit below DEFAULT_TOL.psd, yet the factor keeps them,
         # so its partial traces are unit-trace states equal to the dense ones.
         e = 0.9e-10
         phi = max_entangled_state(2).mat
@@ -98,7 +98,7 @@ class TestDenseInput:
         assert np.max(np.abs(got - dense_partial_trace(mat, (2, 2), (0,)))) <= 1e-12
 
     def test_negative_eigenvalues_that_break_the_factor_trace_are_rejected(self):
-        # Each eigenvalue -0.9e-10 is allowed by tol.psd, but a factor cannot
+        # Each eigenvalue -0.9e-10 is allowed by DEFAULT_TOL.psd, but a factor cannot
         # carry them, and without them its trace is 1 + 2.7e-10.
         e = 0.9e-10
         with pytest.raises(NotAStateError, match="factor trace"):

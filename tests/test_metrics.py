@@ -80,6 +80,50 @@ class TestNonMarkovianityCrosscheck:
                 rep.non_markov, abs=1e-8
             )
 
+    @staticmethod
+    def dense_crosscheck(state: DensityMatrix) -> float:
+        """S(rho || product of step marginals) from numpy's eigh on dense matrices."""
+        n = state.num_subsystems // 2
+        t = state.mat.reshape(state.dims * 2)
+        product = np.ones((1, 1))
+        for j in range(n):
+            rest = [k for k in range(2 * n) if k not in (2 * j, 2 * j + 1)]
+            marg = t
+            for k in sorted(rest, reverse=True):
+                marg = np.trace(marg, axis1=k, axis2=k + marg.ndim // 2)
+            side = state.dims[2 * j] * state.dims[2 * j + 1]
+            product = np.kron(product, marg.reshape(side, side))
+
+        def tr_rho_log(m: np.ndarray) -> float:
+            w, v = np.linalg.eigh(m)
+            diag = np.real(np.einsum("ij,jk,ki->i", v.conj().T, state.mat, v))
+            keep = w > 1e-12
+            return float(np.sum(diag[keep] * np.log(w[keep])))
+
+        return tr_rho_log(state.mat) - tr_rho_log(product)
+
+    def test_matches_dense_formula(self):
+        states = [swap_chain_process(2, 2).state, swap_chain_process(3, 2).state]
+        for seed in range(20):
+            n, d_env = 2 + seed % 2, 2 + seed % 3
+            states.append(random_process(RandomSpec(n=n, d=2, d_env=d_env, seed=seed)).state)
+        for state in states:
+            got = non_markovianity_crosscheck(state)
+            assert got == pytest.approx(self.dense_crosscheck(state), abs=1e-12)
+
+    def test_one_eigh_of_the_product(self, monkeypatch):
+        pt = nm_depolarizing_process(0.3)
+        sides = []
+        eigh = np.linalg.eigh
+
+        def counting_eigh(m, *args, **kwargs):
+            sides.append(m.shape[0])
+            return eigh(m, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+        non_markovianity_crosscheck(pt)
+        assert sorted(sides) == [4, 4, 16]
+
 
 class TestAuditBounds:
     def test_swap_chain_saturates_max_bound(self):
