@@ -59,7 +59,7 @@ class ChannelChoi:
 class DilationSpec:
     """Unitary dilation rho -> tr_E[U (rho x env) U^dag]; env's factor purifies env.
 
-    The unitarity residual of ``unitary`` must be at most ``DEFAULT_TOL.eig``.
+    ``unitarity_residual(unitary)``, ||U^dag U - I||_op, must be at most ``DEFAULT_TOL.eig``.
     """
 
     d_sys: int

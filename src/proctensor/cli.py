@@ -63,7 +63,7 @@ def cmd_sweep_depolarizing(args: argparse.Namespace) -> int:
     for d in args.d:
         for p in _grid(args.grid):
             rows.append((float(d), p, channel_M(depolarizing_choi(d, p))))
-    io.write_csv(args.out, ("d", "p", "M_nats"), rows)
+    _write_lines(args.out, io.csv_lines(("d", "p", "M_nats"), rows))
     return EXIT_OK
 
 
@@ -74,7 +74,7 @@ def cmd_emit_figure(args: argparse.Namespace) -> int:
     for p in _grid(args.grid):
         rep = correlation_report(nm_depolarizing_process(p))
         rows.append((p, rep.step_markov[0], rep.step_markov[1], rep.non_markov, rep.total))
-    io.write_csv(args.out, ("p", "M1", "M2", "N", "I"), rows)
+    _write_lines(args.out, io.csv_lines(("p", "M1", "M2", "N", "I"), rows))
     return EXIT_OK
 
 

