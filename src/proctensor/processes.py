@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Literal, Sequence
 
 import numpy as np
@@ -115,13 +115,14 @@ class CircuitProcessSpec:
     environment, initially ``env_state``, threads through all steps. Its
     factor purifies it, with a rank that no tolerance sets (``DensityMatrix``).
     Each unitary's ``unitarity_residual`` ||U^dag U - I||_op must be at most
-    ``DEFAULT_TOL.eig``; the same residuals certify the built process's causality.
+    ``DEFAULT_TOL.eig``; kept in ``residuals``, they certify the built process's causality.
     """
 
     n: int
     d: int
     env_state: DensityMatrix
     unitaries: tuple[np.ndarray, ...]
+    residuals: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -136,10 +137,11 @@ class CircuitProcessSpec:
         for j, u in enumerate(us):
             if u.shape != (dim, dim):
                 raise ValueError(f"unitary {j} has shape {u.shape}, expected {(dim, dim)}")
-            res = unitarity_residual(u)
+            u.setflags(write=False)
+        object.__setattr__(self, "residuals", tuple(map(unitarity_residual, us)))
+        for j, res in enumerate(self.residuals):
             if res > DEFAULT_TOL.eig:
                 raise ValueError(f"unitary {j} unitarity residual {res:.3e}")
-            u.setflags(write=False)
 
     @property
     def d_env(self) -> int:
@@ -217,9 +219,9 @@ def _level_residuals(chain: Sequence[DensityMatrix], d: int) -> list[float]:
     return residuals
 
 
-# Rounding allowance between a computed generic residual and its computed
-# certificate; the largest excess over 600 random processes with n <= 5, d <= 3
-# (half leaking 1e-13 to 3e-11) and the SWAP, Fredkin and CNOT circuits was 3.0e-16.
+# Rounding allowance between a computed generic residual and its computed certificate; the
+# largest excess over the SWAP, Fredkin and CNOT circuits and 600 random processes, n <= 5,
+# d <= 3, half leaking 1e-13 to 3e-11, half with tr env up to 9e-11 off 1, was 3.7e-16.
 _ROUNDING = 1e-14
 
 
@@ -229,16 +231,17 @@ def _unitarity_certificate(
     """Hierarchy report of ``state``, the Choi state of ``spec``, from its unitaries.
 
     Step j applies U = U_j to Y = X_{j-1} (x) Phi, where X_{j-1} >= 0 is the
-    (j-1)-step prefix before the environment is traced. With
-    c_j = ||U_j^dag U_j - I||_op (``unitarity_residual``),
+    (j-1)-step prefix before the environment is traced; X_0, the environment,
+    has trace t. With c_j = ||U_j^dag U_j - I||_op (``spec.residuals``),
     tr_{o_j E}(U Y U^dag) - tr_{o_j E}(Y) = tr_{o_j E}((U^dag U - I) Y) and
-    ||Y||_1 = tr X_{j-1} <= prod_{i<j} (1 + c_i), the prefix processes P_j obey
+    ||Y||_1 = tr X_{j-1} <= t prod_{i<j} (1 + c_i), the prefix processes P_j obey
 
-        eps_j = T(tr_{o_j} P_j, P_{j-1} (x) I/d) <= 1/2 c_j prod_{i<j} (1 + c_i),
+        eps_j = T(tr_{o_j} P_j, P_{j-1} (x) I/d) <= 1/2 c_j t prod_{i<j} (1 + c_i),
 
-    with P_0 (x) I/d := I/d. Let delta_j = T(rho_j, P_j), rho_j the marginal
-    of P_n on its first 2j slots. Tracing i_{j-1} o_j gives delta_{j-1} <=
-    delta_j + eps_j, and the triangle inequality bounds the generic residuals:
+    with P_0 (x) I/d := I/d, which adds T(t I/d, I/d) = 1/2 |t - 1| to eps_1.
+    Let delta_j = T(rho_j, P_j), rho_j the marginal of P_n on its first 2j
+    slots. Tracing i_{j-1} o_j gives delta_{j-1} <= delta_j + eps_j, and the
+    triangle inequality bounds the generic residuals:
 
         g_j <= delta_j + eps_j + delta_{j-1} <= 2 sum_{k>=j} eps_k   (j >= 2),
         g_1 = base <= delta_1 + eps_1        <=   sum_{k>=1} eps_k.
@@ -246,11 +249,12 @@ def _unitarity_certificate(
     The bounds hold in exact arithmetic and are judged by ``_certified``, so
     the verdict is ``verify_causality``'s.
     """
-    eps, growth = [], 1.0
-    for u in spec.unitaries:
-        c = unitarity_residual(u)
+    t_env = float(np.sum(np.abs(spec.env_state.factor) ** 2))
+    eps, growth = [], t_env
+    for c in spec.residuals:
         eps.append(0.5 * c * growth)
         growth *= 1.0 + c
+    eps[0] += 0.5 * abs(t_env - 1.0)
     tails = list(itertools.accumulate(reversed(eps)))[::-1]  # sum_{k>=j} eps_k
     upper = (tails[0],) + tuple(2.0 * t for t in tails[1:])
     report = CausalityReport.judge(upper, tails[0], tol, bounds=True)

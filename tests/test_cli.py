@@ -290,6 +290,21 @@ class TestVerifyCommand:
         assert main(["verify", "--in", str(path)]) == 0
 
 
+    def test_env_trace_off_one_gives_one_verdict_on_both_routes(self, tmp_path, capsys):
+        # Exact unitaries leak nothing, but an environment of trace 1 + 9e-11
+        # moves the base residual to 4.5e-11; the spec and its Choi file both
+        # fail at 1e-11 and pass at the default tolerance.
+        doc = cnot_swap_spec_doc()
+        doc["env"] = complex_to_pairs(np.diag([0.5 + 9e-11, 0.5]))
+        spec_path = write_spec(tmp_path, doc)
+        choi_path = tmp_path / "choi.txt"
+        save_choi(build_from_circuit(load_process_spec(spec_path), 1.0).state, choi_path)
+        for path in (spec_path, choi_path):
+            assert main(["verify", "--in", str(path)]) == 0
+            assert main(["verify", "--in", str(path), "--tol", "1e-11"]) == 1
+            assert "causality_pass = False" in capsys.readouterr().out
+
+
 class TestTolerance:
     def test_zero_tolerance_is_honoured_by_verify(self, tmp_path, capsys):
         path = write_spec(tmp_path, haar_spec_doc(5))

@@ -50,14 +50,18 @@ def leaky_unitary(u: np.ndarray, leak: float, rng) -> np.ndarray:
     return u @ (np.eye(u.shape[0]) + leak * h)
 
 
-def seeded_circuit_spec(n, d, d_env, seed, env_init, leak=0.0) -> CircuitProcessSpec:
+def seeded_circuit_spec(
+    n, d, d_env, seed, env_init, leak=0.0, env_trace=1.0
+) -> CircuitProcessSpec:
     """The circuit ``random_process`` simulates for this RandomSpec.
 
     A nonzero ``leak`` perturbs each unitary by ``leaky_unitary``, with H
-    drawn from a second generator so the Haar unitaries stay the same.
+    drawn from a second generator so the Haar unitaries stay the same. The
+    environment is scaled to trace ``env_trace``.
     """
     rng = np.random.default_rng(seed)
     env = random_env(rng, d_env, env_init)
+    env = DensityMatrix(None, env.dims, factor=env.factor * math.sqrt(env_trace))
     us = tuple(haar_unitary(d * d_env, rng) for _ in range(n))
     if leak:
         leak_rng = np.random.default_rng([seed, 1])
@@ -197,16 +201,18 @@ class TestVerifyCausality:
         seed=st.integers(0, 2**32 - 1),
         env_init=st.sampled_from(["maximally-mixed", "pure-ground", "seeded-random"]),
         leak=st.one_of(st.just(0.0), st.floats(1e-13, 3e-11)),
+        env_shift=st.one_of(st.just(0.0), st.floats(-9e-11, 9e-11)),
         tol=st.one_of(st.floats(0.0, 1e-6), st.floats(0.0, 1e-9)),
     )
     def test_certificate_dominates_generic_residuals(
-        self, n, d, d_env, seed, env_init, leak, tol
+        self, n, d, d_env, seed, env_init, leak, env_shift, tol
     ):
         # n = 5 at d = 3 is left out: its generic check eigensolves 2187-sided
-        # dense matrices. Leaky unitaries put the certificate and the generic
-        # residuals near the tolerances drawn from [0, 1e-9].
+        # dense matrices. Leaky unitaries and environments of trace off 1 put
+        # the certificate and the generic residuals near the tolerances drawn
+        # from [0, 1e-9].
         assume(d ** (2 * n) <= 3**8)
-        spec = seeded_circuit_spec(n, d, d_env, seed, env_init, leak)
+        spec = seeded_circuit_spec(n, d, d_env, seed, env_init, leak, 1.0 + env_shift)
         try:
             pt = build_from_circuit(spec, 1.0)
         except NotAStateError:
@@ -224,6 +230,23 @@ class TestVerifyCausality:
         assert carried.tol == tol
         assert carried.passed == generic.passed
         assert verify_causality(pt, tol).passed == generic.passed
+
+    def test_certificate_counts_the_environment_trace(self):
+        # Exact unitaries on an environment of trace 1 + 9e-11: the base
+        # residual is |tr env - 1| / 2 = 4.5e-11, which the certificate
+        # carries, so both routes fail at 1e-11 with the generic report.
+        cnot = np.eye(4)[[0, 1, 3, 2]]
+        env = DensityMatrix(np.diag([0.5 + 9e-11, 0.5]), (2,))
+        spec = CircuitProcessSpec(n=2, d=2, env_state=env, unitaries=(cnot, swap_unitary(2)))
+        loose = build_from_circuit(spec, 1.0)
+        generic = verify_causality(loose.state, 1e-11)
+        assert not generic.passed
+        assert generic.base_residual == pytest.approx(4.5e-11, rel=1e-5)
+        assert generic.base_residual <= loose.causality.base_residual + 1e-14
+        assert verify_causality(loose, 1e-11) == generic
+        with pytest.raises(CausalityError) as info:
+            build_from_circuit(spec, 1e-11)
+        assert info.value.report == generic
 
     def test_carried_bounds_defer_to_the_generic_hierarchy(self):
         # The carried certificate (1.7e-15) exceeds the exact residuals of
