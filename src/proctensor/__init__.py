@@ -19,19 +19,6 @@ from .linalg import (
     trace_distance,
     von_neumann_entropy,
 )
-from .channels import (
-    ChannelChoi,
-    DilationSpec,
-    EtaDiagnostics,
-    apply_channel,
-    channel_M,
-    choi_from_dilation,
-    depolarizing_choi,
-    eta_diagnostics,
-    fredkin_dilation,
-    fredkin_unitary,
-    swap_unitary,
-)
 from .processes import (
     CausalityError,
     CausalityReport,
@@ -40,11 +27,21 @@ from .processes import (
     RandomSpec,
     build_from_circuit,
     cnot_swap_process,
+    fredkin_dilation,
+    fredkin_unitary,
     haar_unitary,
     nm_depolarizing_process,
     random_process,
     swap_chain_process,
+    swap_unitary,
     verify_causality,
+)
+from .channels import (
+    EtaDiagnostics,
+    apply_channel,
+    channel_M,
+    depolarizing_choi,
+    eta_diagnostics,
 )
 from .metrics import (
     BoundAudit,

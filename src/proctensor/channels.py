@@ -1,8 +1,8 @@
-"""Single-step channel constructs: Choi states, dilations and the M quantifier.
+"""Single-step channels as one-step processes: the M quantifier and dilation diagnostics.
 
-Channels are represented canonically by their normalized Choi state with
-subsystem order (in, out). Dilation unitaries act on system (x) environment,
-system first.
+A channel is the n = 1 process tensor: its normalized Choi state is a
+``ProcessTensor`` on the slots (i_0, o_1), and a dilation is a one-step
+``CircuitProcessSpec`` whose Choi state ``build_from_circuit`` simulates.
 """
 
 from __future__ import annotations
@@ -12,76 +12,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOL
 from .linalg import (
     DensityMatrix,
     kron,
     max_entangled_state,
-    max_entangled_vector,
-    maximally_mixed,
     mutual_information,
     partial_trace,
     partial_transpose,
-    trace_distance,
-    unitarity_residual,
-    von_neumann_entropy,
 )
-
-
-@dataclass(frozen=True)
-class ChannelChoi:
-    """Normalized Choi state of a single-step channel, shape (d_in, d_out).
-
-    Tracing out the output leg must give the maximally mixed input marginal
-    (trace preservation of the underlying channel).
-    """
-
-    state: DensityMatrix
-
-    def __post_init__(self) -> None:
-        if self.state.num_subsystems != 2:
-            raise ValueError("a channel Choi state carries exactly two subsystems")
-        marginal = partial_trace(self.state, (0,))
-        res = trace_distance(marginal, maximally_mixed(self.d_in))
-        if res > DEFAULT_TOL.eig:
-            raise ValueError(f"input marginal deviates from maximally mixed by {res:.3e}")
-
-    @property
-    def d_in(self) -> int:
-        return self.state.dims[0]
-
-    @property
-    def d_out(self) -> int:
-        return self.state.dims[1]
-
-
-@dataclass(frozen=True)
-class DilationSpec:
-    """Unitary dilation rho -> tr_E[U (rho x env) U^dag]; env's factor purifies env.
-
-    ``unitarity_residual(unitary)``, ||U^dag U - I||_op, must be at most ``DEFAULT_TOL.eig``.
-    """
-
-    d_sys: int
-    env_state: DensityMatrix
-    unitary: np.ndarray
-
-    def __post_init__(self) -> None:
-        u = np.asarray(self.unitary, dtype=complex)
-        object.__setattr__(self, "unitary", u)
-        expected = self.d_sys * self.env_state.dim
-        if u.shape != (expected, expected):
-            raise ValueError(
-                f"unitary shape {u.shape} does not match d_sys*d_env = {expected}"
-            )
-        res = unitarity_residual(u)
-        if res > DEFAULT_TOL.eig:
-            raise ValueError(f"unitarity residual {res:.3e} > {DEFAULT_TOL.eig:.1e}")
-        u.setflags(write=False)
-
-    @property
-    def d_env(self) -> int:
-        return self.env_state.dim
+from .processes import CircuitProcessSpec, ProcessTensor, build_from_circuit
 
 
 @dataclass(frozen=True)
@@ -101,7 +40,12 @@ class EtaDiagnostics:
     inout_ancilla: float
 
 
-def depolarizing_choi(d: int, p: float) -> ChannelChoi:
+def _one_step(n: int) -> None:
+    if n != 1:
+        raise ValueError(f"a channel is a one-step process, got n = {n}")
+
+
+def depolarizing_choi(d: int, p: float) -> ProcessTensor:
     """Choi state of the depolarizing channel rho -> p*I/d + (1-p)*rho."""
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
@@ -109,56 +53,39 @@ def depolarizing_choi(d: int, p: float) -> ChannelChoi:
         raise ValueError(f"dimension must be >= 2, got {d}")
     phi = max_entangled_state(d)
     mat = p * np.eye(d * d) / (d * d) + (1.0 - p) * phi.mat
-    return ChannelChoi(DensityMatrix(mat, (d, d)))
+    return ProcessTensor.from_state(DensityMatrix(mat, (d, d)))
 
 
-def _eta_vector(spec: DilationSpec) -> tuple[np.ndarray, int]:
-    """Global pure state after the interaction, axes (in, out, env, ancilla).
-
-    Returns the amplitude tensor and the ancilla (purification) dimension.
-    """
-    d, de = spec.d_sys, spec.d_env
-    psi_er = spec.env_state.factor  # (de, r)
-    r = psi_er.shape[1]
-    vec = np.multiply.outer(max_entangled_vector(d), psi_er)  # (in, sys, env, anc)
-    u = spec.unitary.reshape(d, de, d, de)
-    vec = np.tensordot(u, vec, axes=([2, 3], [1, 2]))  # (out, env, in, anc)
-    vec = vec.transpose(2, 0, 1, 3)  # (in, out, env, anc)
-    return vec, r
-
-
-def choi_from_dilation(spec: DilationSpec) -> ChannelChoi:
-    """Choi state of the channel obtained by tracing the environment of a dilation."""
-    d = spec.d_sys
-    vec, _ = _eta_vector(spec)
-    m = vec.reshape(d * d, -1)
-    return ChannelChoi(DensityMatrix(None, (d, d), factor=m))
-
-
-def apply_channel(choi: ChannelChoi, rho: DensityMatrix) -> DensityMatrix:
-    """Act with the channel on a state via its Choi state."""
-    d_in, d_out = choi.d_in, choi.d_out
-    if rho.dim != d_in:
-        raise ValueError(f"state dimension {rho.dim} does not match d_in = {d_in}")
+def apply_channel(choi: ProcessTensor, rho: DensityMatrix) -> DensityMatrix:
+    """Act with the one-step process ``choi`` on a state via its Choi state."""
+    _one_step(choi.n)
+    d = choi.d
+    if rho.dim != d:
+        raise ValueError(f"state dimension {rho.dim} does not match d = {d}")
     upsilon_t = partial_transpose(choi.state, (0,))
-    # With unit-trace Choi states the correct prefactor is d_in * d_out.
-    big = kron(rho.mat, np.eye(d_out)) @ upsilon_t
-    t = big.reshape(d_in, d_out, d_in, d_out)
-    out = d_in * np.trace(t, axis1=0, axis2=2)
-    return DensityMatrix(out, (d_out,))
+    # A unit-trace Choi state carries 1/d, hence the prefactor d.
+    big = kron(rho.mat, np.eye(d)) @ upsilon_t
+    t = big.reshape(d, d, d, d)
+    out = d * np.trace(t, axis1=0, axis2=2)
+    return DensityMatrix(out, (d,))
 
 
-def channel_M(choi: ChannelChoi) -> float:
-    """Input-output mutual information of the Choi state, in [0, 2 ln d]."""
+def channel_M(choi: ProcessTensor) -> float:
+    """Input-output mutual information of a one-step Choi state, in [0, 2 ln d]."""
+    _one_step(choi.n)
     return mutual_information(choi.state, ((0,), (1,)))
 
 
-def eta_diagnostics(spec: DilationSpec) -> EtaDiagnostics:
-    """Information-exchange diagnostics from the purified global state."""
-    d = spec.d_sys
-    vec, r = _eta_vector(spec)
-    dims = (d, d, spec.d_env, r)
-    eta = DensityMatrix(None, dims, factor=vec.reshape(-1, 1))
+def eta_diagnostics(spec: CircuitProcessSpec) -> EtaDiagnostics:
+    """Information-exchange diagnostics of a one-step dilation.
+
+    The global pure state on (in, out, environment, ancilla) is the factor
+    of the built Choi state, whose columns index (environment, ancilla).
+    """
+    _one_step(spec.n)
+    d, de = spec.d, spec.d_env
+    factor = build_from_circuit(spec).state.factor
+    eta = DensityMatrix(None, (d, d, de, factor.shape[1] // de), factor=factor.reshape(-1, 1))
 
     def mi(a: tuple[int, ...], b: tuple[int, ...]) -> float:
         joint = partial_trace(eta, a + b)
@@ -173,39 +100,3 @@ def eta_diagnostics(spec: DilationSpec) -> EtaDiagnostics:
         in_env_ancilla=mi((0,), (2, 3)),
         inout_ancilla=mi((0, 1), (3,)),
     )
-
-
-def swap_unitary(d: int) -> np.ndarray:
-    """SWAP between two d-dimensional factors."""
-    s = np.zeros((d * d, d * d))
-    for i in range(d):
-        for j in range(d):
-            s[i * d + j, j * d + i] = 1.0
-    return s
-
-
-def fredkin_unitary(d: int = 2) -> np.ndarray:
-    """Controlled SWAP on (system, control qubit, environment target).
-
-    Control basis: |0> do nothing, |1> swap system with the target qudit.
-    """
-    dim = d * 2 * d
-    u = np.zeros((dim, dim))
-    for s in range(d):
-        for t in range(d):
-            u[(s * 2 + 0) * d + t, (s * 2 + 0) * d + t] = 1.0
-            u[(t * 2 + 1) * d + s, (s * 2 + 1) * d + t] = 1.0
-    return u
-
-
-def fredkin_dilation(p: float, d: int = 2) -> DilationSpec:
-    """Dilation of the depolarizing channel by a Fredkin gate.
-
-    The environment is a control qubit in (1-p)|0><0| + p|1><1| tensored
-    with a maximally mixed target qudit.
-    """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-    control = np.diag([1.0 - p, p])
-    env = DensityMatrix(kron(control, np.eye(d) / d), (2, d))
-    return DilationSpec(d_sys=d, env_state=env, unitary=fredkin_unitary(d))

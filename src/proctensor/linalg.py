@@ -157,14 +157,9 @@ def maximally_mixed(dims: Sequence[int] | int) -> DensityMatrix:
     return DensityMatrix(None, dims, factor=np.eye(n) / math.sqrt(n))
 
 
-def max_entangled_vector(d: int) -> np.ndarray:
-    """Amplitudes of the canonical maximally entangled two-qudit ket, shape (d, d)."""
-    return np.eye(d) / math.sqrt(d)
-
-
 def max_entangled_state(d: int) -> DensityMatrix:
-    """Normalized maximally entangled two-qudit state."""
-    v = max_entangled_vector(d).reshape(-1, 1)
+    """Normalized maximally entangled two-qudit state, amplitudes I/sqrt(d)."""
+    v = np.eye(d).reshape(-1, 1) / math.sqrt(d)
     return DensityMatrix(None, (d, d), factor=v)
 
 

@@ -19,15 +19,13 @@ from .config import DEFAULT_TOL, max_dense_dim
 from .linalg import (
     DensityMatrix,
     DimensionLimitError,
+    NotAStateError,
     kron,
-    max_entangled_vector,
     maximally_mixed,
     partial_trace,
-    permute_subsystems,
     trace_distance,
     unitarity_residual,
 )
-from .channels import fredkin_unitary, swap_unitary
 
 
 @dataclass(frozen=True)
@@ -174,11 +172,15 @@ def build_from_circuit(
     A fresh maximally entangled pair feeds each step: its live half passes
     through the step unitary (becoming output slot o_j) while the kept half
     becomes input slot i_{j-1}. A single purified environment survives across
-    steps and is traced out at the end.
+    steps and is traced out at the end: the rows of the returned state's
+    factor index the 2n slots and its columns (environment, ancilla), where
+    the ancilla indexes the columns of ``spec.env_state.factor``.
 
     Causality is decided by ``_unitarity_certificate``, computed from the
     unitaries alone, with ``tol_causal``; a failed hierarchy raises
-    ``CausalityError``.
+    ``CausalityError``. Leaks that the spec allowed can still move the
+    state's trace beyond ``DEFAULT_TOL.tr``; the ``NotAStateError`` then
+    names the leakiest unitary.
     """
     n, d, de = spec.n, spec.d, spec.d_env
     psi_env = spec.env_state.factor  # (de, r)
@@ -189,14 +191,21 @@ def build_from_circuit(
             f"working dimension {working} exceeds dense limit {max_dense_dim()}"
         )
     # vec axes: (slots of P_{j-1}, env, ancilla). The new pair's amplitudes
-    # are I/sqrt(d) (``max_entangled_vector``), so its kept half i_{j-1}
-    # selects the input column of the unitary on the live half.
+    # are I/sqrt(d), so its kept half i_{j-1} selects the input column of
+    # the unitary on the live half.
     vec = psi_env.reshape(1, de, r)
     for u in spec.unitaries:
         t = np.tensordot(vec, u.reshape(d, de, d, de), axes=([1], [3]))
         # t axes: (slots, ancilla, o_j, env, i_{j-1})
         vec = t.transpose(0, 4, 2, 3, 1).reshape(-1, de, r) / math.sqrt(d)
-    state = DensityMatrix(None, (d,) * (2 * n), factor=vec.reshape(-1, de * r))
+    try:
+        state = DensityMatrix(None, (d,) * (2 * n), factor=vec.reshape(-1, de * r))
+    except NotAStateError as exc:
+        j = int(np.argmax(spec.residuals))
+        raise NotAStateError(
+            f"{exc}; the unitaries leak trace, unitary {j} the most "
+            f"(unitarity residual {spec.residuals[j]:.3e})"
+        ) from exc
     return ProcessTensor._carry(state, _unitarity_certificate(spec, state, tol_causal))
 
 
@@ -303,48 +312,65 @@ def verify_causality(
     return CausalityReport.judge(residuals, residuals[0], tol)
 
 
-def nm_depolarizing_process(p: float) -> ProcessTensor:
-    """Two-step qubit process from two Fredkin interactions with one environment.
+def swap_unitary(d: int) -> np.ndarray:
+    """SWAP between two d-dimensional factors."""
+    s = np.zeros((d * d, d * d))
+    for i in range(d):
+        for j in range(d):
+            s[i * d + j, j * d + i] = 1.0
+    return s
 
-    The control qubit starts in (1-p)|0><0| + p|1><1| and the swap target
-    maximally mixed; each step is locally depolarizing, but memory flows
-    through the shared environment.
+
+def fredkin_unitary(d: int = 2) -> np.ndarray:
+    """Controlled SWAP on (system, control qubit, environment target).
+
+    Control basis: |0> do nothing, |1> swap system with the target qudit.
+    """
+    dim = d * 2 * d
+    u = np.zeros((dim, dim))
+    for s in range(d):
+        for t in range(d):
+            u[(s * 2 + 0) * d + t, (s * 2 + 0) * d + t] = 1.0
+            u[(t * 2 + 1) * d + s, (s * 2 + 1) * d + t] = 1.0
+    return u
+
+
+def fredkin_dilation(p: float, d: int = 2) -> CircuitProcessSpec:
+    """One-step dilation of the depolarizing channel by a Fredkin gate.
+
+    The environment is a control qubit in (1-p)|0><0| + p|1><1| tensored
+    with a maximally mixed target qudit.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
     control = np.diag([1.0 - p, p])
-    env = DensityMatrix(kron(control, np.eye(2) / 2), (2, 2))
-    u = fredkin_unitary(2)
-    spec = CircuitProcessSpec(n=2, d=2, env_state=env, unitaries=(u, u))
+    env = DensityMatrix(kron(control, np.eye(d) / d), (2, d))
+    return CircuitProcessSpec(n=1, d=d, env_state=env, unitaries=(fredkin_unitary(d),))
+
+
+def nm_depolarizing_process(p: float) -> ProcessTensor:
+    """Two-step qubit process from two Fredkin interactions with one environment.
+
+    The environment is that of ``fredkin_dilation(p)``; each step is locally
+    depolarizing, but memory flows through the shared environment.
+    """
+    step = fredkin_dilation(p)
+    spec = CircuitProcessSpec(n=2, d=2, env_state=step.env_state, unitaries=step.unitaries * 2)
     return build_from_circuit(spec)
 
 
 def swap_chain_process(n: int, d: int) -> ProcessTensor:
     """Maximally non-Markovian chain: each output repeats the previous input.
 
-    Built directly as the product of a maximally mixed first output, fully
-    entangled (i_{j-1}, o_{j+1}) pairs, and a maximally mixed last input.
+    Every step swaps the system with a d-dimensional environment that starts
+    maximally mixed, so o_1 is maximally mixed and o_{j+1} carries i_{j-1}.
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    if d ** (2 * n) > max_dense_dim():
-        raise DimensionLimitError(f"dimension {d ** (2 * n)} exceeds dense limit")
-    phi_vec = max_entangled_vector(d).reshape(-1, 1)
-    fac = np.eye(d) / math.sqrt(d)
-    for _ in range(n - 1):
-        fac = np.kron(fac, phi_vec)
-    fac = np.kron(fac, np.eye(d) / math.sqrt(d))
-    built = DensityMatrix(None, (d,) * (2 * n), factor=fac)
-    # built slot order: (o_1, i_0, o_2, i_1, o_3, ..., i_{n-2}, o_n, i_{n-1})
-    pos = {("o", 1): 0, ("i", n - 1): 2 * n - 1}
-    for j in range(n - 1):
-        pos[("i", j)] = 1 + 2 * j
-        pos[("o", j + 2)] = 2 + 2 * j
-    perm = []
-    for m in range(2 * n):
-        slot = ("i", m // 2) if m % 2 == 0 else ("o", (m + 1) // 2)
-        perm.append(pos[slot])
-    return ProcessTensor.from_state(permute_subsystems(built, perm))
+    spec = CircuitProcessSpec(
+        n=n, d=d, env_state=maximally_mixed(d), unitaries=(swap_unitary(d),) * n
+    )
+    return build_from_circuit(spec)
 
 
 def cnot_swap_process() -> ProcessTensor:

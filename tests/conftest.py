@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from proctensor import DensityMatrix
+from proctensor import CircuitProcessSpec, DensityMatrix, haar_unitary
+from proctensor.processes import random_env
 
 
 def random_density(rng: np.random.Generator, dims, rank: int | None = None) -> DensityMatrix:
@@ -22,6 +23,33 @@ def random_pure(rng: np.random.Generator, dims) -> DensityMatrix:
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     v /= np.linalg.norm(v)
     return DensityMatrix(np.outer(v, v.conj()), dims)
+
+
+def leaky_unitary(u: np.ndarray, leak: float, rng) -> np.ndarray:
+    """u (I + leak H/||H||) for a random Hermitian H: off unitary by about 2 leak."""
+    g = rng.standard_normal(u.shape) + 1j * rng.standard_normal(u.shape)
+    h = g + g.conj().T
+    h /= np.max(np.abs(np.linalg.eigvalsh(h)))
+    return u @ (np.eye(u.shape[0]) + leak * h)
+
+
+def seeded_circuit_spec(
+    n, d, d_env, seed, env_init, leak=0.0, env_trace=1.0
+) -> CircuitProcessSpec:
+    """The circuit ``random_process`` simulates for this RandomSpec.
+
+    A nonzero ``leak`` perturbs each unitary by ``leaky_unitary``, with H
+    drawn from a second generator so the Haar unitaries stay the same. The
+    environment is scaled to trace ``env_trace``.
+    """
+    rng = np.random.default_rng(seed)
+    env = random_env(rng, d_env, env_init)
+    env = DensityMatrix(None, env.dims, factor=env.factor * math.sqrt(env_trace))
+    us = tuple(haar_unitary(d * d_env, rng) for _ in range(n))
+    if leak:
+        leak_rng = np.random.default_rng([seed, 1])
+        us = tuple(leaky_unitary(u, leak, leak_rng) for u in us)
+    return CircuitProcessSpec(n=n, d=d, env_state=env, unitaries=us)
 
 
 @pytest.fixture

@@ -10,12 +10,12 @@ import numpy as np
 import pytest
 
 from proctensor import (
+    CircuitProcessSpec,
     DensityMatrix,
-    DilationSpec,
     RandomSpec,
     audit_bounds,
+    build_from_circuit,
     channel_M,
-    choi_from_dilation,
     cnot_swap_process,
     correlation_report,
     depolarizing_choi,
@@ -58,7 +58,7 @@ def test_criterion_01_depolarizing_endpoints():
 def test_criterion_02_fredkin_dilation():
     ok = True
     for p in (0.0, 0.25, 0.5, 0.75, 1.0):
-        got = choi_from_dilation(fredkin_dilation(p))
+        got = build_from_circuit(fredkin_dilation(p))
         ok &= trace_distance(got.state, depolarizing_choi(2, p).state) <= 1e-9
     report(2, "Fredkin dilation equals depolarizing Choi", ok)
 
@@ -70,7 +70,7 @@ def test_criterion_03_eta_identities():
         d_env = 2 + k % 3
         env = random_density(rng, (d_env,))
         u = haar_unitary(2 * d_env, rng)
-        eta = eta_diagnostics(DilationSpec(d_sys=2, env_state=env, unitary=u))
+        eta = eta_diagnostics(CircuitProcessSpec(n=1, d=2, env_state=env, unitaries=(u,)))
         ok &= abs(eta.in_env_ancilla - (2 * LN2 - eta.kept)) <= 1e-8
         ok &= eta.inout_ancilla <= 2 * (2 * LN2 - eta.kept) + 1e-8
     report(3, "information-exchange identities on random dilations", ok)

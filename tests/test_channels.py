@@ -4,33 +4,63 @@ import numpy as np
 import pytest
 
 from proctensor import (
-    ChannelChoi,
+    CircuitProcessSpec,
     DensityMatrix,
-    DilationSpec,
+    ProcessTensor,
     apply_channel,
+    build_from_circuit,
     channel_M,
-    choi_from_dilation,
     depolarizing_choi,
     eta_diagnostics,
     fredkin_dilation,
+    haar_unitary,
     kron,
     max_entangled_state,
     maximally_mixed,
     partial_trace,
+    swap_chain_process,
+    swap_unitary,
     trace_distance,
 )
-from proctensor.channels import swap_unitary
-from proctensor.processes import haar_unitary
 
 from conftest import random_density
 
 LN2 = math.log(2)
 
 
-def random_dilation(rng, d_sys=2, d_env=2) -> DilationSpec:
-    env = random_density(rng, (d_env,))
+def random_dilation(rng, d_sys=2, d_env=2, rank=None) -> CircuitProcessSpec:
+    env = random_density(rng, (d_env,), rank)
     u = haar_unitary(d_sys * d_env, rng)
-    return DilationSpec(d_sys=d_sys, env_state=env, unitary=u)
+    return CircuitProcessSpec(n=1, d=d_sys, env_state=env, unitaries=(u,))
+
+
+def dense_eta(spec: CircuitProcessSpec) -> tuple[float, float, float, float]:
+    """(kept, lost, in_env_ancilla, inout_ancilla) from the explicit global vector.
+
+    I_in (x) U (x) I_anc acts on Phi_(in, sys) (x) psi_(env, anc), where psi
+    purifies the environment through its eigendecomposition; the reduced
+    states are formed from the amplitude tensor and their entropies taken
+    with eigvalsh.
+    """
+    d, de = spec.d, spec.d_env
+    w, v = np.linalg.eigh(spec.env_state.mat)
+    psi = (v * np.sqrt(np.clip(w, 0.0, None))).reshape(-1)
+    phi = np.eye(d).reshape(-1) / math.sqrt(d)
+    op = np.kron(np.eye(d), np.kron(spec.unitaries[0], np.eye(de)))
+    amps = (op @ np.kron(phi, psi)).reshape(d, d, de, de)  # (in, out, env, anc)
+
+    def entropy(keep: tuple[int, ...]) -> float:
+        rest = tuple(a for a in range(4) if a not in keep)
+        m = amps.transpose(keep + rest).reshape(math.prod(amps.shape[a] for a in keep), -1)
+        lam = np.linalg.eigvalsh(m @ m.conj().T)
+        lam = lam[lam > 0]
+        return float(-np.sum(lam * np.log(lam)))
+
+    def mi(a: tuple[int, ...], b: tuple[int, ...]) -> float:
+        return entropy(a) + entropy(b) - entropy(a + b)
+
+    kept = mi((0,), (1,))
+    return kept, 2 * math.log(d) - kept, mi((0,), (2, 3)), mi((0, 1), (3,))
 
 
 class TestDepolarizingChoi:
@@ -55,45 +85,45 @@ class TestDepolarizingChoi:
         # a product state with non-mixed input marginal is not a Choi state
         bad = DensityMatrix(np.diag([1.0, 0, 0, 0]), (2, 2))
         with pytest.raises(ValueError):
-            ChannelChoi(bad)
+            ProcessTensor.from_state(bad)
 
 
 class TestChoiFromDilation:
     def test_identity_unitary(self, rng):
         env = random_density(rng, (3,))
-        spec = DilationSpec(d_sys=2, env_state=env, unitary=np.eye(6))
-        choi = choi_from_dilation(spec)
+        spec = CircuitProcessSpec(n=1, d=2, env_state=env, unitaries=(np.eye(6),))
+        choi = build_from_circuit(spec)
         assert trace_distance(choi.state, max_entangled_state(2)) <= 1e-12
 
     @pytest.mark.parametrize("p", [0.0, 0.25, 0.5, 0.75, 1.0])
     def test_fredkin_matches_depolarizing(self, p):
-        got = choi_from_dilation(fredkin_dilation(p))
+        got = build_from_circuit(fredkin_dilation(p))
         assert trace_distance(got.state, depolarizing_choi(2, p).state) <= 1e-9
 
     def test_global_swap_gives_fixed_output(self, rng):
         sigma = random_density(rng, (2,))
-        spec = DilationSpec(d_sys=2, env_state=sigma, unitary=swap_unitary(2))
-        choi = choi_from_dilation(spec)
+        spec = CircuitProcessSpec(n=1, d=2, env_state=sigma, unitaries=(swap_unitary(2),))
+        choi = build_from_circuit(spec)
         expected = DensityMatrix(kron(np.eye(2) / 2, sigma.mat), (2, 2))
         assert trace_distance(choi.state, expected) <= 1e-12
         assert channel_M(choi) == pytest.approx(0.0, abs=1e-10)
 
     def test_trace_condition_always_satisfied(self, rng):
         for _ in range(10):
-            choi = choi_from_dilation(random_dilation(rng, d_env=3))
+            choi = build_from_circuit(random_dilation(rng, d_env=3))
             marg = partial_trace(choi.state, (0,))
             assert trace_distance(marg, maximally_mixed(2)) <= 1e-9
 
     def test_dimension_mismatch(self, rng):
         env = random_density(rng, (2,))
         with pytest.raises(ValueError):
-            DilationSpec(d_sys=2, env_state=env, unitary=np.eye(6))
+            CircuitProcessSpec(n=1, d=2, env_state=env, unitaries=(np.eye(6),))
 
 
 class TestApplyChannel:
     def test_identity_choi(self, rng):
         rho = random_density(rng, (2,))
-        ident = ChannelChoi(max_entangled_state(2))
+        ident = ProcessTensor.from_state(max_entangled_state(2))
         assert np.allclose(apply_channel(ident, rho).mat, rho.mat)
 
     def test_depolarizing_action(self, rng):
@@ -103,7 +133,7 @@ class TestApplyChannel:
             assert np.allclose(out.mat, p * np.eye(2) / 2 + (1 - p) * rho.mat)
 
     def test_trace_preserved(self, rng):
-        choi = choi_from_dilation(random_dilation(rng))
+        choi = build_from_circuit(random_dilation(rng))
         out = apply_channel(choi, random_density(rng, (2,)))
         assert abs(np.trace(out.mat) - 1) <= 1e-10
 
@@ -112,14 +142,15 @@ class TestApplyChannel:
         for _ in range(5):
             spec = random_dilation(rng, d_env=3)
             rho = random_density(rng, (2,))
-            via_choi = apply_channel(choi_from_dilation(spec), rho)
-            big = spec.unitary @ kron(rho.mat, spec.env_state.mat) @ spec.unitary.conj().T
+            via_choi = apply_channel(build_from_circuit(spec), rho)
+            u = spec.unitaries[0]
+            big = u @ kron(rho.mat, spec.env_state.mat) @ u.conj().T
             direct = partial_trace(DensityMatrix(big, (2, 3)), (0,))
             assert trace_distance(via_choi, direct) <= 1e-9
 
     def test_tomographic_roundtrip(self, rng):
         # rebuild the Choi state by acting on an operator basis
-        choi = choi_from_dilation(random_dilation(rng))
+        choi = build_from_circuit(random_dilation(rng))
         d = 2
         rebuilt = np.zeros((4, 4), dtype=complex)
         for i in range(d):
@@ -134,16 +165,22 @@ class TestApplyChannel:
         with pytest.raises(ValueError):
             apply_channel(depolarizing_choi(2, 0.5), random_density(rng, (3,)))
 
+    def test_two_step_process_rejected(self, rng):
+        with pytest.raises(ValueError, match="one-step"):
+            apply_channel(swap_chain_process(2, 2), random_density(rng, (2,)))
+        with pytest.raises(ValueError, match="one-step"):
+            channel_M(swap_chain_process(2, 2))
 
-def apply_channel_linear(choi: ChannelChoi, op: np.ndarray) -> np.ndarray:
+
+def apply_channel_linear(choi: ProcessTensor, op: np.ndarray) -> np.ndarray:
     """Extend the channel action to arbitrary operators by linearity."""
     from proctensor.linalg import partial_transpose
 
-    d_in, d_out = choi.d_in, choi.d_out
+    d = choi.d
     upsilon_t = partial_transpose(choi.state, (0,))
-    big = kron(op, np.eye(d_out)) @ upsilon_t
-    t = big.reshape(d_in, d_out, d_in, d_out)
-    return d_in * np.einsum("iaib->ab", t)
+    big = kron(op, np.eye(d)) @ upsilon_t
+    t = big.reshape(d, d, d, d)
+    return d * np.einsum("iaib->ab", t)
 
 
 class TestChannelM:
@@ -166,7 +203,7 @@ class TestChannelM:
 
     def test_zero_iff_fixed_output(self, rng):
         sigma = random_density(rng, (2,))
-        fixed = ChannelChoi(DensityMatrix(kron(np.eye(2) / 2, sigma.mat), (2, 2)))
+        fixed = ProcessTensor.from_state(DensityMatrix(kron(np.eye(2) / 2, sigma.mat), (2, 2)))
         assert channel_M(fixed) == pytest.approx(0.0, abs=1e-10)
         near = depolarizing_choi(2, 0.999)
         assert channel_M(near) > 1e-7
@@ -175,7 +212,7 @@ class TestChannelM:
 class TestEtaDiagnostics:
     def test_identity_unitary(self, rng):
         env = random_density(rng, (2,))
-        spec = DilationSpec(d_sys=2, env_state=env, unitary=np.eye(4))
+        spec = CircuitProcessSpec(n=1, d=2, env_state=env, unitaries=(np.eye(4),))
         eta = eta_diagnostics(spec)
         assert eta.kept == pytest.approx(2 * LN2, abs=1e-9)
         assert eta.lost == pytest.approx(0.0, abs=1e-9)
@@ -197,3 +234,19 @@ class TestEtaDiagnostics:
         for _ in range(10):
             eta = eta_diagnostics(random_dilation(rng, d_env=4))
             assert eta.inout_ancilla <= 2 * eta.lost + 1e-8
+
+    @pytest.mark.parametrize("d, d_env", [(2, 2), (2, 3), (3, 2)])
+    @pytest.mark.parametrize("rank", [None, 1, 2])
+    def test_matches_dense_global_vector(self, rng, d, d_env, rank):
+        for _ in range(4):
+            spec = random_dilation(rng, d_sys=d, d_env=d_env, rank=rank)
+            eta = eta_diagnostics(spec)
+            got = (eta.kept, eta.lost, eta.in_env_ancilla, eta.inout_ancilla)
+            assert np.max(np.abs(np.subtract(got, dense_eta(spec)))) <= 1e-10
+
+    def test_two_step_spec_rejected(self, rng):
+        env = random_density(rng, (2,))
+        swap = swap_unitary(2)
+        spec = CircuitProcessSpec(n=2, d=2, env_state=env, unitaries=(swap, swap))
+        with pytest.raises(ValueError, match="one-step"):
+            eta_diagnostics(spec)

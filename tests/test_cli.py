@@ -15,7 +15,7 @@ from proctensor import (
     max_entangled_state,
     maximally_mixed,
 )
-from proctensor.channels import swap_unitary
+from proctensor.processes import swap_unitary
 from proctensor.cli import build_parser, main
 from proctensor.config import DEFAULT_TOL
 from proctensor.linalg import unitarity_residual
@@ -26,6 +26,8 @@ from proctensor.io import (
     load_process_spec,
     save_choi,
 )
+
+from conftest import seeded_circuit_spec
 
 LN2 = math.log(2)
 
@@ -303,6 +305,23 @@ class TestVerifyCommand:
             assert main(["verify", "--in", str(path)]) == 0
             assert main(["verify", "--in", str(path), "--tol", "1e-11"]) == 1
             assert "causality_pass = False" in capsys.readouterr().out
+
+    def test_trace_leak_names_the_unitary(self, tmp_path, capsys):
+        # Each unitary is 5.4e-11 off unitary, within DEFAULT_TOL.eig, but
+        # four steps move the Choi state's trace by 1.2e-10, beyond
+        # DEFAULT_TOL.tr; the usage error names the leakiest unitary.
+        spec = seeded_circuit_spec(4, 2, 1, 0, "maximally-mixed", leak=2.7e-11)
+        doc = {
+            "n": 4,
+            "d": 2,
+            "d_env": 1,
+            "env_init": "maximally-mixed",
+            "unitaries": [complex_to_pairs(u) for u in spec.unitaries],
+        }
+        assert main(["verify", "--in", str(write_spec(tmp_path, doc))]) == 2
+        err = capsys.readouterr().err
+        assert "factor trace" in err
+        assert "unitary 0 the most (unitarity residual 5.400e-11)" in err
 
 
 class TestTolerance:

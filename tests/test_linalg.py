@@ -20,7 +20,8 @@ from proctensor import (
     trace_distance,
     von_neumann_entropy,
 )
-from proctensor.channels import depolarizing_choi, swap_unitary
+from proctensor.channels import depolarizing_choi
+from proctensor.processes import swap_unitary
 from proctensor.config import DEFAULT_TOL
 from proctensor.io import load_choi, save_choi
 from proctensor.linalg import state_spectrum

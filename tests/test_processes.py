@@ -10,12 +10,10 @@ from proctensor import (
     CausalityError,
     CircuitProcessSpec,
     DensityMatrix,
-    DilationSpec,
     NotAStateError,
     ProcessTensor,
     RandomSpec,
     build_from_circuit,
-    choi_from_dilation,
     cnot_swap_process,
     depolarizing_choi,
     haar_unitary,
@@ -27,45 +25,17 @@ from proctensor import (
     permute_subsystems,
     random_process,
     swap_chain_process,
+    swap_unitary,
     trace_distance,
     verify_causality,
 )
-from proctensor.channels import fredkin_unitary, swap_unitary
-from proctensor.processes import random_env
 
-from conftest import random_density
+from conftest import leaky_unitary, random_density, seeded_circuit_spec
 
 
 def random_circuit_spec(rng, n=2, d=2, d_env=2) -> CircuitProcessSpec:
     env = random_density(rng, (d_env,))
     us = tuple(haar_unitary(d * d_env, rng) for _ in range(n))
-    return CircuitProcessSpec(n=n, d=d, env_state=env, unitaries=us)
-
-
-def leaky_unitary(u: np.ndarray, leak: float, rng) -> np.ndarray:
-    """u (I + leak H/||H||) for a random Hermitian H: off unitary by about 2 leak."""
-    g = rng.standard_normal(u.shape) + 1j * rng.standard_normal(u.shape)
-    h = g + g.conj().T
-    h /= np.max(np.abs(np.linalg.eigvalsh(h)))
-    return u @ (np.eye(u.shape[0]) + leak * h)
-
-
-def seeded_circuit_spec(
-    n, d, d_env, seed, env_init, leak=0.0, env_trace=1.0
-) -> CircuitProcessSpec:
-    """The circuit ``random_process`` simulates for this RandomSpec.
-
-    A nonzero ``leak`` perturbs each unitary by ``leaky_unitary``, with H
-    drawn from a second generator so the Haar unitaries stay the same. The
-    environment is scaled to trace ``env_trace``.
-    """
-    rng = np.random.default_rng(seed)
-    env = random_env(rng, d_env, env_init)
-    env = DensityMatrix(None, env.dims, factor=env.factor * math.sqrt(env_trace))
-    us = tuple(haar_unitary(d * d_env, rng) for _ in range(n))
-    if leak:
-        leak_rng = np.random.default_rng([seed, 1])
-        us = tuple(leaky_unitary(u, leak, leak_rng) for u in us)
     return CircuitProcessSpec(n=n, d=d, env_state=env, unitaries=us)
 
 
@@ -94,14 +64,6 @@ def dense_circuit_choi(spec: CircuitProcessSpec) -> np.ndarray:
 
 
 class TestBuildFromCircuit:
-    def test_single_step_matches_dilation(self, rng):
-        for _ in range(5):
-            spec = random_circuit_spec(rng, n=1, d_env=3)
-            pt = build_from_circuit(spec)
-            dil = DilationSpec(d_sys=2, env_state=spec.env_state, unitary=spec.unitaries[0])
-            choi = choi_from_dilation(dil)
-            assert np.max(np.abs(pt.state.mat - choi.state.mat)) <= 1e-9
-
     def test_identity_steps_give_product_of_pairs(self, rng):
         env = random_density(rng, (3,))
         ident = np.eye(6)
@@ -125,7 +87,9 @@ class TestBuildFromCircuit:
         i0_o2 = partial_trace(pt.state, (0, 3))
         assert trace_distance(i0_o2, max_entangled_state(2)) <= 1e-10
 
-    @pytest.mark.parametrize("n, d, d_env", [(1, 3, 3), (2, 2, 3), (2, 3, 2), (3, 2, 2)])
+    @pytest.mark.parametrize(
+        "n, d, d_env", [(1, 2, 3), (1, 3, 3), (2, 2, 3), (2, 3, 2), (3, 2, 2)]
+    )
     def test_matches_dense_simulation(self, rng, n, d, d_env):
         spec = random_circuit_spec(rng, n=n, d=d, d_env=d_env)
         pt = build_from_circuit(spec)
@@ -329,15 +293,12 @@ class TestNmDepolarizingProcess:
 
 class TestSwapChainProcess:
     def test_matches_circuit_construction(self):
-        swap = swap_unitary(2)
-        for n in (2, 3):
-            direct = swap_chain_process(n, 2)
-            circuit = build_from_circuit(
-                CircuitProcessSpec(
-                    n=n, d=2, env_state=maximally_mixed(2), unitaries=(swap,) * n
-                )
+        for n, d in ((2, 2), (3, 2), (2, 3)):
+            direct = swap_chain_process(n, d)
+            spec = CircuitProcessSpec(
+                n=n, d=d, env_state=maximally_mixed(d), unitaries=(swap_unitary(d),) * n
             )
-            assert np.max(np.abs(direct.state.mat - circuit.state.mat)) <= 1e-9
+            assert np.max(np.abs(direct.state.mat - dense_circuit_choi(spec))) <= 1e-9
 
     def test_equals_nm_depolarizing_at_p_one(self):
         a = swap_chain_process(2, 2)
