@@ -17,6 +17,7 @@ from .linalg import (
     permute_subsystems,
     relative_entropy,
     trace_distance,
+    von_neumann_entropies,
     von_neumann_entropy,
 )
 from .processes import (

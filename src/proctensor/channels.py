@@ -2,7 +2,8 @@
 
 A channel is the n = 1 process tensor: its normalized Choi state is a
 ``ProcessTensor`` on the slots (i_0, o_1), and a dilation is a one-step
-``CircuitProcessSpec`` whose Choi state ``build_from_circuit`` simulates.
+``CircuitProcessSpec`` whose Choi state ``build_from_circuit(spec).state``
+simulates.
 """
 
 from __future__ import annotations

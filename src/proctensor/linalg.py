@@ -230,17 +230,27 @@ def state_spectrum(rho: DensityMatrix) -> np.ndarray:
     return np.linalg.eigvalsh(rho.mat)
 
 
-def _entropy_from_spectrum(w: np.ndarray) -> float:
+def _entropy_from_spectrum(w: np.ndarray) -> np.ndarray:
+    """-sum(lambda ln lambda) along the last axis of ``w``, with 0 ln 0 := 0."""
     if float(w.min(initial=0.0)) < -DEFAULT_TOL.psd:
         raise NotAStateError(f"negative eigenvalue {w.min():.3e} beyond -{DEFAULT_TOL.psd:.1e}")
-    w = np.clip(w, 0.0, None)
-    nz = w[w > 0.0]
-    return float(-np.sum(nz * np.log(nz)))
+    w = np.where(w > 0.0, w, 1.0)  # 1 ln 1 = 0 stands in for 0 ln 0 and rounding below 0
+    return -np.sum(w * np.log(w), axis=-1)
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
     """-sum(lambda ln lambda) in nats, with 0 ln 0 := 0."""
-    return _entropy_from_spectrum(state_spectrum(rho))
+    return float(_entropy_from_spectrum(state_spectrum(rho)))
+
+
+def von_neumann_entropies(mats: np.ndarray) -> np.ndarray:
+    """Entropies in nats of a stack (..., k, k) of small positive semidefinite matrices.
+
+    For states given densely rather than as a ``DensityMatrix``, such as
+    the step marginals of ``processes.Transfer``; ``eigvalsh`` reads the
+    lower triangle of each.
+    """
+    return _entropy_from_spectrum(np.linalg.eigvalsh(mats))
 
 
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:

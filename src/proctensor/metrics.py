@@ -8,16 +8,19 @@ correlations, and the non-Markovian correlations across step blocks.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .config import DEFAULT_TOL
 from .linalg import (
     DensityMatrix,
     kron,
-    mutual_information,
     partial_trace,
     relative_entropy,
+    von_neumann_entropies,
     von_neumann_entropy,
 )
 from .processes import ProcessTensor, slot_shape
@@ -25,7 +28,19 @@ from .processes import ProcessTensor, slot_shape
 
 @dataclass(frozen=True)
 class CorrelationReport:
-    """Correlation quantifiers of one process, all in nats."""
+    """Correlation quantifiers of one process, all in nats.
+
+    Every quantity is read from the n step Choi states on (i_{j-1}, o_j),
+    one single-slot state per output o_j and one global entropy. For a
+    process built from a circuit they come from its transfer
+    (``ProcessTensor.transfer``): the step states and the outputs as the
+    transfer gives them, and the global entropy from its final environment
+    state. Any other state is read from its 2n slots: the step marginals,
+    the single slots o_j and the entropy of the full state. The step values
+    and the i_{j-1} singles of ``total`` come from the step states, the o_j
+    singles of ``total`` from the outputs, so ``additivity_residual``
+    compares two routes to the o_j marginals.
+    """
 
     n: int
     d: int
@@ -64,18 +79,29 @@ def _as_state(pt: ProcessTensor | DensityMatrix) -> tuple[DensityMatrix, int, in
 def correlation_report(pt: ProcessTensor | DensityMatrix) -> CorrelationReport:
     """Compute all correlation quantifiers of a 2n-slot state.
 
-    Accepts a raw multipartite density matrix as well, since the unordered
-    bound applies without causality.
+    A process built from a circuit is read from its transfer, in O(n)
+    matrices of side d^2 and one eigensolve of side d_env r, and its Choi
+    state is never formed; any other state is read from its slots (see
+    ``CorrelationReport``). Accepts a raw multipartite density matrix as
+    well, since the unordered bound applies without causality.
     """
-    state, n, d = _as_state(pt)
-    s_global = von_neumann_entropy(state)
-    steps = [partial_trace(state, (2 * j, 2 * j + 1)) for j in range(n)]
-    # Singles come from the full state and the step values from the step
-    # marginals, so additivity_residual compares two independent routes.
-    total = sum(von_neumann_entropy(partial_trace(state, (j,))) for j in range(2 * n)) - s_global
-    step = tuple(mutual_information(m, ((0,), (1,))) for m in steps)
-    markov = float(sum(step))
-    non_markov = sum(von_neumann_entropy(m) for m in steps) - s_global
+    transfer = pt.transfer if isinstance(pt, ProcessTensor) else None
+    if transfer is not None:
+        n, d = pt.n, pt.d
+        steps, outputs, final = transfer.steps, transfer.outputs, transfer.final
+    else:
+        final, n, d = _as_state(pt)
+        steps = np.array([partial_trace(final, (2 * j, 2 * j + 1)).mat for j in range(n)])
+        outputs = np.array([partial_trace(final, (2 * j + 1,)).mat for j in range(n)])
+    s_global = von_neumann_entropy(final)
+    blocks = steps.reshape(n, d, d, d, d)
+    s_step = von_neumann_entropies(steps)
+    s_in = von_neumann_entropies(np.einsum("niojo->nij", blocks))   # i_{j-1}
+    s_out = von_neumann_entropies(np.einsum("nioip->nop", blocks))  # o_j, from the step states
+    step = tuple((s_in + s_out - s_step).tolist())
+    total = float(np.sum(s_in) + np.sum(von_neumann_entropies(outputs))) - s_global
+    markov = sum(step)
+    non_markov = float(np.sum(s_step)) - s_global
     return CorrelationReport(
         n=n,
         d=d,
@@ -115,13 +141,10 @@ def audit_bounds(
     comp = report.step_complement
     big_n, big_m, big_i = report.non_markov, report.markov, report.total
     log_d = math.log(d)
-    unordered = tuple(
-        2.0 * sum(comp[j] for j in range(n) if j != k) - big_n for k in range(n)
-    )
-    ordered = tuple(
-        2.0 * sum(comp[j] for j in range(k)) + sum(comp[j] for j in range(k + 1, n)) - big_n
-        for k in range(n)
-    )
+    before = [0.0, *itertools.accumulate(comp)]                  # sum_{j<k} comp_j
+    after = [*itertools.accumulate(reversed(comp))][::-1] + [0.0]  # sum_{j>=k} comp_j
+    unordered = tuple(2.0 * (before[k] + after[k + 1]) - big_n for k in range(n))
+    ordered = tuple(2.0 * before[k] + after[k + 1] - big_n for k in range(n))
     thm1 = 2.0 * (n - 1) * log_d - big_n
     if n == 1:
         # The step-count factor degenerates at n = 1, where N is identically
@@ -129,9 +152,11 @@ def audit_bounds(
         thm2 = 2.0 * n * log_d - big_m
         thm2p = 2.0 * n * log_d - big_i
     else:
-        factor = (2.0**n - 1.0) / (2.0**n - 2.0)
-        thm2 = 2.0 * n * log_d - factor * big_n - big_m
-        thm2p = 2.0 * n * log_d - big_n / (2.0**n - 2.0) - big_i
+        # (2^n - 1)/(2^n - 2) and N/(2^n - 2), scaled by 2^-n so that no
+        # power of two overflows; the scaled terms are exact for n <= 53.
+        tail = 1.0 - math.ldexp(1.0, 1 - n)
+        thm2 = 2.0 * n * log_d - (1.0 - math.ldexp(1.0, -n)) / tail * big_n - big_m
+        thm2p = 2.0 * n * log_d - math.ldexp(big_n, -n) / tail - big_i
     two_step = None
     if n == 2:
         two_step = (2.0 * comp[0] - big_n, comp[1] - big_n)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Literal, Sequence
 
 import numpy as np
@@ -77,32 +77,49 @@ def slot_shape(state: DensityMatrix) -> tuple[int, int]:
     return k // 2, d
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProcessTensor:
-    """Causality-verified Choi state of an n-step process.
+    """Causality-verified n-step process: a Choi state, or the circuit behind one.
 
     ``causality`` is the hierarchy's report, computed once at construction
     with the tolerance it was built with; its ``passed`` is always true.
+
+    ``ProcessTensor.from_state`` keeps the given Choi state. A process built
+    by ``build_from_circuit`` keeps its ``spec`` and its ``transfer``
+    instead, which is all ``correlation_report`` reads; ``state`` simulates
+    the d^(2n)-row Choi state on first use and raises ``DimensionLimitError``
+    before it allocates one beyond ``max_dense_dim()``.
     """
 
-    state: DensityMatrix
     n: int
     d: int
     causality: CausalityReport
+    spec: CircuitProcessSpec | None = field(default=None, repr=False)
+    transfer: Transfer | None = field(default=None, repr=False)
+    _state: DensityMatrix | None = field(default=None, repr=False)
 
     @classmethod
     def from_state(
         cls, state: DensityMatrix, tol_causal: float = DEFAULT_TOL.causal
     ) -> "ProcessTensor":
         """Verify ``state`` against the hierarchy; raises ``CausalityError`` if it fails."""
-        return cls._carry(state, verify_causality(state, tol_causal))
-
-    @classmethod
-    def _carry(cls, state: DensityMatrix, report: CausalityReport) -> "ProcessTensor":
-        if not report.passed:
-            raise CausalityError(report)
+        report = _passed(verify_causality(state, tol_causal))
         n, d = slot_shape(state)
-        return cls(state=state, n=n, d=d, causality=report)
+        return cls(n, d, report, _state=state)
+
+    @property
+    def state(self) -> DensityMatrix:
+        """Choi state on the 2n slots; a spec-built process simulates it on first use."""
+        if self._state is None:
+            object.__setattr__(self, "_state", _simulate(self.spec))
+        return self._state
+
+
+def _passed(report: CausalityReport) -> CausalityReport:
+    """``report`` if it passed; raises ``CausalityError`` otherwise."""
+    if not report.passed:
+        raise CausalityError(report)
+    return report
 
 
 @dataclass(frozen=True)
@@ -164,23 +181,121 @@ class RandomSpec:
             raise ValueError(f"invalid (n, d, d_env) = {(self.n, self.d, self.d_env)}")
 
 
+@dataclass(frozen=True, eq=False)
+class Transfer:
+    """Marginals of a circuit's Choi state P_n, read from its environment transfer.
+
+    Each is traced from P_n without forming it (``_transfer``). ``final`` is
+    validated; the stacks are positive semidefinite by construction and
+    share its trace.
+    """
+
+    steps: np.ndarray     # (n, d^2, d^2): step j's Choi state on (i_{j-1}, o_j)
+    outputs: np.ndarray   # (n, d, d): o_j, traced from the transfer's (o_j, environment) state
+    final: DensityMatrix  # environment (x) ancilla after step n: S(P_n) = S(final)
+
+
 def build_from_circuit(
     spec: CircuitProcessSpec, tol_causal: float = DEFAULT_TOL.causal
 ) -> ProcessTensor:
-    """Simulate the Choi-generating circuit and return the process tensor.
+    """Process tensor of the Choi-generating circuit of ``spec``.
 
     A fresh maximally entangled pair feeds each step: its live half passes
     through the step unitary (becoming output slot o_j) while the kept half
     becomes input slot i_{j-1}. A single purified environment survives across
-    steps and is traced out at the end: the rows of the returned state's
-    factor index the 2n slots and its columns (environment, ancilla), where
-    the ancilla indexes the columns of ``spec.env_state.factor``.
+    steps and is traced out at the end.
+
+    The 2n slots are never formed here: ``_transfer`` carries the
+    environment and its ancilla through the steps, and its final state, whose
+    trace is that of the Choi state, is validated as a ``DensityMatrix``.
+    Leaks that the spec allowed can still move that trace beyond
+    ``DEFAULT_TOL.tr``; the ``NotAStateError`` then names the leakiest
+    unitary. The returned process keeps ``spec`` and the transfer, and
+    simulates its Choi state only when ``state`` is read.
 
     Causality is decided by ``_unitarity_certificate``, computed from the
-    unitaries alone, with ``tol_causal``; a failed hierarchy raises
-    ``CausalityError``. Leaks that the spec allowed can still move the
-    state's trace beyond ``DEFAULT_TOL.tr``; the ``NotAStateError`` then
-    names the leakiest unitary.
+    unitaries alone, with ``tol_causal``; when the certificate cannot decide,
+    the generic hierarchy runs on ``state``. A failed hierarchy raises
+    ``CausalityError``.
+    """
+    certificate = _unitarity_certificate(spec, tol_causal)
+    pt = ProcessTensor(spec.n, spec.d, certificate, spec, _transfer(spec))
+    return replace(pt, causality=_passed(_certified(pt, tol_causal)))
+
+
+def _circuit_state(
+    spec: CircuitProcessSpec, dims: tuple[int, ...], factor: np.ndarray
+) -> DensityMatrix:
+    """``DensityMatrix`` of a factor that the circuit of ``spec`` produced.
+
+    A trace beyond ``DEFAULT_TOL.tr`` comes from the unitaries' leaks, so
+    the ``NotAStateError`` names the leakiest one.
+    """
+    try:
+        return DensityMatrix(None, dims, factor=factor)
+    except NotAStateError as exc:
+        j = int(np.argmax(spec.residuals))
+        raise NotAStateError(
+            f"{exc}; the unitaries leak trace, unitary {j} the most "
+            f"(unitarity residual {spec.residuals[j]:.3e})"
+        ) from exc
+
+
+def _transfer(spec: CircuitProcessSpec) -> Transfer:
+    """Step marginals and final environment state of the circuit of ``spec``.
+
+    rho_j is the state of environment E (x) ancilla R once the slots of the
+    first j steps are traced out; rho_0 is the pure state of
+    ``spec.env_state.factor``. With U_j as a tensor (o, E', a, E) and the
+    operators K_oa = U_j[o, :, a, :] / sqrt(d) on E,
+
+        rho_j = sum_{o,a} K_oa rho_{j-1} K_oa^dag    (R untouched),
+
+    carried as a factor F with rows (E, R): the columns of K_oa F, stacked
+    over (o, a), are cut back to d_env r by a QR. Before the cut, K_oa F
+    with rows (o_j, E', a = i_{j-1}) is a factor of the state of
+    (i_{j-1}, o_j, E, R) with the earlier slots traced out. The later steps
+    weigh E by the effect E_j = T_{j+1}^dag ... T_n^dag(I), with
+    T_k^dag(X) = sum_{o,a} K_oa^dag X K_oa, which is I when they are
+    unitary; tracing E against it gives the step marginals of the Choi state
+    P_n, leaks included. With E_j = L L^dag (Cholesky), that trace is the
+    plain trace over E of the factor L^dag K_oa F. Since (slots, E, R) is
+    pure, S(P_n) = S(rho_n).
+    """
+    d, de = spec.d, spec.d_env
+    ks = np.array(spec.unitaries).reshape(-1, d, de, d, de) / math.sqrt(d)  # (step, o, E', a, E)
+    effects = [np.eye(de)]  # E_n, then E_{n-1}, ..., E_1
+    for kraus in ks[:0:-1].transpose(0, 1, 3, 2, 4):  # (o, a, E', E): K_oa
+        effects.append(kraus.reshape(-1, de).conj().T @ (effects[-1] @ kraus).reshape(-1, de))
+    lh = np.linalg.cholesky(np.array(effects[::-1])).conj().swapaxes(1, 2)  # L^dag per step
+    weighed = np.einsum("jzx,joxae->jaoze", lh, ks)  # (step, a, o, E', E)
+    fac = spec.env_state.factor  # (E, R)
+    r = fac.shape[1]
+    steps, outputs = [], []
+    for k, kw in zip(ks, weighed):
+        f = fac.reshape(de, -1)
+        step = (kw.reshape(-1, de) @ f).reshape(d * d, -1)  # rows (i_{j-1}, o_j)
+        out = step.reshape(d, d, -1).swapaxes(0, 1).reshape(d, -1)  # rows o_j
+        steps.append(step @ step.conj().T)
+        outputs.append(out @ out.conj().T)
+        t = (k.reshape(-1, de) @ f).reshape(d, de, d, r, -1)  # (o_j, E', i_{j-1}, R, column)
+        fac = t.transpose(1, 3, 0, 2, 4).reshape(de * r, -1)  # rows (E, R)
+        if fac.shape[1] > de * r:
+            fac = np.linalg.qr(fac.conj().T, mode="r").conj().T
+    final = _circuit_state(spec, (de, r), fac)
+    steps, outputs = np.array(steps), np.array(outputs)
+    steps.setflags(write=False)
+    outputs.setflags(write=False)
+    return Transfer(steps, outputs, final)
+
+
+def _simulate(spec: CircuitProcessSpec) -> DensityMatrix:
+    """Choi state of the circuit of ``spec``, simulated on its 2n slots.
+
+    The rows of the returned state's factor index the 2n slots and its
+    columns (environment, ancilla), where the ancilla indexes the columns of
+    ``spec.env_state.factor``. Raises ``DimensionLimitError`` before it
+    allocates a working dimension beyond ``max_dense_dim()``.
     """
     n, d, de = spec.n, spec.d, spec.d_env
     psi_env = spec.env_state.factor  # (de, r)
@@ -198,15 +313,7 @@ def build_from_circuit(
         t = np.tensordot(vec, u.reshape(d, de, d, de), axes=([1], [3]))
         # t axes: (slots, ancilla, o_j, env, i_{j-1})
         vec = t.transpose(0, 4, 2, 3, 1).reshape(-1, de, r) / math.sqrt(d)
-    try:
-        state = DensityMatrix(None, (d,) * (2 * n), factor=vec.reshape(-1, de * r))
-    except NotAStateError as exc:
-        j = int(np.argmax(spec.residuals))
-        raise NotAStateError(
-            f"{exc}; the unitaries leak trace, unitary {j} the most "
-            f"(unitarity residual {spec.residuals[j]:.3e})"
-        ) from exc
-    return ProcessTensor._carry(state, _unitarity_certificate(spec, state, tol_causal))
+    return _circuit_state(spec, (d,) * (2 * n), vec.reshape(-1, de * r))
 
 
 def _level_residuals(chain: Sequence[DensityMatrix], d: int) -> list[float]:
@@ -234,10 +341,8 @@ def _level_residuals(chain: Sequence[DensityMatrix], d: int) -> list[float]:
 _ROUNDING = 1e-14
 
 
-def _unitarity_certificate(
-    spec: CircuitProcessSpec, state: DensityMatrix, tol: float
-) -> CausalityReport:
-    """Hierarchy report of ``state``, the Choi state of ``spec``, from its unitaries.
+def _unitarity_certificate(spec: CircuitProcessSpec, tol: float) -> CausalityReport:
+    """Hierarchy report of the Choi state of ``spec``, from its unitaries.
 
     Step j applies U = U_j to Y = X_{j-1} (x) Phi, where X_{j-1} >= 0 is the
     (j-1)-step prefix before the environment is traced; X_0, the environment,
@@ -266,23 +371,23 @@ def _unitarity_certificate(
     eps[0] += 0.5 * abs(t_env - 1.0)
     tails = list(itertools.accumulate(reversed(eps)))[::-1]  # sum_{k>=j} eps_k
     upper = (tails[0],) + tuple(2.0 * t for t in tails[1:])
-    report = CausalityReport.judge(upper, tails[0], tol, bounds=True)
-    return _certified(report, state, tol)
+    return CausalityReport.judge(upper, tails[0], tol, bounds=True)
 
 
-def _certified(report: CausalityReport, state: DensityMatrix, tol: float) -> CausalityReport:
-    """Judge the residuals of ``report``, computed for ``state``, at ``tol``.
+def _certified(pt: ProcessTensor, tol: float) -> CausalityReport:
+    """Judge the residuals that ``pt`` carries at ``tol``.
 
     Generic residuals are judged as they are. Bounds hold in exact
     arithmetic, while a computed generic residual may exceed its computed
     bound by rounding, so they certify a pass only ``_ROUNDING`` or more
-    below ``tol``. Otherwise the generic hierarchy of ``state`` decides and
-    its report is returned.
+    below ``tol``. Otherwise the generic hierarchy of ``pt.state`` decides
+    and its report is returned.
     """
-    report = CausalityReport.judge(report.residuals, report.base_residual, tol, report.bounds)
+    c = pt.causality
+    report = CausalityReport.judge(c.residuals, c.base_residual, tol, c.bounds)
     if not report.bounds or report.worst + _ROUNDING <= tol:
         return report
-    return verify_causality(state, tol)
+    return verify_causality(pt.state, tol)
 
 
 def verify_causality(
@@ -303,7 +408,7 @@ def verify_causality(
     from the state, so the verdict is always the generic one.
     """
     if isinstance(state, ProcessTensor):
-        return _certified(state.causality, state.state, tol)
+        return _certified(state, tol)
     n, d = slot_shape(state)
     chain = [state]
     for j in range(n - 1, 0, -1):

@@ -380,6 +380,52 @@ class TestTolerance:
         assert "--tol" in capsys.readouterr().err
 
 
+class TestDenseCap:
+    """The dense cap binds only where a Choi state is formed."""
+
+    @staticmethod
+    def swap_chain_doc(n: int) -> dict:
+        return {
+            "n": n,
+            "d": 2,
+            "d_env": 2,
+            "env_init": "maximally-mixed",
+            "unitaries": [complex_to_pairs(swap_unitary(2))] * n,
+        }
+
+    def test_audit_beyond_the_dense_cap_runs(self, tmp_path):
+        out = tmp_path / "audit.txt"
+        assert main(["audit-random", "--n", "9", "--samples", "1", "--out", str(out)]) == 0
+        assert "violations = 0" in out.read_text()
+
+    def test_spec_beyond_the_dense_cap(self, tmp_path, capsys):
+        # The certificate decides at the default tolerance, and analyze reads
+        # the transfer; at tolerance 0 the certificate cannot decide, and the
+        # generic hierarchy needs the 2^24-row Choi state.
+        path = write_spec(tmp_path, self.swap_chain_doc(12))
+        out = tmp_path / "report.txt"
+        assert main(["verify", "--in", str(path)]) == 0
+        assert main(["analyze", "--in", str(path), "--out", str(out)]) == 0
+        fields = dict(ln.split(" = ") for ln in out.read_text().splitlines())
+        assert float(fields["non_markov"]) == pytest.approx(22 * LN2, abs=1e-10)
+        capsys.readouterr()
+        assert main(["verify", "--in", str(path), "--tol", "0"]) == 2
+        assert "exceeds dense limit" in capsys.readouterr().err
+
+    def test_audit_forms_no_state_beyond_two_slots(self, tmp_path, monkeypatch):
+        seen = []
+        init = DensityMatrix.__init__
+
+        def recording_init(self, mat, dims, **kwargs):
+            seen.append(tuple(dims))
+            init(self, mat, dims, **kwargs)
+
+        monkeypatch.setattr(DensityMatrix, "__init__", recording_init)
+        out = tmp_path / "audit.txt"
+        assert main(["audit-random", "--n", "5", "--samples", "2", "--out", str(out)]) == 0
+        assert seen and max(map(len, seen)) <= 2
+
+
 class TestVerifyOnce:
     def test_audit_checks_each_sample_once(self, tmp_path, monkeypatch):
         chains, generic = [], []

@@ -18,6 +18,7 @@ from proctensor import (
     permute_subsystems,
     relative_entropy,
     trace_distance,
+    von_neumann_entropies,
     von_neumann_entropy,
 )
 from proctensor.channels import depolarizing_choi
@@ -225,6 +226,22 @@ class TestEntropy:
             sab = von_neumann_entropy(rho)
             assert abs(sa - sb) <= sab + 1e-8
             assert sab <= sa + sb + 1e-8
+
+
+    def test_stack_matches_each_state(self, rng):
+        # full-rank, rank-deficient and pure states, side 4, in one stack
+        states = [random_density(rng, (4,), rank=k) for k in (4, 2, 1)]
+        stack = np.array([rho.mat for rho in states])
+        got = von_neumann_entropies(stack)
+        assert got.shape == (3,)
+        for s, rho in zip(got, states):
+            assert s == pytest.approx(von_neumann_entropy(rho), abs=1e-13)
+        assert von_neumann_entropies(stack.reshape(3, 1, 4, 4)).shape == (3, 1)
+
+    def test_stack_rejects_negative_eigenvalues(self):
+        bad = np.array([np.eye(2) / 2, np.diag([1.0 + 1e-9, -1e-9])])
+        with pytest.raises(NotAStateError, match="negative eigenvalue"):
+            von_neumann_entropies(bad)
 
 
 class TestRelativeEntropy:

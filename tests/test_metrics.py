@@ -1,12 +1,21 @@
+import dataclasses
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from proctensor import (
+    CircuitProcessSpec,
+    CorrelationReport,
     DensityMatrix,
+    NotAStateError,
     RandomSpec,
     audit_bounds,
+    build_from_circuit,
     cnot_swap_process,
     correlation_report,
     depolarizing_choi,
@@ -18,7 +27,7 @@ from proctensor import (
     swap_chain_process,
 )
 
-from conftest import random_density
+from conftest import random_density, seeded_circuit_spec
 
 LN2 = math.log(2)
 
@@ -58,6 +67,78 @@ class TestCorrelationReport:
     def test_odd_slot_count_rejected(self, rng):
         with pytest.raises(ValueError):
             correlation_report(random_density(rng, (2, 2, 2)))
+
+
+def report_fields(rep: CorrelationReport) -> list[float]:
+    return [
+        rep.total, rep.markov, rep.non_markov, rep.additivity_residual,
+        *rep.step_markov, *rep.step_complement,
+    ]
+
+
+class TestTransferReport:
+    """A circuit-built process is read from its transfer; the dense state is the oracle."""
+
+    @staticmethod
+    def assert_matches_dense(pt, tol=1e-12):
+        fast, dense = correlation_report(pt), correlation_report(pt.state)
+        assert (fast.n, fast.d) == (dense.n, dense.d)
+        for a, b in zip(report_fields(fast), report_fields(dense), strict=True):
+            assert a == pytest.approx(b, abs=tol)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(1, 5),
+        d=st.integers(2, 3),
+        d_env=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        env=st.sampled_from(["maximally-mixed", "pure-ground", "seeded-random", "rank-deficient"]),
+        leak=st.one_of(st.just(0.0), st.floats(1e-13, 3e-11)),
+    )
+    def test_transfer_matches_dense_report(self, n, d, d_env, seed, env, leak):
+        # Leaky unitaries make the later steps weigh the environment by an
+        # effect that is not the identity; the transfer must still give the
+        # marginals of the dense state.
+        if env == "rank-deficient":
+            assume(d_env >= 2)
+            spec = seeded_circuit_spec(n, d, d_env, seed, "maximally-mixed", leak)
+            rng = np.random.default_rng(seed)
+            env_state = random_density(rng, (d_env,), rank=int(rng.integers(1, d_env)))
+            assert env_state.factor.shape[1] < d_env
+            spec = CircuitProcessSpec(n=n, d=d, env_state=env_state, unitaries=spec.unitaries)
+        else:
+            spec = seeded_circuit_spec(n, d, d_env, seed, env, leak)
+        try:
+            pt = build_from_circuit(spec, 1.0)
+        except NotAStateError:
+            assume(False)  # the leaks moved the trace beyond DEFAULT_TOL.tr
+        self.assert_matches_dense(pt)
+
+    def test_named_processes_match_dense_report(self):
+        for k in range(21):
+            self.assert_matches_dense(nm_depolarizing_process(k / 20))
+        for n, d in ((2, 2), (3, 2), (4, 2), (2, 3), (3, 3)):
+            self.assert_matches_dense(swap_chain_process(n, d))
+        self.assert_matches_dense(cnot_swap_process())
+
+    def test_additivity_compares_the_transfer_outputs(self):
+        # total takes its o_j singles from the transfer, not from the step
+        # states, so a wrong output marginal shows in the residual.
+        pt = random_process(RandomSpec(n=3, d=2, d_env=4, seed=0))
+        assert correlation_report(pt).additivity_residual <= 1e-12
+        pure = np.broadcast_to(np.diag([1.0, 0.0]), pt.transfer.outputs.shape)
+        wrong = dataclasses.replace(pt.transfer, outputs=pure)
+        rep = correlation_report(dataclasses.replace(pt, transfer=wrong))
+        assert rep.additivity_residual > 1e-3
+
+    def test_long_swap_chain_without_the_choi_state(self, monkeypatch):
+        # At n = 12 the Choi state would have 2^24 rows; the report never
+        # forms it and the chain saturates the maximal non-Markovianity.
+        monkeypatch.setenv("PROCTENSOR_MAX_DIM", "1024")
+        rep = correlation_report(swap_chain_process(12, 2))
+        assert rep.non_markov == pytest.approx(22 * LN2, abs=1e-10)
+        assert rep.markov == pytest.approx(0.0, abs=1e-10)
+        assert audit_bounds(rep).max_nonmarkov_slack == pytest.approx(0.0, abs=1e-10)
 
 
 class TestNonMarkovianityCrosscheck:
@@ -166,6 +247,38 @@ class TestAuditBounds:
         for seed in range(20):
             pt = random_process(RandomSpec(n=3, d=2, d_env=4, seed=400 + seed))
             assert audit_bounds(correlation_report(pt)).passed
+
+
+    @pytest.mark.parametrize("n", [2, 3, 60, 1024, 5000])
+    def test_slacks_match_exact_arithmetic(self, n):
+        # 2.0**n overflows from n = 1024 on; the slacks must not, and must
+        # agree with rational arithmetic on the same float inputs.
+        rng = np.random.default_rng(n)
+        log_d = math.log(2)
+        comp = tuple(float(c) for c in rng.uniform(0.0, 2 * log_d, n))
+        big_n, big_m, big_i = (float(x) for x in rng.uniform(0.0, n * log_d, 3))
+        rep = CorrelationReport(
+            n=n, d=2, total=big_i, step_markov=tuple(2 * log_d - c for c in comp),
+            markov=big_m, non_markov=big_n, step_complement=comp, additivity_residual=0.0,
+        )
+        audit = audit_bounds(rep)
+        c = [Fraction(x) for x in comp]
+        fn, fm, fi, fl = Fraction(big_n), Fraction(big_m), Fraction(big_i), Fraction(log_d)
+        total = sum(c)
+        before = [Fraction(0), *itertools.accumulate(c)]
+        exact_unordered = [2 * (total - c[k]) - fn for k in range(n)]
+        exact_ordered = [2 * before[k] + (total - before[k] - c[k]) - fn for k in range(n)]
+        exact_thm2 = 2 * n * fl - Fraction(2**n - 1, 2**n - 2) * fn - fm
+        exact_thm2p = 2 * n * fl - fn / (2**n - 2) - fi
+        # each slack is a sum of at most n + 4 terms no larger than scale
+        tol = 4 * (n + 4) * np.finfo(float).eps * float(2 * total + fn + fm + fi + 2 * n * fl)
+        for got, exact in zip(audit.unordered_slack, exact_unordered, strict=True):
+            assert abs(got - float(exact)) <= tol
+        for got, exact in zip(audit.ordered_slack, exact_ordered, strict=True):
+            assert abs(got - float(exact)) <= tol
+        assert abs(audit.markov_tradeoff_slack - float(exact_thm2)) <= tol
+        assert abs(audit.total_tradeoff_slack - float(exact_thm2p)) <= tol
+        assert audit.max_nonmarkov_slack == pytest.approx(float(2 * (n - 1) * fl - fn), abs=tol)
 
 
 class TestImplicationChecks:

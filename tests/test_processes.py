@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from proctensor import (
     CausalityError,
     CircuitProcessSpec,
     DensityMatrix,
+    DimensionLimitError,
     NotAStateError,
     ProcessTensor,
     RandomSpec,
@@ -94,6 +96,39 @@ class TestBuildFromCircuit:
         spec = random_circuit_spec(rng, n=n, d=d, d_env=d_env)
         pt = build_from_circuit(spec)
         assert np.max(np.abs(pt.state.mat - dense_circuit_choi(spec))) <= 1e-12
+
+    def test_choi_state_is_simulated_on_first_use(self, monkeypatch):
+        simulated = []
+        real = proctensor.processes._simulate
+        monkeypatch.setattr(
+            proctensor.processes, "_simulate", lambda spec: simulated.append(spec) or real(spec)
+        )
+        pt = random_process(RandomSpec(n=3, d=2, d_env=4, seed=0))
+        verify_causality(pt)
+        assert simulated == []
+        state = pt.state
+        assert pt.state is state
+        assert simulated == [pt.spec]
+
+    def test_choi_state_beyond_the_cap_fails_before_it_allocates(self):
+        # n = 12 builds from its transfer; its Choi state would need a
+        # working dimension of 2^26.
+        pt = swap_chain_process(12, 2)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionLimitError, match="exceeds dense limit"):
+                pt.state
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_leaky_transfer_names_the_unitary(self):
+        # Four steps, each 5.4e-11 off unitary, move the trace of the final
+        # transfer state, which is that of the Choi state, by 1.2e-10.
+        spec = seeded_circuit_spec(4, 2, 1, 0, "maximally-mixed", leak=2.7e-11)
+        with pytest.raises(NotAStateError, match="factor trace .* unitary 0 the most"):
+            build_from_circuit(spec)
 
     def test_unitary_count_mismatch(self, rng):
         env = random_density(rng, (2,))
