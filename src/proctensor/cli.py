@@ -7,6 +7,7 @@ Exit status: 0 = all checks pass, 1 = a verified-false condition
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import time
@@ -16,13 +17,13 @@ from . import io
 from .channels import channel_M, depolarizing_choi
 from .config import DEFAULT_TOL
 from .linalg import LinalgError
-from .metrics import audit_bounds, correlation_report
+from .metrics import audit_bounds, correlation_report, transfer_reports
 from .processes import (
     CausalityError,
     RandomSpec,
     build_from_circuit,
     nm_depolarizing_process,
-    random_process,
+    random_processes,
     verify_causality,
 )
 
@@ -111,27 +112,26 @@ def cmd_audit_random(args: argparse.Namespace) -> int:
     worst_causality = 0.0
     min_slacks = dict.fromkeys(SLACK_NAMES, math.inf)
     violations = 0
-    for k in range(args.samples):
-        spec = RandomSpec(n=args.n, d=args.d, d_env=args.denv, seed=args.seed + k)
-        try:
-            pt = random_process(spec)
-        except CausalityError as exc:
-            worst_causality = max(worst_causality, exc.report.worst)
-            violations += 1
-            continue
-        worst_causality = max(worst_causality, pt.causality.worst)
-        audit = audit_bounds(correlation_report(pt), args.tol)
-        slacks = {
-            "unordered": min(audit.unordered_slack),
-            "ordered": min(audit.ordered_slack),
-            "max_nonmarkov": audit.max_nonmarkov_slack,
-            "markov_tradeoff": audit.markov_tradeoff_slack,
-            "total_tradeoff": audit.total_tradeoff_slack,
-        }
-        for name, s in slacks.items():
-            min_slacks[name] = min(min_slacks[name], s)
-        if not audit.passed:
-            violations += 1
+    spec = RandomSpec(n=args.n, d=args.d, d_env=args.denv, seed=args.seed)
+    for transfer, outcomes in random_processes(spec, args.samples):
+        for outcome, report in zip(outcomes, transfer_reports(transfer)):
+            if isinstance(outcome, CausalityError):
+                worst_causality = max(worst_causality, outcome.report.worst)
+                violations += 1
+                continue
+            worst_causality = max(worst_causality, outcome.worst)
+            audit = audit_bounds(report, args.tol)
+            slacks = {
+                "unordered": min(audit.unordered_slack),
+                "ordered": min(audit.ordered_slack),
+                "max_nonmarkov": audit.max_nonmarkov_slack,
+                "markov_tradeoff": audit.markov_tradeoff_slack,
+                "total_tradeoff": audit.total_tradeoff_slack,
+            }
+            for name, s in slacks.items():
+                min_slacks[name] = min(min_slacks[name], s)
+            if not audit.passed:
+                violations += 1
     elapsed = time.monotonic() - t0
     lines = [
         f"samples = {args.samples}",
@@ -212,9 +212,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` uses, built once per process: parsing keeps no state in it."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (io.SpecFileError, ValueError, LinalgError) as exc:

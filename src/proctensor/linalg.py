@@ -42,9 +42,16 @@ def hermiticity_residual(m: np.ndarray) -> float:
     return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
 
 
-def unitarity_residual(u: np.ndarray) -> float:
-    """Operator norm ||U^dag U - I||_op, i.e. max |sigma^2 - 1| over U's singular values."""
-    return float(np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0]), 2))
+def unitarity_residual(u: np.ndarray) -> float | np.ndarray:
+    """Operator norm ||U^dag U - I||_op, i.e. max |sigma^2 - 1| over U's singular values.
+
+    ``u`` may be a stack (..., D, D), with leading axes such as (sample,
+    step); the residuals then come back with those axes, from one batched
+    SVD. A single matrix gives a float.
+    """
+    gram = u.conj().swapaxes(-1, -2) @ u - np.eye(u.shape[-1])
+    res = np.linalg.norm(gram, 2, axis=(-2, -1))
+    return float(res) if res.ndim == 0 else res
 
 
 class DensityMatrix:
@@ -224,10 +231,21 @@ def eigenvalues_hermitian(m: np.ndarray) -> np.ndarray:
 def state_spectrum(rho: DensityMatrix) -> np.ndarray:
     """Zero-padded spectrum of a state, from the Gram matrix F^dag F when F is narrow."""
     if rho.factor.shape[1] < rho.dim:
-        gram = rho.factor.conj().T @ rho.factor
-        w = np.linalg.eigvalsh(gram)
-        return np.concatenate([np.zeros(rho.dim - w.size), w])
+        return _factor_spectra(rho.factor)
     return np.linalg.eigvalsh(rho.mat)
+
+
+def _factor_spectra(factors: np.ndarray) -> np.ndarray:
+    """Zero-padded spectra of F F^dag for a stack (..., dim, k) of factors F.
+
+    From the Gram matrices F^dag F when F is narrow, as ``state_spectrum``.
+    """
+    dim, k = factors.shape[-2:]
+    fh = factors.conj().swapaxes(-1, -2)
+    if k >= dim:
+        return np.linalg.eigvalsh(factors @ fh)
+    w = np.linalg.eigvalsh(fh @ factors)
+    return np.concatenate([np.zeros(w.shape[:-1] + (dim - k,)), w], axis=-1)
 
 
 def _entropy_from_spectrum(w: np.ndarray) -> np.ndarray:
@@ -251,6 +269,16 @@ def von_neumann_entropies(mats: np.ndarray) -> np.ndarray:
     lower triangle of each.
     """
     return _entropy_from_spectrum(np.linalg.eigvalsh(mats))
+
+
+def factor_entropies(factors: np.ndarray) -> np.ndarray:
+    """Entropies in nats of the states F F^dag of a stack (..., dim, k) of factors F.
+
+    Each spectrum is taken as ``state_spectrum`` takes it; for factors
+    validated at a boundary other than ``DensityMatrix``, such as the final
+    states of ``processes.Transfer``.
+    """
+    return _entropy_from_spectrum(_factor_spectra(factors))
 
 
 def relative_entropy(rho: DensityMatrix, sigma: DensityMatrix) -> float:

@@ -17,13 +17,14 @@ import numpy as np
 from .config import DEFAULT_TOL
 from .linalg import (
     DensityMatrix,
+    factor_entropies,
     kron,
     partial_trace,
     relative_entropy,
     von_neumann_entropies,
     von_neumann_entropy,
 )
-from .processes import ProcessTensor, slot_shape
+from .processes import ProcessTensor, Transfer, slot_shape
 
 
 @dataclass(frozen=True)
@@ -85,33 +86,50 @@ def correlation_report(pt: ProcessTensor | DensityMatrix) -> CorrelationReport:
     ``CorrelationReport``). Accepts a raw multipartite density matrix as
     well, since the unordered bound applies without causality.
     """
-    transfer = pt.transfer if isinstance(pt, ProcessTensor) else None
-    if transfer is not None:
-        n, d = pt.n, pt.d
-        steps, outputs, final = transfer.steps, transfer.outputs, transfer.final
-    else:
-        final, n, d = _as_state(pt)
-        steps = np.array([partial_trace(final, (2 * j, 2 * j + 1)).mat for j in range(n)])
-        outputs = np.array([partial_trace(final, (2 * j + 1,)).mat for j in range(n)])
-    s_global = von_neumann_entropy(final)
-    blocks = steps.reshape(n, d, d, d, d)
+    if isinstance(pt, ProcessTensor) and pt.transfer is not None:
+        return transfer_reports(pt.transfer)[0]
+    state, n, d = _as_state(pt)
+    steps = np.array([partial_trace(state, (2 * j, 2 * j + 1)).mat for j in range(n)])
+    outputs = np.array([partial_trace(state, (2 * j + 1,)).mat for j in range(n)])
+    return _reports(steps[None], outputs[None], np.array([von_neumann_entropy(state)]))[0]
+
+
+def transfer_reports(transfer: Transfer) -> list[CorrelationReport]:
+    """Correlation reports of a stack of circuits, one per sample of ``transfer``.
+
+    The global entropies come from the final environment states, and every
+    spectrum of the stack from one batched ``eigvalsh`` per kind of state.
+    """
+    return _reports(transfer.steps, transfer.outputs, factor_entropies(transfer.final))
+
+
+def _reports(
+    steps: np.ndarray, outputs: np.ndarray, s_global: np.ndarray
+) -> list[CorrelationReport]:
+    """Reports of a stack (S, n, ...) of step states and outputs, with global entropies (S,)."""
+    s, n, d = steps.shape[0], steps.shape[1], outputs.shape[-1]
+    blocks = steps.reshape(s, n, d, d, d, d)
     s_step = von_neumann_entropies(steps)
-    s_in = von_neumann_entropies(np.einsum("niojo->nij", blocks))   # i_{j-1}
-    s_out = von_neumann_entropies(np.einsum("nioip->nop", blocks))  # o_j, from the step states
-    step = tuple((s_in + s_out - s_step).tolist())
-    total = float(np.sum(s_in) + np.sum(von_neumann_entropies(outputs))) - s_global
-    markov = sum(step)
-    non_markov = float(np.sum(s_step)) - s_global
-    return CorrelationReport(
-        n=n,
-        d=d,
-        total=total,
-        step_markov=step,
-        markov=markov,
-        non_markov=non_markov,
-        step_complement=tuple(2.0 * math.log(d) - m for m in step),
-        additivity_residual=abs(total - (markov + non_markov)),
-    )
+    s_in = von_neumann_entropies(np.einsum("sniojo->snij", blocks))   # i_{j-1}
+    s_out = von_neumann_entropies(np.einsum("snioip->snop", blocks))  # o_j, from the step states
+    step = (s_in + s_out - s_step).tolist()
+    total = (np.sum(s_in, axis=1) + np.sum(von_neumann_entropies(outputs), axis=1) - s_global)
+    non_markov = (np.sum(s_step, axis=1) - s_global).tolist()
+    log_d2 = 2.0 * math.log(d)
+    reports = []
+    for st, tot, nm in zip(step, total.tolist(), non_markov):
+        markov = sum(st)
+        reports.append(CorrelationReport(
+            n=n,
+            d=d,
+            total=tot,
+            step_markov=tuple(st),
+            markov=markov,
+            non_markov=nm,
+            step_complement=tuple(log_d2 - m for m in st),
+            additivity_residual=abs(tot - (markov + nm)),
+        ))
+    return reports
 
 
 def non_markovianity_crosscheck(pt: ProcessTensor | DensityMatrix) -> float:

@@ -8,10 +8,9 @@ flow through it between steps.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Literal, Sequence
+from typing import Iterator, Literal, Sequence
 
 import numpy as np
 
@@ -122,7 +121,7 @@ def _passed(report: CausalityReport) -> CausalityReport:
     return report
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CircuitProcessSpec:
     """Circuit description of an n-step dilation, one unitary per step.
 
@@ -131,6 +130,7 @@ class CircuitProcessSpec:
     factor purifies it, with a rank that no tolerance sets (``DensityMatrix``).
     Each unitary's ``unitarity_residual`` ||U^dag U - I||_op must be at most
     ``DEFAULT_TOL.eig``; kept in ``residuals``, they certify the built process's causality.
+    Specs compare by identity, since their fields hold arrays.
     """
 
     n: int
@@ -153,7 +153,7 @@ class CircuitProcessSpec:
             if u.shape != (dim, dim):
                 raise ValueError(f"unitary {j} has shape {u.shape}, expected {(dim, dim)}")
             u.setflags(write=False)
-        object.__setattr__(self, "residuals", tuple(map(unitarity_residual, us)))
+        object.__setattr__(self, "residuals", tuple(unitarity_residual(np.array(us)).tolist()))
         for j, res in enumerate(self.residuals):
             if res > DEFAULT_TOL.eig:
                 raise ValueError(f"unitary {j} unitarity residual {res:.3e}")
@@ -183,16 +183,18 @@ class RandomSpec:
 
 @dataclass(frozen=True, eq=False)
 class Transfer:
-    """Marginals of a circuit's Choi state P_n, read from its environment transfer.
+    """Marginals of circuits' Choi states P_n, read from their environment transfers.
 
-    Each is traced from P_n without forming it (``_transfer``). ``final`` is
-    validated; the stacks are positive semidefinite by construction and
-    share its trace.
+    Every field has a leading sample axis of length S, one entry per circuit
+    of a stack; a process from ``build_from_circuit`` holds a stack of one.
+    Each marginal is traced from P_n without forming it (``_transfer``). All
+    are positive semidefinite by construction and share the trace of
+    ``final``, which is validated; S(P_n) is the entropy of ``final``.
     """
 
-    steps: np.ndarray     # (n, d^2, d^2): step j's Choi state on (i_{j-1}, o_j)
-    outputs: np.ndarray   # (n, d, d): o_j, traced from the transfer's (o_j, environment) state
-    final: DensityMatrix  # environment (x) ancilla after step n: S(P_n) = S(final)
+    steps: np.ndarray    # (S, n, d^2, d^2): step j's Choi state on (i_{j-1}, o_j)
+    outputs: np.ndarray  # (S, n, d, d): o_j, traced from the (o_j, environment) state
+    final: np.ndarray    # (S, d_env r, k): factor of environment (x) ancilla after step n
 
 
 def build_from_circuit(
@@ -206,9 +208,9 @@ def build_from_circuit(
     steps and is traced out at the end.
 
     The 2n slots are never formed here: ``_transfer`` carries the
-    environment and its ancilla through the steps, and its final state, whose
-    trace is that of the Choi state, is validated as a ``DensityMatrix``.
-    Leaks that the spec allowed can still move that trace beyond
+    environment and its ancilla through the steps, as a stack of one, and
+    validates its final state, whose trace is that of the Choi state. Leaks
+    that the spec allowed can still move that trace beyond
     ``DEFAULT_TOL.tr``; the ``NotAStateError`` then names the leakiest
     unitary. The returned process keeps ``spec`` and the transfer, and
     simulates its Choi state only when ``state`` is read.
@@ -218,15 +220,18 @@ def build_from_circuit(
     the generic hierarchy runs on ``state``. A failed hierarchy raises
     ``CausalityError``.
     """
-    certificate = _unitarity_certificate(spec, tol_causal)
-    pt = ProcessTensor(spec.n, spec.d, certificate, spec, _transfer(spec))
+    residuals = np.array([spec.residuals])
+    upper = _unitarity_certificate(residuals, _traces([spec.env_state]))[0].tolist()
+    certificate = CausalityReport.judge(tuple(upper), upper[0], tol_causal, bounds=True)
+    transfer = _transfer(np.array(spec.unitaries)[None], spec.env_state.factor[None], residuals)
+    pt = ProcessTensor(spec.n, spec.d, certificate, spec, transfer)
     return replace(pt, causality=_passed(_certified(pt, tol_causal)))
 
 
 def _circuit_state(
-    spec: CircuitProcessSpec, dims: tuple[int, ...], factor: np.ndarray
+    residuals: Sequence[float], dims: tuple[int, ...], factor: np.ndarray
 ) -> DensityMatrix:
-    """``DensityMatrix`` of a factor that the circuit of ``spec`` produced.
+    """``DensityMatrix`` of a factor that a circuit with these unitarity ``residuals`` produced.
 
     A trace beyond ``DEFAULT_TOL.tr`` comes from the unitaries' leaks, so
     the ``NotAStateError`` names the leakiest one.
@@ -234,19 +239,25 @@ def _circuit_state(
     try:
         return DensityMatrix(None, dims, factor=factor)
     except NotAStateError as exc:
-        j = int(np.argmax(spec.residuals))
+        j = int(np.argmax(residuals))
         raise NotAStateError(
             f"{exc}; the unitaries leak trace, unitary {j} the most "
-            f"(unitarity residual {spec.residuals[j]:.3e})"
+            f"(unitarity residual {residuals[j]:.3e})"
         ) from exc
 
 
-def _transfer(spec: CircuitProcessSpec) -> Transfer:
-    """Step marginals and final environment state of the circuit of ``spec``.
+def _transfer(unitaries: np.ndarray, env: np.ndarray, residuals: np.ndarray) -> Transfer:
+    """Step marginals and final environment states of a stack of circuits.
 
-    rho_j is the state of environment E (x) ancilla R once the slots of the
-    first j steps are traced out; rho_0 is the pure state of
-    ``spec.env_state.factor``. With U_j as a tensor (o, E', a, E) and the
+    ``unitaries`` is (S, n, d d_env, d d_env), ``env`` the environments'
+    factors (S, d_env, r) and ``residuals`` the (S, n) unitarity residuals,
+    which name the leakiest unitary when a final trace fails validation: the
+    first such circuit in stack order raises ``_circuit_state``'s
+    ``NotAStateError``.
+
+    Per circuit, rho_j is the state of environment E (x) ancilla R once the
+    slots of the first j steps are traced out; rho_0 is the pure state of
+    the environment's factor. With U_j as a tensor (o, E', a, E) and the
     operators K_oa = U_j[o, :, a, :] / sqrt(d) on E,
 
         rho_j = sum_{o,a} K_oa rho_{j-1} K_oa^dag    (R untouched),
@@ -262,31 +273,42 @@ def _transfer(spec: CircuitProcessSpec) -> Transfer:
     plain trace over E of the factor L^dag K_oa F. Since (slots, E, R) is
     pure, S(P_n) = S(rho_n).
     """
-    d, de = spec.d, spec.d_env
-    ks = np.array(spec.unitaries).reshape(-1, d, de, d, de) / math.sqrt(d)  # (step, o, E', a, E)
-    effects = [np.eye(de)]  # E_n, then E_{n-1}, ..., E_1
-    for kraus in ks[:0:-1].transpose(0, 1, 3, 2, 4):  # (o, a, E', E): K_oa
-        effects.append(kraus.reshape(-1, de).conj().T @ (effects[-1] @ kraus).reshape(-1, de))
-    lh = np.linalg.cholesky(np.array(effects[::-1])).conj().swapaxes(1, 2)  # L^dag per step
-    weighed = np.einsum("jzx,joxae->jaoze", lh, ks)  # (step, a, o, E', E)
-    fac = spec.env_state.factor  # (E, R)
-    r = fac.shape[1]
+    s, n, dim = unitaries.shape[:3]
+    de, r = env.shape[1:]
+    d = dim // de
+    ks = unitaries.reshape(s, n, d, de, d, de) / math.sqrt(d)  # (sample, step, o, E', a, E)
+    kraus = ks.transpose(1, 0, 2, 4, 3, 5)  # (step, sample, o, a, E', E): K_oa
+    effects = [np.broadcast_to(np.eye(de), (s, de, de))]  # E_n, then E_{n-1}, ..., E_1
+    for k in kraus[:0:-1]:
+        x = (effects[-1][:, None, None] @ k).reshape(s, -1, de)
+        effects.append(k.reshape(s, -1, de).conj().swapaxes(1, 2) @ x)
+    lh = np.linalg.cholesky(np.stack(effects[::-1], axis=1)).conj().swapaxes(-1, -2)
+    weighed = np.einsum("sjzx,sjoxae->jsaoze", lh, ks).reshape(n, s, -1, de)  # rows (a, o, E')
+    fac = env.reshape(s, -1, 1)  # rows (E, R)
     steps, outputs = [], []
-    for k, kw in zip(ks, weighed):
-        f = fac.reshape(de, -1)
-        step = (kw.reshape(-1, de) @ f).reshape(d * d, -1)  # rows (i_{j-1}, o_j)
-        out = step.reshape(d, d, -1).swapaxes(0, 1).reshape(d, -1)  # rows o_j
-        steps.append(step @ step.conj().T)
-        outputs.append(out @ out.conj().T)
-        t = (k.reshape(-1, de) @ f).reshape(d, de, d, r, -1)  # (o_j, E', i_{j-1}, R, column)
-        fac = t.transpose(1, 3, 0, 2, 4).reshape(de * r, -1)  # rows (E, R)
-        if fac.shape[1] > de * r:
-            fac = np.linalg.qr(fac.conj().T, mode="r").conj().T
-    final = _circuit_state(spec, (de, r), fac)
-    steps, outputs = np.array(steps), np.array(outputs)
-    steps.setflags(write=False)
-    outputs.setflags(write=False)
-    return Transfer(steps, outputs, final)
+    for k, kw in zip(ks.transpose(1, 0, 2, 3, 4, 5).reshape(n, s, -1, de), weighed):
+        f = fac.reshape(s, de, -1)  # columns (R, column)
+        # The widest arrays of a stack are these factors, before the cut;
+        # each is dropped as soon as the next is formed.
+        step = (kw @ f).reshape(s, d * d, -1)  # rows (i_{j-1}, o_j)
+        steps.append(step @ step.conj().swapaxes(1, 2))
+        step = step.reshape(s, d, d, -1).swapaxes(1, 2).reshape(s, d, -1)  # rows o_j
+        outputs.append(step @ step.conj().swapaxes(1, 2))
+        del step
+        t = (k @ f).reshape(s, d, de, d, r, -1).transpose(0, 2, 4, 1, 3, 5)  # (., E, R, o, a, .)
+        if t[0].size <= (de * r) ** 2:
+            fac = t.reshape(s, de * r, -1)
+        else:
+            t = np.conjugate(t, order="C").reshape(s, de * r, -1)
+            fac = np.linalg.qr(t.swapaxes(1, 2), mode="r").conj().swapaxes(1, 2)
+    traces = np.sum(np.abs(fac.reshape(s, -1)) ** 2, axis=1)
+    bad = ~(np.abs(traces - 1.0) <= DEFAULT_TOL.tr)  # catches NaN too
+    for k in np.flatnonzero(bad):
+        _circuit_state(residuals[k], (de, r), fac[k])  # raises the leak message
+    steps, outputs = np.stack(steps, axis=1), np.stack(outputs, axis=1)
+    for m in (steps, outputs, fac):
+        m.setflags(write=False)
+    return Transfer(steps, outputs, fac)
 
 
 def _simulate(spec: CircuitProcessSpec) -> DensityMatrix:
@@ -313,7 +335,7 @@ def _simulate(spec: CircuitProcessSpec) -> DensityMatrix:
         t = np.tensordot(vec, u.reshape(d, de, d, de), axes=([1], [3]))
         # t axes: (slots, ancilla, o_j, env, i_{j-1})
         vec = t.transpose(0, 4, 2, 3, 1).reshape(-1, de, r) / math.sqrt(d)
-    return _circuit_state(spec, (d,) * (2 * n), vec.reshape(-1, de * r))
+    return _circuit_state(spec.residuals, (d,) * (2 * n), vec.reshape(-1, de * r))
 
 
 def _level_residuals(chain: Sequence[DensityMatrix], d: int) -> list[float]:
@@ -341,12 +363,21 @@ def _level_residuals(chain: Sequence[DensityMatrix], d: int) -> list[float]:
 _ROUNDING = 1e-14
 
 
-def _unitarity_certificate(spec: CircuitProcessSpec, tol: float) -> CausalityReport:
-    """Hierarchy report of the Choi state of ``spec``, from its unitaries.
+def _traces(states: Sequence[DensityMatrix]) -> np.ndarray:
+    """Traces of the states' factors, each summed as ``DensityMatrix`` sums it."""
+    return np.array([np.sum(np.abs(state.factor) ** 2) for state in states])
+
+
+def _unitarity_certificate(residuals: np.ndarray, t_env: np.ndarray) -> np.ndarray:
+    """Bounds on the hierarchy residuals of a stack of circuits, from their unitaries.
+
+    ``residuals`` holds c_j = ||U_j^dag U_j - I||_op per circuit and step
+    (S, n), ``t_env`` the traces (S,) of their environments. Returns the
+    (S, n) bounds on levels 1..n; level 1's bounds the base residual too.
 
     Step j applies U = U_j to Y = X_{j-1} (x) Phi, where X_{j-1} >= 0 is the
     (j-1)-step prefix before the environment is traced; X_0, the environment,
-    has trace t. With c_j = ||U_j^dag U_j - I||_op (``spec.residuals``),
+    has trace t. Since
     tr_{o_j E}(U Y U^dag) - tr_{o_j E}(Y) = tr_{o_j E}((U^dag U - I) Y) and
     ||Y||_1 = tr X_{j-1} <= t prod_{i<j} (1 + c_i), the prefix processes P_j obey
 
@@ -363,15 +394,11 @@ def _unitarity_certificate(spec: CircuitProcessSpec, tol: float) -> CausalityRep
     The bounds hold in exact arithmetic and are judged by ``_certified``, so
     the verdict is ``verify_causality``'s.
     """
-    t_env = float(np.sum(np.abs(spec.env_state.factor) ** 2))
-    eps, growth = [], t_env
-    for c in spec.residuals:
-        eps.append(0.5 * c * growth)
-        growth *= 1.0 + c
-    eps[0] += 0.5 * abs(t_env - 1.0)
-    tails = list(itertools.accumulate(reversed(eps)))[::-1]  # sum_{k>=j} eps_k
-    upper = (tails[0],) + tuple(2.0 * t for t in tails[1:])
-    return CausalityReport.judge(upper, tails[0], tol, bounds=True)
+    growth = np.cumprod(np.concatenate([t_env[:, None], 1.0 + residuals[:, :-1]], axis=1), axis=1)
+    eps = 0.5 * residuals * growth
+    eps[:, 0] += 0.5 * np.abs(t_env - 1.0)
+    tails = np.cumsum(eps[:, ::-1], axis=1)[:, ::-1]  # sum_{k>=j} eps_k
+    return np.concatenate([tails[:, :1], 2.0 * tails[:, 1:]], axis=1)
 
 
 def _certified(pt: ProcessTensor, tol: float) -> CausalityReport:
@@ -497,16 +524,24 @@ def cnot_swap_process() -> ProcessTensor:
     return build_from_circuit(spec)
 
 
+def _haar(gauss: np.ndarray) -> np.ndarray:
+    """Haar unitaries (..., D, D) from standard normals (..., 2, D, D), real parts first.
+
+    Each is the phase-corrected QR of its complex Gaussian; a stack gives the
+    same unitaries, bit for bit, as one matrix at a time.
+    """
+    z = (gauss[..., 0, :, :] + 1j * gauss[..., 1, :, :]) / math.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
+
+
 def haar_unitary(dim: int, seed: int | np.random.Generator) -> np.ndarray:
     """Haar-distributed unitary via phase-corrected QR of a complex Gaussian."""
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
-    z /= math.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    diag = np.diagonal(r)
-    return q * (diag / np.abs(diag))
+    return _haar(rng.standard_normal((2, dim, dim)))
 
 
 def random_env(rng: np.random.Generator, d_env: int, env_init: EnvInit) -> DensityMatrix:
@@ -526,8 +561,79 @@ def random_env(rng: np.random.Generator, d_env: int, env_init: EnvInit) -> Densi
 
 def random_process(spec: RandomSpec) -> ProcessTensor:
     """Deterministic (seeded) random process from Haar unitaries."""
-    rng = np.random.default_rng(spec.seed)
-    env = random_env(rng, spec.d_env, spec.env_init)
-    us = tuple(haar_unitary(spec.d * spec.d_env, rng) for _ in range(spec.n))
-    circuit = CircuitProcessSpec(n=spec.n, d=spec.d, env_state=env, unitaries=us)
-    return build_from_circuit(circuit)
+    (env,), (us,) = _random_circuits(spec, 1)
+    return build_from_circuit(CircuitProcessSpec(spec.n, spec.d, env, tuple(us)))
+
+
+# Bytes of the widest arrays in one stack of ``random_processes``: per sample, its unitaries
+# and its transfer's factor before a step's cut. At n = 3, d = 2, d_env = 4 a stack holds 8
+# samples; more add peak memory and gain little time.
+_STACK_BYTES = 160_000
+
+
+def random_processes(
+    spec: RandomSpec, count: int, tol_causal: float = DEFAULT_TOL.causal
+) -> Iterator[tuple[Transfer, list[CausalityReport | CausalityError]]]:
+    """``random_process`` for the seeds spec.seed, ..., spec.seed + count - 1, built in stacks.
+
+    Yields, per stack of consecutive seeds that fits ``_STACK_BYTES``, the
+    stacked ``Transfer`` and, per sample in seed order, its causality report
+    or the ``CausalityError`` that ``build_from_circuit`` would raise.
+    Sample k is the circuit of ``random_process`` for seed spec.seed + k,
+    bit for bit (``_random_circuits``).
+
+    Each check of ``build_from_circuit`` runs once on the stack: the
+    unitarity residuals, then the final traces, then the certificate. The
+    first sample in seed order that fails a check raises the error that
+    ``CircuitProcessSpec`` or ``_circuit_state`` raises. The certificate
+    decides only where it passes ``_ROUNDING`` below ``tol_causal``; every
+    other sample is built alone by ``build_from_circuit``, whose generic
+    hierarchy decides.
+    """
+    dim, de = spec.d * spec.d_env, spec.d_env
+    size = max(1, _STACK_BYTES // (16 * (spec.n * dim * dim + (spec.d * de * de) ** 2)))
+    for start in range(0, count, size):
+        stack = replace(spec, seed=spec.seed + start)
+        yield random_stack(stack, min(size, count - start), tol_causal)
+
+
+def _random_circuits(spec: RandomSpec, count: int) -> tuple[list[DensityMatrix], np.ndarray]:
+    """Environments and (count, n, D, D) unitaries for the seeds spec.seed, ..., + count - 1.
+
+    Sample k draws from ``default_rng(spec.seed + k)``: its environment
+    (``random_env``), then the real and imaginary Gaussians of each unitary.
+    """
+    dim = spec.d * spec.d_env
+    rngs = [np.random.default_rng(spec.seed + k) for k in range(count)]
+    if spec.env_init == "seeded-random":
+        envs = [random_env(rng, spec.d_env, spec.env_init) for rng in rngs]
+    else:  # drawn from no generator: one state serves the stack
+        envs = [random_env(rngs[0], spec.d_env, spec.env_init)] * count
+    gauss = np.empty((count, spec.n, 2, dim, dim))
+    for rng, g in zip(rngs, gauss):
+        rng.standard_normal(out=g)
+    return envs, _haar(gauss)
+
+
+def random_stack(
+    spec: RandomSpec, count: int, tol_causal: float = DEFAULT_TOL.causal
+) -> tuple[Transfer, list[CausalityReport | CausalityError]]:
+    """One stack of ``random_processes``: the seeds spec.seed, ..., spec.seed + count - 1."""
+    envs, us = _random_circuits(spec, count)
+    env = np.array([e.factor for e in envs])
+    residuals = unitarity_residual(us)
+    for k in np.flatnonzero(np.any(residuals > DEFAULT_TOL.eig, axis=1)):
+        CircuitProcessSpec(spec.n, spec.d, envs[k], tuple(us[k]))  # raises for its unitary
+    transfer = _transfer(us, env, residuals)
+    upper = _unitarity_certificate(residuals, _traces(envs))
+    outcomes: list[CausalityReport | CausalityError] = []
+    for k, bounds in enumerate(upper.tolist()):
+        if max(bounds) + _ROUNDING <= tol_causal:
+            outcomes.append(CausalityReport.judge(tuple(bounds), bounds[0], tol_causal, True))
+            continue
+        try:
+            circuit = CircuitProcessSpec(spec.n, spec.d, envs[k], tuple(us[k]))
+            outcomes.append(build_from_circuit(circuit, tol_causal).causality)
+        except CausalityError as exc:
+            outcomes.append(exc)
+    return transfer, outcomes

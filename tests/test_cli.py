@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,13 +8,18 @@ import pytest
 import proctensor.cli
 import proctensor.processes
 from proctensor import (
+    CausalityReport,
     DensityMatrix,
+    RandomSpec,
+    audit_bounds,
     build_from_circuit,
     cnot_swap_process,
+    correlation_report,
     haar_unitary,
     kron,
     max_entangled_state,
     maximally_mixed,
+    random_process,
 )
 from proctensor.processes import swap_unitary
 from proctensor.cli import build_parser, main
@@ -262,6 +268,88 @@ class TestAuditRandomCommand:
                      "--samples", "5", "--seed", "7", "--out", str(out)]) == 0
         assert "violations = 0" in out.read_text()
 
+    @pytest.mark.parametrize("budget", [1, 10**12])
+    def test_summary_does_not_depend_on_stack_boundaries(self, tmp_path, monkeypatch, budget):
+        # the default budget makes stacks of 8, 8, 8 and 1; these make 25
+        # stacks of one sample and one stack of all 25
+        args = ["audit-random", "--n", "3", "--samples", "25", "--seed", "5"]
+        default, stacked = tmp_path / "default.txt", tmp_path / "stacked.txt"
+        assert main(args + ["--out", str(default)]) == 0
+        monkeypatch.setattr(proctensor.processes, "_STACK_BYTES", budget)
+        assert main(args + ["--out", str(stacked)]) == 0
+        assert stacked.read_bytes() == default.read_bytes()
+
+    def test_failing_generic_sample_counts_once(self, tmp_path, monkeypatch):
+        # Sample 1 gets no certificate, in its stack and when it is rebuilt
+        # alone, so the generic hierarchy decides it, and fails; the other
+        # samples are audited as they are alone.
+        alone = [audit_bounds(correlation_report(random_process(RandomSpec(2, 2, 4, 3 + k))))
+                 for k in (0, 2, 3, 4)]
+        real_certificate = proctensor.processes._unitarity_certificate
+
+        def uncertified(residuals, env):
+            upper = real_certificate(residuals, env)
+            upper[1 if len(upper) > 1 else 0] = 1.0
+            return upper
+
+        def failing(state, tol):
+            return CausalityReport.judge((0.25, 0.25), 0.25, tol)
+
+        monkeypatch.setattr(proctensor.processes, "_unitarity_certificate", uncertified)
+        monkeypatch.setattr(proctensor.processes, "verify_causality", failing)
+        out = tmp_path / "audit.txt"
+        argv = ["audit-random", "--n", "2", "--samples", "5", "--seed", "3", "--out", str(out)]
+        assert main(argv) == 1
+        fields = dict(ln.split(" = ") for ln in out.read_text().splitlines())
+        assert fields["violations"] == "1"
+        assert float(fields["worst_causality_residual"]) == 0.25
+        expected = {
+            "unordered": min(min(a.unordered_slack) for a in alone),
+            "ordered": min(min(a.ordered_slack) for a in alone),
+            "max_nonmarkov": min(a.max_nonmarkov_slack for a in alone),
+            "markov_tradeoff": min(a.markov_tradeoff_slack for a in alone),
+            "total_tradeoff": min(a.total_tradeoff_slack for a in alone),
+        }
+        for name, slack in expected.items():
+            assert float(fields[f"min_slack_{name}"]) == pytest.approx(slack, abs=1e-12)
+
+
+class TestParserReuse:
+    def test_reused_parser_matches_a_fresh_one(self, tmp_path, capsys):
+        # main builds its parser once. Each call below changes its output
+        # when a value of the call before it (tolerance, --out, --d) carries
+        # over; a fresh parser per call is the reference.
+        spec = write_spec(tmp_path, haar_spec_doc(4))
+        out = tmp_path / "out.txt"
+        calls = [
+            ["audit-random", "--n", "1", "--denv", "2", "--samples", "7", "--tol", "0"],
+            ["audit-random", "--n", "1", "--denv", "2", "--samples", "7"],
+            ["verify", "--in", str(spec), "--tol", "0"],
+            ["verify", "--in", str(spec)],
+            ["emit-figure", "--figure", "fig2", "--d", "2,3", "--grid", "3"],
+            ["emit-figure", "--figure", "fig2", "--grid", "3"],
+        ]
+
+        def fresh(argv):
+            args = build_parser().parse_args(argv)
+            return args.func(args)
+
+        def run(call):
+            capsys.readouterr()
+            with pytest.raises(SystemExit) as exc:
+                call(["audit-random", "--tol", "-1"])
+            results = [(exc.value.code, capsys.readouterr().err)]
+            for argv in calls:
+                out.unlink(missing_ok=True)
+                results.append((call(argv + ["--out", str(out)]), out.read_bytes()))
+                results.append((call(argv), capsys.readouterr().out))
+            return results
+
+        reused = run(main)
+        assert reused == run(fresh)
+        assert reused[0][0] == 2
+        assert b"violations = 5" in reused[1][1] and b"violations = 0" in reused[3][1]
+
 
 class TestVerifyCommand:
     def test_spec_file_passes(self, tmp_path):
@@ -412,6 +500,19 @@ class TestDenseCap:
         assert main(["verify", "--in", str(path), "--tol", "0"]) == 2
         assert "exceeds dense limit" in capsys.readouterr().err
 
+    def test_audit_beyond_the_cap_holds_no_dense_state(self, tmp_path):
+        # At n = 12 a slot state would have d^(2n) = 2^24 rows; the stacks of
+        # the transfer hold a few factors of side d_env r per sample.
+        out = tmp_path / "audit.txt"
+        main(["audit-random", "--n", "1", "--samples", "1", "--out", str(out)])  # parser, imports
+        tracemalloc.start()
+        try:
+            assert main(["audit-random", "--n", "12", "--samples", "2", "--out", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
     def test_audit_forms_no_state_beyond_two_slots(self, tmp_path, monkeypatch):
         seen = []
         init = DensityMatrix.__init__
@@ -453,7 +554,7 @@ class TestVerifyOnce:
 
     def test_audit_counts_failed_hierarchy_as_violation(self, tmp_path, monkeypatch):
         generic = []
-        real_build = proctensor.processes.build_from_circuit
+        real_engine = proctensor.processes.random_processes
         real_verify = proctensor.processes.verify_causality
 
         def counting_verify(state, tol):
@@ -462,7 +563,7 @@ class TestVerifyOnce:
 
         # at tolerance 0 both the certificate and the generic hierarchy fail
         monkeypatch.setattr(
-            proctensor.processes, "build_from_circuit", lambda spec, *_: real_build(spec, 0.0)
+            proctensor.cli, "random_processes", lambda spec, count: real_engine(spec, count, 0.0)
         )
         monkeypatch.setattr(proctensor.processes, "verify_causality", counting_verify)
         out = tmp_path / "audit.txt"

@@ -27,6 +27,9 @@ from proctensor import (
     swap_chain_process,
 )
 
+from proctensor.metrics import transfer_reports
+from proctensor.processes import random_processes
+
 from conftest import random_density, seeded_circuit_spec
 
 LN2 = math.log(2)
@@ -139,6 +142,34 @@ class TestTransferReport:
         assert rep.non_markov == pytest.approx(22 * LN2, abs=1e-10)
         assert rep.markov == pytest.approx(0.0, abs=1e-10)
         assert audit_bounds(rep).max_nonmarkov_slack == pytest.approx(0.0, abs=1e-10)
+
+
+class TestStackedReports:
+    """Samples built in stacks by ``random_processes``; each dense Choi state is the oracle."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("d_env", [1, 2, 4])
+    def test_stack_matches_dense_reports(self, n, d, d_env):
+        env_init = "seeded-random" if d_env == 2 else "maximally-mixed"
+        spec = RandomSpec(n=n, d=d, d_env=d_env, seed=100 * n + d_env, env_init=env_init)
+        stacks = random_processes(spec, 3)
+        reports = [r for transfer, _ in stacks for r in transfer_reports(transfer)]
+        assert len(reports) == 3
+        for k, fast in enumerate(reports):
+            pt = random_process(dataclasses.replace(spec, seed=spec.seed + k))
+            dense = correlation_report(pt.state)
+            assert (fast.n, fast.d) == (dense.n, dense.d)
+            for a, b in zip(report_fields(fast), report_fields(dense), strict=True):
+                assert a == pytest.approx(b, abs=1e-12)
+
+    def test_single_process_is_a_stack_of_one(self):
+        spec = RandomSpec(n=3, d=2, d_env=4, seed=11)
+        pt = random_process(spec)
+        assert pt.transfer.steps.shape == (1, 3, 4, 4)
+        ((transfer, _),) = random_processes(spec, 1)
+        stacked = transfer_reports(transfer)[0]
+        assert report_fields(correlation_report(pt)) == report_fields(stacked)
 
 
 class TestNonMarkovianityCrosscheck:

@@ -32,6 +32,8 @@ from proctensor import (
     verify_causality,
 )
 
+from proctensor.processes import random_env, random_processes
+
 from conftest import leaky_unitary, random_density, seeded_circuit_spec
 
 
@@ -139,6 +141,15 @@ class TestBuildFromCircuit:
         env = random_density(rng, (2,))
         with pytest.raises(ValueError):
             CircuitProcessSpec(n=1, d=2, env_state=env, unitaries=(np.ones((4, 4)),))
+
+    def test_specs_compare_by_identity(self):
+        # equal env_state objects made the field-wise comparison reach the
+        # unitaries, whose arrays have no single truth value
+        env = maximally_mixed(2)
+        a = CircuitProcessSpec(n=1, d=2, env_state=env, unitaries=(np.eye(4),))
+        b = CircuitProcessSpec(n=1, d=2, env_state=env, unitaries=(swap_unitary(2),))
+        assert (a == b) is False
+        assert a == a
 
 
 class TestVerifyCausality:
@@ -402,3 +413,69 @@ class TestRandomProcess:
         for k in range(20):
             pt = random_process(RandomSpec(n=3, d=2, d_env=4, seed=1000 + k))
             assert verify_causality(pt).passed
+
+
+def inline_haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """One Haar unitary drawn alone, as ``haar_unitary`` drew it before draws were stacked."""
+    z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    z /= math.sqrt(2.0)
+    q, r = np.linalg.qr(z)
+    diag = np.diagonal(r)
+    return q * (diag / np.abs(diag))
+
+
+class TestRandomProcesses:
+    """Stacked builds of consecutive seeds; drawing and building one at a time is the oracle."""
+
+    @pytest.mark.parametrize(
+        "n, d, d_env, env_init",
+        [(3, 2, 4, "maximally-mixed"), (2, 3, 2, "seeded-random"), (1, 2, 1, "pure-ground")],
+    )
+    def test_stacked_draws_match_one_matrix_at_a_time(self, n, d, d_env, env_init):
+        spec = RandomSpec(n=n, d=d, d_env=d_env, seed=7, env_init=env_init)
+        envs, us = proctensor.processes._random_circuits(spec, 300)
+        for k in range(300):
+            rng = np.random.default_rng(7 + k)
+            assert np.array_equal(envs[k].factor, random_env(rng, d_env, env_init).factor)
+            for j in range(n):
+                assert np.array_equal(us[k, j], inline_haar_unitary(d * d_env, rng))
+
+    def test_haar_unitary_matches_one_matrix_at_a_time(self):
+        for seed in range(300):
+            expected = inline_haar_unitary(6, np.random.default_rng(seed))
+            assert np.array_equal(haar_unitary(6, seed), expected)
+
+    @pytest.mark.parametrize("env_init", ["maximally-mixed", "pure-ground", "seeded-random"])
+    def test_causality_matches_one_build_per_seed(self, env_init):
+        spec = RandomSpec(n=3, d=2, d_env=3, seed=40, env_init=env_init)
+        outcomes = [c for _, stack in random_processes(spec, 20) for c in stack]
+        assert len(outcomes) == 20
+        for k, report in enumerate(outcomes):
+            alone = random_process(RandomSpec(3, 2, 3, 40 + k, env_init)).causality
+            assert report.passed and report.bounds
+            assert report.residuals == pytest.approx(alone.residuals, rel=1e-12, abs=0.0)
+            assert report.base_residual == pytest.approx(alone.base_residual, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "spoil, error, message",
+        [
+            # samples 2 and 4 leak trace beyond DEFAULT_TOL.tr, sample 2 less
+            ({2: (slice(None), 4e-11), 4: (slice(None), 8e-11)}, NotAStateError,
+             r"factor trace .* the unitaries leak trace, .* residual 8\.000e-11"),
+            # samples 1 and 3 fail the unitarity check, at unitaries 0 and 2
+            ({1: (0, 1e-6), 3: (2, 1e-6)}, ValueError, "unitary 0 unitarity residual"),
+        ],
+    )
+    def test_first_failing_sample_in_seed_order_raises(self, monkeypatch, spoil, error, message):
+        real = proctensor.processes._random_circuits
+
+        def spoiled(spec, count):
+            envs, us = real(spec, count)
+            us = us.copy()
+            for k, (j, scale) in spoil.items():
+                us[k, j] *= 1.0 + scale
+            return envs, us
+
+        monkeypatch.setattr(proctensor.processes, "_random_circuits", spoiled)
+        with pytest.raises(error, match=message):
+            list(random_processes(RandomSpec(n=3, d=2, d_env=1, seed=0), 6))
