@@ -152,7 +152,8 @@ def cmd_audit_random(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     path = Path(args.infile)
-    head = path.read_text(encoding="utf-8", errors="replace")[: len(io.CHOI_MAGIC)]
+    with path.open(encoding="utf-8", errors="replace") as fh:
+        head = fh.read(len(io.CHOI_MAGIC))
     if head == io.CHOI_MAGIC:
         report = verify_causality(io.load_choi(path), args.tol)
     else:

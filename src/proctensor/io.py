@@ -120,15 +120,27 @@ def load_choi(path: str | Path) -> DensityMatrix:
     if header.get("slots") != slot_labels(n):
         raise SpecFileError(f"Choi header must list slots={slot_labels(n)}: {text[0]!r}")
     dim = d ** (2 * n)
-    if len(text) - 1 != dim:
-        raise SpecFileError(f"expected {dim} matrix rows, found {len(text) - 1}")
-    mat = np.empty((dim, dim), dtype=complex)
-    for i, line in enumerate(text[1:]):
-        vals = [float(tok) for tok in line.split()]
-        if len(vals) != 2 * dim:
-            raise SpecFileError(f"row {i} has {len(vals)} numbers, expected {2 * dim}")
-        mat[i] = np.array(vals[0::2]) + 1j * np.array(vals[1::2])
-    return DensityMatrix(mat, (d,) * (2 * n))
+    rows = text[1:]
+    if len(rows) != dim:
+        raise SpecFileError(f"expected {dim} matrix rows, found {len(rows)}{_blank_note(rows)}")
+    try:
+        vals = np.loadtxt(rows, dtype=float, comments=None, ndmin=2)
+    except ValueError as exc:
+        # numpy names the row and column, counting rows from the first matrix row;
+        # its advice after the ';' is about loadtxt's own arguments
+        raise SpecFileError(f"malformed Choi matrix row: {str(exc).partition(';')[0]}") from exc
+    if vals.shape != (dim, 2 * dim):
+        raise SpecFileError(
+            f"expected {dim} rows of {2 * dim} numbers, found {vals.shape[0]} rows of "
+            f"{vals.shape[1]}{_blank_note(rows)}"
+        )
+    return DensityMatrix(vals.view(complex), (d,) * (2 * n))
+
+
+def _blank_note(rows: list[str]) -> str:
+    """Names the first blank matrix row, which ``np.loadtxt`` would skip."""
+    blank = [i for i, row in enumerate(rows) if not row.strip()]
+    return f" (matrix row {blank[0]} is blank)" if blank else ""
 
 
 def report_lines(report: CorrelationReport) -> list[str]:

@@ -114,7 +114,9 @@ def _reports(
     s_out = von_neumann_entropies(np.einsum("snioip->snop", blocks))  # o_j, from the step states
     step = (s_in + s_out - s_step).tolist()
     total = (np.sum(s_in, axis=1) + np.sum(von_neumann_entropies(outputs), axis=1) - s_global)
-    non_markov = (np.sum(s_step, axis=1) - s_global).tolist()
+    # At n = 1 the one step block is the whole state, so N is exactly 0; the
+    # difference of its two spectra's entropies would only show their rounding.
+    non_markov = (np.sum(s_step, axis=1) - s_global).tolist() if n > 1 else [0.0] * s
     log_d2 = 2.0 * math.log(d)
     reports = []
     for st, tot, nm in zip(step, total.tolist(), non_markov):

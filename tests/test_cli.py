@@ -4,8 +4,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import proctensor.cli
+import proctensor.io
 import proctensor.processes
 from proctensor import (
     CausalityReport,
@@ -28,6 +31,7 @@ from proctensor.linalg import unitarity_residual
 from proctensor.io import (
     SpecFileError,
     complex_to_pairs,
+    fmt,
     load_choi,
     load_process_spec,
     save_choi,
@@ -126,6 +130,15 @@ class TestSpecFile:
         assert np.allclose(spec.env_state.mat, np.diag([1.0, 0.0]))
 
 
+def _retoken(row: int, col: int, token: str):
+    """An edit of a Choi file's lines that replaces one token of a matrix row."""
+    def edit(lines):
+        toks = lines[1 + row].split()
+        toks[col] = token
+        lines[1 + row] = " ".join(toks)
+    return edit
+
+
 class TestChoiFile:
     def test_roundtrip(self, tmp_path):
         pt = cnot_swap_process()
@@ -159,6 +172,64 @@ class TestChoiFile:
             load_choi(path)
         assert main(["verify", "--in", str(path)]) == 2
         assert "slots=i0,o1,i1,o2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("edit, named", [
+        (lambda ls: ls.__setitem__(6, ls[6].rsplit(" ", 1)[0]), "from 32 to 31 at row"),
+        (lambda ls: ls.__setitem__(6, ls[6] + " 0.0"), "from 32 to 33 at row"),
+        (_retoken(5, 3, "abc"), "'abc' to float64 at row"),
+        (_retoken(5, 3, "#"), "'#' to float64 at row"),
+        (_retoken(5, 3, "1_0"), "'1_0' to float64 at row"),
+        (lambda ls: ls.insert(6, ""), "expected 16 matrix rows, found 17 (matrix row 5 is blank)"),
+        (lambda ls: ls.__setitem__(6, ""), "found 15 rows of 32 (matrix row 5 is blank)"),
+        (lambda ls: ls.append(ls[-1]), "expected 16 matrix rows, found 17"),
+        (lambda ls: ls.pop(), "expected 16 matrix rows, found 15"),
+    ], ids=["short", "long", "non-numeric", "hash", "underscore", "blank-between",
+            "blank-instead", "row-too-many", "row-too-few"])
+    def test_malformed_row_exit_two(self, tmp_path, capsys, edit, named):
+        path = tmp_path / "choi.txt"
+        save_choi(cnot_swap_process().state, path)
+        lines = path.read_text().splitlines()
+        edit(lines)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SpecFileError, match="row"):
+            load_choi(path)
+        assert main(["verify", "--in", str(path)]) == 2
+        assert named in capsys.readouterr().err
+
+    def test_nan_entry_exit_two(self, tmp_path, capsys):
+        path = tmp_path / "choi.txt"
+        save_choi(cnot_swap_process().state, path)
+        lines = path.read_text().splitlines()
+        _retoken(5, 3, "nan")(lines)
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["verify", "--in", str(path)]) == 2
+        assert "finite" in capsys.readouterr().err
+
+    @settings(max_examples=200, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=32))
+    @example(values=[0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1.7976931348623157e308,
+                     -1.7976931348623157e308, 1e-05, 1.2345e-05, 1e16, -3.0000000000000004e16])
+    def test_rows_parse_to_the_written_doubles(self, tmp_path, values):
+        # Any finite doubles, written by fmt into an n=1, d=2 body, must parse
+        # to float(token) bit for bit; the state check is bypassed, since
+        # these are no density matrix.
+        tokens = [fmt(x) for x in np.resize(np.array(values), 32)]
+        rows = [" ".join(tokens[8 * i:8 * i + 8]) for i in range(4)]
+        path = tmp_path / "choi.txt"
+        path.write_text("\n".join(["proctensor-choi n=1 d=2 slots=i0,o1", *rows]) + "\n")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(proctensor.io, "DensityMatrix", lambda mat, dims: mat)
+            mat = load_choi(path)
+        want = np.array([float(tok) for tok in tokens])
+        assert mat.shape == (4, 4)
+        assert np.array_equal(mat.view(float).ravel().view(np.int64), want.view(np.int64))
+
+    def test_four_step_save_load_is_byte_identical(self, tmp_path):
+        a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+        save_choi(random_process(RandomSpec(n=4, d=2, d_env=2, seed=4)).state, a)
+        save_choi(load_choi(a), b)
+        assert a.read_bytes() == b.read_bytes()
 
 
 class TestSweepCommand:
@@ -268,6 +339,14 @@ class TestAuditRandomCommand:
                      "--samples", "5", "--seed", "7", "--out", str(out)]) == 0
         assert "violations = 0" in out.read_text()
 
+    def test_single_step_passes_at_tolerance_zero(self, tmp_path):
+        # N is exactly 0 at n = 1, so the slacks that subtract it are too
+        out = tmp_path / "n1.txt"
+        assert main(["audit-random", "--n", "1", "--denv", "2", "--samples", "7",
+                     "--tol", "0", "--out", str(out)]) == 0
+        text = out.read_text()
+        assert "violations = 0" in text and "min_slack_unordered = 0.0\n" in text
+
     @pytest.mark.parametrize("budget", [1, 10**12])
     def test_summary_does_not_depend_on_stack_boundaries(self, tmp_path, monkeypatch, budget):
         # the default budget makes stacks of 8, 8, 8 and 1; these make 25
@@ -322,8 +401,10 @@ class TestParserReuse:
         spec = write_spec(tmp_path, haar_spec_doc(4))
         out = tmp_path / "out.txt"
         calls = [
-            ["audit-random", "--n", "1", "--denv", "2", "--samples", "7", "--tol", "0"],
-            ["audit-random", "--n", "1", "--denv", "2", "--samples", "7"],
+            # With no environment N is 0 and every M_j is 2 ln d, so the
+            # unordered slacks are -N, rounding-level: violations at tol 0 only.
+            ["audit-random", "--n", "2", "--denv", "1", "--samples", "7", "--tol", "0"],
+            ["audit-random", "--n", "2", "--denv", "1", "--samples", "7"],
             ["verify", "--in", str(spec), "--tol", "0"],
             ["verify", "--in", str(spec)],
             ["emit-figure", "--figure", "fig2", "--d", "2,3", "--grid", "3"],
@@ -348,7 +429,7 @@ class TestParserReuse:
         reused = run(main)
         assert reused == run(fresh)
         assert reused[0][0] == 2
-        assert b"violations = 5" in reused[1][1] and b"violations = 0" in reused[3][1]
+        assert b"violations = 7" in reused[1][1] and b"violations = 0" in reused[3][1]
 
 
 class TestVerifyCommand:

@@ -27,6 +27,7 @@ from proctensor import (
     swap_chain_process,
 )
 
+from proctensor.io import load_choi, save_choi
 from proctensor.metrics import transfer_reports
 from proctensor.processes import random_processes
 
@@ -62,6 +63,19 @@ class TestCorrelationReport:
             for m in rep.step_markov:
                 assert -1e-8 <= m <= 2 * LN2 + 1e-8
             assert rep.total <= 2 * rep.n * LN2 + 1e-8
+
+    @pytest.mark.parametrize("d, d_env", [(2, 1), (2, 2), (2, 4), (3, 2)])
+    def test_single_step_nonmarkov_is_exactly_zero(self, tmp_path, d, d_env):
+        # N is the mutual information across one step block, which is the
+        # whole state; the transfer, the dense state and its Choi file agree.
+        for seed in range(5):
+            pt = random_process(RandomSpec(n=1, d=d, d_env=d_env, seed=seed))
+            path = tmp_path / "choi.txt"
+            save_choi(pt.state, path)
+            for source in (pt, pt.state, load_choi(path)):
+                rep = correlation_report(source)
+                assert rep.non_markov == 0.0
+                assert rep.additivity_residual == abs(rep.total - rep.markov)
 
     def test_raw_state_accepted(self, rng):
         rep = correlation_report(random_density(rng, (2, 2, 2, 2)))
