@@ -7,7 +7,6 @@ from .linalg import (
     LinalgError,
     NotAStateError,
     NotHermitianError,
-    eigenvalues_hermitian,
     kron,
     max_entangled_state,
     maximally_mixed,
@@ -27,11 +26,13 @@ from .processes import (
     ProcessTensor,
     RandomSpec,
     build_from_circuit,
+    build_stack,
     cnot_swap_process,
     fredkin_dilation,
     fredkin_unitary,
     haar_unitary,
     nm_depolarizing_process,
+    nm_depolarizing_spec,
     random_process,
     swap_chain_process,
     swap_unitary,

@@ -13,6 +13,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import io
 from .channels import channel_M, depolarizing_choi
 from .config import DEFAULT_TOL
@@ -22,7 +24,8 @@ from .processes import (
     CausalityError,
     RandomSpec,
     build_from_circuit,
-    nm_depolarizing_process,
+    build_stack,
+    nm_depolarizing_spec,
     random_processes,
     verify_causality,
 )
@@ -71,11 +74,26 @@ def cmd_sweep_depolarizing(args: argparse.Namespace) -> int:
 def cmd_emit_figure(args: argparse.Namespace) -> int:
     if args.figure == "fig2":
         return cmd_sweep_depolarizing(args)
-    rows = []
-    for p in _grid(args.grid):
-        rep = correlation_report(nm_depolarizing_process(p))
-        rows.append((p, rep.step_markov[0], rep.step_markov[1], rep.non_markov, rep.total))
-    _write_lines(args.out, io.csv_lines(("p", "M1", "M2", "N", "I"), rows))
+    grid = _grid(args.grid)
+    specs = [nm_depolarizing_spec(p) for p in grid]
+    # A stack shares one environment factor shape: rank 2 at p = 0 and 1, rank 4 between.
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for k, spec in enumerate(specs):
+        groups.setdefault(spec.env_state.factor.shape, []).append(k)
+    rows = {}
+    for ks in groups.values():
+        stack = [specs[k] for k in ks]
+        transfer, outcomes = build_stack(
+            np.array([s.unitaries for s in stack]),
+            [s.env_state for s in stack],
+            np.array([s.residuals for s in stack]),
+        )
+        for k, outcome, r in zip(ks, outcomes, transfer_reports(transfer)):
+            if isinstance(outcome, CausalityError):
+                raise outcome
+            rows[k] = (grid[k], r.step_markov[0], r.step_markov[1], r.non_markov, r.total)
+    lines = io.csv_lines(("p", "M1", "M2", "N", "I"), (rows[k] for k in range(len(grid))))
+    _write_lines(args.out, lines)
     return EXIT_OK
 
 

@@ -9,13 +9,16 @@ Numeric output uses shortest-roundtrip decimals for byte-stable files.
 
 from __future__ import annotations
 
+import itertools
 import json
+import warnings
 from pathlib import Path
 from typing import Any, Iterable, get_args
 
 import numpy as np
 
-from .linalg import DensityMatrix
+from .config import max_dense_dim
+from .linalg import DensityMatrix, DimensionLimitError
 from .metrics import BoundAudit, CorrelationReport
 from .processes import CausalityReport, CircuitProcessSpec, EnvInit, random_env
 
@@ -107,34 +110,89 @@ def save_choi(state: DensityMatrix, path: str | Path) -> None:
 
 
 def load_choi(path: str | Path) -> DensityMatrix:
-    """Read a Choi state written by ``save_choi``; its slots must be in canonical order."""
-    text = Path(path).read_text().strip().splitlines()
-    if not text or not text[0].startswith(CHOI_MAGIC):
-        raise SpecFileError(f"{path} is not a serialized Choi file")
-    try:
-        header = dict(tok.split("=", 1) for tok in text[0].split()[1:])
-        n = int(header["n"])
-        d = int(header["d"])
-    except (KeyError, ValueError) as exc:
-        raise SpecFileError(f"malformed Choi header: {text[0]!r}") from exc
-    if header.get("slots") != slot_labels(n):
-        raise SpecFileError(f"Choi header must list slots={slot_labels(n)}: {text[0]!r}")
-    dim = d ** (2 * n)
-    rows = text[1:]
-    if len(rows) != dim:
-        raise SpecFileError(f"expected {dim} matrix rows, found {len(rows)}{_blank_note(rows)}")
-    try:
-        vals = np.loadtxt(rows, dtype=float, comments=None, ndmin=2)
-    except ValueError as exc:
-        # numpy names the row and column, counting rows from the first matrix row;
-        # its advice after the ';' is about loadtxt's own arguments
-        raise SpecFileError(f"malformed Choi matrix row: {str(exc).partition(';')[0]}") from exc
-    if vals.shape != (dim, 2 * dim):
-        raise SpecFileError(
-            f"expected {dim} rows of {2 * dim} numbers, found {vals.shape[0]} rows of "
-            f"{vals.shape[1]}{_blank_note(rows)}"
-        )
+    """Read a Choi state written by ``save_choi``; its slots must be in canonical order.
+
+    A header that declares more than ``max_dense_dim()`` rows raises
+    ``DimensionLimitError`` before any row is read. The rows are parsed from
+    the open file in one ``np.loadtxt`` pass over exactly the d^(2n) lines
+    after the header, and only blank lines may follow them (or precede the
+    header). A row error is worded by ``_row_error``, which reads the lines
+    again.
+    """
+    with Path(path).open() as fh:
+        header = next((line for line in fh if line.strip()), "").lstrip().rstrip("\n")
+        if not header.startswith(CHOI_MAGIC):
+            raise SpecFileError(f"{path} is not a serialized Choi file")
+        try:
+            fields = dict(tok.split("=", 1) for tok in header.split()[1:])
+            n = int(fields["n"])
+            d = int(fields["d"])
+        except (KeyError, ValueError) as exc:
+            raise SpecFileError(f"malformed Choi header: {header!r}") from exc
+        if fields.get("slots") != slot_labels(n):
+            raise SpecFileError(f"Choi header must list slots={slot_labels(n)}: {header!r}")
+        dim = d ** (2 * n)
+        if dim > max_dense_dim():
+            raise DimensionLimitError(
+                f"Choi matrix dimension {dim} exceeds dense limit {max_dense_dim()}"
+            )
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # an empty body warns; the shape check names it
+                vals = np.loadtxt(itertools.islice(fh, dim), dtype=float, comments=None, ndmin=2)
+        except ValueError:
+            vals = None
+        if vals is None or vals.shape != (dim, 2 * dim) or any(line.strip() for line in fh):
+            raise _row_error(path, dim)
     return DensityMatrix(vals.view(complex), (d,) * (2 * n))
+
+
+def _row_error(path: str | Path, dim: int) -> SpecFileError:
+    """The error of a Choi file whose d^(2n) = ``dim`` rows did not parse, worded from its lines.
+
+    The rows are the lines after the header, without the blank lines that
+    end the file. A wrong row count comes first, then the first malformed
+    row, named by its file line (the header is line 1, unless blank lines
+    precede it) and the column of its first bad token, or of its first
+    missing or extra one; ``np.loadtxt`` on that line alone judges its
+    tokens. Last comes a blank line among the rows, which ``np.loadtxt``
+    skips.
+    """
+    lines = Path(path).read_text().split("\n")
+    head = next(i for i, line in enumerate(lines) if line.strip())
+    rows = lines[head + 1:]
+    while rows and not rows[-1].strip():
+        rows.pop()
+    if len(rows) != dim:
+        return SpecFileError(f"expected {dim} matrix rows, found {len(rows)}{_blank_note(rows)}")
+    for lineno, row in enumerate(rows, start=head + 2):
+        tokens = row.split()
+        if tokens and not _parses(row):
+            for col, token in enumerate(tokens, start=1):
+                if not _parses(token):
+                    return SpecFileError(
+                        f"malformed Choi matrix row at line {lineno}, column {col}: "
+                        f"{token!r} is not a number"
+                    )
+        if tokens and len(tokens) != 2 * dim:
+            return SpecFileError(
+                f"malformed Choi matrix row at line {lineno}, column "
+                f"{min(len(tokens), 2 * dim) + 1}: expected {2 * dim} numbers, found {len(tokens)}"
+            )
+    found = sum(1 for row in rows if row.strip())
+    return SpecFileError(
+        f"expected {dim} rows of {2 * dim} numbers, found {found} rows of {2 * dim}"
+        f"{_blank_note(rows)}"
+    )
+
+
+def _parses(text: str) -> bool:
+    """Whether ``np.loadtxt`` reads the nonblank ``text`` as one row of numbers."""
+    try:
+        np.loadtxt([text], dtype=float, comments=None)
+    except ValueError:
+        return False
+    return True
 
 
 def _blank_note(rows: list[str]) -> str:

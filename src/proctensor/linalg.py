@@ -220,14 +220,6 @@ def permute_subsystems(rho: DensityMatrix, perm: Sequence[int]) -> DensityMatrix
     return DensityMatrix(None, new_dims, factor=new_factor)
 
 
-def eigenvalues_hermitian(m: np.ndarray) -> np.ndarray:
-    """Real spectrum of a Hermitian matrix, ascending."""
-    res = hermiticity_residual(np.asarray(m))
-    if res > DEFAULT_TOL.herm:
-        raise NotHermitianError(f"Hermiticity residual {res:.3e} > {DEFAULT_TOL.herm:.1e}")
-    return np.linalg.eigvalsh(m)
-
-
 def state_spectrum(rho: DensityMatrix) -> np.ndarray:
     """Zero-padded spectrum of a state, from the Gram matrix F^dag F when F is narrow."""
     if rho.factor.shape[1] < rho.dim:

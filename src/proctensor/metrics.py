@@ -110,10 +110,14 @@ def _reports(
     s, n, d = steps.shape[0], steps.shape[1], outputs.shape[-1]
     blocks = steps.reshape(s, n, d, d, d, d)
     s_step = von_neumann_entropies(steps)
-    s_in = von_neumann_entropies(np.einsum("sniojo->snij", blocks))   # i_{j-1}
-    s_out = von_neumann_entropies(np.einsum("snioip->snop", blocks))  # o_j, from the step states
+    singles = von_neumann_entropies(np.concatenate([
+        np.einsum("sniojo->snij", blocks),  # i_{j-1}
+        np.einsum("snioip->snop", blocks),  # o_j, from the step states
+        outputs,                            # o_j, from the transfer or the slots
+    ], axis=1))
+    s_in, s_out, s_outputs = singles[:, :n], singles[:, n:2 * n], singles[:, 2 * n:]
     step = (s_in + s_out - s_step).tolist()
-    total = (np.sum(s_in, axis=1) + np.sum(von_neumann_entropies(outputs), axis=1) - s_global)
+    total = (np.sum(s_in, axis=1) + np.sum(s_outputs, axis=1) - s_global)
     # At n = 1 the one step block is the whole state, so N is exactly 0; the
     # difference of its two spectra's entropies would only show their rounding.
     non_markov = (np.sum(s_step, axis=1) - s_global).tolist() if n > 1 else [0.0] * s

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Literal, Sequence
+from typing import Callable, Iterator, Literal, Sequence
 
 import numpy as np
 
@@ -153,10 +153,9 @@ class CircuitProcessSpec:
             if u.shape != (dim, dim):
                 raise ValueError(f"unitary {j} has shape {u.shape}, expected {(dim, dim)}")
             u.setflags(write=False)
-        object.__setattr__(self, "residuals", tuple(unitarity_residual(np.array(us)).tolist()))
-        for j, res in enumerate(self.residuals):
-            if res > DEFAULT_TOL.eig:
-                raise ValueError(f"unitary {j} unitarity residual {res:.3e}")
+        residuals = unitarity_residual(np.array(us))
+        _check_unitarity(residuals[None])
+        object.__setattr__(self, "residuals", tuple(residuals.tolist()))
 
     @property
     def d_env(self) -> int:
@@ -200,32 +199,78 @@ class Transfer:
 def build_from_circuit(
     spec: CircuitProcessSpec, tol_causal: float = DEFAULT_TOL.causal
 ) -> ProcessTensor:
-    """Process tensor of the Choi-generating circuit of ``spec``.
+    """Process tensor of the Choi-generating circuit of ``spec``: ``build_stack`` on a stack of one.
 
     A fresh maximally entangled pair feeds each step: its live half passes
     through the step unitary (becoming output slot o_j) while the kept half
     becomes input slot i_{j-1}. A single purified environment survives across
     steps and is traced out at the end.
 
-    The 2n slots are never formed here: ``_transfer`` carries the
-    environment and its ancilla through the steps, as a stack of one, and
-    validates its final state, whose trace is that of the Choi state. Leaks
-    that the spec allowed can still move that trace beyond
-    ``DEFAULT_TOL.tr``; the ``NotAStateError`` then names the leakiest
-    unitary. The returned process keeps ``spec`` and the transfer, and
-    simulates its Choi state only when ``state`` is read.
-
-    Causality is decided by ``_unitarity_certificate``, computed from the
-    unitaries alone, with ``tol_causal``; when the certificate cannot decide,
-    the generic hierarchy runs on ``state``. A failed hierarchy raises
-    ``CausalityError``.
+    The 2n slots are never formed here: the returned process keeps ``spec``
+    and the stack's transfer, and simulates its Choi state only when
+    ``state`` is read. The spec's own unitarity residuals feed the
+    certificate. A failed hierarchy raises ``CausalityError``; a trace
+    beyond ``DEFAULT_TOL.tr`` raises ``NotAStateError`` naming the
+    leakiest unitary.
     """
-    residuals = np.array([spec.residuals])
-    upper = _unitarity_certificate(residuals, _traces([spec.env_state]))[0].tolist()
-    certificate = CausalityReport.judge(tuple(upper), upper[0], tol_causal, bounds=True)
-    transfer = _transfer(np.array(spec.unitaries)[None], spec.env_state.factor[None], residuals)
-    pt = ProcessTensor(spec.n, spec.d, certificate, spec, transfer)
-    return replace(pt, causality=_passed(_certified(pt, tol_causal)))
+    transfer, (outcome,) = build_stack(
+        np.array([spec.unitaries]), [spec.env_state], np.array([spec.residuals]), tol_causal
+    )
+    if isinstance(outcome, CausalityError):
+        raise outcome
+    return ProcessTensor(spec.n, spec.d, outcome, spec, transfer)
+
+
+def build_stack(
+    unitaries: np.ndarray,
+    envs: Sequence[DensityMatrix],
+    residuals: np.ndarray,
+    tol_causal: float = DEFAULT_TOL.causal,
+) -> tuple[Transfer, list[CausalityReport | CausalityError]]:
+    """Transfer and causality of a stack of S circuits, each check run once on the stack.
+
+    ``unitaries`` is (S, n, D, D) with D = d d_env, ``envs`` the S initial
+    environments, whose factors share one shape (d_env, r), and
+    ``residuals`` the (S, n) ``unitarity_residual``s of the unitaries. The
+    checks run in this order, and the first sample in stack order that
+    fails one raises the error that building it alone would raise:
+
+    - unitarity: a residual beyond ``DEFAULT_TOL.eig`` raises the
+      ``ValueError`` of ``CircuitProcessSpec``;
+    - final traces (``_transfer``): a trace beyond ``DEFAULT_TOL.tr``
+      raises ``NotAStateError`` naming the leakiest unitary;
+    - certificate (``_unitarity_certificate``), judged by ``_certified``:
+      it decides a sample only where it passes ``_ROUNDING`` below
+      ``tol_causal``. Every other sample falls back, alone, to the generic
+      hierarchy on its simulated Choi state.
+
+    Returns the stacked ``Transfer`` and, per sample in stack order, its
+    causality report, or the ``CausalityError`` of a failed hierarchy.
+    """
+    _check_unitarity(residuals)
+    transfer = _transfer(unitaries, np.array([e.factor for e in envs]), residuals)
+    upper = _unitarity_certificate(residuals, _traces(envs))
+    d = transfer.outputs.shape[-1]
+    outcomes: list[CausalityReport | CausalityError] = []
+    for k, bounds in enumerate(upper.tolist()):
+        report = _certified(
+            tuple(bounds), bounds[0], True, tol_causal,
+            lambda k=k: _choi_state(d, unitaries[k], envs[k].factor, residuals[k]),
+        )
+        outcomes.append(report if report.passed else CausalityError(report))
+    return transfer, outcomes
+
+
+def _check_unitarity(residuals: np.ndarray) -> None:
+    """Raise for the first unitary, in stack then step order, off unitary beyond ``DEFAULT_TOL.eig``.
+
+    ``residuals`` is (S, n): the ``unitarity_residual`` of each circuit's
+    unitaries.
+    """
+    bad = np.argwhere(residuals > DEFAULT_TOL.eig)
+    if len(bad):
+        k, j = bad[0]
+        raise ValueError(f"unitary {j} unitarity residual {residuals[k, j]:.3e}")
 
 
 def _circuit_state(
@@ -312,16 +357,24 @@ def _transfer(unitaries: np.ndarray, env: np.ndarray, residuals: np.ndarray) -> 
 
 
 def _simulate(spec: CircuitProcessSpec) -> DensityMatrix:
-    """Choi state of the circuit of ``spec``, simulated on its 2n slots.
+    """Choi state of the circuit of ``spec``, simulated on its 2n slots (``_choi_state``)."""
+    return _choi_state(spec.d, spec.unitaries, spec.env_state.factor, spec.residuals)
 
-    The rows of the returned state's factor index the 2n slots and its
-    columns (environment, ancilla), where the ancilla indexes the columns of
-    ``spec.env_state.factor``. Raises ``DimensionLimitError`` before it
-    allocates a working dimension beyond ``max_dense_dim()``.
+
+def _choi_state(
+    d: int, unitaries: Sequence[np.ndarray], psi_env: np.ndarray, residuals: Sequence[float]
+) -> DensityMatrix:
+    """Choi state of a circuit on d-dimensional slots, simulated on its 2n slots.
+
+    ``psi_env`` is the factor (d_env, r) of the initial environment and
+    ``residuals`` the unitarity residuals of the n ``unitaries``. The rows
+    of the returned state's factor index the 2n slots and its columns
+    (environment, ancilla), where the ancilla indexes the columns of
+    ``psi_env``. Raises ``DimensionLimitError`` before it allocates a
+    working dimension beyond ``max_dense_dim()``.
     """
-    n, d, de = spec.n, spec.d, spec.d_env
-    psi_env = spec.env_state.factor  # (de, r)
-    r = psi_env.shape[1]
+    n = len(unitaries)
+    de, r = psi_env.shape
     working = d ** (2 * n) * de * r
     if working > max_dense_dim():
         raise DimensionLimitError(
@@ -331,11 +384,11 @@ def _simulate(spec: CircuitProcessSpec) -> DensityMatrix:
     # are I/sqrt(d), so its kept half i_{j-1} selects the input column of
     # the unitary on the live half.
     vec = psi_env.reshape(1, de, r)
-    for u in spec.unitaries:
+    for u in unitaries:
         t = np.tensordot(vec, u.reshape(d, de, d, de), axes=([1], [3]))
         # t axes: (slots, ancilla, o_j, env, i_{j-1})
         vec = t.transpose(0, 4, 2, 3, 1).reshape(-1, de, r) / math.sqrt(d)
-    return _circuit_state(spec.residuals, (d,) * (2 * n), vec.reshape(-1, de * r))
+    return _circuit_state(residuals, (d,) * (2 * n), vec.reshape(-1, de * r))
 
 
 def _level_residuals(chain: Sequence[DensityMatrix], d: int) -> list[float]:
@@ -401,20 +454,25 @@ def _unitarity_certificate(residuals: np.ndarray, t_env: np.ndarray) -> np.ndarr
     return np.concatenate([tails[:, :1], 2.0 * tails[:, 1:]], axis=1)
 
 
-def _certified(pt: ProcessTensor, tol: float) -> CausalityReport:
-    """Judge the residuals that ``pt`` carries at ``tol``.
+def _certified(
+    residuals: tuple[float, ...],
+    base: float,
+    bounds: bool,
+    tol: float,
+    state: Callable[[], DensityMatrix],
+) -> CausalityReport:
+    """Judge carried residuals at ``tol``; ``state()`` gives the Choi state they belong to.
 
     Generic residuals are judged as they are. Bounds hold in exact
     arithmetic, while a computed generic residual may exceed its computed
     bound by rounding, so they certify a pass only ``_ROUNDING`` or more
-    below ``tol``. Otherwise the generic hierarchy of ``pt.state`` decides
+    below ``tol``. Otherwise the generic hierarchy of ``state()`` decides
     and its report is returned.
     """
-    c = pt.causality
-    report = CausalityReport.judge(c.residuals, c.base_residual, tol, c.bounds)
-    if not report.bounds or report.worst + _ROUNDING <= tol:
+    report = CausalityReport.judge(residuals, base, tol, bounds)
+    if not bounds or report.worst + _ROUNDING <= tol:
         return report
-    return verify_causality(pt.state, tol)
+    return verify_causality(state(), tol)
 
 
 def verify_causality(
@@ -435,7 +493,8 @@ def verify_causality(
     from the state, so the verdict is always the generic one.
     """
     if isinstance(state, ProcessTensor):
-        return _certified(state, tol)
+        c = state.causality
+        return _certified(c.residuals, c.base_residual, c.bounds, tol, lambda: state.state)
     n, d = slot_shape(state)
     chain = [state]
     for j in range(n - 1, 0, -1):
@@ -480,15 +539,19 @@ def fredkin_dilation(p: float, d: int = 2) -> CircuitProcessSpec:
     return CircuitProcessSpec(n=1, d=d, env_state=env, unitaries=(fredkin_unitary(d),))
 
 
-def nm_depolarizing_process(p: float) -> ProcessTensor:
-    """Two-step qubit process from two Fredkin interactions with one environment.
+def nm_depolarizing_spec(p: float) -> CircuitProcessSpec:
+    """Two-step qubit circuit of two Fredkin interactions with one environment.
 
     The environment is that of ``fredkin_dilation(p)``; each step is locally
     depolarizing, but memory flows through the shared environment.
     """
     step = fredkin_dilation(p)
-    spec = CircuitProcessSpec(n=2, d=2, env_state=step.env_state, unitaries=step.unitaries * 2)
-    return build_from_circuit(spec)
+    return CircuitProcessSpec(n=2, d=2, env_state=step.env_state, unitaries=step.unitaries * 2)
+
+
+def nm_depolarizing_process(p: float) -> ProcessTensor:
+    """Process tensor of ``nm_depolarizing_spec(p)``."""
+    return build_from_circuit(nm_depolarizing_spec(p))
 
 
 def swap_chain_process(n: int, d: int) -> ProcessTensor:
@@ -576,19 +639,13 @@ def random_processes(
 ) -> Iterator[tuple[Transfer, list[CausalityReport | CausalityError]]]:
     """``random_process`` for the seeds spec.seed, ..., spec.seed + count - 1, built in stacks.
 
-    Yields, per stack of consecutive seeds that fits ``_STACK_BYTES``, the
-    stacked ``Transfer`` and, per sample in seed order, its causality report
-    or the ``CausalityError`` that ``build_from_circuit`` would raise.
-    Sample k is the circuit of ``random_process`` for seed spec.seed + k,
-    bit for bit (``_random_circuits``).
-
-    Each check of ``build_from_circuit`` runs once on the stack: the
-    unitarity residuals, then the final traces, then the certificate. The
-    first sample in seed order that fails a check raises the error that
-    ``CircuitProcessSpec`` or ``_circuit_state`` raises. The certificate
-    decides only where it passes ``_ROUNDING`` below ``tol_causal``; every
-    other sample is built alone by ``build_from_circuit``, whose generic
-    hierarchy decides.
+    Yields, per stack of consecutive seeds that fits ``_STACK_BYTES``,
+    ``build_stack``'s stacked ``Transfer`` and, per sample in seed order,
+    its causality report or the ``CausalityError`` that
+    ``build_from_circuit`` would raise. Sample k is the circuit of
+    ``random_process`` for seed spec.seed + k, bit for bit
+    (``_random_circuits``), so the first sample in seed order that fails a
+    check raises the single-process error.
     """
     dim, de = spec.d * spec.d_env, spec.d_env
     size = max(1, _STACK_BYTES // (16 * (spec.n * dim * dim + (spec.d * de * de) ** 2)))
@@ -620,20 +677,4 @@ def random_stack(
 ) -> tuple[Transfer, list[CausalityReport | CausalityError]]:
     """One stack of ``random_processes``: the seeds spec.seed, ..., spec.seed + count - 1."""
     envs, us = _random_circuits(spec, count)
-    env = np.array([e.factor for e in envs])
-    residuals = unitarity_residual(us)
-    for k in np.flatnonzero(np.any(residuals > DEFAULT_TOL.eig, axis=1)):
-        CircuitProcessSpec(spec.n, spec.d, envs[k], tuple(us[k]))  # raises for its unitary
-    transfer = _transfer(us, env, residuals)
-    upper = _unitarity_certificate(residuals, _traces(envs))
-    outcomes: list[CausalityReport | CausalityError] = []
-    for k, bounds in enumerate(upper.tolist()):
-        if max(bounds) + _ROUNDING <= tol_causal:
-            outcomes.append(CausalityReport.judge(tuple(bounds), bounds[0], tol_causal, True))
-            continue
-        try:
-            circuit = CircuitProcessSpec(spec.n, spec.d, envs[k], tuple(us[k]))
-            outcomes.append(build_from_circuit(circuit, tol_causal).causality)
-        except CausalityError as exc:
-            outcomes.append(exc)
-    return transfer, outcomes
+    return build_stack(us, envs, unitarity_residual(us), tol_causal)

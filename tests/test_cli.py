@@ -22,12 +22,13 @@ from proctensor import (
     kron,
     max_entangled_state,
     maximally_mixed,
+    nm_depolarizing_process,
     random_process,
 )
 from proctensor.processes import swap_unitary
 from proctensor.cli import build_parser, main
 from proctensor.config import DEFAULT_TOL
-from proctensor.linalg import unitarity_residual
+from proctensor.linalg import DimensionLimitError, unitarity_residual
 from proctensor.io import (
     SpecFileError,
     complex_to_pairs,
@@ -35,6 +36,7 @@ from proctensor.io import (
     load_choi,
     load_process_spec,
     save_choi,
+    slot_labels,
 )
 
 from conftest import seeded_circuit_spec
@@ -174,17 +176,29 @@ class TestChoiFile:
         assert "slots=i0,o1,i1,o2" in capsys.readouterr().err
 
     @pytest.mark.parametrize("edit, named", [
-        (lambda ls: ls.__setitem__(6, ls[6].rsplit(" ", 1)[0]), "from 32 to 31 at row"),
-        (lambda ls: ls.__setitem__(6, ls[6] + " 0.0"), "from 32 to 33 at row"),
-        (_retoken(5, 3, "abc"), "'abc' to float64 at row"),
-        (_retoken(5, 3, "#"), "'#' to float64 at row"),
-        (_retoken(5, 3, "1_0"), "'1_0' to float64 at row"),
+        # lines[0] is the header, file line 1, so lines[6] (matrix row 5) is line 7
+        (lambda ls: ls.__setitem__(6, ls[6].rsplit(" ", 1)[0]),
+         "row at line 7, column 32: expected 32 numbers, found 31"),
+        (lambda ls: ls.__setitem__(6, ls[6] + " 0.0"),
+         "row at line 7, column 33: expected 32 numbers, found 33"),
+        (_retoken(5, 3, "abc"), "row at line 7, column 4: 'abc' is not a number"),
+        (_retoken(5, 3, "#"), "row at line 7, column 4: '#' is not a number"),
+        (_retoken(5, 3, "1_0"), "row at line 7, column 4: '1_0' is not a number"),
+        (_retoken(0, 0, "x"), "row at line 2, column 1: 'x' is not a number"),
+        (_retoken(15, 31, "x"), "row at line 17, column 32: 'x' is not a number"),
+        # a short row after a bad token: the first bad line is named
+        (lambda ls: (_retoken(9, 0, "x")(ls), ls.__setitem__(4, ls[4].rsplit(" ", 1)[0])),
+         "row at line 5, column 32: expected 32 numbers, found 31"),
         (lambda ls: ls.insert(6, ""), "expected 16 matrix rows, found 17 (matrix row 5 is blank)"),
         (lambda ls: ls.__setitem__(6, ""), "found 15 rows of 32 (matrix row 5 is blank)"),
         (lambda ls: ls.append(ls[-1]), "expected 16 matrix rows, found 17"),
         (lambda ls: ls.pop(), "expected 16 matrix rows, found 15"),
-    ], ids=["short", "long", "non-numeric", "hash", "underscore", "blank-between",
-            "blank-instead", "row-too-many", "row-too-few"])
+        # the parse sees 16 blank lines, which numpy warns of
+        (lambda ls: ls.__setitem__(slice(1, 1), [""] * 16),
+         "expected 16 matrix rows, found 32 (matrix row 0 is blank)"),
+    ], ids=["short", "long", "non-numeric", "hash", "underscore", "first-row", "last-token",
+            "first-bad-line", "blank-between", "blank-instead",
+            "row-too-many", "row-too-few", "blank-body"])
     def test_malformed_row_exit_two(self, tmp_path, capsys, edit, named):
         path = tmp_path / "choi.txt"
         save_choi(cnot_swap_process().state, path)
@@ -195,6 +209,50 @@ class TestChoiFile:
             load_choi(path)
         assert main(["verify", "--in", str(path)]) == 2
         assert named in capsys.readouterr().err
+
+    def test_blank_lines_around_the_file_are_read_past(self, tmp_path):
+        path = tmp_path / "choi.txt"
+        save_choi(cnot_swap_process().state, path)
+        path.write_text("\n \n" + path.read_text() + "\n  \n\n")
+        assert np.array_equal(load_choi(path).mat, cnot_swap_process().state.mat)
+        # the blank lines before the header count as file lines
+        lines = path.read_text().splitlines()
+        _retoken(7, 3, "abc")(lines)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SpecFileError, match="row at line 9, column 4: 'abc' is not a number"):
+            load_choi(path)
+
+    def test_parse_reads_only_the_declared_rows(self, tmp_path, monkeypatch, capsys):
+        # The rows go to np.loadtxt as they stream from the file, bounded by
+        # the header's d^(2n); a further line is the row-count error.
+        path = tmp_path / "choi.txt"
+        save_choi(cnot_swap_process().state, path)
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join(lines + lines[1:6]) + "\n")
+        handed = []
+        real = np.loadtxt
+
+        def spy(rows, *args, **kwargs):
+            rows = list(rows)
+            handed.append(len(rows))
+            return real(rows, *args, **kwargs)
+
+        monkeypatch.setattr(proctensor.io.np, "loadtxt", spy)
+        with pytest.raises(SpecFileError, match="expected 16 matrix rows, found 21$"):
+            load_choi(path)
+        assert handed == [16]
+
+    def test_header_beyond_the_dense_limit_exit_two(self, tmp_path, monkeypatch, capsys):
+        # n = 11, d = 2 declares 4^11 rows, beyond the 2^20 limit: the file is
+        # refused from its header, and no row is parsed.
+        path = tmp_path / "choi.txt"
+        rows = [" ".join(["0.0"] * 8)] * 3
+        path.write_text("\n".join([f"proctensor-choi n=11 d=2 slots={slot_labels(11)}", *rows]))
+        monkeypatch.setattr(proctensor.io.np, "loadtxt", None)
+        with pytest.raises(DimensionLimitError, match="4194304 exceeds dense limit 1048576"):
+            load_choi(path)
+        assert main(["verify", "--in", str(path)]) == 2
+        assert "4194304 exceeds dense limit" in capsys.readouterr().err
 
     def test_nan_entry_exit_two(self, tmp_path, capsys):
         path = tmp_path / "choi.txt"
@@ -265,6 +323,20 @@ class TestEmitFigureCommand:
         assert last[1:] == pytest.approx([0.0, 0.0, 2 * LN2, 2 * LN2], abs=1e-8)
         for r in rows:
             assert r[1] == pytest.approx(r[2], abs=1e-8)
+
+    @pytest.mark.parametrize("grid", [2, 3, 21, 101])
+    def test_fig6_stacks_match_one_build_per_point(self, tmp_path, grid):
+        # fig6 builds its grid as stacks grouped by environment rank; one
+        # process per point, in grid order, is the oracle, byte for byte.
+        out = tmp_path / "fig6.csv"
+        assert main(["emit-figure", "--figure", "fig6", "--grid", str(grid), "--out", str(out)]) == 0
+        rows = []
+        for j in range(grid):
+            p = j / (grid - 1)
+            rep = correlation_report(nm_depolarizing_process(p))
+            rows.append((p, rep.step_markov[0], rep.step_markov[1], rep.non_markov, rep.total))
+        lines = proctensor.io.csv_lines(("p", "M1", "M2", "N", "I"), rows)
+        assert out.read_text() == "\n".join(lines) + "\n"
 
     def test_fig2_delegates(self, tmp_path):
         out = tmp_path / "fig2.csv"

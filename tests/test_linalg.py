@@ -8,7 +8,6 @@ from proctensor import (
     DimensionLimitError,
     NotAStateError,
     NotHermitianError,
-    eigenvalues_hermitian,
     kron,
     max_entangled_state,
     maximally_mixed,
@@ -180,19 +179,9 @@ class TestPartialTranspose:
 
 
 class TestEigenvalues:
-    def test_identity(self):
-        assert np.allclose(eigenvalues_hermitian(np.eye(3)), [1, 1, 1])
-
-    def test_diagonal(self):
-        assert np.allclose(eigenvalues_hermitian(np.diag([0.8, 0.2])), [0.2, 0.8])
-
     def test_depolarizing_spectrum(self):
-        got = eigenvalues_hermitian(depolarizing_choi(2, 0.5).state.mat)
+        got = state_spectrum(depolarizing_choi(2, 0.5).state)
         assert np.allclose(got, [1 / 8, 1 / 8, 1 / 8, 5 / 8])
-
-    def test_non_hermitian_rejected(self):
-        with pytest.raises(NotHermitianError):
-            eigenvalues_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 class TestEntropy:

@@ -21,8 +21,10 @@ from proctensor import (
     depolarizing_choi,
     implication_checks,
     kron,
+    mutual_information,
     nm_depolarizing_process,
     non_markovianity_crosscheck,
+    partial_trace,
     random_process,
     swap_chain_process,
 )
@@ -76,6 +78,23 @@ class TestCorrelationReport:
                 rep = correlation_report(source)
                 assert rep.non_markov == 0.0
                 assert rep.additivity_residual == abs(rep.total - rep.markov)
+
+    @pytest.mark.parametrize("env_init", ["pure-ground", "seeded-random"])
+    @pytest.mark.parametrize("n, d", [(2, 2), (3, 2), (2, 3)])
+    def test_matches_mutual_information_of_the_slots(self, n, d, env_init):
+        # A non-maximally-mixed environment leaves the outputs o_j mixed
+        # unequally, so S(o_j) != S(i_{j-1}); every quantity is a mutual
+        # information of the dense Choi state.
+        for seed in range(3):
+            pt = random_process(RandomSpec(n=n, d=d, d_env=2, seed=seed, env_init=env_init))
+            rep, state = correlation_report(pt), pt.state
+            singles = [(k,) for k in range(2 * n)]
+            blocks = [(2 * j, 2 * j + 1) for j in range(n)]
+            assert rep.total == pytest.approx(mutual_information(state, singles), abs=1e-12)
+            assert rep.non_markov == pytest.approx(mutual_information(state, blocks), abs=1e-12)
+            for j, m in enumerate(rep.step_markov):
+                step = partial_trace(state, blocks[j])
+                assert m == pytest.approx(mutual_information(step, ((0,), (1,))), abs=1e-12)
 
     def test_raw_state_accepted(self, rng):
         rep = correlation_report(random_density(rng, (2, 2, 2, 2)))

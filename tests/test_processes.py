@@ -32,6 +32,7 @@ from proctensor import (
     verify_causality,
 )
 
+from proctensor.linalg import unitarity_residual
 from proctensor.processes import random_env, random_processes
 
 from conftest import leaky_unitary, random_density, seeded_circuit_spec
@@ -479,3 +480,80 @@ class TestRandomProcesses:
         monkeypatch.setattr(proctensor.processes, "_random_circuits", spoiled)
         with pytest.raises(error, match=message):
             list(random_processes(RandomSpec(n=3, d=2, d_env=1, seed=0), 6))
+
+
+def stack_of(specs):
+    """``build_stack``'s arguments for a list of specs that share one environment factor shape."""
+    return (
+        np.array([s.unitaries for s in specs]),
+        [s.env_state for s in specs],
+        np.array([s.residuals for s in specs]),
+    )
+
+
+class TestBuildStack:
+    """Stacks of given circuits; ``build_from_circuit`` on each circuit alone is the oracle."""
+
+    @staticmethod
+    def mixed_specs():
+        # At 2e-11: exact Haar circuits, whose certificates pass; a circuit
+        # about 2e-11 off unitary, whose certificate (4.0e-11) cannot decide
+        # and whose generic residuals (at most 5.0e-12) pass; and an
+        # environment of trace 1 + 9e-11, whose base residual of 4.5e-11
+        # fails the generic hierarchy.
+        return [
+            seeded_circuit_spec(3, 2, 2, 0, "maximally-mixed"),
+            seeded_circuit_spec(3, 2, 2, 145, "maximally-mixed", leak=1e-11),
+            seeded_circuit_spec(3, 2, 2, 1, "maximally-mixed"),
+            seeded_circuit_spec(3, 2, 2, 2, "maximally-mixed", env_trace=1.0 + 9e-11),
+            seeded_circuit_spec(3, 2, 2, 3, "maximally-mixed"),
+        ]
+
+    @pytest.mark.parametrize("tol", [0.0, 2e-11, 1e-9, 1.0])
+    def test_outcomes_match_one_build_per_circuit(self, tol):
+        specs = self.mixed_specs()
+        transfer, outcomes = proctensor.processes.build_stack(*stack_of(specs), tol)
+        assert len(outcomes) == len(specs)
+        kinds = []
+        for k, (spec, outcome) in enumerate(zip(specs, outcomes)):
+            try:
+                alone = build_from_circuit(spec, tol)
+            except CausalityError as exc:
+                assert isinstance(outcome, CausalityError)
+                assert outcome.report == exc.report
+                kinds.append("failed")
+                continue
+            assert outcome == alone.causality
+            kinds.append("certified" if outcome.bounds else "generic")
+            for field in ("steps", "outputs", "final"):
+                got, want = getattr(transfer, field)[k], getattr(alone.transfer, field)[0]
+                assert np.max(np.abs(got - want)) <= 1e-12
+        if tol == 2e-11:
+            assert kinds == ["certified", "generic", "certified", "failed", "certified"]
+        if tol == 0.0:
+            assert "certified" not in kinds
+
+    def test_first_non_unitary_sample_raises_its_spec_error(self):
+        specs = self.mixed_specs()
+        us, envs, residuals = stack_of(specs)
+        us = us.copy()
+        us[1, 2] *= 1.0 + 1e-6
+        us[3, 0] *= 1.0 + 1e-6
+        with pytest.raises(ValueError) as alone:
+            CircuitProcessSpec(3, 2, envs[1], tuple(us[1]))
+        with pytest.raises(ValueError) as stacked:
+            proctensor.processes.build_stack(us, envs, unitarity_residual(us))
+        assert str(stacked.value) == str(alone.value)
+        assert str(alone.value).startswith("unitary 2 unitarity residual")
+
+    def test_first_leaky_sample_raises_its_single_process_error(self):
+        # Samples 1 and 3 move the trace beyond DEFAULT_TOL.tr, sample 2
+        # leaks within it; the first leaky sample in stack order is named.
+        specs = [seeded_circuit_spec(4, 2, 1, seed, "maximally-mixed", leak=leak)
+                 for seed, leak in ((3, 0.0), (1, 8e-11), (3, 8e-11), (0, 2.7e-11))]
+        with pytest.raises(NotAStateError) as alone:
+            build_from_circuit(specs[1])
+        with pytest.raises(NotAStateError) as stacked:
+            proctensor.processes.build_stack(*stack_of(specs))
+        assert str(stacked.value) == str(alone.value)
+        assert "leak trace, unitary 2 the most (unitarity residual 1.600e-10)" in str(alone.value)
