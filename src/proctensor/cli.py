@@ -170,9 +170,7 @@ def cmd_audit_random(args: argparse.Namespace) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     path = Path(args.infile)
-    with path.open(encoding="utf-8", errors="replace") as fh:
-        head = fh.read(len(io.CHOI_MAGIC))
-    if head == io.CHOI_MAGIC:
+    if io.is_choi_file(path):
         report = verify_causality(io.load_choi(path), args.tol)
     else:
         try:

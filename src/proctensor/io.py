@@ -13,7 +13,7 @@ import itertools
 import json
 import warnings
 from pathlib import Path
-from typing import Any, Iterable, get_args
+from typing import Any, Iterable, TextIO, get_args
 
 import numpy as np
 
@@ -109,6 +109,20 @@ def save_choi(state: DensityMatrix, path: str | Path) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _at_choi_magic(fh: TextIO) -> bool:
+    """Whether ``CHOI_MAGIC`` follows the leading whitespace of ``fh``; reads past both, no further."""
+    char = fh.read(1)
+    while char.isspace():
+        char = fh.read(1)
+    return char + fh.read(len(CHOI_MAGIC) - 1) == CHOI_MAGIC
+
+
+def is_choi_file(path: str | Path) -> bool:
+    """Whether ``path`` is a serialized Choi file by ``load_choi``'s rule (``_at_choi_magic``)."""
+    with Path(path).open(encoding="utf-8", errors="replace") as fh:
+        return _at_choi_magic(fh)
+
+
 def load_choi(path: str | Path) -> DensityMatrix:
     """Read a Choi state written by ``save_choi``; its slots must be in canonical order.
 
@@ -120,15 +134,20 @@ def load_choi(path: str | Path) -> DensityMatrix:
     again.
     """
     with Path(path).open() as fh:
-        header = next((line for line in fh if line.strip()), "").lstrip().rstrip("\n")
-        if not header.startswith(CHOI_MAGIC):
+        if not _at_choi_magic(fh):
             raise SpecFileError(f"{path} is not a serialized Choi file")
+        header = CHOI_MAGIC + fh.readline().rstrip("\n")
         try:
             fields = dict(tok.split("=", 1) for tok in header.split()[1:])
             n = int(fields["n"])
             d = int(fields["d"])
         except (KeyError, ValueError) as exc:
             raise SpecFileError(f"malformed Choi header: {header!r}") from exc
+        for name, value, least in (("n", n, 1), ("d", d, 2)):
+            if value < least:
+                raise SpecFileError(
+                    f"malformed Choi header: {name} must be >= {least}, got {value}: {header!r}"
+                )
         if fields.get("slots") != slot_labels(n):
             raise SpecFileError(f"Choi header must list slots={slot_labels(n)}: {header!r}")
         dim = d ** (2 * n)

@@ -230,8 +230,9 @@ def build_stack(
     """Transfer and causality of a stack of S circuits, each check run once on the stack.
 
     ``unitaries`` is (S, n, D, D) with D = d d_env, ``envs`` the S initial
-    environments, whose factors share one shape (d_env, r), and
-    ``residuals`` the (S, n) ``unitarity_residual``s of the unitaries. The
+    environments, whose factors share one shape (d_env, r) (one object
+    listed S times is read once), and ``residuals`` the (S, n)
+    ``unitarity_residual``s of the unitaries. The
     checks run in this order, and the first sample in stack order that
     fails one raises the error that building it alone would raise:
 
@@ -248,8 +249,13 @@ def build_stack(
     causality report, or the ``CausalityError`` of a failed hierarchy.
     """
     _check_unitarity(residuals)
-    transfer = _transfer(unitaries, np.array([e.factor for e in envs]), residuals)
-    upper = _unitarity_certificate(residuals, _traces(envs))
+    if all(e is envs[0] for e in envs):  # one state serves the stack
+        factors = np.broadcast_to(envs[0].factor, (len(envs),) + envs[0].factor.shape)
+        traces = np.broadcast_to(_traces(envs[:1]), len(envs))
+    else:
+        factors, traces = np.array([e.factor for e in envs]), _traces(envs)
+    transfer = _transfer(unitaries, factors, residuals)
+    upper = _unitarity_certificate(residuals, traces)
     d = transfer.outputs.shape[-1]
     outcomes: list[CausalityReport | CausalityError] = []
     for k, bounds in enumerate(upper.tolist()):
@@ -346,6 +352,7 @@ def _transfer(unitaries: np.ndarray, env: np.ndarray, residuals: np.ndarray) -> 
         else:
             t = np.conjugate(t, order="C").reshape(s, de * r, -1)
             fac = np.linalg.qr(t.swapaxes(1, 2), mode="r").conj().swapaxes(1, 2)
+        del t  # else the next step's factors would form beside it
     traces = np.sum(np.abs(fac.reshape(s, -1)) ** 2, axis=1)
     bad = ~(np.abs(traces - 1.0) <= DEFAULT_TOL.tr)  # catches NaN too
     for k in np.flatnonzero(bad):
@@ -628,10 +635,35 @@ def random_process(spec: RandomSpec) -> ProcessTensor:
     return build_from_circuit(CircuitProcessSpec(spec.n, spec.d, env, tuple(us)))
 
 
-# Bytes of the widest arrays in one stack of ``random_processes``: per sample, its unitaries
-# and its transfer's factor before a step's cut. At n = 3, d = 2, d_env = 4 a stack holds 8
-# samples; more add peak memory and gain little time.
-_STACK_BYTES = 160_000
+# Bytes that one stack of ``random_processes`` may hold at its peak, which is in ``_transfer``.
+# Measured with ``tracemalloc`` (numpy 2.4), a sample holds two of its widest factors (a
+# step's factor and its conjugate copy, before the cut), about six arrays the size of its
+# unitaries and two of its step marginals: 55 kB at n = 3, d = 2, d_env = 4 and 67 kB at
+# n = 5, which ``_sample_bytes`` bounds from above. A stack adds up to ``_STACK_FIXED`` of
+# numpy's own buffers. In time, on one core of an Intel Xeon, a stack of n = 3 samples costs
+# about 1.2 ms plus 0.27 ms per sample, and per sample it gains nothing beyond about 34
+# samples, while its memory grows; so the budget gives 34 samples (2 MB) at n = 3, d = 2,
+# d_env = 4, and a peak memory that does not grow with the count.
+_STACK_BYTES = 2_190_000
+_STACK_FIXED = 160_000
+
+
+def _sample_bytes(n: int, d: int, d_env: int) -> int:
+    """Upper bound on the bytes one sample of a ``random_stack`` holds in ``_transfer``.
+
+    The environment's factor has d_env r columns with r <= d_env, so a step's
+    factor has at most d^2 d_env r rows and min(d^(2(n-1)), d_env r) columns
+    (``_transfer``; d^(2 d_env) >= d_env^2 caps the exponent). The step
+    marginals are n matrices of side d^2, kept in a list and then stacked;
+    6 kB more cover the sample's Python objects (its generator, reports).
+    """
+    wide = d * d * d_env**2 * min(d ** (2 * min(n - 1, d_env)), d_env**2)
+    return 16 * (2 * wide + 6 * n * (d * d_env) ** 2 + 2 * n * d**4) + 6144
+
+
+def _stack_size(spec: RandomSpec) -> int:
+    """Most samples of ``spec``'s shape that one stack holds within ``_STACK_BYTES``; at least 1."""
+    return max(1, (_STACK_BYTES - _STACK_FIXED) // _sample_bytes(spec.n, spec.d, spec.d_env))
 
 
 def random_processes(
@@ -639,19 +671,18 @@ def random_processes(
 ) -> Iterator[tuple[Transfer, list[CausalityReport | CausalityError]]]:
     """``random_process`` for the seeds spec.seed, ..., spec.seed + count - 1, built in stacks.
 
-    Yields, per stack of consecutive seeds that fits ``_STACK_BYTES``,
-    ``build_stack``'s stacked ``Transfer`` and, per sample in seed order,
-    its causality report or the ``CausalityError`` that
-    ``build_from_circuit`` would raise. Sample k is the circuit of
-    ``random_process`` for seed spec.seed + k, bit for bit
-    (``_random_circuits``), so the first sample in seed order that fails a
-    check raises the single-process error.
+    Yields, per stack of consecutive seeds, ``build_stack``'s stacked
+    ``Transfer`` and, per sample in seed order, its causality report or the
+    ``CausalityError`` that ``build_from_circuit`` would raise. The stacks
+    are the fewest of at most ``_stack_size`` samples, and their sizes
+    differ by at most one. Sample k is the circuit of ``random_process`` for
+    seed spec.seed + k, bit for bit (``_random_circuits``), so the first
+    sample in seed order that fails a check raises the single-process error.
     """
-    dim, de = spec.d * spec.d_env, spec.d_env
-    size = max(1, _STACK_BYTES // (16 * (spec.n * dim * dim + (spec.d * de * de) ** 2)))
-    for start in range(0, count, size):
-        stack = replace(spec, seed=spec.seed + start)
-        yield random_stack(stack, min(size, count - start), tol_causal)
+    stacks = -(-count // _stack_size(spec))
+    for k in range(stacks):
+        start, stop = k * count // stacks, (k + 1) * count // stacks
+        yield random_stack(replace(spec, seed=spec.seed + start), stop - start, tol_causal)
 
 
 def _random_circuits(spec: RandomSpec, count: int) -> tuple[list[DensityMatrix], np.ndarray]:

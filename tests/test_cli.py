@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+from io import StringIO
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from proctensor import (
     maximally_mixed,
     nm_depolarizing_process,
     random_process,
+    swap_chain_process,
 )
 from proctensor.processes import swap_unitary
 from proctensor.cli import build_parser, main
@@ -222,6 +224,39 @@ class TestChoiFile:
         with pytest.raises(SpecFileError, match="row at line 9, column 4: 'abc' is not a number"):
             load_choi(path)
 
+    def test_verify_reads_past_blank_lines_before_the_header(self, tmp_path, capsys):
+        path = tmp_path / "choi.txt"
+        save_choi(swap_chain_process(4, 2).state, path)
+        path.write_text("\n" + path.read_text())
+        assert proctensor.io.is_choi_file(path)
+        assert main(["verify", "--in", str(path)]) == 0
+        assert "causality_pass = True" in capsys.readouterr().out
+
+    def test_magic_sniff_reads_only_whitespace_and_the_magic(self):
+        fh = StringIO("\n \t\nproctensor-choi n=1 d=2 slots=i0,o1\n")
+        assert proctensor.io._at_choi_magic(fh)
+        assert fh.read() == " n=1 d=2 slots=i0,o1\n"
+        fh = StringIO("\n{\"n\": 1}")
+        assert not proctensor.io._at_choi_magic(fh)
+        assert fh.read() == ""  # the spec was shorter than the magic
+        assert not proctensor.io._at_choi_magic(StringIO(" \n"))
+
+    @pytest.mark.parametrize("n, d, named", [
+        (-1, 2, "n must be >= 1, got -1"), (0, 2, "n must be >= 1, got 0"),
+        (1, 1, "d must be >= 2, got 1"), (1, 0, "d must be >= 2, got 0"),
+    ])
+    def test_header_below_one_step_or_two_levels_exit_two(
+        self, tmp_path, monkeypatch, capsys, n, d, named
+    ):
+        # refused from the header, before any row is read
+        path = tmp_path / "choi.txt"
+        path.write_text(f"proctensor-choi n={n} d={d} slots={slot_labels(n)}\n1.0 0.0\n")
+        monkeypatch.setattr(proctensor.io.np, "loadtxt", None)
+        with pytest.raises(SpecFileError, match=f"malformed Choi header: {named}"):
+            load_choi(path)
+        assert main(["verify", "--in", str(path)]) == 2
+        assert f"malformed Choi header: {named}" in capsys.readouterr().err
+
     def test_parse_reads_only_the_declared_rows(self, tmp_path, monkeypatch, capsys):
         # The rows go to np.loadtxt as they stream from the file, bounded by
         # the header's d^(2n); a further line is the row-count error.
@@ -419,16 +454,48 @@ class TestAuditRandomCommand:
         text = out.read_text()
         assert "violations = 0" in text and "min_slack_unordered = 0.0\n" in text
 
-    @pytest.mark.parametrize("budget", [1, 10**12])
-    def test_summary_does_not_depend_on_stack_boundaries(self, tmp_path, monkeypatch, budget):
-        # the default budget makes stacks of 8, 8, 8 and 1; these make 25
-        # stacks of one sample and one stack of all 25
-        args = ["audit-random", "--n", "3", "--samples", "25", "--seed", "5"]
+    @pytest.mark.parametrize("budget, stacks", [
+        pytest.param(1, [1] * 35, id="1"),
+        pytest.param(10**12, [35], id="1000000000000"),
+        pytest.param(
+            proctensor.processes._STACK_FIXED + 13 * proctensor.processes._sample_bytes(3, 2, 4),
+            [11, 12, 12], id="uneven-stacks",
+        ),
+    ])
+    def test_summary_does_not_depend_on_stack_boundaries(self, tmp_path, monkeypatch, budget, stacks):
+        # The default budget splits 35 samples into stacks of 17 and 18; these
+        # make 35 stacks of one, one stack of all 35, and stacks of at most 13.
+        args = ["audit-random", "--n", "3", "--samples", "35", "--seed", "5"]
         default, stacked = tmp_path / "default.txt", tmp_path / "stacked.txt"
+        sizes = self.stack_sizes(monkeypatch)
         assert main(args + ["--out", str(default)]) == 0
+        assert sizes == [17, 18]
+        sizes.clear()
         monkeypatch.setattr(proctensor.processes, "_STACK_BYTES", budget)
         assert main(args + ["--out", str(stacked)]) == 0
+        assert sizes == stacks
         assert stacked.read_bytes() == default.read_bytes()
+
+    @staticmethod
+    def stack_sizes(monkeypatch) -> list[int]:
+        """The sizes of the stacks ``random_processes`` builds from now on, in order."""
+        sizes = []
+        real = proctensor.processes.random_stack
+
+        def counting(spec, count, tol_causal):
+            sizes.append(count)
+            return real(spec, count, tol_causal)
+
+        monkeypatch.setattr(proctensor.processes, "random_stack", counting)
+        return sizes
+
+    def test_default_audit_runs_in_the_fewest_near_equal_stacks(self, tmp_path, monkeypatch):
+        # n = 3, d = 2, d_env = 4 stacks hold at most 34 samples
+        assert proctensor.processes._stack_size(RandomSpec(3, 2, 4, 0)) == 34
+        sizes = self.stack_sizes(monkeypatch)
+        out = tmp_path / "audit.txt"
+        assert main(["audit-random", "--n", "3", "--samples", "100", "--out", str(out)]) == 0
+        assert sizes == [33, 33, 34]
 
     def test_failing_generic_sample_counts_once(self, tmp_path, monkeypatch):
         # Sample 1 gets no certificate, in its stack and when it is rebuilt

@@ -1,3 +1,4 @@
+import itertools
 import math
 import tracemalloc
 
@@ -33,7 +34,7 @@ from proctensor import (
 )
 
 from proctensor.linalg import unitarity_residual
-from proctensor.processes import random_env, random_processes
+from proctensor.processes import _STACK_BYTES, random_env, random_processes, random_stack
 
 from conftest import leaky_unitary, random_density, seeded_circuit_spec
 
@@ -481,6 +482,23 @@ class TestRandomProcesses:
         with pytest.raises(error, match=message):
             list(random_processes(RandomSpec(n=3, d=2, d_env=1, seed=0), 6))
 
+    @pytest.mark.parametrize("env_init", ["maximally-mixed", "pure-ground", "seeded-random"])
+    def test_stack_peak_memory_fits_the_budget(self, env_init):
+        # ``_sample_bytes`` bounds what a sample holds from above, so the
+        # largest stack ``random_processes`` builds fits ``_STACK_BYTES``;
+        # only a single sample may exceed it alone.
+        for n, d, d_env in itertools.product((1, 2, 3, 5, 8), (2, 3), (1, 2, 4)):
+            spec = RandomSpec(n=n, d=d, d_env=d_env, seed=11, env_init=env_init)
+            size = proctensor.processes._stack_size(spec)
+            random_stack(spec, 1)  # lazy imports and first-call set-up
+            tracemalloc.start()
+            try:
+                random_stack(spec, size)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= _STACK_BYTES or size == 1, (n, d, d_env, size, peak)
+
 
 def stack_of(specs):
     """``build_stack``'s arguments for a list of specs that share one environment factor shape."""
@@ -532,6 +550,24 @@ class TestBuildStack:
             assert kinds == ["certified", "generic", "certified", "failed", "certified"]
         if tol == 0.0:
             assert "certified" not in kinds
+
+    @pytest.mark.parametrize("tol", [2e-11, 1e-9])
+    def test_shared_environment_is_read_once_bit_for_bit(self, tol):
+        # One environment object serving the stack is read once and
+        # broadcast; equal copies, one per sample, are read one by one. Its
+        # trace, 1 + 9e-11, fails the generic hierarchy at 2e-11.
+        specs = self.mixed_specs()
+        env = specs[3].env_state
+        us, _, residuals = stack_of(specs)
+        copies = [DensityMatrix(None, env.dims, factor=env.factor.copy()) for _ in specs]
+        shared = proctensor.processes.build_stack(us, [env] * len(specs), residuals, tol)
+        alone = proctensor.processes.build_stack(us, copies, residuals, tol)
+        for field in ("steps", "outputs", "final"):
+            assert np.array_equal(getattr(shared[0], field), getattr(alone[0], field))
+        for a, b in zip(shared[1], alone[1]):
+            assert type(a) is type(b)
+            assert (a.report == b.report) if isinstance(a, CausalityError) else a == b
+        assert any(isinstance(a, CausalityError) for a in shared[1]) == (tol == 2e-11)
 
     def test_first_non_unitary_sample_raises_its_spec_error(self):
         specs = self.mixed_specs()
