@@ -50,7 +50,7 @@ def unitarity_residual(u: np.ndarray) -> float | np.ndarray:
     SVD. A single matrix gives a float.
     """
     gram = u.conj().swapaxes(-1, -2) @ u - np.eye(u.shape[-1])
-    res = np.linalg.svd(gram, compute_uv=False).max(axis=-1)  # what norm(gram, 2) runs
+    res = np.linalg.norm(gram, 2, axis=(-2, -1))
     return float(res) if res.ndim == 0 else res
 
 
@@ -71,7 +71,7 @@ class DensityMatrix:
     dropped, sum beyond ``DEFAULT_TOL.tr`` is rejected.
     """
 
-    __slots__ = ("_mat", "_factor", "dims")
+    __slots__ = ("_mat", "_factor", "_trace", "dims")
 
     def __init__(
         self, mat: np.ndarray | None, dims: Sequence[int], *, factor: np.ndarray | None = None
@@ -119,6 +119,7 @@ class DensityMatrix:
             raise NotAStateError(f"factor trace {tr} deviates from 1 beyond {tol.tr:.1e}")
         factor.setflags(write=False)
         self._factor = factor
+        self._trace = tr
         self._mat = mat
 
     @property
@@ -134,6 +135,11 @@ class DensityMatrix:
     def factor(self) -> np.ndarray:
         """Factor F with rho = F F^dag, shape (dim, rank)."""
         return self._factor
+
+    @property
+    def trace(self) -> float:
+        """tr rho as validated: the sum of |F|^2 over the factor, in its memory order."""
+        return self._trace
 
     @property
     def dim(self) -> int:

@@ -230,9 +230,8 @@ def build_stack(
     """Transfer and causality of a stack of S circuits, each check run once on the stack.
 
     ``unitaries`` is (S, n, D, D) with D = d d_env, ``envs`` the S initial
-    environments, whose factors share one shape (d_env, r) (one object
-    listed S times is read once), and ``residuals`` the (S, n)
-    ``unitarity_residual``s of the unitaries. The
+    environments, whose factors share one shape (d_env, r), and
+    ``residuals`` the (S, n) ``unitarity_residual``s of the unitaries. The
     checks run in this order, and the first sample in stack order that
     fails one raises the error that building it alone would raise:
 
@@ -249,13 +248,8 @@ def build_stack(
     causality report, or the ``CausalityError`` of a failed hierarchy.
     """
     _check_unitarity(residuals)
-    if all(e is envs[0] for e in envs):  # one state serves the stack
-        factors = np.broadcast_to(envs[0].factor, (len(envs),) + envs[0].factor.shape)
-        traces = np.broadcast_to(_traces(envs[:1]), len(envs))
-    else:
-        factors, traces = np.array([e.factor for e in envs]), _traces(envs)
-    transfer = _transfer(unitaries, factors, residuals)
-    upper = _unitarity_certificate(residuals, traces)
+    transfer = _transfer(unitaries, np.array([e.factor for e in envs]), residuals)
+    upper = _unitarity_certificate(residuals, np.array([e.trace for e in envs]))
     d = transfer.outputs.shape[-1]
     outcomes: list[CausalityReport | CausalityError] = []
     for k, bounds in enumerate(upper.tolist()):
@@ -421,11 +415,6 @@ def _level_residuals(chain: Sequence[DensityMatrix], d: int) -> list[float]:
 # largest excess over the SWAP, Fredkin and CNOT circuits and 600 random processes, n <= 5,
 # d <= 3, half leaking 1e-13 to 3e-11, half with tr env up to 9e-11 off 1, was 3.7e-16.
 _ROUNDING = 1e-14
-
-
-def _traces(states: Sequence[DensityMatrix]) -> np.ndarray:
-    """Traces of the states' factors, each summed as ``DensityMatrix`` sums it."""
-    return np.array([np.sum(np.abs(state.factor) ** 2) for state in states])
 
 
 def _unitarity_certificate(residuals: np.ndarray, t_env: np.ndarray) -> np.ndarray:

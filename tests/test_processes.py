@@ -551,24 +551,6 @@ class TestBuildStack:
         if tol == 0.0:
             assert "certified" not in kinds
 
-    @pytest.mark.parametrize("tol", [2e-11, 1e-9])
-    def test_shared_environment_is_read_once_bit_for_bit(self, tol):
-        # One environment object serving the stack is read once and
-        # broadcast; equal copies, one per sample, are read one by one. Its
-        # trace, 1 + 9e-11, fails the generic hierarchy at 2e-11.
-        specs = self.mixed_specs()
-        env = specs[3].env_state
-        us, _, residuals = stack_of(specs)
-        copies = [DensityMatrix(None, env.dims, factor=env.factor.copy()) for _ in specs]
-        shared = proctensor.processes.build_stack(us, [env] * len(specs), residuals, tol)
-        alone = proctensor.processes.build_stack(us, copies, residuals, tol)
-        for field in ("steps", "outputs", "final"):
-            assert np.array_equal(getattr(shared[0], field), getattr(alone[0], field))
-        for a, b in zip(shared[1], alone[1]):
-            assert type(a) is type(b)
-            assert (a.report == b.report) if isinstance(a, CausalityError) else a == b
-        assert any(isinstance(a, CausalityError) for a in shared[1]) == (tol == 2e-11)
-
     def test_first_non_unitary_sample_raises_its_spec_error(self):
         specs = self.mixed_specs()
         us, envs, residuals = stack_of(specs)
