@@ -56,13 +56,13 @@ def _parse_tol(text: str) -> float:
 
 
 def _grid(points: int) -> list[float]:
+    """``points`` evenly spaced values of p in [0, 1]; fewer than 2 is a usage error."""
+    if points < 2:
+        raise ValueError("--grid must be >= 2")
     return [j / (points - 1) for j in range(points)]
 
 
 def cmd_sweep_depolarizing(args: argparse.Namespace) -> int:
-    if args.grid < 2:
-        print("error: --grid must be >= 2", file=sys.stderr)
-        return EXIT_USAGE
     rows = []
     for d in args.d:
         for p in _grid(args.grid):
@@ -74,6 +74,9 @@ def cmd_sweep_depolarizing(args: argparse.Namespace) -> int:
 def cmd_emit_figure(args: argparse.Namespace) -> int:
     if args.figure == "fig2":
         return cmd_sweep_depolarizing(args)
+    if args.d != [2]:
+        print("error: --figure fig6 is a qubit circuit and takes no --d but 2", file=sys.stderr)
+        return EXIT_USAGE
     grid = _grid(args.grid)
     specs = [nm_depolarizing_spec(p) for p in grid]
     # A stack shares one environment factor shape: rank 2 at p = 0 and 1, rank 4 between.
@@ -83,14 +86,16 @@ def cmd_emit_figure(args: argparse.Namespace) -> int:
     rows = {}
     for ks in groups.values():
         stack = [specs[k] for k in ks]
-        transfer, outcomes = build_stack(
+        transfer, causalities = build_stack(
             np.array([s.unitaries for s in stack]),
             [s.env_state for s in stack],
             np.array([s.residuals for s in stack]),
         )
-        for k, outcome, r in zip(ks, outcomes, transfer_reports(transfer)):
-            if isinstance(outcome, CausalityError):
-                raise outcome
+        for k, causality, r in zip(ks, causalities, transfer_reports(transfer)):
+            if not causality.passed:
+                print(f"error: causality hierarchy violated at p = {grid[k]}: worst residual "
+                      f"{causality.worst:.3e} > {causality.tol:.1e}", file=sys.stderr)
+                return EXIT_VIOLATION
             rows[k] = (grid[k], r.step_markov[0], r.step_markov[1], r.non_markov, r.total)
     lines = io.csv_lines(("p", "M1", "M2", "N", "I"), (rows[k] for k in range(len(grid))))
     _write_lines(args.out, lines)
@@ -131,13 +136,12 @@ def cmd_audit_random(args: argparse.Namespace) -> int:
     min_slacks = dict.fromkeys(SLACK_NAMES, math.inf)
     violations = 0
     spec = RandomSpec(n=args.n, d=args.d, d_env=args.denv, seed=args.seed)
-    for transfer, outcomes in random_processes(spec, args.samples):
-        for outcome, report in zip(outcomes, transfer_reports(transfer)):
-            if isinstance(outcome, CausalityError):
-                worst_causality = max(worst_causality, outcome.report.worst)
+    for transfer, causalities in random_processes(spec, args.samples):
+        for causality, report in zip(causalities, transfer_reports(transfer)):
+            worst_causality = max(worst_causality, causality.worst)
+            if not causality.passed:
                 violations += 1
                 continue
-            worst_causality = max(worst_causality, outcome.worst)
             audit = audit_bounds(report, args.tol)
             slacks = {
                 "unordered": min(audit.unordered_slack),

@@ -23,6 +23,7 @@ from .metrics import BoundAudit, CorrelationReport
 from .processes import CausalityReport, CircuitProcessSpec, EnvInit, random_env
 
 CHOI_MAGIC = "proctensor-choi"
+_QUOTED = 120  # most characters of a Choi header that an error message quotes
 
 
 class SpecFileError(ValueError):
@@ -127,11 +128,12 @@ def load_choi(path: str | Path) -> DensityMatrix:
     """Read a Choi state written by ``save_choi``; its slots must be in canonical order.
 
     A header that declares more than ``max_dense_dim()`` rows raises
-    ``DimensionLimitError`` before any row is read. The rows are parsed from
-    the open file in one ``np.loadtxt`` pass over exactly the d^(2n) lines
-    after the header, and only blank lines may follow them (or precede the
-    header). A row error is worded by ``_row_error``, which reads the lines
-    again.
+    ``DimensionLimitError`` before its slots are checked or any row is read;
+    errors quote at most ``_QUOTED`` characters of it or of its expected
+    slots. The rows are parsed from the open file in one ``np.loadtxt`` pass
+    over exactly the d^(2n) lines after the header, and only blank lines may
+    follow them (or precede the header). A row error is worded by
+    ``_row_error``, which reads the lines again.
     """
     with Path(path).open() as fh:
         if not _at_choi_magic(fh):
@@ -142,18 +144,24 @@ def load_choi(path: str | Path) -> DensityMatrix:
             n = int(fields["n"])
             d = int(fields["d"])
         except (KeyError, ValueError) as exc:
-            raise SpecFileError(f"malformed Choi header: {header!r}") from exc
+            raise SpecFileError(f"malformed Choi header: {_clip(header)!r}") from exc
         for name, value, least in (("n", n, 1), ("d", d, 2)):
             if value < least:
                 raise SpecFileError(
-                    f"malformed Choi header: {name} must be >= {least}, got {value}: {header!r}"
+                    f"malformed Choi header: {name} must be >= {least}, got {value}: "
+                    f"{_clip(header)!r}"
                 )
-        if fields.get("slots") != slot_labels(n):
-            raise SpecFileError(f"Choi header must list slots={slot_labels(n)}: {header!r}")
-        dim = d ** (2 * n)
-        if dim > max_dense_dim():
+        # d >= 2, so d^(2n) >= 2^(2n) exceeds the limit once 2n reaches its bit length;
+        # d^(2n) is formed only below that, or while it fits in 64 bits for the message.
+        limit = max_dense_dim()
+        dim = d ** (2 * n) if 2 * n < max(limit.bit_length(), 64 // d.bit_length()) else None
+        if dim is None or dim > limit:
             raise DimensionLimitError(
-                f"Choi matrix dimension {dim} exceeds dense limit {max_dense_dim()}"
+                f"Choi matrix dimension {dim or f'{d}^{2 * n}'} exceeds dense limit {limit}"
+            )
+        if fields.get("slots") != slot_labels(n):
+            raise SpecFileError(
+                f"Choi header must list slots={_clip(slot_labels(n))}: {_clip(header)!r}"
             )
         try:
             with warnings.catch_warnings():
@@ -164,6 +172,11 @@ def load_choi(path: str | Path) -> DensityMatrix:
         if vals is None or vals.shape != (dim, 2 * dim) or any(line.strip() for line in fh):
             raise _row_error(path, dim)
     return DensityMatrix(vals.view(complex), (d,) * (2 * n))
+
+
+def _clip(text: str) -> str:
+    """``text`` cut to ``_QUOTED`` characters, the cut marked by "..."."""
+    return text if len(text) <= _QUOTED else text[: _QUOTED - 3] + "..."
 
 
 def _row_error(path: str | Path, dim: int) -> SpecFileError:

@@ -199,13 +199,6 @@ def audit_bounds(
     )
 
 
-IMPLICATIONS = (
-    "high_step1_markov",   # M_1 near maximal forces N <= 2 eps
-    "high_step2_markov",   # M_2 near maximal forces N <= eps
-    "high_total",          # I near maximal forces N <= 2 eps
-    "high_non_markov",     # N near maximal caps M_1, M_2 and I
-)
-
 Status = str  # "vacuous" | "holds" | "violated"
 
 

@@ -29,24 +29,21 @@ from .linalg import (
 
 @dataclass(frozen=True)
 class CausalityReport:
-    """Per-level residuals of the trace-condition hierarchy.
+    """Per-level residuals of the trace-condition hierarchy, judged at ``tol``.
 
     ``bounds`` marks residuals that are upper bounds on the generic ones.
+    ``dataclasses.replace(report, tol=...)`` re-judges the same residuals.
     """
 
     residuals: tuple[float, ...]  # level j = residuals[j-1], j = n down to 1
     base_residual: float          # first-input marginal vs maximally mixed
     tol: float
-    passed: bool
     bounds: bool = False
 
-    @classmethod
-    def judge(
-        cls, residuals: tuple[float, ...], base_residual: float, tol: float, bounds: bool = False
-    ) -> "CausalityReport":
-        """Report whose ``passed`` compares every residual with ``tol``."""
-        passed = all(res <= tol for res in residuals) and base_residual <= tol
-        return cls(residuals, base_residual, tol, passed, bounds)
+    @property
+    def passed(self) -> bool:
+        """Whether every residual, base included, is at most ``tol``; a NaN fails."""
+        return all(res <= self.tol for res in self.residuals) and self.base_residual <= self.tol
 
     @property
     def worst(self) -> float:
@@ -115,7 +112,7 @@ class ProcessTensor:
 
 
 def _passed(report: CausalityReport) -> CausalityReport:
-    """``report`` if it passed; raises ``CausalityError`` otherwise."""
+    """``report`` if it passed; raises ``CausalityError`` otherwise, the one place that does."""
     if not report.passed:
         raise CausalityError(report)
     return report
@@ -213,12 +210,10 @@ def build_from_circuit(
     beyond ``DEFAULT_TOL.tr`` raises ``NotAStateError`` naming the
     leakiest unitary.
     """
-    transfer, (outcome,) = build_stack(
+    transfer, (report,) = build_stack(
         np.array([spec.unitaries]), [spec.env_state], np.array([spec.residuals]), tol_causal
     )
-    if isinstance(outcome, CausalityError):
-        raise outcome
-    return ProcessTensor(spec.n, spec.d, outcome, spec, transfer)
+    return ProcessTensor(spec.n, spec.d, _passed(report), spec, transfer)
 
 
 def build_stack(
@@ -226,7 +221,7 @@ def build_stack(
     envs: Sequence[DensityMatrix],
     residuals: np.ndarray,
     tol_causal: float = DEFAULT_TOL.causal,
-) -> tuple[Transfer, list[CausalityReport | CausalityError]]:
+) -> tuple[Transfer, list[CausalityReport]]:
     """Transfer and causality of a stack of S circuits, each check run once on the stack.
 
     ``unitaries`` is (S, n, D, D) with D = d d_env, ``envs`` the S initial
@@ -245,20 +240,19 @@ def build_stack(
       hierarchy on its simulated Choi state.
 
     Returns the stacked ``Transfer`` and, per sample in stack order, its
-    causality report, or the ``CausalityError`` of a failed hierarchy.
+    causality report at ``tol_causal``, failed ones included.
     """
     _check_unitarity(residuals)
     transfer = _transfer(unitaries, np.array([e.factor for e in envs]), residuals)
     upper = _unitarity_certificate(residuals, np.array([e.trace for e in envs]))
     d = transfer.outputs.shape[-1]
-    outcomes: list[CausalityReport | CausalityError] = []
-    for k, bounds in enumerate(upper.tolist()):
-        report = _certified(
-            tuple(bounds), bounds[0], True, tol_causal,
+    return transfer, [
+        _certified(
+            CausalityReport(tuple(row), row[0], tol_causal, bounds=True),
             lambda k=k: _choi_state(d, unitaries[k], envs[k].factor, residuals[k]),
         )
-        outcomes.append(report if report.passed else CausalityError(report))
-    return transfer, outcomes
+        for k, row in enumerate(upper.tolist())
+    ]
 
 
 def _check_unitarity(residuals: np.ndarray) -> None:
@@ -450,14 +444,8 @@ def _unitarity_certificate(residuals: np.ndarray, t_env: np.ndarray) -> np.ndarr
     return np.concatenate([tails[:, :1], 2.0 * tails[:, 1:]], axis=1)
 
 
-def _certified(
-    residuals: tuple[float, ...],
-    base: float,
-    bounds: bool,
-    tol: float,
-    state: Callable[[], DensityMatrix],
-) -> CausalityReport:
-    """Judge carried residuals at ``tol``; ``state()`` gives the Choi state they belong to.
+def _certified(report: CausalityReport, state: Callable[[], DensityMatrix]) -> CausalityReport:
+    """The verdict on carried residuals at ``report.tol``; ``state()`` gives their Choi state.
 
     Generic residuals are judged as they are. Bounds hold in exact
     arithmetic, while a computed generic residual may exceed its computed
@@ -465,10 +453,9 @@ def _certified(
     below ``tol``. Otherwise the generic hierarchy of ``state()`` decides
     and its report is returned.
     """
-    report = CausalityReport.judge(residuals, base, tol, bounds)
-    if not bounds or report.worst + _ROUNDING <= tol:
+    if not report.bounds or report.worst + _ROUNDING <= report.tol:
         return report
-    return verify_causality(state(), tol)
+    return verify_causality(state(), report.tol)
 
 
 def verify_causality(
@@ -483,20 +470,20 @@ def verify_causality(
     marginal against the maximally mixed state.
 
     A ``ProcessTensor`` carries residuals that do not depend on the
-    tolerance: the generic residuals, which are re-judged at ``tol``, or
-    unitarity-certified bounds on them, which decide only when they pass
-    ``_ROUNDING`` or more below ``tol``; otherwise the hierarchy is computed
-    from the state, so the verdict is always the generic one.
+    tolerance, and its report is re-judged as ``replace(report, tol=tol)``:
+    generic residuals decide as they are, and unitarity-certified bounds on
+    them only when they pass ``_ROUNDING`` or more below ``tol``; otherwise
+    the hierarchy is computed from the state, so the verdict is always the
+    generic one.
     """
     if isinstance(state, ProcessTensor):
-        c = state.causality
-        return _certified(c.residuals, c.base_residual, c.bounds, tol, lambda: state.state)
+        return _certified(replace(state.causality, tol=tol), lambda: state.state)
     n, d = slot_shape(state)
     chain = [state]
     for j in range(n - 1, 0, -1):
         chain.append(partial_trace(chain[-1], range(2 * j)))
     residuals = tuple(_level_residuals(chain[::-1], d))
-    return CausalityReport.judge(residuals, residuals[0], tol)
+    return CausalityReport(residuals, residuals[0], tol)
 
 
 def swap_unitary(d: int) -> np.ndarray:
@@ -657,12 +644,12 @@ def _stack_size(spec: RandomSpec) -> int:
 
 def random_processes(
     spec: RandomSpec, count: int, tol_causal: float = DEFAULT_TOL.causal
-) -> Iterator[tuple[Transfer, list[CausalityReport | CausalityError]]]:
+) -> Iterator[tuple[Transfer, list[CausalityReport]]]:
     """``random_process`` for the seeds spec.seed, ..., spec.seed + count - 1, built in stacks.
 
     Yields, per stack of consecutive seeds, ``build_stack``'s stacked
-    ``Transfer`` and, per sample in seed order, its causality report or the
-    ``CausalityError`` that ``build_from_circuit`` would raise. The stacks
+    ``Transfer`` and, per sample in seed order, its causality report, on
+    which ``build_from_circuit`` would raise where it failed. The stacks
     are the fewest of at most ``_stack_size`` samples, and their sizes
     differ by at most one. Sample k is the circuit of ``random_process`` for
     seed spec.seed + k, bit for bit (``_random_circuits``), so the first
@@ -694,7 +681,7 @@ def _random_circuits(spec: RandomSpec, count: int) -> tuple[list[DensityMatrix],
 
 def random_stack(
     spec: RandomSpec, count: int, tol_causal: float = DEFAULT_TOL.causal
-) -> tuple[Transfer, list[CausalityReport | CausalityError]]:
+) -> tuple[Transfer, list[CausalityReport]]:
     """One stack of ``random_processes``: the seeds spec.seed, ..., spec.seed + count - 1."""
     envs, us = _random_circuits(spec, count)
     return build_stack(us, envs, unitarity_residual(us), tol_causal)

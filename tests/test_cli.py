@@ -289,6 +289,29 @@ class TestChoiFile:
         assert main(["verify", "--in", str(path)]) == 2
         assert "4194304 exceeds dense limit" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("n", [10**6, 10**12])
+    def test_huge_header_is_refused_before_its_slots(self, tmp_path, monkeypatch, capsys, n):
+        # The size check comes first and forms neither d^(2n) nor the n-step
+        # slot list, and the message stays short whatever n is.
+        path = tmp_path / "choi.txt"
+        path.write_text(f"proctensor-choi n={n} d=2 slots=i0\n")
+        labelled = []
+        real = proctensor.io.slot_labels
+        monkeypatch.setattr(proctensor.io, "slot_labels", lambda k: labelled.append(k) or real(k))
+        assert main(["verify", "--in", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert f"dimension 2^{2 * n} exceeds dense limit 1048576" in err
+        assert len(err) < 300
+        assert n not in labelled
+
+    def test_slots_error_quotes_a_bounded_header(self, tmp_path, capsys):
+        path = tmp_path / "choi.txt"
+        path.write_text(f"proctensor-choi n=2 d=2 slots={'x' * 10**6}\n")
+        assert main(["verify", "--in", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "slots=i0,o1,i1,o2" in err and "xxx..." in err
+        assert len(err) < 300
+
     def test_nan_entry_exit_two(self, tmp_path, capsys):
         path = tmp_path / "choi.txt"
         save_choi(cnot_swap_process().state, path)
@@ -374,9 +397,50 @@ class TestEmitFigureCommand:
         assert out.read_text() == "\n".join(lines) + "\n"
 
     def test_fig2_delegates(self, tmp_path):
-        out = tmp_path / "fig2.csv"
-        assert main(["emit-figure", "--figure", "fig2", "--d", "2", "--grid", "5", "--out", str(out)]) == 0
-        assert out.read_text().splitlines()[0] == "d,p,M_nats"
+        out, sweep = tmp_path / "fig2.csv", tmp_path / "sweep.csv"
+        for dims in ("2", "2,3"):
+            args = ["--d", dims, "--grid", "5", "--out"]
+            assert main(["emit-figure", "--figure", "fig2", *args, str(out)]) == 0
+            assert out.read_text().splitlines()[0] == "d,p,M_nats"
+            assert main(["sweep-depolarizing", *args, str(sweep)]) == 0
+            assert out.read_bytes() == sweep.read_bytes()
+
+    @pytest.mark.parametrize("dims", ["3", "2,3", "2,2"])
+    def test_fig6_refuses_d_beyond_the_default(self, tmp_path, capsys, dims):
+        # fig6 is the two-qubit Fredkin circuit; --d would be ignored
+        out = tmp_path / "fig6.csv"
+        argv = ["emit-figure", "--figure", "fig6", "--d", dims, "--grid", "3", "--out", str(out)]
+        assert main(argv) == 2
+        assert "--d" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(argv[:3] + ["--d", "2"] + argv[5:]) == 0
+
+    @pytest.mark.parametrize(
+        "command",
+        [["sweep-depolarizing"], ["emit-figure", "--figure", "fig2"],
+         ["emit-figure", "--figure", "fig6"]],
+    )
+    @pytest.mark.parametrize("grid", ["1", "0", "-3"])
+    def test_grid_below_two_exit_two(self, tmp_path, capsys, command, grid):
+        # fig6 divided by zero at 1 and wrote a bare header at 0
+        out = tmp_path / "fig.csv"
+        assert main(command + ["--grid", grid, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: --grid must be >= 2\n"
+        assert not out.exists()
+
+    def test_fig6_failed_hierarchy_exits_one(self, tmp_path, monkeypatch, capsys):
+        # No certificate decides, and the generic hierarchy fails every point.
+        monkeypatch.setattr(
+            proctensor.processes, "_unitarity_certificate", lambda r, t: np.ones(r.shape)
+        )
+        monkeypatch.setattr(
+            proctensor.processes, "verify_causality",
+            lambda state, tol: CausalityReport((0.25, 0.25), 0.25, tol),
+        )
+        out = tmp_path / "fig6.csv"
+        assert main(["emit-figure", "--figure", "fig6", "--grid", "3", "--out", str(out)]) == 1
+        assert "causality hierarchy violated at p = " in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCsvOutput:
@@ -511,7 +575,7 @@ class TestAuditRandomCommand:
             return upper
 
         def failing(state, tol):
-            return CausalityReport.judge((0.25, 0.25), 0.25, tol)
+            return CausalityReport((0.25, 0.25), 0.25, tol)
 
         monkeypatch.setattr(proctensor.processes, "_unitarity_certificate", uncertified)
         monkeypatch.setattr(proctensor.processes, "verify_causality", failing)

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 import proctensor.processes
 from proctensor import (
     CausalityError,
+    CausalityReport,
     CircuitProcessSpec,
     DensityMatrix,
     DimensionLimitError,
@@ -152,6 +154,44 @@ class TestBuildFromCircuit:
         b = CircuitProcessSpec(n=1, d=2, env_state=env, unitaries=(swap_unitary(2),))
         assert (a == b) is False
         assert a == a
+
+
+class TestCausalityReport:
+    def test_verdict_is_not_stored(self):
+        assert [f.name for f in dataclasses.fields(CausalityReport)] == [
+            "residuals", "base_residual", "tol", "bounds"
+        ]
+        assert not hasattr(CausalityReport, "judge")
+
+    @pytest.mark.parametrize("residuals, base", [((3e-12, 7e-12), 1e-12), ((3e-12, 1e-12), 7e-12)])
+    def test_replaced_tol_flips_passed_exactly_at_the_worst_residual(self, residuals, base):
+        report = CausalityReport(residuals, base, 0.0)
+        assert report.worst == 7e-12 and not report.passed
+        assert dataclasses.replace(report, tol=7e-12).passed
+        assert not dataclasses.replace(report, tol=math.nextafter(7e-12, 0.0)).passed
+        assert dataclasses.replace(report, tol=1.0).residuals == residuals
+
+    def test_carried_generic_report_is_rejudged_by_replace(self):
+        pt = ProcessTensor.from_state(random_process(RandomSpec(3, 2, 4, 0)).state)
+        worst = pt.causality.worst
+        for tol in (0.0, math.nextafter(worst, 0.0), worst, 1e-9):
+            assert verify_causality(pt, tol) == dataclasses.replace(pt.causality, tol=tol)
+        assert verify_causality(pt, worst).passed
+        assert not verify_causality(pt, math.nextafter(worst, 0.0)).passed
+
+    @pytest.mark.parametrize("residuals, base", [((math.nan, 0.0), 0.0), ((0.0, 0.0), math.nan)])
+    def test_nan_residual_fails(self, residuals, base):
+        for tol in (0.0, 1.0, math.inf):
+            assert not CausalityReport(residuals, base, tol).passed
+
+    def test_reports_with_equal_fields_compare_equal(self):
+        a = CausalityReport((1e-12, 2e-12), 1e-12, 1e-9, bounds=True)
+        b = CausalityReport((1e-12, 2e-12), 1e-12, 1e-9, bounds=True)
+        assert a == b and hash(a) == hash(b)
+        assert a != dataclasses.replace(a, tol=0.0)
+        assert a != dataclasses.replace(a, bounds=False)
+        state = random_process(RandomSpec(2, 2, 2, 5)).state
+        assert verify_causality(state, 0.0) == verify_causality(state, 0.0)
 
 
 class TestVerifyCausality:
@@ -537,8 +577,8 @@ class TestBuildStack:
             try:
                 alone = build_from_circuit(spec, tol)
             except CausalityError as exc:
-                assert isinstance(outcome, CausalityError)
-                assert outcome.report == exc.report
+                assert not outcome.passed
+                assert outcome == exc.report
                 kinds.append("failed")
                 continue
             assert outcome == alone.causality
