@@ -84,7 +84,10 @@ def load_process_spec(path: str | Path) -> CircuitProcessSpec:
         env_init = doc.get("env_init", "maximally-mixed")
         if env_init not in get_args(EnvInit):
             raise SpecFileError(f"field 'env_init' has unknown value {env_init!r}")
-        rng = np.random.default_rng(int(doc.get("seed", 0)))
+        seed = _require(doc, "seed", int) if "seed" in doc else 0
+        if seed < 0:
+            raise SpecFileError(f"field 'seed' must be >= 0, got {seed}")
+        rng = np.random.default_rng(seed)
         env = random_env(rng, d_env, env_init)
     raw_us = _require(doc, "unitaries", list)
     if not isinstance(raw_us, list) or len(raw_us) != n:

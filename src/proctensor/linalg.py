@@ -43,14 +43,19 @@ def hermiticity_residual(m: np.ndarray) -> float:
 
 
 def unitarity_residual(u: np.ndarray) -> float | np.ndarray:
-    """Operator norm ||U^dag U - I||_op, i.e. max |sigma^2 - 1| over U's singular values.
+    """Frobenius norm ||U^dag U - I||_F, an upper bound on the operator norm.
+
+    ||G||_op <= ||G||_F <= sqrt(D) ||G||_op for G = U^dag U - I of side D,
+    so the residual bounds max |sigma^2 - 1| over U's singular values, which
+    is all the causality certificate needs, and costs one sum of squares
+    instead of an SVD. It is exactly 0 for a permutation matrix.
 
     ``u`` may be a stack (..., D, D), with leading axes such as (sample,
-    step); the residuals then come back with those axes, from one batched
-    SVD. A single matrix gives a float.
+    step); the residuals then come back with those axes, each the same bits
+    as for its matrix alone. A single matrix gives a float.
     """
     gram = u.conj().swapaxes(-1, -2) @ u - np.eye(u.shape[-1])
-    res = np.linalg.norm(gram, 2, axis=(-2, -1))
+    res = np.linalg.norm(gram, axis=(-2, -1))
     return float(res) if res.ndim == 0 else res
 
 

@@ -125,8 +125,9 @@ class CircuitProcessSpec:
     Each unitary acts on system (x) environment, system first; the same
     environment, initially ``env_state``, threads through all steps. Its
     factor purifies it, with a rank that no tolerance sets (``DensityMatrix``).
-    Each unitary's ``unitarity_residual`` ||U^dag U - I||_op must be at most
-    ``DEFAULT_TOL.eig``; kept in ``residuals``, they certify the built process's causality.
+    Each unitary's ``unitarity_residual`` ||U^dag U - I||_F must be at most
+    ``DEFAULT_TOL.eig``; kept in ``residuals``, they certify the built process's
+    causality, as upper bounds on the operator norms that the certificate needs.
     Specs compare by identity, since their fields hold arrays.
     """
 
@@ -405,18 +406,21 @@ def _level_residuals(chain: Sequence[DensityMatrix], d: int) -> list[float]:
     return residuals
 
 
-# Rounding allowance between a computed generic residual and its computed certificate; the
-# largest excess over the SWAP, Fredkin and CNOT circuits and 600 random processes, n <= 5,
-# d <= 3, half leaking 1e-13 to 3e-11, half with tr env up to 9e-11 off 1, was 3.7e-16.
+# Rounding allowance between a computed generic residual and its computed certificate. The
+# largest excess was 4.4e-16, on the SWAP chain at n = 4, d = 3 (chains n <= 4, d <= 3,
+# Fredkin and CNOT circuits), and 3.2e-16 over 600 random processes, n <= 5, d <= 3, half
+# leaking 1e-13 to 3e-11 (half of those on the diagonal), half with tr env up to 9e-11 off 1.
 _ROUNDING = 1e-14
 
 
 def _unitarity_certificate(residuals: np.ndarray, t_env: np.ndarray) -> np.ndarray:
     """Bounds on the hierarchy residuals of a stack of circuits, from their unitaries.
 
-    ``residuals`` holds c_j = ||U_j^dag U_j - I||_op per circuit and step
+    ``residuals`` holds c_j >= ||U_j^dag U_j - I||_op per circuit and step
     (S, n), ``t_env`` the traces (S,) of their environments. Returns the
     (S, n) bounds on levels 1..n; level 1's bounds the base residual too.
+    The c_j are ``unitarity_residual``s, Frobenius norms, which bound the
+    operator norm from above; the proof below uses nothing else of them.
 
     Step j applies U = U_j to Y = X_{j-1} (x) Phi, where X_{j-1} >= 0 is the
     (j-1)-step prefix before the environment is traced; X_0, the environment,

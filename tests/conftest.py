@@ -25,22 +25,30 @@ def random_pure(rng: np.random.Generator, dims) -> DensityMatrix:
     return DensityMatrix(np.outer(v, v.conj()), dims)
 
 
-def leaky_unitary(u: np.ndarray, leak: float, rng) -> np.ndarray:
-    """u (I + leak H/||H||) for a random Hermitian H: off unitary by about 2 leak."""
-    g = rng.standard_normal(u.shape) + 1j * rng.standard_normal(u.shape)
-    h = g + g.conj().T
-    h /= np.max(np.abs(np.linalg.eigvalsh(h)))
+def leaky_unitary(u: np.ndarray, leak: float, rng, spread: bool = False) -> np.ndarray:
+    """u (I + leak H/||H||) for a random Hermitian H: off unitary by about 2 leak.
+
+    With ``spread``, H is diagonal with random signs, so every singular value
+    of the result is off 1 by about leak, and ||U^dag U - I||_F is sqrt(D)
+    times its operator norm, the largest ratio the two norms can have.
+    """
+    if spread:
+        h = np.diag(rng.choice([-1.0, 1.0], size=u.shape[0]))
+    else:
+        g = rng.standard_normal(u.shape) + 1j * rng.standard_normal(u.shape)
+        h = g + g.conj().T
+        h /= np.max(np.abs(np.linalg.eigvalsh(h)))
     return u @ (np.eye(u.shape[0]) + leak * h)
 
 
 def seeded_circuit_spec(
-    n, d, d_env, seed, env_init, leak=0.0, env_trace=1.0
+    n, d, d_env, seed, env_init, leak=0.0, env_trace=1.0, spread=False
 ) -> CircuitProcessSpec:
     """The circuit ``random_process`` simulates for this RandomSpec.
 
-    A nonzero ``leak`` perturbs each unitary by ``leaky_unitary``, with H
-    drawn from a second generator so the Haar unitaries stay the same. The
-    environment is scaled to trace ``env_trace``.
+    A nonzero ``leak`` perturbs each unitary by ``leaky_unitary`` (diagonal
+    with ``spread``), with H drawn from a second generator so the Haar
+    unitaries stay the same. The environment is scaled to trace ``env_trace``.
     """
     rng = np.random.default_rng(seed)
     env = random_env(rng, d_env, env_init)
@@ -48,7 +56,7 @@ def seeded_circuit_spec(
     us = tuple(haar_unitary(d * d_env, rng) for _ in range(n))
     if leak:
         leak_rng = np.random.default_rng([seed, 1])
-        us = tuple(leaky_unitary(u, leak, leak_rng) for u in us)
+        us = tuple(leaky_unitary(u, leak, leak_rng, spread) for u in us)
     return CircuitProcessSpec(n=n, d=d, env_state=env, unitaries=us)
 
 

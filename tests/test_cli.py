@@ -27,7 +27,7 @@ from proctensor import (
     random_process,
     swap_chain_process,
 )
-from proctensor.processes import swap_unitary
+from proctensor.processes import random_env, swap_unitary
 from proctensor.cli import build_parser, main
 from proctensor.config import DEFAULT_TOL
 from proctensor.linalg import DimensionLimitError, unitarity_residual
@@ -100,13 +100,14 @@ class TestSpecFile:
         with pytest.raises(SpecFileError, match="unitaries"):
             load_process_spec(path)
 
-    def test_unitarity_is_judged_in_operator_norm(self, tmp_path, capsys):
+    def test_unitarity_is_judged_in_frobenius_norm(self, tmp_path, capsys):
         # every entry of U^dag U - I is about 5e-10, below DEFAULT_TOL.eig, so
-        # an entry-wise residual would load this spec; its operator norm is 2e-9
+        # an entry-wise residual would load this spec; U^dag U - I has rank
+        # one, so its Frobenius and operator norms agree at 2e-9
         u = np.eye(4) + 1e-9 * np.ones((4, 4)) / 4
-        sigma = np.linalg.svd(u, compute_uv=False)
-        assert np.max(np.abs(u.T @ u - np.eye(4))) < DEFAULT_TOL.eig
-        assert unitarity_residual(u) == pytest.approx(np.max(np.abs(sigma**2 - 1)), rel=1e-6)
+        gram = u.T @ u - np.eye(4)
+        assert np.max(np.abs(gram)) < DEFAULT_TOL.eig
+        assert unitarity_residual(u) == pytest.approx(np.linalg.norm(gram, 2), rel=1e-6)
         assert unitarity_residual(u) == pytest.approx(2e-9, rel=1e-6)
         doc = cnot_swap_spec_doc()
         doc["n"] = 1
@@ -116,6 +117,54 @@ class TestSpecFile:
             load_process_spec(path)
         assert main(["verify", "--in", str(path)]) == 2
         assert "unitarity residual" in capsys.readouterr().err
+
+    def test_spread_leak_within_the_operator_norm_is_rejected(self, tmp_path, capsys):
+        # U^dag U - I = diag(+-6e-10): its operator norm passes DEFAULT_TOL.eig,
+        # its Frobenius norm 1.2e-9 does not. The leaks cancel in the trace,
+        # so only the unitarity check stands between this spec and a pass.
+        u = np.diag([1 + 3e-10, 1 - 3e-10] * 2)
+        gram = u.T @ u - np.eye(4)
+        assert np.linalg.norm(gram, 2) == pytest.approx(6e-10, rel=1e-6)
+        assert np.linalg.norm(gram, 2) < DEFAULT_TOL.eig < unitarity_residual(u)
+        assert unitarity_residual(u) == pytest.approx(1.2e-9, rel=1e-6)
+        doc = {"n": 1, "d": 2, "d_env": 2, "unitaries": [complex_to_pairs(u)]}
+        path = write_spec(tmp_path, doc)
+        with pytest.raises(SpecFileError, match="unitary 0 unitarity residual 1.200e-09"):
+            load_process_spec(path)
+        assert main(["verify", "--in", str(path)]) == 2
+        assert "unitarity residual 1.200e-09" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("seed", [0, 7, 2**70])
+    def test_seed_is_read_as_given(self, tmp_path, seed):
+        doc = cnot_swap_spec_doc()
+        del doc["env"]
+        doc["env_init"] = "seeded-random"
+        doc["seed"] = seed
+        spec = load_process_spec(write_spec(tmp_path, doc))
+        expected = random_env(np.random.default_rng(seed), 2, "seeded-random")
+        assert np.array_equal(spec.env_state.mat, expected.mat)
+
+    @pytest.mark.parametrize(
+        "seed, message",
+        [
+            (1.9, "field 'seed' must be an integer, got 1.9"),
+            (True, "field 'seed' must be an integer, got True"),
+            ("abc", "field 'seed' must be an integer, got 'abc'"),
+            (None, "field 'seed' must be an integer, got None"),
+            (-1, "field 'seed' must be >= 0, got -1"),
+        ],
+    )
+    def test_bad_seed_named(self, tmp_path, capsys, seed, message):
+        doc = cnot_swap_spec_doc()
+        del doc["env"]
+        doc["env_init"] = "seeded-random"
+        doc["seed"] = seed
+        path = write_spec(tmp_path, doc)
+        with pytest.raises(SpecFileError) as info:
+            load_process_spec(path)
+        assert str(info.value) == message
+        assert main(["verify", "--in", str(path)]) == 2
+        assert message in capsys.readouterr().err
 
     def test_unknown_env_init_named(self, tmp_path):
         doc = cnot_swap_spec_doc()
@@ -679,10 +728,13 @@ class TestVerifyCommand:
             assert "causality_pass = False" in capsys.readouterr().out
 
     def test_trace_leak_names_the_unitary(self, tmp_path, capsys):
-        # Each unitary is 5.4e-11 off unitary, within DEFAULT_TOL.eig, but
-        # four steps move the Choi state's trace by 1.2e-10, beyond
-        # DEFAULT_TOL.tr; the usage error names the leakiest unitary.
+        # Each unitary is about 5.4e-11 off unitary, within DEFAULT_TOL.eig,
+        # but four steps move the Choi state's trace by 1.2e-10, beyond
+        # DEFAULT_TOL.tr; the usage error names the unitary of the largest
+        # unitarity residual, with that residual.
         spec = seeded_circuit_spec(4, 2, 1, 0, "maximally-mixed", leak=2.7e-11)
+        residuals = unitarity_residual(np.array(spec.unitaries))
+        j = int(np.argmax(residuals))
         doc = {
             "n": 4,
             "d": 2,
@@ -693,7 +745,7 @@ class TestVerifyCommand:
         assert main(["verify", "--in", str(write_spec(tmp_path, doc))]) == 2
         err = capsys.readouterr().err
         assert "factor trace" in err
-        assert "unitary 0 the most (unitarity residual 5.400e-11)" in err
+        assert f"unitary {j} the most (unitarity residual {residuals[j]:.3e})" in err
 
 
 class TestTolerance:

@@ -21,12 +21,18 @@ from proctensor import (
     von_neumann_entropy,
 )
 from proctensor.channels import depolarizing_choi
-from proctensor.processes import swap_unitary
+from proctensor.processes import (
+    RandomSpec,
+    _random_circuits,
+    fredkin_unitary,
+    haar_unitary,
+    swap_unitary,
+)
 from proctensor.config import DEFAULT_TOL
 from proctensor.io import load_choi, save_choi
-from proctensor.linalg import state_spectrum
+from proctensor.linalg import state_spectrum, unitarity_residual
 
-from conftest import random_density, random_pure
+from conftest import leaky_unitary, random_density, random_pure
 
 LN2 = math.log(2)
 EPS = np.finfo(float).eps
@@ -178,6 +184,57 @@ class TestPartialTranspose:
         for d in (2, 3):
             phi = max_entangled_state(d)
             assert np.allclose(partial_transpose(phi, (0,)), swap_unitary(d) / d)
+
+
+class TestUnitarityResidual:
+    """||U^dag U - I||_F against the operator norm from an SVD, its lower bound."""
+
+    @staticmethod
+    def operator_norm(u: np.ndarray) -> float:
+        return float(np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0]), 2))
+
+    @pytest.mark.parametrize("spread", [False, True])
+    @pytest.mark.parametrize("dim", [2, 4, 6, 8, 9])
+    def test_lies_between_the_operator_norm_and_sqrt_dim_times_it(self, rng, dim, spread):
+        for leak in (1e-13, 1e-11, 1e-9, 1e-6, 1e-3):
+            u = leaky_unitary(haar_unitary(dim, rng), leak, rng, spread)
+            op, res = self.operator_norm(u), unitarity_residual(u)
+            assert isinstance(res, float)
+            assert op * (1 - 1e-12) <= res <= math.sqrt(dim) * op * (1 + 1e-12)
+            if spread and leak >= 1e-11:  # sigma^2 - 1 = +-2 leak + leak^2, above rounding
+                assert res == pytest.approx(math.sqrt(dim) * op, rel=1e-3)
+
+    @pytest.mark.parametrize("dim", [2, 4, 8])
+    def test_equals_the_operator_norm_on_rank_one_leaks(self, rng, dim):
+        # U = I + eps v v^dag gives U^dag U - I = (2 eps + eps^2) v v^dag
+        for eps in (1e-9, 1e-6, 1e-3):
+            v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+            v /= np.linalg.norm(v)
+            u = np.eye(dim) + eps * np.outer(v, v.conj())
+            res = unitarity_residual(u)
+            assert res == pytest.approx(self.operator_norm(u), rel=1e-6)
+            assert res == pytest.approx(2 * eps + eps**2, rel=1e-6)
+
+    def test_stack_matches_one_matrix_at_a_time(self, rng):
+        # ``random_process`` takes the residuals of one circuit, ``random_processes``
+        # those of a stack: both must be the same bits.
+        _, us = _random_circuits(RandomSpec(n=3, d=2, d_env=4, seed=3), 40)
+        leaky = np.array([[leaky_unitary(u, 1e-11, rng, k % 2 == 1) for u in circuit]
+                          for k, circuit in enumerate(us)])
+        for stack in (us, leaky):
+            got = unitarity_residual(stack)
+            assert got.shape == stack.shape[:2]
+            for k in range(len(stack)):
+                assert np.array_equal(got[k], unitarity_residual(stack[k]))
+                for j in range(stack.shape[1]):
+                    assert got[k, j] == unitarity_residual(stack[k, j])
+
+    def test_permutation_gates_give_exactly_zero(self):
+        cnot = np.eye(4)[[0, 1, 3, 2]]
+        gates = [swap_unitary(2), swap_unitary(3), fredkin_unitary(2), fredkin_unitary(3), cnot]
+        for u in gates:
+            assert unitarity_residual(u) == 0.0
+        assert np.array_equal(unitarity_residual(np.array([[swap_unitary(2), cnot]])), [[0.0, 0.0]])
 
 
 class TestEigenvalues:

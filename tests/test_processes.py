@@ -130,11 +130,13 @@ class TestBuildFromCircuit:
         assert peak < 2**20
 
     def test_leaky_transfer_names_the_unitary(self):
-        # Four steps, each 5.4e-11 off unitary, move the trace of the final
-        # transfer state, which is that of the Choi state, by 1.2e-10.
+        # Four steps, each about 5.4e-11 off unitary, move the trace of the
+        # final transfer state, which is that of the Choi state, by 1.2e-10.
+        # The message names the argmax of the unitarity residuals.
         spec = seeded_circuit_spec(4, 2, 1, 0, "maximally-mixed", leak=2.7e-11)
-        with pytest.raises(NotAStateError, match="factor trace .* unitary 0 the most"):
+        with pytest.raises(NotAStateError, match="factor trace") as info:
             build_from_circuit(spec)
+        assert leak_named(spec.residuals) in str(info.value)
 
     def test_unitary_count_mismatch(self, rng):
         env = random_density(rng, (2,))
@@ -253,18 +255,20 @@ class TestVerifyCausality:
         seed=st.integers(0, 2**32 - 1),
         env_init=st.sampled_from(["maximally-mixed", "pure-ground", "seeded-random"]),
         leak=st.one_of(st.just(0.0), st.floats(1e-13, 3e-11)),
+        spread=st.booleans(),
         env_shift=st.one_of(st.just(0.0), st.floats(-9e-11, 9e-11)),
         tol=st.one_of(st.floats(0.0, 1e-6), st.floats(0.0, 1e-9)),
     )
     def test_certificate_dominates_generic_residuals(
-        self, n, d, d_env, seed, env_init, leak, env_shift, tol
+        self, n, d, d_env, seed, env_init, leak, spread, env_shift, tol
     ):
         # n = 5 at d = 3 is left out: its generic check eigensolves 2187-sided
         # dense matrices. Leaky unitaries and environments of trace off 1 put
         # the certificate and the generic residuals near the tolerances drawn
-        # from [0, 1e-9].
+        # from [0, 1e-9]. Spread leaks are diagonal, where the Frobenius
+        # residual is furthest above the operator norm.
         assume(d ** (2 * n) <= 3**8)
-        spec = seeded_circuit_spec(n, d, d_env, seed, env_init, leak, 1.0 + env_shift)
+        spec = seeded_circuit_spec(n, d, d_env, seed, env_init, leak, 1.0 + env_shift, spread)
         try:
             pt = build_from_circuit(spec, 1.0)
         except NotAStateError:
@@ -301,9 +305,10 @@ class TestVerifyCausality:
         assert info.value.report == generic
 
     def test_carried_bounds_defer_to_the_generic_hierarchy(self):
-        # The carried certificate (1.7e-15) exceeds the exact residuals of
-        # this process; at a tolerance between the two the generic hierarchy
-        # passes and decides.
+        # The carried certificate (2.5e-15, from the Frobenius norms of
+        # U^dag U - I) exceeds the exact residuals (2.2e-16) of this process;
+        # at a tolerance between the two the generic hierarchy passes and
+        # decides.
         pt = random_process(RandomSpec(n=3, d=2, d_env=4, seed=0))
         generic = verify_causality(pt.state, 5e-16)
         assert generic.passed
@@ -326,9 +331,11 @@ class TestVerifyCausality:
 
     def test_generic_hierarchy_decides_when_the_bounds_fail(self):
         # Unitaries about 1e-10 off unitary leak at every level. The
-        # certificate charges each level the operator norm of every later
-        # unitary's U^dag U - I, so a tolerance between the two worst values
-        # fails the certificate and passes the generic hierarchy.
+        # certificate charges each level the Frobenius norm, an upper bound
+        # on the operator norm, of every later unitary's U^dag U - I
+        # (2.7e-10 at worst against a generic 2.7e-11), so a tolerance
+        # between the two worst values fails the certificate and passes the
+        # generic hierarchy.
         rng = np.random.default_rng(145)
         n, d, d_env = 3, 2, 2
         us = tuple(leaky_unitary(haar_unitary(4, rng), 5e-11, rng) for _ in range(n))
@@ -501,26 +508,31 @@ class TestRandomProcesses:
     @pytest.mark.parametrize(
         "spoil, error, message",
         [
-            # samples 2 and 4 leak trace beyond DEFAULT_TOL.tr, sample 2 less
+            # samples 2 and 4 leak trace beyond DEFAULT_TOL.tr, sample 2 less;
+            # the message names sample 2's leakiest unitary (``leak_named``)
             ({2: (slice(None), 4e-11), 4: (slice(None), 8e-11)}, NotAStateError,
-             r"factor trace .* the unitaries leak trace, .* residual 8\.000e-11"),
+             r"factor trace .* the unitaries leak trace, unitary \d the most"),
             # samples 1 and 3 fail the unitarity check, at unitaries 0 and 2
             ({1: (0, 1e-6), 3: (2, 1e-6)}, ValueError, "unitary 0 unitarity residual"),
         ],
     )
     def test_first_failing_sample_in_seed_order_raises(self, monkeypatch, spoil, error, message):
         real = proctensor.processes._random_circuits
+        drawn = []
 
         def spoiled(spec, count):
             envs, us = real(spec, count)
             us = us.copy()
             for k, (j, scale) in spoil.items():
                 us[k, j] *= 1.0 + scale
+            drawn.append(us)
             return envs, us
 
         monkeypatch.setattr(proctensor.processes, "_random_circuits", spoiled)
-        with pytest.raises(error, match=message):
+        with pytest.raises(error, match=message) as info:
             list(random_processes(RandomSpec(n=3, d=2, d_env=1, seed=0), 6))
+        if error is NotAStateError:
+            assert leak_named(unitarity_residual(drawn[0][2])) in str(info.value)
 
     @pytest.mark.parametrize("env_init", ["maximally-mixed", "pure-ground", "seeded-random"])
     def test_stack_peak_memory_fits_the_budget(self, env_init):
@@ -540,6 +552,12 @@ class TestRandomProcesses:
             assert peak <= _STACK_BYTES or size == 1, (n, d, d_env, size, peak)
 
 
+def leak_named(residuals):
+    """The leak message's naming of the unitary of the largest of these unitarity ``residuals``."""
+    j = int(np.argmax(residuals))
+    return f"leak trace, unitary {j} the most (unitarity residual {residuals[j]:.3e})"
+
+
 def stack_of(specs):
     """``build_stack``'s arguments for a list of specs that share one environment factor shape."""
     return (
@@ -555,7 +573,7 @@ class TestBuildStack:
     @staticmethod
     def mixed_specs():
         # At 2e-11: exact Haar circuits, whose certificates pass; a circuit
-        # about 2e-11 off unitary, whose certificate (4.0e-11) cannot decide
+        # about 2e-11 off unitary, whose certificate (5.8e-11) cannot decide
         # and whose generic residuals (at most 5.0e-12) pass; and an
         # environment of trace 1 + 9e-11, whose base residual of 4.5e-11
         # fails the generic hierarchy.
@@ -614,4 +632,4 @@ class TestBuildStack:
         with pytest.raises(NotAStateError) as stacked:
             proctensor.processes.build_stack(*stack_of(specs))
         assert str(stacked.value) == str(alone.value)
-        assert "leak trace, unitary 2 the most (unitarity residual 1.600e-10)" in str(alone.value)
+        assert leak_named(unitarity_residual(np.array(specs[1].unitaries))) in str(alone.value)
