@@ -87,9 +87,7 @@ def cmd_emit_figure(args: argparse.Namespace) -> int:
     for ks in groups.values():
         stack = [specs[k] for k in ks]
         transfer, causalities = build_stack(
-            np.array([s.unitaries for s in stack]),
-            [s.env_state for s in stack],
-            np.array([s.residuals for s in stack]),
+            np.array([s.unitaries for s in stack]), [s.env_state for s in stack]
         )
         for k, causality, r in zip(ks, causalities, transfer_reports(transfer)):
             if not causality.passed:

@@ -49,7 +49,8 @@ def pairs_to_complex(data: Any, fieldname: str) -> np.ndarray:
             f"field '{fieldname}' must be a square matrix of [re, im] pairs, "
             f"got shape {arr.shape}"
         )
-    return arr[:, :, 0] + 1j * arr[:, :, 1]
+    with np.errstate(invalid="ignore"):  # 1j * inf is nan + inf j; the object refuses it
+        return arr[:, :, 0] + 1j * arr[:, :, 1]
 
 
 def _require(doc: dict, key: str, kind: type) -> Any:
@@ -61,6 +62,13 @@ def _require(doc: dict, key: str, kind: type) -> Any:
     return value
 
 
+def _require_at_least(doc: dict, key: str, least: int) -> int:
+    value = _require(doc, key, int)
+    if value < least:
+        raise SpecFileError(f"field '{key}' must be >= {least}, got {value}")
+    return value
+
+
 def load_process_spec(path: str | Path) -> CircuitProcessSpec:
     """Parse a JSON process-spec document into a circuit description."""
     try:
@@ -69,9 +77,9 @@ def load_process_spec(path: str | Path) -> CircuitProcessSpec:
         raise SpecFileError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise SpecFileError("top-level document must be an object")
-    n = _require(doc, "n", int)
-    d = _require(doc, "d", int)
-    d_env = _require(doc, "d_env", int)
+    n = _require_at_least(doc, "n", 1)
+    d = _require_at_least(doc, "d", 2)
+    d_env = _require_at_least(doc, "d_env", 1)
     if "env" in doc:
         mat = pairs_to_complex(doc["env"], "env")
         if mat.shape[0] != d_env:
@@ -84,9 +92,7 @@ def load_process_spec(path: str | Path) -> CircuitProcessSpec:
         env_init = doc.get("env_init", "maximally-mixed")
         if env_init not in get_args(EnvInit):
             raise SpecFileError(f"field 'env_init' has unknown value {env_init!r}")
-        seed = _require(doc, "seed", int) if "seed" in doc else 0
-        if seed < 0:
-            raise SpecFileError(f"field 'seed' must be >= 0, got {seed}")
+        seed = _require_at_least(doc, "seed", 0) if "seed" in doc else 0
         rng = np.random.default_rng(seed)
         env = random_env(rng, d_env, env_init)
     raw_us = _require(doc, "unitaries", list)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterator, Literal, Sequence
+from typing import Iterator, Literal, Sequence
 
 import numpy as np
 
@@ -35,20 +35,24 @@ class CausalityReport:
     ``dataclasses.replace(report, tol=...)`` re-judges the same residuals.
     """
 
-    residuals: tuple[float, ...]  # level j = residuals[j-1], j = n down to 1
-    base_residual: float          # first-input marginal vs maximally mixed
+    residuals: tuple[float, ...]  # level j = residuals[j-1], j = 1..n
     tol: float
-    bounds: bool = False
+    bounds: bool = field(default=False, kw_only=True)
+
+    @property
+    def base_residual(self) -> float:
+        """Level 1's residual: the first-input marginal against the maximally mixed state."""
+        return self.residuals[0]
 
     @property
     def passed(self) -> bool:
-        """Whether every residual, base included, is at most ``tol``; a NaN fails."""
-        return all(res <= self.tol for res in self.residuals) and self.base_residual <= self.tol
+        """Whether every residual is at most ``tol``; a NaN fails."""
+        return all(res <= self.tol for res in self.residuals)
 
     @property
     def worst(self) -> float:
-        """Largest residual, base level included."""
-        return max(self.residuals + (self.base_residual,))
+        """Largest residual."""
+        return max(self.residuals)
 
 
 class CausalityError(ValueError):
@@ -107,7 +111,8 @@ class ProcessTensor:
     def state(self) -> DensityMatrix:
         """Choi state on the 2n slots; a spec-built process simulates it on first use."""
         if self._state is None:
-            object.__setattr__(self, "_state", _simulate(self.spec))
+            s = self.spec
+            object.__setattr__(self, "_state", _choi_state(s.d, s.unitaries, s.env_state.factor))
         return self._state
 
 
@@ -125,17 +130,15 @@ class CircuitProcessSpec:
     Each unitary acts on system (x) environment, system first; the same
     environment, initially ``env_state``, threads through all steps. Its
     factor purifies it, with a rank that no tolerance sets (``DensityMatrix``).
-    Each unitary's ``unitarity_residual`` ||U^dag U - I||_F must be at most
-    ``DEFAULT_TOL.eig``; kept in ``residuals``, they certify the built process's
-    causality, as upper bounds on the operator norms that the certificate needs.
-    Specs compare by identity, since their fields hold arrays.
+    Each unitary's entries must be finite and its ``unitarity_residual``
+    ||U^dag U - I||_F at most ``DEFAULT_TOL.eig``. Specs compare by identity,
+    since their fields hold arrays.
     """
 
     n: int
     d: int
     env_state: DensityMatrix
     unitaries: tuple[np.ndarray, ...]
-    residuals: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -150,10 +153,10 @@ class CircuitProcessSpec:
         for j, u in enumerate(us):
             if u.shape != (dim, dim):
                 raise ValueError(f"unitary {j} has shape {u.shape}, expected {(dim, dim)}")
+            if not np.all(np.isfinite(u)):
+                raise ValueError(f"unitary {j} entries must be finite")
             u.setflags(write=False)
-        residuals = unitarity_residual(np.array(us))
-        _check_unitarity(residuals[None])
-        object.__setattr__(self, "residuals", tuple(residuals.tolist()))
+        _check_unitarity(unitarity_residual(np.array(us))[None])
 
     @property
     def d_env(self) -> int:
@@ -176,6 +179,8 @@ class RandomSpec:
     def __post_init__(self) -> None:
         if self.n < 1 or self.d < 2 or self.d_env < 1:
             raise ValueError(f"invalid (n, d, d_env) = {(self.n, self.d, self.d_env)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,52 +211,47 @@ def build_from_circuit(
 
     The 2n slots are never formed here: the returned process keeps ``spec``
     and the stack's transfer, and simulates its Choi state only when
-    ``state`` is read. The spec's own unitarity residuals feed the
-    certificate. A failed hierarchy raises ``CausalityError``; a trace
-    beyond ``DEFAULT_TOL.tr`` raises ``NotAStateError`` naming the
-    leakiest unitary.
+    ``state`` is read. A failed hierarchy raises ``CausalityError``; a trace
+    beyond ``DEFAULT_TOL.tr`` raises ``NotAStateError`` naming the leakiest
+    unitary.
     """
-    transfer, (report,) = build_stack(
-        np.array([spec.unitaries]), [spec.env_state], np.array([spec.residuals]), tol_causal
-    )
+    transfer, (report,) = build_stack(np.array([spec.unitaries]), [spec.env_state], tol_causal)
     return ProcessTensor(spec.n, spec.d, _passed(report), spec, transfer)
 
 
 def build_stack(
     unitaries: np.ndarray,
     envs: Sequence[DensityMatrix],
-    residuals: np.ndarray,
     tol_causal: float = DEFAULT_TOL.causal,
 ) -> tuple[Transfer, list[CausalityReport]]:
     """Transfer and causality of a stack of S circuits, each check run once on the stack.
 
-    ``unitaries`` is (S, n, D, D) with D = d d_env, ``envs`` the S initial
-    environments, whose factors share one shape (d_env, r), and
-    ``residuals`` the (S, n) ``unitarity_residual``s of the unitaries. The
+    ``unitaries`` is (S, n, D, D) with D = d d_env and ``envs`` the S
+    initial environments, whose factors share one shape (d_env, r). The
     checks run in this order, and the first sample in stack order that
     fails one raises the error that building it alone would raise:
 
-    - unitarity: a residual beyond ``DEFAULT_TOL.eig`` raises the
-      ``ValueError`` of ``CircuitProcessSpec``;
+    - unitarity: a ``unitarity_residual`` beyond ``DEFAULT_TOL.eig`` raises
+      the ``ValueError`` of ``CircuitProcessSpec``;
     - final traces (``_transfer``): a trace beyond ``DEFAULT_TOL.tr``
       raises ``NotAStateError`` naming the leakiest unitary;
-    - certificate (``_unitarity_certificate``), judged by ``_certified``:
-      it decides a sample only where it passes ``_ROUNDING`` below
-      ``tol_causal``. Every other sample falls back, alone, to the generic
-      hierarchy on its simulated Choi state.
+    - certificate (``_unitarity_certificate``): its bounds decide a sample
+      only where they pass ``_ROUNDING`` or more below ``tol_causal``.
+      Every other sample falls back, alone, to the generic hierarchy on its
+      simulated Choi state, which then decides.
 
     Returns the stacked ``Transfer`` and, per sample in stack order, its
     causality report at ``tol_causal``, failed ones included.
     """
+    residuals = unitarity_residual(unitaries)
     _check_unitarity(residuals)
-    transfer = _transfer(unitaries, np.array([e.factor for e in envs]), residuals)
+    transfer = _transfer(unitaries, np.array([e.factor for e in envs]))
     upper = _unitarity_certificate(residuals, np.array([e.trace for e in envs]))
     d = transfer.outputs.shape[-1]
     return transfer, [
-        _certified(
-            CausalityReport(tuple(row), row[0], tol_causal, bounds=True),
-            lambda k=k: _choi_state(d, unitaries[k], envs[k].factor, residuals[k]),
-        )
+        CausalityReport(tuple(row), tol_causal, bounds=True)
+        if max(row) + _ROUNDING <= tol_causal
+        else verify_causality(_choi_state(d, unitaries[k], envs[k].factor), tol_causal)
         for k, row in enumerate(upper.tolist())
     ]
 
@@ -260,25 +260,26 @@ def _check_unitarity(residuals: np.ndarray) -> None:
     """Raise for the first unitary, in stack then step order, off unitary beyond ``DEFAULT_TOL.eig``.
 
     ``residuals`` is (S, n): the ``unitarity_residual`` of each circuit's
-    unitaries.
+    unitaries. A NaN residual fails.
     """
-    bad = np.argwhere(residuals > DEFAULT_TOL.eig)
+    bad = np.argwhere(~(residuals <= DEFAULT_TOL.eig))
     if len(bad):
         k, j = bad[0]
         raise ValueError(f"unitary {j} unitarity residual {residuals[k, j]:.3e}")
 
 
 def _circuit_state(
-    residuals: Sequence[float], dims: tuple[int, ...], factor: np.ndarray
+    unitaries: Sequence[np.ndarray], dims: tuple[int, ...], factor: np.ndarray
 ) -> DensityMatrix:
-    """``DensityMatrix`` of a factor that a circuit with these unitarity ``residuals`` produced.
+    """``DensityMatrix`` of a factor that a circuit of these ``unitaries`` produced.
 
     A trace beyond ``DEFAULT_TOL.tr`` comes from the unitaries' leaks, so
-    the ``NotAStateError`` names the leakiest one.
+    the ``NotAStateError`` names the one of the largest ``unitarity_residual``.
     """
     try:
         return DensityMatrix(None, dims, factor=factor)
     except NotAStateError as exc:
+        residuals = unitarity_residual(np.asarray(unitaries))
         j = int(np.argmax(residuals))
         raise NotAStateError(
             f"{exc}; the unitaries leak trace, unitary {j} the most "
@@ -286,14 +287,13 @@ def _circuit_state(
         ) from exc
 
 
-def _transfer(unitaries: np.ndarray, env: np.ndarray, residuals: np.ndarray) -> Transfer:
+def _transfer(unitaries: np.ndarray, env: np.ndarray) -> Transfer:
     """Step marginals and final environment states of a stack of circuits.
 
-    ``unitaries`` is (S, n, d d_env, d d_env), ``env`` the environments'
-    factors (S, d_env, r) and ``residuals`` the (S, n) unitarity residuals,
-    which name the leakiest unitary when a final trace fails validation: the
-    first such circuit in stack order raises ``_circuit_state``'s
-    ``NotAStateError``.
+    ``unitaries`` is (S, n, d d_env, d d_env) and ``env`` the environments'
+    factors (S, d_env, r). The first circuit in stack order whose final
+    trace fails validation raises ``_circuit_state``'s ``NotAStateError``,
+    which names its leakiest unitary.
 
     Per circuit, rho_j is the state of environment E (x) ancilla R once the
     slots of the first j steps are traced out; rho_0 is the pure state of
@@ -345,25 +345,17 @@ def _transfer(unitaries: np.ndarray, env: np.ndarray, residuals: np.ndarray) -> 
     traces = np.sum(np.abs(fac.reshape(s, -1)) ** 2, axis=1)
     bad = ~(np.abs(traces - 1.0) <= DEFAULT_TOL.tr)  # catches NaN too
     for k in np.flatnonzero(bad):
-        _circuit_state(residuals[k], (de, r), fac[k])  # raises the leak message
+        _circuit_state(unitaries[k], (de, r), fac[k])  # raises the leak message
     steps, outputs = np.stack(steps, axis=1), np.stack(outputs, axis=1)
     for m in (steps, outputs, fac):
         m.setflags(write=False)
     return Transfer(steps, outputs, fac)
 
 
-def _simulate(spec: CircuitProcessSpec) -> DensityMatrix:
-    """Choi state of the circuit of ``spec``, simulated on its 2n slots (``_choi_state``)."""
-    return _choi_state(spec.d, spec.unitaries, spec.env_state.factor, spec.residuals)
+def _choi_state(d: int, unitaries: Sequence[np.ndarray], psi_env: np.ndarray) -> DensityMatrix:
+    """Choi state of a circuit of n ``unitaries`` on d-dimensional slots, simulated on its 2n slots.
 
-
-def _choi_state(
-    d: int, unitaries: Sequence[np.ndarray], psi_env: np.ndarray, residuals: Sequence[float]
-) -> DensityMatrix:
-    """Choi state of a circuit on d-dimensional slots, simulated on its 2n slots.
-
-    ``psi_env`` is the factor (d_env, r) of the initial environment and
-    ``residuals`` the unitarity residuals of the n ``unitaries``. The rows
+    ``psi_env`` is the factor (d_env, r) of the initial environment. The rows
     of the returned state's factor index the 2n slots and its columns
     (environment, ancilla), where the ancilla indexes the columns of
     ``psi_env``. Raises ``DimensionLimitError`` before it allocates a
@@ -384,7 +376,7 @@ def _choi_state(
         t = np.tensordot(vec, u.reshape(d, de, d, de), axes=([1], [3]))
         # t axes: (slots, ancilla, o_j, env, i_{j-1})
         vec = t.transpose(0, 4, 2, 3, 1).reshape(-1, de, r) / math.sqrt(d)
-    return _circuit_state(residuals, (d,) * (2 * n), vec.reshape(-1, de * r))
+    return _circuit_state(unitaries, (d,) * (2 * n), vec.reshape(-1, de * r))
 
 
 def _level_residuals(chain: Sequence[DensityMatrix], d: int) -> list[float]:
@@ -406,10 +398,13 @@ def _level_residuals(chain: Sequence[DensityMatrix], d: int) -> list[float]:
     return residuals
 
 
-# Rounding allowance between a computed generic residual and its computed certificate. The
-# largest excess was 4.4e-16, on the SWAP chain at n = 4, d = 3 (chains n <= 4, d <= 3,
-# Fredkin and CNOT circuits), and 3.2e-16 over 600 random processes, n <= 5, d <= 3, half
-# leaking 1e-13 to 3e-11 (half of those on the diagonal), half with tr env up to 9e-11 off 1.
+# Rounding allowance between a computed generic residual and its computed certificate: the
+# bounds hold in exact arithmetic, but a computed generic residual may exceed its computed
+# bound by rounding, so ``build_stack`` lets the bounds certify a pass only this far or more
+# below the tolerance. The largest excess was 4.4e-16, on the SWAP chain at n = 4, d = 3
+# (chains n <= 4, d <= 3, Fredkin and CNOT circuits), and 3.2e-16 over 600 random processes,
+# n <= 5, d <= 3, half leaking 1e-13 to 3e-11 (half of those on the diagonal), half with
+# tr env up to 9e-11 off 1.
 _ROUNDING = 1e-14
 
 
@@ -438,8 +433,8 @@ def _unitarity_certificate(residuals: np.ndarray, t_env: np.ndarray) -> np.ndarr
         g_j <= delta_j + eps_j + delta_{j-1} <= 2 sum_{k>=j} eps_k   (j >= 2),
         g_1 = base <= delta_1 + eps_1        <=   sum_{k>=1} eps_k.
 
-    The bounds hold in exact arithmetic and are judged by ``_certified``, so
-    the verdict is ``verify_causality``'s.
+    The bounds hold in exact arithmetic and ``build_stack`` judges them with
+    the margin ``_ROUNDING``, so the verdict is ``verify_causality``'s.
     """
     growth = np.cumprod(np.concatenate([t_env[:, None], 1.0 + residuals[:, :-1]], axis=1), axis=1)
     eps = 0.5 * residuals * growth
@@ -448,23 +443,7 @@ def _unitarity_certificate(residuals: np.ndarray, t_env: np.ndarray) -> np.ndarr
     return np.concatenate([tails[:, :1], 2.0 * tails[:, 1:]], axis=1)
 
 
-def _certified(report: CausalityReport, state: Callable[[], DensityMatrix]) -> CausalityReport:
-    """The verdict on carried residuals at ``report.tol``; ``state()`` gives their Choi state.
-
-    Generic residuals are judged as they are. Bounds hold in exact
-    arithmetic, while a computed generic residual may exceed its computed
-    bound by rounding, so they certify a pass only ``_ROUNDING`` or more
-    below ``tol``. Otherwise the generic hierarchy of ``state()`` decides
-    and its report is returned.
-    """
-    if not report.bounds or report.worst + _ROUNDING <= report.tol:
-        return report
-    return verify_causality(state(), report.tol)
-
-
-def verify_causality(
-    state: DensityMatrix | ProcessTensor, tol: float = DEFAULT_TOL.causal
-) -> CausalityReport:
+def verify_causality(state: DensityMatrix, tol: float = DEFAULT_TOL.causal) -> CausalityReport:
     """Check the hierarchy of trace conditions on a 2n-slot state.
 
     For each level j (from n down to 1) the output slot o_j of the
@@ -472,22 +451,12 @@ def verify_causality(
     tensored with a maximally mixed input. Each marginal is traced from the
     one above it. The base residual is the level-1 residual: the first-input
     marginal against the maximally mixed state.
-
-    A ``ProcessTensor`` carries residuals that do not depend on the
-    tolerance, and its report is re-judged as ``replace(report, tol=tol)``:
-    generic residuals decide as they are, and unitarity-certified bounds on
-    them only when they pass ``_ROUNDING`` or more below ``tol``; otherwise
-    the hierarchy is computed from the state, so the verdict is always the
-    generic one.
     """
-    if isinstance(state, ProcessTensor):
-        return _certified(replace(state.causality, tol=tol), lambda: state.state)
     n, d = slot_shape(state)
     chain = [state]
     for j in range(n - 1, 0, -1):
         chain.append(partial_trace(chain[-1], range(2 * j)))
-    residuals = tuple(_level_residuals(chain[::-1], d))
-    return CausalityReport(residuals, residuals[0], tol)
+    return CausalityReport(tuple(_level_residuals(chain[::-1], d)), tol)
 
 
 def swap_unitary(d: int) -> np.ndarray:
@@ -688,4 +657,4 @@ def random_stack(
 ) -> tuple[Transfer, list[CausalityReport]]:
     """One stack of ``random_processes``: the seeds spec.seed, ..., spec.seed + count - 1."""
     envs, us = _random_circuits(spec, count)
-    return build_stack(us, envs, unitarity_residual(us), tol_causal)
+    return build_stack(us, envs, tol_causal)

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 from io import StringIO
 
 import numpy as np
@@ -26,6 +27,7 @@ from proctensor import (
     nm_depolarizing_process,
     random_process,
     swap_chain_process,
+    verify_causality,
 )
 from proctensor.processes import random_env, swap_unitary
 from proctensor.cli import build_parser, main
@@ -165,6 +167,40 @@ class TestSpecFile:
         assert str(info.value) == message
         assert main(["verify", "--in", str(path)]) == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "value, part", [(math.nan, 0), (math.nan, 1), (math.inf, 1), (-math.inf, 0)]
+    )
+    def test_non_finite_unitary_named(self, tmp_path, capsys, value, part):
+        # Python's json reads NaN and Infinity; the spec refuses the unitary
+        # before its residual is formed, so no numpy warning is raised.
+        doc = cnot_swap_spec_doc()
+        doc["unitaries"][1][2][3][part] = value
+        path = write_spec(tmp_path, doc)
+        message = "field 'unitaries': unitary 1 entries must be finite"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SpecFileError) as info:
+                load_process_spec(path)
+            assert str(info.value) == message
+            for command in ("verify", "analyze"):
+                assert main([command, "--in", str(path)]) == 2
+                assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "key, value, least",
+        [("n", 0, 1), ("n", -2, 1), ("d", 1, 2), ("d_env", 0, 1), ("d_env", -1, 1)],
+    )
+    def test_dimension_out_of_range_named(self, tmp_path, capsys, key, value, least):
+        doc = cnot_swap_spec_doc()
+        doc[key] = value
+        path = write_spec(tmp_path, doc)
+        message = f"field '{key}' must be >= {least}, got {value}"
+        with pytest.raises(SpecFileError) as info:
+            load_process_spec(path)
+        assert str(info.value) == message
+        assert main(["verify", "--in", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_unknown_env_init_named(self, tmp_path):
         doc = cnot_swap_spec_doc()
@@ -484,7 +520,7 @@ class TestEmitFigureCommand:
         )
         monkeypatch.setattr(
             proctensor.processes, "verify_causality",
-            lambda state, tol: CausalityReport((0.25, 0.25), 0.25, tol),
+            lambda state, tol: CausalityReport((0.25, 0.25), tol),
         )
         out = tmp_path / "fig6.csv"
         assert main(["emit-figure", "--figure", "fig6", "--grid", "3", "--out", str(out)]) == 1
@@ -610,6 +646,10 @@ class TestAuditRandomCommand:
         assert main(["audit-random", "--n", "3", "--samples", "100", "--out", str(out)]) == 0
         assert sizes == [33, 33, 34]
 
+    def test_negative_seed_named(self, capsys):
+        assert main(["audit-random", "--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+
     def test_failing_generic_sample_counts_once(self, tmp_path, monkeypatch):
         # Sample 1 gets no certificate, in its stack and when it is rebuilt
         # alone, so the generic hierarchy decides it, and fails; the other
@@ -624,7 +664,7 @@ class TestAuditRandomCommand:
             return upper
 
         def failing(state, tol):
-            return CausalityReport((0.25, 0.25), 0.25, tol)
+            return CausalityReport((0.25, 0.25), tol)
 
         monkeypatch.setattr(proctensor.processes, "_unitarity_certificate", uncertified)
         monkeypatch.setattr(proctensor.processes, "verify_causality", failing)
@@ -714,18 +754,40 @@ class TestVerifyCommand:
 
 
     def test_env_trace_off_one_gives_one_verdict_on_both_routes(self, tmp_path, capsys):
-        # Exact unitaries leak nothing, but an environment of trace 1 + 9e-11
-        # moves the base residual to 4.5e-11; the spec and its Choi file both
-        # fail at 1e-11 and pass at the default tolerance.
-        doc = cnot_swap_spec_doc()
-        doc["env"] = complex_to_pairs(np.diag([0.5 + 9e-11, 0.5]))
-        spec_path = write_spec(tmp_path, doc)
-        choi_path = tmp_path / "choi.txt"
-        save_choi(build_from_circuit(load_process_spec(spec_path), 1.0).state, choi_path)
-        for path in (spec_path, choi_path):
-            assert main(["verify", "--in", str(path)]) == 0
-            assert main(["verify", "--in", str(path), "--tol", "1e-11"]) == 1
-            assert "causality_pass = False" in capsys.readouterr().out
+        # A spec and the Choi file of its process get the same verdict. The
+        # cases: exact unitaries on an environment of trace 1 + 9e-11, whose
+        # base residual of 4.5e-11 fails 1e-11; a Haar circuit; and a circuit
+        # about 1e-11 off unitary. The last two run at 0, the default, and a
+        # tolerance between their generic worst residual and their
+        # certificate, where the spec falls back to the generic hierarchy.
+        off_one = cnot_swap_spec_doc()
+        off_one["env"] = complex_to_pairs(np.diag([0.5 + 9e-11, 0.5]))
+        leaky = seeded_circuit_spec(3, 2, 2, 145, "maximally-mixed", leak=1e-11)
+        leaky_doc = {
+            "n": 3,
+            "d": 2,
+            "d_env": 2,
+            "env_init": "maximally-mixed",
+            "unitaries": [complex_to_pairs(u) for u in leaky.unitaries],
+        }
+        for doc, tols in [
+            (off_one, {None: 0, "1e-11": 1}),
+            (haar_spec_doc(5), {None: 0, "0": 1, "between": 0}),
+            (leaky_doc, {None: 0, "0": 1, "between": 0}),
+        ]:
+            spec_path = write_spec(tmp_path, doc)
+            loose = build_from_circuit(load_process_spec(spec_path), 1.0)
+            choi_path = tmp_path / "choi.txt"
+            save_choi(loose.state, choi_path)
+            if "between" in tols:
+                generic, bound = verify_causality(loose.state, 1.0).worst, loose.causality.worst
+                tols[repr((generic + bound) / 2)] = tols.pop("between")
+                assert generic < (generic + bound) / 2 < bound
+            for tol, code in tols.items():
+                argv = [] if tol is None else ["--tol", tol]
+                for path in (spec_path, choi_path):
+                    assert main(["verify", "--in", str(path)] + argv) == code
+                    assert f"causality_pass = {code == 0}" in capsys.readouterr().out
 
     def test_trace_leak_names_the_unitary(self, tmp_path, capsys):
         # Each unitary is about 5.4e-11 off unitary, within DEFAULT_TOL.eig,

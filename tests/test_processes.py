@@ -105,16 +105,17 @@ class TestBuildFromCircuit:
 
     def test_choi_state_is_simulated_on_first_use(self, monkeypatch):
         simulated = []
-        real = proctensor.processes._simulate
+        real = proctensor.processes._choi_state
         monkeypatch.setattr(
-            proctensor.processes, "_simulate", lambda spec: simulated.append(spec) or real(spec)
+            proctensor.processes, "_choi_state",
+            lambda d, us, psi: simulated.append(us) or real(d, us, psi),
         )
         pt = random_process(RandomSpec(n=3, d=2, d_env=4, seed=0))
-        verify_causality(pt)
+        assert pt.causality.bounds  # certified: the build simulated nothing
         assert simulated == []
         state = pt.state
         assert pt.state is state
-        assert simulated == [pt.spec]
+        assert len(simulated) == 1 and simulated[0] is pt.spec.unitaries
 
     def test_choi_state_beyond_the_cap_fails_before_it_allocates(self):
         # n = 12 builds from its transfer; its Choi state would need a
@@ -136,7 +137,15 @@ class TestBuildFromCircuit:
         spec = seeded_circuit_spec(4, 2, 1, 0, "maximally-mixed", leak=2.7e-11)
         with pytest.raises(NotAStateError, match="factor trace") as info:
             build_from_circuit(spec)
-        assert leak_named(spec.residuals) in str(info.value)
+        assert leak_named(unitarity_residual(np.array(spec.unitaries))) in str(info.value)
+
+    def test_leaky_simulation_names_the_unitary_of_the_transfer(self):
+        # The dense simulation of the same circuit fails its trace too, and
+        # its message names the same unitary with the same figure.
+        spec = seeded_circuit_spec(4, 2, 1, 0, "maximally-mixed", leak=2.7e-11)
+        with pytest.raises(NotAStateError, match="factor trace") as info:
+            proctensor.processes._choi_state(spec.d, spec.unitaries, spec.env_state.factor)
+        assert leak_named(unitarity_residual(np.array(spec.unitaries))) in str(info.value)
 
     def test_unitary_count_mismatch(self, rng):
         env = random_density(rng, (2,))
@@ -147,6 +156,10 @@ class TestBuildFromCircuit:
         env = random_density(rng, (2,))
         with pytest.raises(ValueError):
             CircuitProcessSpec(n=1, d=2, env_state=env, unitaries=(np.ones((4, 4)),))
+
+    def test_nan_unitarity_residual_fails(self):
+        with pytest.raises(ValueError, match="^unitary 1 unitarity residual nan$"):
+            proctensor.processes._check_unitarity(np.array([[0.0, math.nan]]))
 
     def test_specs_compare_by_identity(self):
         # equal env_state objects made the field-wise comparison reach the
@@ -161,13 +174,24 @@ class TestBuildFromCircuit:
 class TestCausalityReport:
     def test_verdict_is_not_stored(self):
         assert [f.name for f in dataclasses.fields(CausalityReport)] == [
-            "residuals", "base_residual", "tol", "bounds"
+            "residuals", "tol", "bounds"
         ]
         assert not hasattr(CausalityReport, "judge")
 
-    @pytest.mark.parametrize("residuals, base", [((3e-12, 7e-12), 1e-12), ((3e-12, 1e-12), 7e-12)])
-    def test_replaced_tol_flips_passed_exactly_at_the_worst_residual(self, residuals, base):
-        report = CausalityReport(residuals, base, 0.0)
+    def test_base_residual_is_level_one(self):
+        report = CausalityReport((3e-12, 7e-12, 1e-12), 1e-9)
+        assert report.base_residual == 3e-12 and not report.bounds
+
+    def test_bounds_is_keyword_only(self):
+        # A stale call with a separate base residual would otherwise be read
+        # with the base as the tolerance.
+        with pytest.raises(TypeError):
+            CausalityReport((0.25, 0.25), 0.25, 1e-9)
+        assert CausalityReport((0.25,), 1e-9, bounds=True).bounds
+
+    @pytest.mark.parametrize("residuals", [(1e-12, 3e-12, 7e-12), (7e-12, 3e-12, 1e-12)])
+    def test_replaced_tol_flips_passed_exactly_at_the_worst_residual(self, residuals):
+        report = CausalityReport(residuals, 0.0)
         assert report.worst == 7e-12 and not report.passed
         assert dataclasses.replace(report, tol=7e-12).passed
         assert not dataclasses.replace(report, tol=math.nextafter(7e-12, 0.0)).passed
@@ -177,18 +201,18 @@ class TestCausalityReport:
         pt = ProcessTensor.from_state(random_process(RandomSpec(3, 2, 4, 0)).state)
         worst = pt.causality.worst
         for tol in (0.0, math.nextafter(worst, 0.0), worst, 1e-9):
-            assert verify_causality(pt, tol) == dataclasses.replace(pt.causality, tol=tol)
-        assert verify_causality(pt, worst).passed
-        assert not verify_causality(pt, math.nextafter(worst, 0.0)).passed
+            rejudged = dataclasses.replace(pt.causality, tol=tol)
+            assert rejudged == verify_causality(pt.state, tol)
+            assert rejudged.passed == (worst <= tol)
 
-    @pytest.mark.parametrize("residuals, base", [((math.nan, 0.0), 0.0), ((0.0, 0.0), math.nan)])
-    def test_nan_residual_fails(self, residuals, base):
+    @pytest.mark.parametrize("residuals", [(math.nan, 0.0), (0.0, math.nan)])
+    def test_nan_residual_fails(self, residuals):
         for tol in (0.0, 1.0, math.inf):
-            assert not CausalityReport(residuals, base, tol).passed
+            assert not CausalityReport(residuals, tol).passed
 
     def test_reports_with_equal_fields_compare_equal(self):
-        a = CausalityReport((1e-12, 2e-12), 1e-12, 1e-9, bounds=True)
-        b = CausalityReport((1e-12, 2e-12), 1e-12, 1e-9, bounds=True)
+        a = CausalityReport((1e-12, 2e-12), 1e-9, bounds=True)
+        b = CausalityReport((1e-12, 2e-12), 1e-9, bounds=True)
         assert a == b and hash(a) == hash(b)
         assert a != dataclasses.replace(a, tol=0.0)
         assert a != dataclasses.replace(a, bounds=False)
@@ -200,7 +224,7 @@ class TestVerifyCausality:
     def test_circuit_output_passes(self, rng):
         for n in (1, 2, 3):
             pt = build_from_circuit(random_circuit_spec(rng, n=n))
-            assert verify_causality(pt).passed
+            assert verify_causality(pt.state).passed
 
     def test_cross_step_entangled_state_fails(self):
         # maximally entangled across the (step 1):(step 2) bipartition
@@ -241,9 +265,8 @@ class TestVerifyCausality:
     def test_carried_report_matches_fresh_check(self, n, d_env, seed, env_init, tol):
         built = random_process(RandomSpec(n=n, d=2, d_env=d_env, seed=seed, env_init=env_init))
         pt = ProcessTensor.from_state(built.state)
-        carried, fresh = verify_causality(pt, tol), verify_causality(pt.state, tol)
+        carried, fresh = dataclasses.replace(pt.causality, tol=tol), verify_causality(pt.state, tol)
         assert carried.residuals == fresh.residuals
-        assert carried.base_residual == fresh.base_residual
         assert carried.tol == fresh.tol == tol
         assert carried.passed == fresh.passed
 
@@ -278,14 +301,12 @@ class TestVerifyCausality:
         assert certificate.bounds
         for g, c in zip(generic.residuals, certificate.residuals, strict=True):
             assert g <= c + 1e-14
-        assert generic.base_residual <= certificate.base_residual + 1e-14
         try:
             carried = build_from_circuit(spec, tol).causality
         except CausalityError as exc:
             carried = exc.report
         assert carried.tol == tol
         assert carried.passed == generic.passed
-        assert verify_causality(pt, tol).passed == generic.passed
 
     def test_certificate_counts_the_environment_trace(self):
         # Exact unitaries on an environment of trace 1 + 9e-11: the base
@@ -299,7 +320,6 @@ class TestVerifyCausality:
         assert not generic.passed
         assert generic.base_residual == pytest.approx(4.5e-11, rel=1e-5)
         assert generic.base_residual <= loose.causality.base_residual + 1e-14
-        assert verify_causality(loose, 1e-11) == generic
         with pytest.raises(CausalityError) as info:
             build_from_circuit(spec, 1e-11)
         assert info.value.report == generic
@@ -313,21 +333,21 @@ class TestVerifyCausality:
         generic = verify_causality(pt.state, 5e-16)
         assert generic.passed
         assert pt.causality.worst > 5e-16
-        assert verify_causality(pt, 5e-16) == generic
+        assert build_from_circuit(pt.spec, 5e-16).causality == generic
 
     def test_carried_generic_residuals_are_rejudged_without_recomputing(self, monkeypatch):
         built = random_process(RandomSpec(n=3, d=2, d_env=4, seed=0))
         assert built.causality.bounds
-        pt = ProcessTensor.from_state(built.state)
-        assert not pt.causality.bounds
-        fresh = verify_causality(pt.state, 0.0)
+        fresh = verify_causality(built.state, 0.0)
         chains = []
         real = proctensor.processes._level_residuals
         monkeypatch.setattr(
             proctensor.processes, "_level_residuals", lambda c, d: chains.append(c) or real(c, d)
         )
-        assert verify_causality(pt, 0.0) == fresh
-        assert chains == []
+        pt = ProcessTensor.from_state(built.state)
+        assert not pt.causality.bounds and len(chains) == 1
+        assert dataclasses.replace(pt.causality, tol=0.0) == fresh
+        assert len(chains) == 1
 
     def test_generic_hierarchy_decides_when_the_bounds_fail(self):
         # Unitaries about 1e-10 off unitary leak at every level. The
@@ -401,7 +421,7 @@ class TestSwapChainProcess:
         assert np.max(np.abs(a.state.mat - b.state.mat)) <= 1e-9
 
     def test_causality(self):
-        assert verify_causality(swap_chain_process(3, 2)).passed
+        assert verify_causality(swap_chain_process(3, 2).state).passed
 
     def test_n_too_small(self):
         with pytest.raises(ValueError):
@@ -420,7 +440,7 @@ class TestCnotSwapProcess:
         assert trace_distance(proc.state, expected) <= 1e-9
 
     def test_causality(self):
-        assert verify_causality(cnot_swap_process()).passed
+        assert verify_causality(cnot_swap_process().state).passed
 
 
 class TestHaarUnitary:
@@ -456,12 +476,12 @@ class TestRandomProcess:
     @pytest.mark.parametrize("env_init", ["maximally-mixed", "pure-ground", "seeded-random"])
     def test_env_variants_pass_causality(self, env_init):
         pt = random_process(RandomSpec(n=2, d=2, d_env=3, seed=2, env_init=env_init))
-        assert verify_causality(pt).passed
+        assert verify_causality(pt.state).passed
 
     def test_batch_causality(self):
         for k in range(20):
             pt = random_process(RandomSpec(n=3, d=2, d_env=4, seed=1000 + k))
-            assert verify_causality(pt).passed
+            assert verify_causality(pt.state).passed
 
 
 def inline_haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -560,11 +580,7 @@ def leak_named(residuals):
 
 def stack_of(specs):
     """``build_stack``'s arguments for a list of specs that share one environment factor shape."""
-    return (
-        np.array([s.unitaries for s in specs]),
-        [s.env_state for s in specs],
-        np.array([s.residuals for s in specs]),
-    )
+    return np.array([s.unitaries for s in specs]), [s.env_state for s in specs]
 
 
 class TestBuildStack:
@@ -611,14 +627,14 @@ class TestBuildStack:
 
     def test_first_non_unitary_sample_raises_its_spec_error(self):
         specs = self.mixed_specs()
-        us, envs, residuals = stack_of(specs)
+        us, envs = stack_of(specs)
         us = us.copy()
         us[1, 2] *= 1.0 + 1e-6
         us[3, 0] *= 1.0 + 1e-6
         with pytest.raises(ValueError) as alone:
             CircuitProcessSpec(3, 2, envs[1], tuple(us[1]))
         with pytest.raises(ValueError) as stacked:
-            proctensor.processes.build_stack(us, envs, unitarity_residual(us))
+            proctensor.processes.build_stack(us, envs)
         assert str(stacked.value) == str(alone.value)
         assert str(alone.value).startswith("unitary 2 unitarity residual")
 
