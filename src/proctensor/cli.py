@@ -141,15 +141,9 @@ def cmd_audit_random(args: argparse.Namespace) -> int:
                 violations += 1
                 continue
             audit = audit_bounds(report, args.tol)
-            slacks = {
-                "unordered": min(audit.unordered_slack),
-                "ordered": min(audit.ordered_slack),
-                "max_nonmarkov": audit.max_nonmarkov_slack,
-                "markov_tradeoff": audit.markov_tradeoff_slack,
-                "total_tradeoff": audit.total_tradeoff_slack,
-            }
-            for name, s in slacks.items():
-                min_slacks[name] = min(min_slacks[name], s)
+            for name in SLACK_NAMES:  # the per-k slacks are tuples; each counts at its minimum
+                s = getattr(audit, f"{name}_slack")
+                min_slacks[name] = min(min_slacks[name], min(s) if isinstance(s, tuple) else s)
             if not audit.passed:
                 violations += 1
     elapsed = time.monotonic() - t0

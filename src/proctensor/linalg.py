@@ -320,18 +320,25 @@ def mutual_information(
 
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
-    """Half the trace norm of a - b."""
+    """Half the trace norm of a - b: of their factors if narrow, else of the dense matrices."""
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
     if a.factor.shape[1] + b.factor.shape[1] < a.dim:
-        # a - b acts within the joint column space; project there first.
-        # With [Fa Fb] = QR, Q^dag [Fa Fb] = R: R's column blocks are the
-        # projected factors, so Q itself is never formed.
-        ka = a.factor.shape[1]
-        r = np.linalg.qr(np.concatenate([a.factor, b.factor], axis=1), mode="r")
-        pa, pb = r[:, :ka], r[:, ka:]
-        w = np.linalg.eigvalsh(pa @ pa.conj().T - pb @ pb.conj().T)
-    else:
-        w = np.linalg.eigvalsh(a.mat - b.mat)
+        return factor_trace_distance(a.factor, b.factor)
+    return float(0.5 * np.sum(np.abs(np.linalg.eigvalsh(a.mat - b.mat))))
+
+
+def factor_trace_distance(fa: np.ndarray, fb: np.ndarray) -> float:
+    """Half the trace norm of Fa Fa^dag - Fb Fb^dag, for factors with equal row counts.
+
+    Narrow factors are projected first onto their joint column space, where
+    the difference acts: with [Fa Fb] = QR, Q^dag [Fa Fb] = R, so R's column
+    blocks are the projected factors and Q itself is never formed.
+    """
+    ka = fa.shape[1]
+    if ka + fb.shape[1] < fa.shape[0]:
+        r = np.linalg.qr(np.concatenate([fa, fb], axis=1), mode="r")
+        fa, fb = r[:, :ka], r[:, ka:]
+    w = np.linalg.eigvalsh(fa @ fa.conj().T - fb @ fb.conj().T)
     return float(0.5 * np.sum(np.abs(w)))
 

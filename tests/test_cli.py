@@ -13,7 +13,6 @@ import proctensor.cli
 import proctensor.io
 import proctensor.processes
 from proctensor import (
-    CausalityReport,
     DensityMatrix,
     RandomSpec,
     audit_bounds,
@@ -514,14 +513,11 @@ class TestEmitFigureCommand:
         assert not out.exists()
 
     def test_fig6_failed_hierarchy_exits_one(self, tmp_path, monkeypatch, capsys):
-        # No certificate decides, and the generic hierarchy fails every point.
+        # No certificate decides, and the exact hierarchy fails every point.
         monkeypatch.setattr(
             proctensor.processes, "_unitarity_certificate", lambda r, t: np.ones(r.shape)
         )
-        monkeypatch.setattr(
-            proctensor.processes, "verify_causality",
-            lambda state, tol: CausalityReport((0.25, 0.25), tol),
-        )
+        monkeypatch.setattr(proctensor.processes, "_level_residuals", lambda levels, d: [0.25] * 2)
         out = tmp_path / "fig6.csv"
         assert main(["emit-figure", "--figure", "fig6", "--grid", "3", "--out", str(out)]) == 1
         assert "causality hierarchy violated at p = " in capsys.readouterr().err
@@ -652,7 +648,7 @@ class TestAuditRandomCommand:
 
     def test_failing_generic_sample_counts_once(self, tmp_path, monkeypatch):
         # Sample 1 gets no certificate, in its stack and when it is rebuilt
-        # alone, so the generic hierarchy decides it, and fails; the other
+        # alone, so the exact hierarchy decides it, and fails; the other
         # samples are audited as they are alone.
         alone = [audit_bounds(correlation_report(random_process(RandomSpec(2, 2, 4, 3 + k))))
                  for k in (0, 2, 3, 4)]
@@ -663,11 +659,8 @@ class TestAuditRandomCommand:
             upper[1 if len(upper) > 1 else 0] = 1.0
             return upper
 
-        def failing(state, tol):
-            return CausalityReport((0.25, 0.25), tol)
-
         monkeypatch.setattr(proctensor.processes, "_unitarity_certificate", uncertified)
-        monkeypatch.setattr(proctensor.processes, "verify_causality", failing)
+        monkeypatch.setattr(proctensor.processes, "_level_residuals", lambda levels, d: [0.25] * 2)
         out = tmp_path / "audit.txt"
         argv = ["audit-random", "--n", "2", "--samples", "5", "--seed", "3", "--out", str(out)]
         assert main(argv) == 1
@@ -886,8 +879,10 @@ class TestDenseCap:
 
     def test_spec_beyond_the_dense_cap(self, tmp_path, capsys):
         # The certificate decides at the default tolerance, and analyze reads
-        # the transfer; at tolerance 0 the certificate cannot decide, and the
-        # generic hierarchy needs the 2^24-row Choi state.
+        # the transfer. At 1e-14 and 0 the certificate cannot decide, and the
+        # exact hierarchy is read from the same transfer: its residuals are
+        # 0 in exact arithmetic and about 1e-15 in rounding. Only the
+        # 2^24-row Choi state is beyond the cap.
         path = write_spec(tmp_path, self.swap_chain_doc(12))
         out = tmp_path / "report.txt"
         assert main(["verify", "--in", str(path)]) == 0
@@ -895,8 +890,23 @@ class TestDenseCap:
         fields = dict(ln.split(" = ") for ln in out.read_text().splitlines())
         assert float(fields["non_markov"]) == pytest.approx(22 * LN2, abs=1e-10)
         capsys.readouterr()
-        assert main(["verify", "--in", str(path), "--tol", "0"]) == 2
-        assert "exceeds dense limit" in capsys.readouterr().err
+        assert main(["verify", "--in", str(path), "--tol", "1e-14"]) == 0
+        assert "causality_pass = True" in capsys.readouterr().out
+        assert main(["verify", "--in", str(path), "--tol", "0"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert "causality_pass = False" in lines
+        residuals = [ln for ln in lines if ln.startswith("causality_residual[")]
+        assert len(residuals) == 12
+        assert max(float(ln.split(" = ")[1]) for ln in residuals) <= 1e-14
+        pt = build_from_circuit(load_process_spec(path))
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionLimitError):
+                pt.state
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_audit_beyond_the_cap_holds_no_dense_state(self, tmp_path):
         # At n = 12 a slot state would have d^(2n) = 2^24 rows; the stacks of
@@ -931,9 +941,9 @@ class TestVerifyOnce:
         real_levels = proctensor.processes._level_residuals
         real_verify = proctensor.processes.verify_causality
 
-        def counting_levels(chain, d):
-            chains.append(len(chain))
-            return real_levels(chain, d)
+        def counting_levels(levels, d):
+            chains.append(d)
+            return real_levels(levels, d)
 
         def counting_verify(state, tol):
             generic.append(tol)
@@ -951,22 +961,22 @@ class TestVerifyOnce:
         assert generic == []
 
     def test_audit_counts_failed_hierarchy_as_violation(self, tmp_path, monkeypatch):
-        generic = []
+        kernel = []
         real_engine = proctensor.processes.random_processes
-        real_verify = proctensor.processes.verify_causality
+        real_levels = proctensor.processes._level_residuals
 
-        def counting_verify(state, tol):
-            generic.append(tol)
-            return real_verify(state, tol)
+        def counting_levels(levels, d):
+            kernel.append(d)
+            return real_levels(levels, d)
 
-        # at tolerance 0 both the certificate and the generic hierarchy fail
+        # at tolerance 0 both the certificate and the exact hierarchy fail
         monkeypatch.setattr(
             proctensor.cli, "random_processes", lambda spec, count: real_engine(spec, count, 0.0)
         )
-        monkeypatch.setattr(proctensor.processes, "verify_causality", counting_verify)
+        monkeypatch.setattr(proctensor.processes, "_level_residuals", counting_levels)
         out = tmp_path / "audit.txt"
         assert main(["audit-random", "--n", "2", "--samples", "3", "--out", str(out)]) == 1
-        assert generic == [0.0] * 3
+        assert kernel == [2] * 3  # one hierarchy per sample, from its transfer
         fields = dict(ln.split(" = ") for ln in out.read_text().splitlines())
         assert fields["violations"] == "3"
         assert 0.0 < float(fields["worst_causality_residual"]) <= 1e-9

@@ -71,6 +71,14 @@ def dense_circuit_choi(spec: CircuitProcessSpec) -> np.ndarray:
     return np.trace(rho.reshape(half, de, half, de), axis1=1, axis2=3)
 
 
+def assert_same_verdict(report, dense):
+    """A build's exact residuals against the dense hierarchy's: same tol and verdict, within 1e-15."""
+    assert report.tol == dense.tol
+    for got, want in zip(report.residuals, dense.residuals, strict=True):
+        assert abs(got - want) <= 1e-15
+    assert report.passed == dense.passed
+
+
 class TestBuildFromCircuit:
     def test_identity_steps_give_product_of_pairs(self, rng):
         env = random_density(rng, (3,))
@@ -252,7 +260,8 @@ class TestVerifyCausality:
         assert pt.causality.tol == 1e-6 and pt.causality.passed
         with pytest.raises(CausalityError) as info:
             build_from_circuit(spec, tol_causal=0.0)
-        assert info.value.report == verify_causality(pt.state, 0.0)
+        assert not info.value.report.bounds
+        assert_same_verdict(info.value.report, verify_causality(pt.state, 0.0))
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -306,7 +315,13 @@ class TestVerifyCausality:
         except CausalityError as exc:
             carried = exc.report
         assert carried.tol == tol
-        assert carried.passed == generic.passed
+        if not carried.bounds:
+            # The exact route rounds apart from the dense one by up to 1e-15,
+            # so the verdicts may differ only for a tol that close to a residual.
+            for c, g in zip(carried.residuals, generic.residuals, strict=True):
+                assert abs(c - g) <= 1e-15
+        if carried.bounds or all(abs(g - tol) > 1e-15 for g in generic.residuals):
+            assert carried.passed == generic.passed
 
     def test_certificate_counts_the_environment_trace(self):
         # Exact unitaries on an environment of trace 1 + 9e-11: the base
@@ -322,18 +337,20 @@ class TestVerifyCausality:
         assert generic.base_residual <= loose.causality.base_residual + 1e-14
         with pytest.raises(CausalityError) as info:
             build_from_circuit(spec, 1e-11)
-        assert info.value.report == generic
+        assert_same_verdict(info.value.report, generic)
 
     def test_carried_bounds_defer_to_the_generic_hierarchy(self):
         # The carried certificate (2.5e-15, from the Frobenius norms of
         # U^dag U - I) exceeds the exact residuals (2.2e-16) of this process;
-        # at a tolerance between the two the generic hierarchy passes and
+        # at a tolerance between the two the exact hierarchy passes and
         # decides.
         pt = random_process(RandomSpec(n=3, d=2, d_env=4, seed=0))
         generic = verify_causality(pt.state, 5e-16)
         assert generic.passed
         assert pt.causality.worst > 5e-16
-        assert build_from_circuit(pt.spec, 5e-16).causality == generic
+        exact = build_from_circuit(pt.spec, 5e-16).causality
+        assert not exact.bounds
+        assert_same_verdict(exact, generic)
 
     def test_carried_generic_residuals_are_rejudged_without_recomputing(self, monkeypatch):
         built = random_process(RandomSpec(n=3, d=2, d_env=4, seed=0))
@@ -368,8 +385,35 @@ class TestVerifyCausality:
         assert 1e-12 < generic < bound
         tol = (generic + bound) / 2
         pt = build_from_circuit(spec, tol)
-        assert pt.causality == verify_causality(pt.state, tol)
+        assert_same_verdict(pt.causality, verify_causality(pt.state, tol))
         assert pt.causality.worst < tol < bound
+
+    @pytest.mark.parametrize("n, d", [(1, 2), (2, 2), (3, 2), (1, 3), (2, 3), (3, 3)])
+    @pytest.mark.parametrize("kind", ["causal", "non-causal", "rank-deficient"])
+    def test_matches_a_dense_formula(self, rng, n, d, kind):
+        # The reference traces slots from the dense matrix with einsum and
+        # takes the spectrum of each level's difference; rho_0 (x) I/d is I/d.
+        if kind == "causal":
+            state = random_process(RandomSpec(n, d, 2, int(rng.integers(1000)), "seeded-random")).state
+        else:
+            state = random_density(rng, (d,) * (2 * n), rank=None if kind == "non-causal" else 3)
+        mat = state.mat
+
+        def marginal(m, side):  # trace all but the first ``side`` rows' slots
+            rest = m.shape[0] // side
+            return np.einsum("aibi->ab", m.reshape(side, rest, side, rest))
+
+        expected = []
+        for j in range(1, n + 1):
+            lhs = marginal(mat, d ** (2 * j - 1))
+            rhs = np.kron(marginal(mat, d ** (2 * j - 2)), np.eye(d) / d) if j > 1 else np.eye(d) / d
+            expected.append(0.5 * np.sum(np.abs(np.linalg.eigvalsh(lhs - rhs))))
+        report = verify_causality(state, 0.0)
+        assert np.max(np.abs(np.array(report.residuals) - expected)) <= 1e-12
+        if kind == "causal":
+            assert report.worst <= 1e-12
+        elif kind == "non-causal":
+            assert report.worst > 1e-3
 
     def test_all_maximally_mixed_passes(self):
         state = maximally_mixed((2, 2, 2, 2))
@@ -640,12 +684,68 @@ class TestBuildStack:
 
     def test_first_leaky_sample_raises_its_single_process_error(self):
         # Samples 1 and 3 move the trace beyond DEFAULT_TOL.tr, sample 2
-        # leaks within it; the first leaky sample in stack order is named.
+        # leaks within it; the first leaky sample in stack order is named,
+        # also at tolerance 0, where every sample gets the exact hierarchy.
         specs = [seeded_circuit_spec(4, 2, 1, seed, "maximally-mixed", leak=leak)
                  for seed, leak in ((3, 0.0), (1, 8e-11), (3, 8e-11), (0, 2.7e-11))]
         with pytest.raises(NotAStateError) as alone:
             build_from_circuit(specs[1])
-        with pytest.raises(NotAStateError) as stacked:
-            proctensor.processes.build_stack(*stack_of(specs))
-        assert str(stacked.value) == str(alone.value)
+        for tol in (1e-9, 0.0):
+            with pytest.raises(NotAStateError) as stacked:
+                proctensor.processes.build_stack(*stack_of(specs), tol)
+            assert str(stacked.value) == str(alone.value)
         assert leak_named(unitarity_residual(np.array(specs[1].unitaries))) in str(alone.value)
+
+
+class TestExactHierarchy:
+    """The hierarchy a build reads from its transfer, where the certificate cannot decide."""
+
+    @staticmethod
+    def exact(spec):
+        # At tolerance 0 no certificate decides, so every residual is exact.
+        _, (report,) = proctensor.processes.build_stack(
+            np.array([spec.unitaries]), [spec.env_state], 0.0
+        )
+        assert not report.bounds
+        return report
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 5),
+        d=st.integers(2, 3),
+        d_env=st.integers(1, 3),
+        seed=st.integers(0, 2**32 - 1),
+        env_init=st.sampled_from(["maximally-mixed", "pure-ground", "seeded-random"]),
+        leak=st.one_of(st.just(0.0), st.floats(1e-13, 3e-11)),
+        spread=st.booleans(),
+        env_shift=st.one_of(st.just(0.0), st.floats(-9e-11, 9e-11)),
+    )
+    def test_matches_the_dense_hierarchy(self, n, d, d_env, seed, env_init, leak, spread, env_shift):
+        assume(d ** (2 * n) <= 3**8)
+        spec = seeded_circuit_spec(n, d, d_env, seed, env_init, leak, 1.0 + env_shift, spread)
+        try:
+            dense = verify_causality(build_from_circuit(spec, 1.0).state, 0.0)
+        except NotAStateError:
+            assume(False)
+        for got, want in zip(self.exact(spec).residuals, dense.residuals, strict=True):
+            assert abs(got - want) <= 1e-15
+
+    @pytest.mark.parametrize("n", [10, 100, 1000])
+    def test_certificate_bounds_every_level(self, n):
+        # Beyond the dense route's reach, the exact route is the oracle of
+        # the certificate: its bounds hold level by level.
+        for env_init in ("maximally-mixed", "pure-ground", "seeded-random"):
+            spec = RandomSpec(n=n, d=2, d_env=4, seed=1, env_init=env_init)
+            _, (certificate,) = random_stack(spec, 1, 1.0)
+            _, (exact,) = random_stack(spec, 1, 0.0)
+            assert certificate.bounds and not exact.bounds
+            for c, e in zip(certificate.residuals, exact.residuals, strict=True):
+                assert e <= c
+
+    def test_swap_chain_is_causal_to_rounding_at_any_length(self):
+        # Its residuals are 0 in exact arithmetic; no Choi state is formed.
+        for n in (4, 12, 50):
+            spec = CircuitProcessSpec(
+                n=n, d=2, env_state=maximally_mixed(2), unitaries=(swap_unitary(2),) * n
+            )
+            assert self.exact(spec).worst <= 1e-14
