@@ -12,15 +12,16 @@ class Tolerances:
 
     The values suit double-precision eigensolvers at the supported dense
     dimensions. ``causal`` and ``xcheck`` are the defaults of the per-call
-    overrides: ``tol_causal`` of ``build_from_circuit`` and
-    ``ProcessTensor.from_state``, ``verify_causality(state, tol)``,
-    ``audit_bounds(report, tol)`` and the CLI's ``--tol``.
+    overrides: ``tol_causal`` of ``build_from_circuit``,
+    ``ProcessTensor.from_state`` and ``io.load_process``,
+    ``verify_causality(state, tol)``, ``audit_bounds(report, tol)`` and the
+    CLI's ``--tol``.
     """
 
     herm: float = 1e-10     # Hermiticity residual
     tr: float = 1e-10       # trace deviation from 1
     psd: float = 1e-10      # allowed negative eigenvalue magnitude
-    eig: float = 1e-9       # eigensolver / reconstruction residual
+    eig: float = 1e-9       # unitarity residual ||U^dag U - I||_F of a step unitary
     supp: float = 1e-10     # support-leakage threshold for relative entropy
     xcheck: float = 1e-8    # cross-checks between independent formulas
     causal: float = 1e-9    # trace distance per causality hierarchy level

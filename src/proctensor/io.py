@@ -1,5 +1,7 @@
 """File formats: process-spec documents, serialized Choi states, reports, CSV.
 
+``load_process`` opens either kind of process file as a verified process.
+
 Process specs are JSON; complex matrices are nested arrays of [re, im]
 pairs in the package's big-endian index convention. Choi states use a plain
 text format: one header line with the step count, dimension and slot
@@ -17,10 +19,11 @@ from typing import Any, Iterable, TextIO, get_args
 
 import numpy as np
 
-from .config import max_dense_dim
+from .config import DEFAULT_TOL, max_dense_dim
 from .linalg import DensityMatrix, DimensionLimitError
-from .metrics import BoundAudit, CorrelationReport
-from .processes import CausalityReport, CircuitProcessSpec, EnvInit, random_env
+from .metrics import SLACK_NAMES, BoundAudit, CorrelationReport
+from .processes import CausalityReport, CircuitProcessSpec, EnvInit, ProcessTensor
+from .processes import build_from_circuit, checked_unitaries, random_env
 
 CHOI_MAGIC = "proctensor-choi"
 _QUOTED = 120  # most characters of a Choi header that an error message quotes
@@ -93,16 +96,32 @@ def load_process_spec(path: str | Path) -> CircuitProcessSpec:
         if env_init not in get_args(EnvInit):
             raise SpecFileError(f"field 'env_init' has unknown value {env_init!r}")
         seed = _require_at_least(doc, "seed", 0) if "seed" in doc else 0
-        rng = np.random.default_rng(seed)
-        env = random_env(rng, d_env, env_init)
+        env = None
     raw_us = _require(doc, "unitaries", list)
     if not isinstance(raw_us, list) or len(raw_us) != n:
         raise SpecFileError(f"field 'unitaries' must list exactly n = {n} matrices")
     us = tuple(pairs_to_complex(u, f"unitaries[{j}]") for j, u in enumerate(raw_us))
     try:
+        # The unitaries' side d * d_env is checked before a default environment
+        # of side d_env is built, so what a spec allocates is bounded by its file.
+        us = checked_unitaries(us, n, d * d_env)
+        if env is None:
+            env = random_env(np.random.default_rng(seed), d_env, env_init)
         return CircuitProcessSpec(n=n, d=d, env_state=env, unitaries=us)
     except ValueError as exc:
         raise SpecFileError(f"field 'unitaries': {exc}") from exc
+
+
+def load_process(path: str | Path, tol_causal: float = DEFAULT_TOL.causal) -> ProcessTensor:
+    """The verified process of a Choi file (``is_choi_file``) or else of a process spec.
+
+    A Choi file gives ``ProcessTensor.from_state``, a spec
+    ``build_from_circuit``; either raises ``CausalityError``, carrying the
+    hierarchy's report, if the process fails it at ``tol_causal``.
+    """
+    if is_choi_file(path):
+        return ProcessTensor.from_state(load_choi(path), tol_causal)
+    return build_from_circuit(load_process_spec(path), tol_causal)
 
 
 def slot_labels(n: int) -> str:
@@ -261,18 +280,14 @@ def report_lines(report: CorrelationReport) -> list[str]:
 
 def audit_lines(audit: BoundAudit) -> list[str]:
     lines = []
-    for k, s in enumerate(audit.unordered_slack, start=1):
-        lines.append(f"unordered_slack[{k}] = {fmt(s)}")
-    for k, s in enumerate(audit.ordered_slack, start=1):
-        lines.append(f"ordered_slack[{k}] = {fmt(s)}")
-    lines += [
-        f"max_nonmarkov_slack = {fmt(audit.max_nonmarkov_slack)}",
-        f"markov_tradeoff_slack = {fmt(audit.markov_tradeoff_slack)}",
-        f"total_tradeoff_slack = {fmt(audit.total_tradeoff_slack)}",
-    ]
-    if audit.two_step_slacks is not None:
-        lines.append(f"two_step_slack_first = {fmt(audit.two_step_slacks[0])}")
-        lines.append(f"two_step_slack_second = {fmt(audit.two_step_slacks[1])}")
+    for name in SLACK_NAMES:
+        s = getattr(audit, f"{name}_slack")
+        if isinstance(s, tuple):
+            lines += [f"{name}_slack[{k}] = {fmt(x)}" for k, x in enumerate(s, start=1)]
+        else:
+            lines.append(f"{name}_slack = {fmt(s)}")
+    for which, s in zip(("first", "second"), audit.two_step_slacks or ()):
+        lines.append(f"two_step_slack_{which} = {fmt(s)}")
     lines.append(f"bounds_pass = {audit.passed}")
     return lines
 

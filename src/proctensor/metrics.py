@@ -43,22 +43,44 @@ class CorrelationReport:
     compares two routes to the o_j marginals.
     """
 
-    n: int
     d: int
     total: float                      # multipartite MI over all 2n slots
     step_markov: tuple[float, ...]    # per-step (input:output) MI
-    markov: float                     # sum of step_markov
     non_markov: float                 # MI across step blocks
-    step_complement: tuple[float, ...]  # 2 ln d minus each step value
-    additivity_residual: float        # |total - (markov + non_markov)|
+
+    @property
+    def n(self) -> int:
+        """Step count: the length of ``step_markov``."""
+        return len(self.step_markov)
+
+    @property
+    def markov(self) -> float:
+        """Sum of ``step_markov``."""
+        return sum(self.step_markov)
+
+    @property
+    def step_complement(self) -> tuple[float, ...]:
+        """2 ln d minus each step value."""
+        log_d2 = 2.0 * math.log(self.d)
+        return tuple(log_d2 - m for m in self.step_markov)
+
+    @property
+    def additivity_residual(self) -> float:
+        """|total - (markov + non_markov)|."""
+        return abs(self.total - (self.markov + self.non_markov))
+
+
+# The proved bounds, each read as the field ``f"{name}_slack"`` of a ``BoundAudit``.
+SLACK_NAMES = ("unordered", "ordered", "max_nonmarkov", "markov_tradeoff", "total_tradeoff")
 
 
 @dataclass(frozen=True)
 class BoundAudit:
-    """Signed slacks (bound minus quantity) for every proved inequality.
+    """Signed slacks (bound minus quantity) for every proved inequality, judged at ``tol``.
 
-    A nonnegative slack (up to tolerance) means the bound holds; zero slack
-    flags saturation. ``two_step_slacks`` is populated only for n = 2.
+    A slack of at least -``tol`` means the bound holds; zero slack flags
+    saturation. ``two_step_slacks`` is populated only for n = 2.
+    ``dataclasses.replace(audit, tol=...)`` re-judges the same slacks.
     """
 
     unordered_slack: tuple[float, ...]   # per k: 2*sum_{j!=k} complement_j - N
@@ -67,7 +89,16 @@ class BoundAudit:
     markov_tradeoff_slack: float         # 2n ln d - ((2^n-1)/(2^n-2)) N - M
     total_tradeoff_slack: float          # 2n ln d - N/(2^n-2) - I
     two_step_slacks: tuple[float, float] | None
-    passed: bool
+    tol: float
+
+    @property
+    def passed(self) -> bool:
+        """Whether every slack, the two-step ones included, is at least -``tol``; a NaN fails."""
+        slacks = list(self.two_step_slacks or ())
+        for name in SLACK_NAMES:
+            s = getattr(self, f"{name}_slack")
+            slacks += s if isinstance(s, tuple) else (s,)
+        return all([s >= -self.tol for s in slacks])
 
 
 def _as_state(pt: ProcessTensor | DensityMatrix) -> tuple[DensityMatrix, int, int]:
@@ -121,21 +152,8 @@ def _reports(
     # At n = 1 the one step block is the whole state, so N is exactly 0; the
     # difference of its two spectra's entropies would only show their rounding.
     non_markov = (np.sum(s_step, axis=1) - s_global).tolist() if n > 1 else [0.0] * s
-    log_d2 = 2.0 * math.log(d)
-    reports = []
-    for st, tot, nm in zip(step, total.tolist(), non_markov):
-        markov = sum(st)
-        reports.append(CorrelationReport(
-            n=n,
-            d=d,
-            total=tot,
-            step_markov=tuple(st),
-            markov=markov,
-            non_markov=nm,
-            step_complement=tuple(log_d2 - m for m in st),
-            additivity_residual=abs(tot - (markov + nm)),
-        ))
-    return reports
+    return [CorrelationReport(d=d, total=tot, step_markov=tuple(st), non_markov=nm)
+            for st, tot, nm in zip(step, total.tolist(), non_markov)]
 
 
 def non_markovianity_crosscheck(pt: ProcessTensor | DensityMatrix) -> float:
@@ -184,10 +202,6 @@ def audit_bounds(
     two_step = None
     if n == 2:
         two_step = (2.0 * comp[0] - big_n, comp[1] - big_n)
-    slacks = list(unordered) + list(ordered) + [thm1, thm2, thm2p]
-    if two_step is not None:
-        slacks += list(two_step)
-    passed = all(s >= -tol for s in slacks)
     return BoundAudit(
         unordered_slack=unordered,
         ordered_slack=ordered,
@@ -195,7 +209,7 @@ def audit_bounds(
         markov_tradeoff_slack=thm2,
         total_tradeoff_slack=thm2p,
         two_step_slacks=two_step,
-        passed=passed,
+        tol=tol,
     )
 
 

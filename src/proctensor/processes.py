@@ -146,22 +146,32 @@ class CircuitProcessSpec:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if self.d < 2:
             raise ValueError(f"d must be >= 2, got {self.d}")
-        us = tuple(np.asarray(u, dtype=complex) for u in self.unitaries)
+        us = checked_unitaries(self.unitaries, self.n, self.d * self.d_env)
         object.__setattr__(self, "unitaries", us)
-        if len(us) != self.n:
-            raise ValueError(f"expected {self.n} unitaries, got {len(us)}")
-        dim = self.d * self.d_env
-        for j, u in enumerate(us):
-            if u.shape != (dim, dim):
-                raise ValueError(f"unitary {j} has shape {u.shape}, expected {(dim, dim)}")
-            if not np.all(np.isfinite(u)):
-                raise ValueError(f"unitary {j} entries must be finite")
-            u.setflags(write=False)
         _check_unitarity(unitarity_residual(np.array(us))[None])
 
     @property
     def d_env(self) -> int:
         return self.env_state.dim
+
+
+def checked_unitaries(unitaries: Iterable[np.ndarray], n: int, dim: int) -> tuple[np.ndarray, ...]:
+    """``unitaries`` as n read-only complex arrays of shape (dim, dim) with finite entries.
+
+    Raises ``ValueError`` naming the first unitary that fails; unitarity
+    itself is left to ``CircuitProcessSpec``. Needs no environment, so a
+    spec file is checked by it before its environment is built.
+    """
+    us = tuple(np.asarray(u, dtype=complex) for u in unitaries)
+    if len(us) != n:
+        raise ValueError(f"expected {n} unitaries, got {len(us)}")
+    for j, u in enumerate(us):
+        if u.shape != (dim, dim):
+            raise ValueError(f"unitary {j} has shape {u.shape}, expected {(dim, dim)}")
+        if not np.all(np.isfinite(u)):
+            raise ValueError(f"unitary {j} entries must be finite")
+        u.setflags(write=False)
+    return us
 
 
 EnvInit = Literal["maximally-mixed", "pure-ground", "seeded-random"]

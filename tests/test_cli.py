@@ -980,3 +980,164 @@ class TestVerifyOnce:
         fields = dict(ln.split(" = ") for ln in out.read_text().splitlines())
         assert fields["violations"] == "3"
         assert 0.0 < float(fields["worst_causality_residual"]) <= 1e-9
+
+
+class TestAnalyzeChoiFile:
+    """``analyze`` opens a Choi file by the rule ``verify`` does (``io.load_process``)."""
+
+    SPECS = {
+        "swap-n3-d2": lambda: swap_chain_process(3, 2).spec,
+        "swap-n2-d3": lambda: swap_chain_process(2, 3).spec,
+        "cnot-swap": lambda: cnot_swap_process().spec,
+        "nm-depolarizing-0.5": lambda: nm_depolarizing_process(0.5).spec,
+        "nm-depolarizing-1": lambda: nm_depolarizing_process(1.0).spec,
+        "haar-n1": lambda: seeded_circuit_spec(1, 2, 4, 31, "seeded-random"),
+        "haar-n2-d3": lambda: seeded_circuit_spec(2, 3, 2, 32, "pure-ground"),
+        "haar-n3": lambda: seeded_circuit_spec(3, 2, 4, 33, "maximally-mixed"),
+        "haar-n4": lambda: seeded_circuit_spec(4, 2, 2, 34, "seeded-random"),
+        "haar-n3-leaky": lambda: seeded_circuit_spec(3, 2, 2, 35, "maximally-mixed", leak=1e-11),
+        "haar-n2-trace-off": lambda: seeded_circuit_spec(
+            2, 2, 2, 36, "seeded-random", env_trace=1 - 2e-11
+        ),
+    }
+
+    @pytest.mark.parametrize("name", SPECS)
+    @pytest.mark.parametrize("tol", [None, "0", "1e-15"])
+    def test_choi_report_matches_the_spec_report(self, tmp_path, capsys, name, tol):
+        spec = self.SPECS[name]()
+        spec_path, choi_path = tmp_path / "proc.json", tmp_path / "proc.choi"
+        spec_path.write_text(json.dumps({
+            "n": spec.n, "d": spec.d, "d_env": spec.d_env,
+            "env": complex_to_pairs(spec.env_state.mat),
+            "unitaries": [complex_to_pairs(u) for u in spec.unitaries],
+        }))
+        save_choi(build_from_circuit(spec, math.inf).state, choi_path)
+        extra = [] if tol is None else ["--tol", tol]
+        codes, reports = [], []
+        for path in (spec_path, choi_path):
+            codes.append(main(["analyze", "--in", str(path), *extra]))
+            reports.append([ln.split(" = ") for ln in capsys.readouterr().out.splitlines()])
+        assert codes[0] == codes[1]
+        spec_lines, choi_lines = reports
+        assert [k for k, _ in spec_lines] == [k for k, _ in choi_lines]
+        for (key, a), (_, b) in zip(spec_lines, choi_lines):
+            if a in ("True", "False"):
+                assert a == b, key
+            elif key.startswith("causality_") and float(a) > float(b) + 1e-12:
+                # where the certificate decides, a spec prints upper bounds on
+                # the exact residuals that a Choi file prints
+                assert codes[0] == 0 and tol is None, key
+            else:
+                assert float(a) == pytest.approx(float(b), abs=1e-12), key
+
+    def test_analyze_choi_prints_report_and_audit(self, tmp_path, capsys):
+        path = tmp_path / "chain.choi"
+        save_choi(swap_chain_process(4, 2).state, path)
+        assert main(["analyze", "--in", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "causality_pass = True" in lines
+        fields = dict(ln.split(" = ") for ln in lines)
+        assert float(fields["non_markov"]) == pytest.approx(6 * LN2, abs=1e-12)  # N_max at n = 4
+        assert float(fields["markov"]) == pytest.approx(0.0, abs=1e-12)
+        assert lines[-1] == "bounds_pass = True"
+        assert main(["analyze", "--in", str(path), "--tol", "0"]) == 1
+        assert "causality_pass = False" in capsys.readouterr().out
+
+    def test_non_causal_choi_prints_only_the_causality_lines(self, tmp_path, capsys):
+        path = tmp_path / "noncausal.choi"
+        save_choi(DensityMatrix(max_entangled_state(4).mat, (2, 2, 2, 2)), path)
+        assert main(["analyze", "--in", str(path)]) == 1
+        out = capsys.readouterr().out
+        lines = out.splitlines()
+        assert lines[-1] == "causality_pass = False"
+        assert all(ln.startswith("causality_") for ln in lines)
+        assert main(["verify", "--in", str(path)]) == 1
+        assert capsys.readouterr().out == out
+
+    @pytest.mark.parametrize("edit", [
+        lambda ls: ls.__setitem__(0, "proctensor-choi n=2 d=2 slots=o1,i0,o2,i1"),
+        lambda ls: ls.__setitem__(0, "proctensor-choi n=2 d=2"),
+        lambda ls: ls.__setitem__(0, "proctensor-choi n=0 d=2 slots="),
+        lambda ls: ls.__setitem__(0, "proctensor-choi n=2 d=1 slots=i0,o1,i1,o2"),
+        lambda ls: ls.__setitem__(0, "proctensor-choi n=1000000 d=2 slots=i0"),
+        lambda ls: ls.__setitem__(0, "proctensor-choi n=two d=2 slots=i0,o1,i1,o2"),
+        lambda ls: ls.__setitem__(6, ls[6].rsplit(" ", 1)[0]),
+        _retoken(5, 3, "abc"),
+        lambda ls: ls.insert(6, ""),
+        lambda ls: ls.append(ls[-1]),
+        lambda ls: ls.pop(),
+        _retoken(2, 0, "nan"),
+    ], ids=["slots", "no-slots", "n-zero", "d-one", "huge", "n-text",
+            "short-row", "non-numeric", "blank-between", "row-too-many", "row-too-few", "nan"])
+    def test_header_and_row_errors_exit_two_as_in_verify(self, tmp_path, capsys, edit):
+        path = tmp_path / "choi.txt"
+        save_choi(cnot_swap_process().state, path)
+        lines = path.read_text().splitlines()
+        edit(lines)
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["verify", "--in", str(path)]) == 2
+        verify = capsys.readouterr()
+        assert main(["analyze", "--in", str(path)]) == 2
+        analyze = capsys.readouterr()
+        assert verify.out == analyze.out == ""
+        assert analyze.err == verify.err
+        assert analyze.err.startswith("error: ") and len(analyze.err.splitlines()) == 1
+
+
+class TestBoundedSpecAllocation:
+    @pytest.mark.parametrize("env", [
+        {}, {"env_init": "maximally-mixed"}, {"env_init": "pure-ground"},
+        {"env_init": "seeded-random", "seed": 3},
+    ])
+    @pytest.mark.parametrize("command", ["verify", "analyze"])
+    def test_unitary_side_is_checked_before_the_environment(self, tmp_path, capsys, env, command):
+        # d_env = 1000 would build an environment of 1000^2 entries (8 MB and
+        # more) before the fix; the unitaries' side is checked first.
+        path = write_spec(tmp_path, {"n": 1, "d": 2, "d_env": 1000, **env,
+                                     "unitaries": [[[[1, 0]]]]})
+        main(["verify", "--in", str(path)])  # warm the parser and the imports
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            code = main([command, "--in", str(path)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "'unitaries'" in err and "expected (2000, 2000)" in err
+        assert peak < 2**20
+
+    def test_bad_env_is_still_named_before_the_unitaries(self, tmp_path, capsys):
+        path = write_spec(tmp_path, {"n": 1, "d": 2, "d_env": 2, "env_init": "nope",
+                                     "unitaries": [[[[1, 0]]]]})
+        assert main(["verify", "--in", str(path)]) == 2
+        assert "'env_init'" in capsys.readouterr().err
+
+
+class TestMemoryError:
+    @pytest.mark.parametrize("message, printed", [
+        ("Unable to allocate 7.28 TiB for an array with shape (1000000, 1000000)",
+         "error: Unable to allocate 7.28 TiB for an array with shape (1000000, 1000000)\n"),
+        ("", "error: MemoryError\n"),
+    ])
+    def test_memory_error_exits_two_with_one_line(self, monkeypatch, capsys, message, printed):
+        # The callee raises as numpy would; no large allocation is requested.
+        def refuse(*args, **kwargs):
+            raise MemoryError(message)
+
+        monkeypatch.setattr(proctensor.cli, "random_processes", refuse)
+        assert main(["audit-random", "--n", "3", "--samples", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == printed
+
+    def test_memory_error_while_loading_exits_two(self, tmp_path, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr(proctensor.io, "load_process_spec", refuse)
+        path = write_spec(tmp_path, haar_spec_doc(1))
+        for command in ("verify", "analyze"):
+            assert main([command, "--in", str(path)]) == 2
+            assert capsys.readouterr().err == "error: MemoryError\n"

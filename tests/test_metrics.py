@@ -30,7 +30,7 @@ from proctensor import (
 )
 
 from proctensor.io import load_choi, save_choi
-from proctensor.metrics import transfer_reports
+from proctensor.metrics import SLACK_NAMES, BoundAudit, transfer_reports
 from proctensor.processes import random_processes
 
 from conftest import random_density, seeded_circuit_spec
@@ -317,14 +317,15 @@ class TestAuditBounds:
     def test_slacks_match_exact_arithmetic(self, n):
         # 2.0**n overflows from n = 1024 on; the slacks must not, and must
         # agree with rational arithmetic on the same float inputs.
+        # The report derives M and the complements from its step values, so
+        # the exact arithmetic takes its float inputs from the report.
         rng = np.random.default_rng(n)
         log_d = math.log(2)
-        comp = tuple(float(c) for c in rng.uniform(0.0, 2 * log_d, n))
-        big_n, big_m, big_i = (float(x) for x in rng.uniform(0.0, n * log_d, 3))
-        rep = CorrelationReport(
-            n=n, d=2, total=big_i, step_markov=tuple(2 * log_d - c for c in comp),
-            markov=big_m, non_markov=big_n, step_complement=comp, additivity_residual=0.0,
-        )
+        step = tuple(float(m) for m in rng.uniform(0.0, 2 * log_d, n))
+        big_n, big_i = (float(x) for x in rng.uniform(0.0, n * log_d, 2))
+        rep = CorrelationReport(d=2, total=big_i, step_markov=step, non_markov=big_n)
+        comp, big_m = rep.step_complement, rep.markov
+        assert rep.n == n
         audit = audit_bounds(rep)
         c = [Fraction(x) for x in comp]
         fn, fm, fi, fl = Fraction(big_n), Fraction(big_m), Fraction(big_i), Fraction(log_d)
@@ -343,6 +344,53 @@ class TestAuditBounds:
         assert abs(audit.markov_tradeoff_slack - float(exact_thm2)) <= tol
         assert abs(audit.total_tradeoff_slack - float(exact_thm2p)) <= tol
         assert audit.max_nonmarkov_slack == pytest.approx(float(2 * (n - 1) * fl - fn), abs=tol)
+
+
+class TestDerivedFields:
+    def test_report_stores_only_what_it_measures(self):
+        names = [f.name for f in dataclasses.fields(CorrelationReport)]
+        assert names == ["d", "total", "step_markov", "non_markov"]
+        rep = CorrelationReport(d=3, total=5.0, step_markov=(0.5, 1.25, 2.0), non_markov=1.0)
+        assert rep.n == 3
+        assert rep.markov == 3.75
+        assert rep.step_complement == tuple(2 * math.log(3) - m for m in (0.5, 1.25, 2.0))
+        assert rep.additivity_residual == 0.25
+
+    def test_every_slack_name_is_a_field(self):
+        names = {f.name for f in dataclasses.fields(BoundAudit)}
+        assert {f"{name}_slack" for name in SLACK_NAMES} <= names
+        assert names - {f"{name}_slack" for name in SLACK_NAMES} == {"two_step_slacks", "tol"}
+
+    @staticmethod
+    def _audit(field: str, value: float) -> BoundAudit:
+        """An n = 2 audit whose slacks are all 1, but for one that is ``value``."""
+        slacks = dict(
+            unordered_slack=(1.0, 1.0), ordered_slack=(1.0, 1.0), max_nonmarkov_slack=1.0,
+            markov_tradeoff_slack=1.0, total_tradeoff_slack=1.0, two_step_slacks=(1.0, 1.0),
+        )
+        old = slacks[field]
+        slacks[field] = (old[0], value) if isinstance(old, tuple) else value
+        return BoundAudit(**slacks, tol=0.0)
+
+    FIELDS = [*(f"{name}_slack" for name in SLACK_NAMES), "two_step_slacks"]
+
+    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("t", [1e-8, 3e-11, 5e-324])
+    def test_replace_rejudges_at_the_new_tolerance(self, field, t):
+        audit = self._audit(field, -t)
+        assert not audit.passed
+        assert dataclasses.replace(audit, tol=t).passed
+        assert not dataclasses.replace(audit, tol=math.nextafter(t, 0.0)).passed
+
+    @pytest.mark.parametrize("field", FIELDS)
+    def test_nan_slack_fails(self, field):
+        audit = self._audit(field, math.nan)
+        assert not dataclasses.replace(audit, tol=1.0).passed
+
+    def test_audit_bounds_keeps_its_tolerance(self):
+        audit = audit_bounds(correlation_report(cnot_swap_process()), 3e-11)
+        assert audit.tol == 3e-11
+        assert audit.passed
 
 
 class TestImplicationChecks:
