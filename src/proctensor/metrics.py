@@ -8,7 +8,6 @@ correlations, and the non-Markovian correlations across step blocks.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -98,7 +97,7 @@ class BoundAudit:
         for name in SLACK_NAMES:
             s = getattr(self, f"{name}_slack")
             slacks += s if isinstance(s, tuple) else (s,)
-        return all([s >= -self.tol for s in slacks])
+        return bool(bounds_hold(np.array([slacks]), self.tol)[0])
 
 
 def _as_state(pt: ProcessTensor | DensityMatrix) -> tuple[DensityMatrix, int, int]:
@@ -122,22 +121,37 @@ def correlation_report(pt: ProcessTensor | DensityMatrix) -> CorrelationReport:
     state, n, d = _as_state(pt)
     steps = np.array([partial_trace(state, (2 * j, 2 * j + 1)).mat for j in range(n)])
     outputs = np.array([partial_trace(state, (2 * j + 1,)).mat for j in range(n)])
-    return _reports(steps[None], outputs[None], np.array([von_neumann_entropy(state)]))[0]
+    s_global = np.array([von_neumann_entropy(state)])
+    return _reports(d, *_quantities(steps[None], outputs[None], s_global))[0]
 
 
 def transfer_reports(transfer: Transfer) -> list[CorrelationReport]:
-    """Correlation reports of a stack of circuits, one per sample of ``transfer``.
+    """Correlation reports of a stack of circuits, one per sample of ``transfer``."""
+    return _reports(transfer.outputs.shape[-1], *transfer_quantities(transfer))
 
-    The global entropies come from the final environment states, and every
-    spectrum of the stack from one batched ``eigvalsh`` per kind of state.
+
+def transfer_quantities(transfer: Transfer) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Step values (S, n), ``total`` (S,) and N (S,) of a stack of circuits, in nats.
+
+    Row k holds the fields of ``transfer_reports(transfer)[k]``, bit for
+    bit. The global entropies come from the final environment states, and
+    every spectrum of the stack from one batched ``eigvalsh`` per kind of
+    state.
     """
-    return _reports(transfer.steps, transfer.outputs, factor_entropies(transfer.final))
+    return _quantities(transfer.steps, transfer.outputs, factor_entropies(transfer.final))
 
 
 def _reports(
-    steps: np.ndarray, outputs: np.ndarray, s_global: np.ndarray
+    d: int, step: np.ndarray, total: np.ndarray, non_markov: np.ndarray
 ) -> list[CorrelationReport]:
-    """Reports of a stack (S, n, ...) of step states and outputs, with global entropies (S,)."""
+    return [CorrelationReport(d=d, total=tot, step_markov=tuple(st), non_markov=nm)
+            for st, tot, nm in zip(step.tolist(), total.tolist(), non_markov.tolist())]
+
+
+def _quantities(
+    steps: np.ndarray, outputs: np.ndarray, s_global: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``transfer_quantities`` of step states and outputs (S, n, ...) and global entropies (S,)."""
     s, n, d = steps.shape[0], steps.shape[1], outputs.shape[-1]
     blocks = steps.reshape(s, n, d, d, d, d)
     s_step = von_neumann_entropies(steps)
@@ -147,13 +161,11 @@ def _reports(
         outputs,                            # o_j, from the transfer or the slots
     ], axis=1))
     s_in, s_out, s_outputs = singles[:, :n], singles[:, n:2 * n], singles[:, 2 * n:]
-    step = (s_in + s_out - s_step).tolist()
-    total = (np.sum(s_in, axis=1) + np.sum(s_outputs, axis=1) - s_global)
+    total = s_in.sum(axis=1) + s_outputs.sum(axis=1) - s_global
     # At n = 1 the one step block is the whole state, so N is exactly 0; the
     # difference of its two spectra's entropies would only show their rounding.
-    non_markov = (np.sum(s_step, axis=1) - s_global).tolist() if n > 1 else [0.0] * s
-    return [CorrelationReport(d=d, total=tot, step_markov=tuple(st), non_markov=nm)
-            for st, tot, nm in zip(step, total.tolist(), non_markov)]
+    non_markov = s_step.sum(axis=1) - s_global if n > 1 else np.zeros(s)
+    return s_in + s_out - s_step, total, non_markov
 
 
 def non_markovianity_crosscheck(pt: ProcessTensor | DensityMatrix) -> float:
@@ -178,39 +190,89 @@ def non_markovianity_crosscheck(pt: ProcessTensor | DensityMatrix) -> float:
 def audit_bounds(
     report: CorrelationReport, tol: float = DEFAULT_TOL.xcheck
 ) -> BoundAudit:
-    """Evaluate every proved inequality on a correlation report."""
-    n, d = report.n, report.d
-    comp = report.step_complement
-    big_n, big_m, big_i = report.non_markov, report.markov, report.total
+    """Evaluate every proved inequality on a correlation report: one row of ``bound_slacks``."""
+    n = report.n
+    row = bound_slacks(
+        np.array([report.step_markov]), np.array([report.total]), np.array([report.non_markov]),
+        report.d,
+    )[0].tolist()
+    starts = slack_starts(n)
+    unordered, ordered, thm1, thm2, thm2p = (
+        row[a:b] for a, b in zip(starts, [*starts[1:], len(row)])
+    )
+    return BoundAudit(
+        unordered_slack=tuple(unordered),
+        ordered_slack=tuple(ordered),
+        max_nonmarkov_slack=thm1[0],
+        markov_tradeoff_slack=thm2[0],
+        total_tradeoff_slack=thm2p[0],
+        two_step_slacks=(row[0], row[1]) if n == 2 else None,
+        tol=tol,
+    )
+
+
+def slack_starts(n: int) -> list[int]:
+    """First column of each bound of ``SLACK_NAMES`` in an n-step row of ``bound_slacks``.
+
+    A row holds, at n = 2, the two-step pair first; then the n per-step
+    slacks of ``unordered`` and of ``ordered``, and one slack for each other
+    name, each bound's columns running up to the next one's start.
+    """
+    t = 2 if n == 2 else 0
+    return [t, t + n, t + 2 * n, t + 2 * n + 1, t + 2 * n + 2]
+
+
+def bound_slacks(
+    step: np.ndarray, total: np.ndarray, non_markov: np.ndarray, d: int
+) -> np.ndarray:
+    """Signed slacks (bound minus quantity) of every proved inequality, one row per process.
+
+    ``step`` is (S, n), ``total`` and ``non_markov`` are (S,), as
+    ``transfer_quantities`` returns them; the columns are laid out as
+    ``slack_starts(n)`` says. Each entry is the float that the scalar
+    formula gives, term by term in the same order: M is summed in step
+    order and the sums over j < k and j > k accumulate outward from the
+    ends, as ``sum`` and ``itertools.accumulate`` would on a row, while
+    ``np.sum`` would add pairwise from n = 8. O(n) per row.
+    """
+    s, n = step.shape
     log_d = math.log(d)
-    before = [0.0, *itertools.accumulate(comp)]                  # sum_{j<k} comp_j
-    after = [*itertools.accumulate(reversed(comp))][::-1] + [0.0]  # sum_{j>=k} comp_j
-    unordered = tuple(2.0 * (before[k] + after[k + 1]) - big_n for k in range(n))
-    ordered = tuple(2.0 * before[k] + after[k + 1] - big_n for k in range(n))
-    thm1 = 2.0 * (n - 1) * log_d - big_n
+    u, o, mx = slack_starts(n)[:3]    # first columns of unordered, ordered, max_nonmarkov
+    comp = 2.0 * log_d - step         # 2 ln d - M_j
+    slacks = np.zeros((s, mx + 3))
+    before = slacks[:, o:mx]          # sum_{j<k} comp_j, formed in the ordered columns
+    np.add.accumulate(comp[:, :-1], axis=1, out=before[:, 1:])
+    after = np.zeros((s, n))          # sum_{j>k} comp_j
+    np.add.accumulate(comp[:, :0:-1], axis=1, out=after[:, -2::-1])
+    unordered = np.add(before, after, out=slacks[:, u:o])
+    unordered *= 2.0                  # unordered: 2 sum_{j!=k} comp_j
+    ordered = before
+    ordered *= 2.0
+    ordered += after                  # ordered: 2 sum_{j<k} + sum_{j>k} comp_j
+    slacks[:, mx] = 2.0 * (n - 1) * log_d
+    if n == 2:                        # the two-step bounds: 2 comp_1 and comp_2
+        slacks[:, 0] = 2.0 * comp[:, 0]
+        slacks[:, 1] = comp[:, 1]
+    slacks[:, :mx + 1] -= non_markov[:, None]  # each bound so far, minus N
+    big_m = np.add.accumulate(step, axis=1)[:, -1]
     if n == 1:
         # The step-count factor degenerates at n = 1, where N is identically
         # zero; the tradeoff bounds reduce to the plain range bounds.
-        thm2 = 2.0 * n * log_d - big_m
-        thm2p = 2.0 * n * log_d - big_i
+        slacks[:, -2] = 2.0 * n * log_d - big_m
+        slacks[:, -1] = 2.0 * n * log_d - total
     else:
         # (2^n - 1)/(2^n - 2) and N/(2^n - 2), scaled by 2^-n so that no
         # power of two overflows; the scaled terms are exact for n <= 53.
         tail = 1.0 - math.ldexp(1.0, 1 - n)
-        thm2 = 2.0 * n * log_d - (1.0 - math.ldexp(1.0, -n)) / tail * big_n - big_m
-        thm2p = 2.0 * n * log_d - math.ldexp(big_n, -n) / tail - big_i
-    two_step = None
-    if n == 2:
-        two_step = (2.0 * comp[0] - big_n, comp[1] - big_n)
-    return BoundAudit(
-        unordered_slack=unordered,
-        ordered_slack=ordered,
-        max_nonmarkov_slack=thm1,
-        markov_tradeoff_slack=thm2,
-        total_tradeoff_slack=thm2p,
-        two_step_slacks=two_step,
-        tol=tol,
-    )
+        weight = (1.0 - math.ldexp(1.0, -n)) / tail
+        slacks[:, -2] = 2.0 * n * log_d - weight * non_markov - big_m
+        slacks[:, -1] = 2.0 * n * log_d - np.ldexp(non_markov, -n) / tail - total
+    return slacks
+
+
+def bounds_hold(slacks: np.ndarray, tol: float) -> np.ndarray:
+    """Per row of ``bound_slacks``, whether every slack is at least -``tol``; a NaN fails."""
+    return (slacks >= -tol).all(axis=1)
 
 
 Status = str  # "vacuous" | "holds" | "violated"

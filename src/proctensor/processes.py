@@ -620,10 +620,10 @@ def random_process(spec: RandomSpec) -> ProcessTensor:
 # step's factor and its conjugate copy, before the cut), about six arrays the size of its
 # unitaries and two of its step marginals: 55 kB at n = 3, d = 2, d_env = 4 and 67 kB at
 # n = 5, which ``_sample_bytes`` bounds from above. A stack adds up to ``_STACK_FIXED`` of
-# numpy's own buffers. In time, on one core of an Intel Xeon, a stack of n = 3 samples costs
-# about 1.2 ms plus 0.27 ms per sample, and per sample it gains nothing beyond about 34
-# samples, while its memory grows; so the budget gives 34 samples (2 MB) at n = 3, d = 2,
-# d_env = 4, and a peak memory that does not grow with the count.
+# numpy's own buffers. In time, on one core of an Intel Xeon, a stack of n = 3 samples (draw,
+# build and audit) costs about 0.5 ms plus 0.2 ms per sample, and per sample it gains nothing
+# beyond about 34 samples, while its memory grows; so the budget gives 34 samples (2 MB) at
+# n = 3, d = 2, d_env = 4, and a peak memory that does not grow with the count.
 _STACK_BYTES = 2_190_000
 _STACK_FIXED = 160_000
 
