@@ -27,7 +27,6 @@ from .metrics import (
     correlation_report,
     slack_starts,
     transfer_quantities,
-    transfer_reports,
 )
 from .processes import (
     CausalityError,
@@ -98,12 +97,14 @@ def cmd_emit_figure(args: argparse.Namespace) -> int:
         transfer, causalities = build_stack(
             np.array([s.unitaries for s in stack]), [s.env_state for s in stack]
         )
-        for k, causality, r in zip(ks, causalities, transfer_reports(transfer)):
+        step, total, non_markov = transfer_quantities(transfer)
+        values = np.column_stack([step, non_markov, total]).tolist()  # M1, M2, N, I
+        for k, causality, row in zip(ks, causalities, values):
             if not causality.passed:
                 print(f"error: causality hierarchy violated at p = {grid[k]}: worst residual "
                       f"{causality.worst:.3e} > {causality.tol:.1e}", file=sys.stderr)
                 return EXIT_VIOLATION
-            rows[k] = (grid[k], r.step_markov[0], r.step_markov[1], r.non_markov, r.total)
+            rows[k] = (grid[k], *row)
     lines = io.csv_lines(("p", "M1", "M2", "N", "I"), (rows[k] for k in range(len(grid))))
     _write_lines(args.out, lines)
     return EXIT_OK

@@ -23,7 +23,7 @@ from .config import DEFAULT_TOL, max_dense_dim
 from .linalg import DensityMatrix, DimensionLimitError
 from .metrics import SLACK_NAMES, BoundAudit, CorrelationReport
 from .processes import CausalityReport, CircuitProcessSpec, EnvInit, ProcessTensor
-from .processes import build_from_circuit, checked_unitaries, random_env
+from .processes import build_from_circuit, checked_unitaries, random_env, slot_shape
 
 CHOI_MAGIC = "proctensor-choi"
 _QUOTED = 120  # most characters of a Choi header that an error message quotes
@@ -76,7 +76,7 @@ def load_process_spec(path: str | Path) -> CircuitProcessSpec:
     """Parse a JSON process-spec document into a circuit description."""
     try:
         doc = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # the decoder recurses per nesting level
         raise SpecFileError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise SpecFileError("top-level document must be an object")
@@ -130,9 +130,13 @@ def slot_labels(n: int) -> str:
 
 
 def save_choi(state: DensityMatrix, path: str | Path) -> None:
-    """Write a 2n-slot Choi state in the text interchange format."""
-    n = state.num_subsystems // 2
-    lines = [f"{CHOI_MAGIC} n={n} d={state.dims[0]} slots={slot_labels(n)}"]
+    """Write a 2n-slot Choi state in the text interchange format.
+
+    A state whose slots are not 2n of one dimension raises ``ValueError``
+    (``slot_shape``) before the file is opened.
+    """
+    n, d = slot_shape(state)
+    lines = [f"{CHOI_MAGIC} n={n} d={d} slots={slot_labels(n)}"]
     for row in state.mat:
         lines.append(" ".join(f"{fmt(z.real)} {fmt(z.imag)}" for z in row))
     Path(path).write_text("\n".join(lines) + "\n")

@@ -117,35 +117,26 @@ def correlation_report(pt: ProcessTensor | DensityMatrix) -> CorrelationReport:
     well, since the unordered bound applies without causality.
     """
     if isinstance(pt, ProcessTensor) and pt.transfer is not None:
-        return transfer_reports(pt.transfer)[0]
-    state, n, d = _as_state(pt)
-    steps = np.array([partial_trace(state, (2 * j, 2 * j + 1)).mat for j in range(n)])
-    outputs = np.array([partial_trace(state, (2 * j + 1,)).mat for j in range(n)])
-    s_global = np.array([von_neumann_entropy(state)])
-    return _reports(d, *_quantities(steps[None], outputs[None], s_global))[0]
-
-
-def transfer_reports(transfer: Transfer) -> list[CorrelationReport]:
-    """Correlation reports of a stack of circuits, one per sample of ``transfer``."""
-    return _reports(transfer.outputs.shape[-1], *transfer_quantities(transfer))
+        d, quantities = pt.d, transfer_quantities(pt.transfer)
+    else:
+        state, n, d = _as_state(pt)
+        steps = np.array([partial_trace(state, (2 * j, 2 * j + 1)).mat for j in range(n)])
+        outputs = np.array([partial_trace(state, (2 * j + 1,)).mat for j in range(n)])
+        s_global = np.array([von_neumann_entropy(state)])
+        quantities = _quantities(steps[None], outputs[None], s_global)
+    step, total, non_markov = (q[0].tolist() for q in quantities)
+    return CorrelationReport(d=d, total=total, step_markov=tuple(step), non_markov=non_markov)
 
 
 def transfer_quantities(transfer: Transfer) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Step values (S, n), ``total`` (S,) and N (S,) of a stack of circuits, in nats.
 
-    Row k holds the fields of ``transfer_reports(transfer)[k]``, bit for
-    bit. The global entropies come from the final environment states, and
-    every spectrum of the stack from one batched ``eigvalsh`` per kind of
-    state.
+    Row k holds the fields of ``correlation_report`` on sample k built
+    alone, bit for bit. The global entropies come from the final environment
+    states, and every spectrum of the stack from one batched ``eigvalsh``
+    per kind of state.
     """
     return _quantities(transfer.steps, transfer.outputs, factor_entropies(transfer.final))
-
-
-def _reports(
-    d: int, step: np.ndarray, total: np.ndarray, non_markov: np.ndarray
-) -> list[CorrelationReport]:
-    return [CorrelationReport(d=d, total=tot, step_markov=tuple(st), non_markov=nm)
-            for st, tot, nm in zip(step.tolist(), total.tolist(), non_markov.tolist())]
 
 
 def _quantities(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Literal, Sequence
+from typing import Callable, Iterable, Iterator, Literal, Sequence
 
 import numpy as np
 
@@ -490,13 +490,22 @@ def verify_causality(state: DensityMatrix, tol: float = DEFAULT_TOL.causal) -> C
     return CausalityReport(tuple(_level_residuals(levels, d)), tol)
 
 
+def _permutation(dims: tuple[int, ...], move: Callable[..., tuple]) -> np.ndarray:
+    """Real permutation unitary on factors of ``dims`` that sends basis state idx to move(*idx).
+
+    ``move`` takes one integer array per factor, the digits of every basis
+    state at once, and returns the digits of their images.
+    """
+    size = math.prod(dims)
+    u = np.zeros((size, size))
+    # np.indices lists the basis states in row-major order, so state k is column k
+    u[np.ravel_multi_index(move(*np.indices(dims)), dims).ravel(), np.arange(size)] = 1.0
+    return u
+
+
 def swap_unitary(d: int) -> np.ndarray:
     """SWAP between two d-dimensional factors."""
-    s = np.zeros((d * d, d * d))
-    for i in range(d):
-        for j in range(d):
-            s[i * d + j, j * d + i] = 1.0
-    return s
+    return _permutation((d, d), lambda a, b: (b, a))
 
 
 def fredkin_unitary(d: int = 2) -> np.ndarray:
@@ -504,13 +513,15 @@ def fredkin_unitary(d: int = 2) -> np.ndarray:
 
     Control basis: |0> do nothing, |1> swap system with the target qudit.
     """
-    dim = d * 2 * d
-    u = np.zeros((dim, dim))
-    for s in range(d):
-        for t in range(d):
-            u[(s * 2 + 0) * d + t, (s * 2 + 0) * d + t] = 1.0
-            u[(t * 2 + 1) * d + s, (s * 2 + 1) * d + t] = 1.0
-    return u
+    return _permutation((d, 2, d), lambda s, c, t: (np.where(c, t, s), c, np.where(c, s, t)))
+
+
+def _fredkin_env(p: float, d: int) -> DensityMatrix:
+    """Initial environment of ``fredkin_dilation(p, d)``; p must lie in [0, 1]."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"p must lie in [0, 1], got {p}")
+    control = np.diag([1.0 - p, p])
+    return DensityMatrix(kron(control, np.eye(d) / d), (2, d))
 
 
 def fredkin_dilation(p: float, d: int = 2) -> CircuitProcessSpec:
@@ -519,11 +530,9 @@ def fredkin_dilation(p: float, d: int = 2) -> CircuitProcessSpec:
     The environment is a control qubit in (1-p)|0><0| + p|1><1| tensored
     with a maximally mixed target qudit.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-    control = np.diag([1.0 - p, p])
-    env = DensityMatrix(kron(control, np.eye(d) / d), (2, d))
-    return CircuitProcessSpec(n=1, d=d, env_state=env, unitaries=(fredkin_unitary(d),))
+    return CircuitProcessSpec(
+        n=1, d=d, env_state=_fredkin_env(p, d), unitaries=(fredkin_unitary(d),)
+    )
 
 
 def nm_depolarizing_spec(p: float) -> CircuitProcessSpec:
@@ -532,8 +541,9 @@ def nm_depolarizing_spec(p: float) -> CircuitProcessSpec:
     The environment is that of ``fredkin_dilation(p)``; each step is locally
     depolarizing, but memory flows through the shared environment.
     """
-    step = fredkin_dilation(p)
-    return CircuitProcessSpec(n=2, d=2, env_state=step.env_state, unitaries=step.unitaries * 2)
+    return CircuitProcessSpec(
+        n=2, d=2, env_state=_fredkin_env(p, 2), unitaries=(fredkin_unitary(2),) * 2
+    )
 
 
 def nm_depolarizing_process(p: float) -> ProcessTensor:
@@ -561,15 +571,7 @@ def cnot_swap_process() -> ProcessTensor:
     Maximally non-Markovian while keeping nonzero first-step correlations.
     """
     env = DensityMatrix(np.diag([1.0, 0.0]), (2,))
-    cnot = np.array(
-        [
-            [1, 0, 0, 0],
-            [0, 1, 0, 0],
-            [0, 0, 0, 1],
-            [0, 0, 1, 0],
-        ],
-        dtype=float,
-    )
+    cnot = _permutation((2, 2), lambda a, b: (a, (a + b) % 2))
     spec = CircuitProcessSpec(n=2, d=2, env_state=env, unitaries=(cnot, swap_unitary(2)))
     return build_from_circuit(spec)
 
@@ -629,7 +631,7 @@ _STACK_FIXED = 160_000
 
 
 def _sample_bytes(n: int, d: int, d_env: int) -> int:
-    """Upper bound on the bytes one sample of a ``random_stack`` holds in ``_transfer``.
+    """Upper bound on the bytes one sample of a ``random_processes`` stack holds in ``_transfer``.
 
     The environment's factor has d_env r columns with r <= d_env, so a step's
     factor has at most d^2 d_env r rows and min(d^(2(n-1)), d_env r) columns
@@ -664,7 +666,8 @@ def random_processes(
     stacks = -(-count // _stack_size(spec))
     for k in range(stacks):
         start, stop = k * count // stacks, (k + 1) * count // stacks
-        yield random_stack(replace(spec, seed=spec.seed + start), stop - start, tol_causal)
+        envs, us = _random_circuits(replace(spec, seed=spec.seed + start), stop - start)
+        yield build_stack(us, envs, tol_causal)
 
 
 def _random_circuits(spec: RandomSpec, count: int) -> tuple[list[DensityMatrix], np.ndarray]:
@@ -683,11 +686,3 @@ def _random_circuits(spec: RandomSpec, count: int) -> tuple[list[DensityMatrix],
     for rng, g in zip(rngs, gauss):
         rng.standard_normal(out=g)
     return envs, _haar(gauss)
-
-
-def random_stack(
-    spec: RandomSpec, count: int, tol_causal: float = DEFAULT_TOL.causal
-) -> tuple[Transfer, list[CausalityReport]]:
-    """One stack of ``random_processes``: the seeds spec.seed, ..., spec.seed + count - 1."""
-    envs, us = _random_circuits(spec, count)
-    return build_stack(us, envs, tol_causal)

@@ -101,6 +101,22 @@ class TestSpecFile:
         with pytest.raises(SpecFileError, match="unitaries"):
             load_process_spec(path)
 
+    @pytest.mark.parametrize("text", [
+        "[" * 100000 + "]" * 100000,
+        '{"n": 1, "d": 2, "d_env": 1, "unitaries": ' + "[" * 50000 + "]" * 50000 + "}",
+    ], ids=["document", "unitaries"])
+    @pytest.mark.parametrize("command", ["verify", "analyze"])
+    def test_deep_nesting_exit_two(self, tmp_path, capsys, text, command):
+        # The JSON decoder recurses once per level and raises RecursionError.
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        with pytest.raises(SpecFileError, match="deep.json"):
+            load_process_spec(path)
+        assert main([command, "--in", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: invalid JSON in {path}: ")
+        assert err.count("\n") == 1
+
     def test_unitarity_is_judged_in_frobenius_norm(self, tmp_path, capsys):
         # every entry of U^dag U - I is about 5e-10, below DEFAULT_TOL.eig, so
         # an entry-wise residual would load this spec; U^dag U - I has rank
@@ -244,10 +260,23 @@ class TestChoiFile:
 
     def test_save_load_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.txt", tmp_path / "b.txt"
-        save_choi(cnot_swap_process().state, a)
-        save_choi(load_choi(a), b)
-        assert a.read_bytes() == b.read_bytes()
-        assert a.read_text().splitlines()[0] == "proctensor-choi n=2 d=2 slots=i0,o1,i1,o2"
+        for pt, slots in ((cnot_swap_process(), "i0,o1,i1,o2"),
+                          (swap_chain_process(4, 2), "i0,o1,i1,o2,i2,o3,i3,o4")):
+            save_choi(pt.state, a)
+            save_choi(load_choi(a), b)
+            assert a.read_bytes() == b.read_bytes()
+            assert a.read_text().splitlines()[0] == f"proctensor-choi n={pt.n} d=2 slots={slots}"
+
+    @pytest.mark.parametrize("dims, message", [
+        ((2, 3), "slot dimensions must be uniform"),
+        ((2, 2, 2), "even slot count"),
+    ], ids=["mixed-dims", "odd-slots"])
+    def test_save_refuses_a_state_off_the_slot_layout(self, tmp_path, dims, message):
+        # Its header would not describe its rows, and load_choi would refuse the file.
+        path = tmp_path / "choi.txt"
+        with pytest.raises(ValueError, match=message):
+            save_choi(maximally_mixed(dims), path)
+        assert not path.exists()
 
     @pytest.mark.parametrize("slots", [" slots=o1,i0,o2,i1", "", " slots=i0,o1,i1,o2 junk"])
     def test_bad_slots_header_exit_two(self, tmp_path, slots, capsys):
@@ -625,13 +654,13 @@ class TestAuditRandomCommand:
     def stack_sizes(monkeypatch) -> list[int]:
         """The sizes of the stacks ``random_processes`` builds from now on, in order."""
         sizes = []
-        real = proctensor.processes.random_stack
+        real = proctensor.processes.build_stack
 
-        def counting(spec, count, tol_causal):
-            sizes.append(count)
-            return real(spec, count, tol_causal)
+        def counting(unitaries, envs, tol_causal):
+            sizes.append(len(unitaries))
+            return real(unitaries, envs, tol_causal)
 
-        monkeypatch.setattr(proctensor.processes, "random_stack", counting)
+        monkeypatch.setattr(proctensor.processes, "build_stack", counting)
         return sizes
 
     def test_default_audit_runs_in_the_fewest_near_equal_stacks(self, tmp_path, monkeypatch):

@@ -29,8 +29,9 @@ from proctensor import (
     swap_chain_process,
 )
 
+import proctensor.processes
 from proctensor.io import load_choi, save_choi
-from proctensor.metrics import SLACK_NAMES, BoundAudit, transfer_reports
+from proctensor.metrics import SLACK_NAMES, BoundAudit, transfer_quantities
 from proctensor.processes import random_processes
 
 from conftest import random_density, seeded_circuit_spec
@@ -177,8 +178,21 @@ class TestTransferReport:
         assert audit_bounds(rep).max_nonmarkov_slack == pytest.approx(0.0, abs=1e-10)
 
 
+def stack_rows(spec: RandomSpec, count: int) -> list[tuple[tuple[float, ...], float, float]]:
+    """Per sample of ``random_processes(spec, count)``: its step values, ``total`` and N."""
+    rows = []
+    for transfer, _ in random_processes(spec, count):
+        step, total, non_markov = (q.tolist() for q in transfer_quantities(transfer))
+        rows += zip(map(tuple, step), total, non_markov)
+    return rows
+
+
 class TestStackedReports:
-    """Samples built in stacks by ``random_processes``; each dense Choi state is the oracle."""
+    """Samples built in stacks by ``random_processes``.
+
+    Each sample built alone is the bitwise oracle, and its dense Choi state
+    the oracle to 1e-12.
+    """
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     @pytest.mark.parametrize("d", [2, 3])
@@ -186,23 +200,37 @@ class TestStackedReports:
     def test_stack_matches_dense_reports(self, n, d, d_env):
         env_init = "seeded-random" if d_env == 2 else "maximally-mixed"
         spec = RandomSpec(n=n, d=d, d_env=d_env, seed=100 * n + d_env, env_init=env_init)
-        stacks = random_processes(spec, 3)
-        reports = [r for transfer, _ in stacks for r in transfer_reports(transfer)]
-        assert len(reports) == 3
-        for k, fast in enumerate(reports):
+        rows = stack_rows(spec, 3)
+        assert len(rows) == 3
+        for k, (step, total, non_markov) in enumerate(rows):
             pt = random_process(dataclasses.replace(spec, seed=spec.seed + k))
             dense = correlation_report(pt.state)
-            assert (fast.n, fast.d) == (dense.n, dense.d)
-            for a, b in zip(report_fields(fast), report_fields(dense), strict=True):
-                assert a == pytest.approx(b, abs=1e-12)
+            assert len(step) == dense.n
+            got = [total, non_markov, *step]
+            want = [dense.total, dense.non_markov, *dense.step_markov]
+            assert got == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("env_init", ["maximally-mixed", "pure-ground", "seeded-random"])
+    def test_stack_rows_equal_single_builds(self, monkeypatch, env_init):
+        # Stacks of at most 5 samples, so 12 samples run as 4, 4 and 4.
+        for n, d, d_env in itertools.product((1, 2, 3, 5, 9), (2, 3), (1, 2, 4)):
+            spec = RandomSpec(n=n, d=d, d_env=d_env, seed=7 * n + d_env, env_init=env_init)
+            per_sample = proctensor.processes._sample_bytes(n, d, d_env)
+            monkeypatch.setattr(proctensor.processes, "_STACK_BYTES",
+                                proctensor.processes._STACK_FIXED + 5 * per_sample)
+            rows = stack_rows(spec, 12)
+            assert len(rows) == 12
+            for k, row in enumerate(rows):
+                sample = dataclasses.replace(spec, seed=spec.seed + k)
+                alone = correlation_report(random_process(sample))
+                assert row == (alone.step_markov, alone.total, alone.non_markov), (spec, k)
 
     def test_single_process_is_a_stack_of_one(self):
         spec = RandomSpec(n=3, d=2, d_env=4, seed=11)
         pt = random_process(spec)
         assert pt.transfer.steps.shape == (1, 3, 4, 4)
-        ((transfer, _),) = random_processes(spec, 1)
-        stacked = transfer_reports(transfer)[0]
-        assert report_fields(correlation_report(pt)) == report_fields(stacked)
+        rep = correlation_report(pt)
+        assert stack_rows(spec, 1) == [(rep.step_markov, rep.total, rep.non_markov)]
 
 
 class TestNonMarkovianityCrosscheck:

@@ -21,6 +21,7 @@ from proctensor import (
     build_from_circuit,
     cnot_swap_process,
     depolarizing_choi,
+    fredkin_unitary,
     haar_unitary,
     kron,
     max_entangled_state,
@@ -35,8 +36,9 @@ from proctensor import (
     verify_causality,
 )
 
+from proctensor.io import save_choi
 from proctensor.linalg import unitarity_residual
-from proctensor.processes import _STACK_BYTES, random_env, random_processes, random_stack
+from proctensor.processes import _STACK_BYTES, random_env, random_processes
 
 from conftest import leaky_unitary, random_density, seeded_circuit_spec
 
@@ -487,6 +489,57 @@ class TestCnotSwapProcess:
         assert verify_causality(cnot_swap_process().state).passed
 
 
+def loop_swap(d: int) -> np.ndarray:
+    """SWAP of two d-dimensional factors, entry by entry: the oracle of ``swap_unitary``."""
+    s = np.zeros((d * d, d * d))
+    for i in range(d):
+        for j in range(d):
+            s[i * d + j, j * d + i] = 1.0
+    return s
+
+
+def loop_fredkin(d: int) -> np.ndarray:
+    """Fredkin gate on (system, control, target), entry by entry: ``fredkin_unitary``'s oracle."""
+    dim = d * 2 * d
+    u = np.zeros((dim, dim))
+    for s in range(d):
+        for t in range(d):
+            u[(s * 2 + 0) * d + t, (s * 2 + 0) * d + t] = 1.0
+            u[(t * 2 + 1) * d + s, (s * 2 + 1) * d + t] = 1.0
+    return u
+
+
+CNOT = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=float)
+
+
+class TestNamedGates:
+    """The permutation gates against their entry-by-entry constructions."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_gates_equal_their_loops(self, d):
+        for got, want in ((swap_unitary(d), loop_swap(d)), (fredkin_unitary(d), loop_fredkin(d))):
+            assert got.dtype == np.float64
+            assert np.array_equal(got, want)
+
+    def test_named_processes_save_the_oracle_bytes(self, tmp_path):
+        p = 0.3
+        fredkin_env = DensityMatrix(kron(np.diag([1.0 - p, p]), np.eye(2) / 2), (2, 2))
+        pairs = [
+            (cnot_swap_process(), CircuitProcessSpec(
+                n=2, d=2, env_state=DensityMatrix(np.diag([1.0, 0.0]), (2,)),
+                unitaries=(CNOT, loop_swap(2)))),
+            (swap_chain_process(3, 2), CircuitProcessSpec(
+                n=3, d=2, env_state=maximally_mixed(2), unitaries=(loop_swap(2),) * 3)),
+            (nm_depolarizing_process(p), CircuitProcessSpec(
+                n=2, d=2, env_state=fredkin_env, unitaries=(loop_fredkin(2),) * 2)),
+        ]
+        for k, (named, spec) in enumerate(pairs):
+            got, want = tmp_path / f"got{k}.choi", tmp_path / f"want{k}.choi"
+            save_choi(named.state, got)
+            save_choi(build_from_circuit(spec).state, want)
+            assert got.read_bytes() == want.read_bytes(), k
+
+
 class TestHaarUnitary:
     def test_unitarity(self, rng):
         for dim in (1, 2, 5):
@@ -606,13 +659,14 @@ class TestRandomProcesses:
         for n, d, d_env in itertools.product((1, 2, 3, 5, 8), (2, 3), (1, 2, 4)):
             spec = RandomSpec(n=n, d=d, d_env=d_env, seed=11, env_init=env_init)
             size = proctensor.processes._stack_size(spec)
-            random_stack(spec, 1)  # lazy imports and first-call set-up
+            list(random_processes(spec, 1))  # lazy imports and first-call set-up
             tracemalloc.start()
             try:
-                random_stack(spec, size)
+                ((_, reports),) = random_processes(spec, size)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
+            assert len(reports) == size
             assert peak <= _STACK_BYTES or size == 1, (n, d, d_env, size, peak)
 
 
@@ -736,8 +790,8 @@ class TestExactHierarchy:
         # the certificate: its bounds hold level by level.
         for env_init in ("maximally-mixed", "pure-ground", "seeded-random"):
             spec = RandomSpec(n=n, d=2, d_env=4, seed=1, env_init=env_init)
-            _, (certificate,) = random_stack(spec, 1, 1.0)
-            _, (exact,) = random_stack(spec, 1, 0.0)
+            ((_, (certificate,)),) = random_processes(spec, 1, 1.0)
+            ((_, (exact,)),) = random_processes(spec, 1, 0.0)
             assert certificate.bounds and not exact.bounds
             for c, e in zip(certificate.residuals, exact.residuals, strict=True):
                 assert e <= c
