@@ -52,11 +52,11 @@ def unitarity_residual(u: np.ndarray) -> float | np.ndarray:
 
     ``u`` may be a stack (..., D, D), with leading axes such as (sample,
     step); the residuals then come back with those axes, each the same bits
-    as for its matrix alone. A single matrix gives a float.
+    as for its matrix alone. A single matrix gives an ``np.float64``, which
+    is a float.
     """
     gram = u.conj().swapaxes(-1, -2) @ u - np.eye(u.shape[-1])
-    res = np.linalg.norm(gram, axis=(-2, -1))
-    return float(res) if res.ndim == 0 else res
+    return np.linalg.norm(gram, axis=(-2, -1))
 
 
 class DensityMatrix:
@@ -158,13 +158,20 @@ class DensityMatrix:
         return f"DensityMatrix(dims={self.dims})"
 
 
+def check_dense(what: str, size: int) -> None:
+    """Raise ``DimensionLimitError`` if a dense ``what`` of side ``size`` exceeds ``max_dense_dim()``.
+
+    The one dense-side check of the package's arrays; ``io.load_choi``
+    checks a file's header itself, before it forms d^(2n).
+    """
+    limit = max_dense_dim()
+    if size > limit:
+        raise DimensionLimitError(f"{what} {size} exceeds dense limit {limit}")
+
+
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Tensor product with the left factor as the slowest-varying index."""
-    out_dim = a.shape[0] * b.shape[0]
-    if out_dim > max_dense_dim():
-        raise DimensionLimitError(
-            f"product dimension {out_dim} exceeds dense limit {max_dense_dim()}"
-        )
+    check_dense("product dimension", a.shape[0] * b.shape[0])
     return np.kron(a, b)
 
 
@@ -279,7 +286,7 @@ def factor_entropies(factors: np.ndarray) -> np.ndarray:
 
     Each spectrum is taken as ``state_spectrum`` takes it; for factors
     validated at a boundary other than ``DensityMatrix``, such as the final
-    states of ``processes.Transfer``.
+    environment states of ``processes._transfer``.
     """
     return _entropy_from_spectrum(_factor_spectra(factors))
 
@@ -315,7 +322,9 @@ def mutual_information(
     flat = [i for b in blocks for i in b]
     if len(set(flat)) != len(flat) or set(flat) != set(range(rho.num_subsystems)):
         raise ValueError("partition blocks must be disjoint and cover every subsystem")
-    total = sum(von_neumann_entropy(partial_trace(rho, b)) for b in blocks)
+    total = 0  # added left to right, as ``sum`` added floats before Python 3.12
+    for b in blocks:
+        total += von_neumann_entropy(partial_trace(rho, b))
     return total - von_neumann_entropy(rho)
 
 

@@ -9,37 +9,28 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import DEFAULT_TOL
-from .linalg import (
-    DensityMatrix,
-    factor_entropies,
-    kron,
-    partial_trace,
-    relative_entropy,
-    von_neumann_entropies,
-    von_neumann_entropy,
-)
-from .processes import ProcessTensor, Transfer, slot_shape
+from .linalg import DensityMatrix, kron, relative_entropy, von_neumann_entropies
+from .processes import ProcessTensor, Transfer
 
 
 @dataclass(frozen=True)
 class CorrelationReport:
     """Correlation quantifiers of one process, all in nats.
 
-    Every quantity is read from the n step Choi states on (i_{j-1}, o_j),
-    one single-slot state per output o_j and one global entropy. For a
-    process built from a circuit they come from its transfer
-    (``ProcessTensor.transfer``): the step states and the outputs as the
-    transfer gives them, and the global entropy from its final environment
-    state. Any other state is read from its 2n slots: the step marginals,
-    the single slots o_j and the entropy of the full state. The step values
-    and the i_{j-1} singles of ``total`` come from the step states, the o_j
-    singles of ``total`` from the outputs, so ``additivity_residual``
-    compares two routes to the o_j marginals.
+    Every quantity is read from a ``Transfer``: the n step Choi states on
+    (i_{j-1}, o_j), one single-slot state per output o_j and the global
+    entropy S(P_n). A process built from a circuit has its own
+    (``ProcessTensor.transfer``); any other state is read from its 2n
+    slots (``Transfer.of_state``). The step values and the i_{j-1} singles
+    of ``total`` come from the step states, the o_j singles of ``total``
+    from the outputs, so ``additivity_residual`` compares two routes to the
+    o_j marginals.
     """
 
     d: int
@@ -54,8 +45,12 @@ class CorrelationReport:
 
     @property
     def markov(self) -> float:
-        """Sum of ``step_markov``."""
-        return sum(self.step_markov)
+        """Sum of ``step_markov``, added left to right from the integer 0.
+
+        That is how ``sum`` added floats before Python 3.12, whose ``sum``
+        compensates; ``bound_slacks`` adds M in the same order.
+        """
+        return functools.reduce(operator.add, self.step_markov, 0)
 
     @property
     def step_complement(self) -> tuple[float, ...]:
@@ -100,62 +95,45 @@ class BoundAudit:
         return bool(bounds_hold(np.array([slacks]), self.tol)[0])
 
 
-def _as_state(pt: ProcessTensor | DensityMatrix) -> tuple[DensityMatrix, int, int]:
-    if isinstance(pt, ProcessTensor):
-        return pt.state, pt.n, pt.d
-    n, d = slot_shape(pt)
-    return pt, n, d
-
-
 def correlation_report(pt: ProcessTensor | DensityMatrix) -> CorrelationReport:
-    """Compute all correlation quantifiers of a 2n-slot state.
+    """Compute all correlation quantifiers of a 2n-slot state, from one ``Transfer``.
 
     A process built from a circuit is read from its transfer, in O(n)
-    matrices of side d^2 and one eigensolve of side d_env r, and its Choi
-    state is never formed; any other state is read from its slots (see
-    ``CorrelationReport``). Accepts a raw multipartite density matrix as
-    well, since the unordered bound applies without causality.
+    matrices of side d^2, and its Choi state is never formed; any other
+    state is read from its slots (``Transfer.of_state``). Accepts a raw
+    multipartite density matrix as well, since the unordered bound applies
+    without causality.
     """
-    if isinstance(pt, ProcessTensor) and pt.transfer is not None:
-        d, quantities = pt.d, transfer_quantities(pt.transfer)
+    if isinstance(pt, ProcessTensor):
+        transfer = pt.transfer if pt.transfer is not None else Transfer.of_state(pt.state)
     else:
-        state, n, d = _as_state(pt)
-        steps = np.array([partial_trace(state, (2 * j, 2 * j + 1)).mat for j in range(n)])
-        outputs = np.array([partial_trace(state, (2 * j + 1,)).mat for j in range(n)])
-        s_global = np.array([von_neumann_entropy(state)])
-        quantities = _quantities(steps[None], outputs[None], s_global)
-    step, total, non_markov = (q[0].tolist() for q in quantities)
+        transfer = Transfer.of_state(pt)
+    step, total, non_markov = (q[0].tolist() for q in transfer_quantities(transfer))
+    d = transfer.outputs.shape[-1]
     return CorrelationReport(d=d, total=total, step_markov=tuple(step), non_markov=non_markov)
 
 
 def transfer_quantities(transfer: Transfer) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Step values (S, n), ``total`` (S,) and N (S,) of a stack of circuits, in nats.
+    """Step values (S, n), ``total`` (S,) and N (S,) of a stack of processes, in nats.
 
     Row k holds the fields of ``correlation_report`` on sample k built
-    alone, bit for bit. The global entropies come from the final environment
-    states, and every spectrum of the stack from one batched ``eigvalsh``
-    per kind of state.
+    alone, bit for bit. Every spectrum of the stack comes from one batched
+    ``eigvalsh`` per kind of state.
     """
-    return _quantities(transfer.steps, transfer.outputs, factor_entropies(transfer.final))
-
-
-def _quantities(
-    steps: np.ndarray, outputs: np.ndarray, s_global: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``transfer_quantities`` of step states and outputs (S, n, ...) and global entropies (S,)."""
+    steps, outputs = transfer.steps, transfer.outputs
     s, n, d = steps.shape[0], steps.shape[1], outputs.shape[-1]
     blocks = steps.reshape(s, n, d, d, d, d)
     s_step = von_neumann_entropies(steps)
     singles = von_neumann_entropies(np.concatenate([
         np.einsum("sniojo->snij", blocks),  # i_{j-1}
         np.einsum("snioip->snop", blocks),  # o_j, from the step states
-        outputs,                            # o_j, from the transfer or the slots
+        outputs,                            # o_j, from the circuit's transfer or the slots
     ], axis=1))
     s_in, s_out, s_outputs = singles[:, :n], singles[:, n:2 * n], singles[:, 2 * n:]
-    total = s_in.sum(axis=1) + s_outputs.sum(axis=1) - s_global
+    total = s_in.sum(axis=1) + s_outputs.sum(axis=1) - transfer.entropy
     # At n = 1 the one step block is the whole state, so N is exactly 0; the
     # difference of its two spectra's entropies would only show their rounding.
-    non_markov = s_step.sum(axis=1) - s_global if n > 1 else np.zeros(s)
+    non_markov = s_step.sum(axis=1) - transfer.entropy if n > 1 else np.zeros(s)
     return s_in + s_out - s_step, total, non_markov
 
 
@@ -166,14 +144,14 @@ def non_markovianity_crosscheck(pt: ProcessTensor | DensityMatrix) -> float:
     closest Markov (product-of-steps) Choi state. May return ``math.inf``
     on support mismatch; never silently capped.
 
-    Each step marginal gets a fresh factor from the eigh of its own
-    d^2-sided matrix, so the product's factor has at most d^{2n} columns
-    (the marginals' own factors can be far wider), and only
-    ``relative_entropy`` eigendecomposes the product.
+    The step marginals are those of ``Transfer.of_state``. Each gets a
+    fresh factor from the eigh of its own d^2-sided matrix, so the
+    product's factor has at most d^{2n} columns (the marginals' own factors
+    can be far wider), and only ``relative_entropy`` eigendecomposes the
+    product.
     """
-    state, n, _ = _as_state(pt)
-    margs = (partial_trace(state, (2 * j, 2 * j + 1)) for j in range(n))
-    factors = [DensityMatrix(m.mat, m.dims).factor for m in margs]
+    state = pt.state if isinstance(pt, ProcessTensor) else pt
+    factors = [DensityMatrix(m, state.dims[:2]).factor for m in Transfer.of_state(state).steps[0]]
     product = DensityMatrix(None, state.dims, factor=functools.reduce(kron, factors))
     return relative_entropy(state, product)
 

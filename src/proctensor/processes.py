@@ -14,15 +14,18 @@ from typing import Callable, Iterable, Iterator, Literal, Sequence
 
 import numpy as np
 
-from .config import DEFAULT_TOL, max_dense_dim
+from .config import DEFAULT_TOL
 from .linalg import (
     DensityMatrix,
-    DimensionLimitError,
     NotAStateError,
+    check_dense,
+    factor_entropies,
     factor_trace_distance,
     kron,
     maximally_mixed,
+    partial_trace,
     unitarity_residual,
+    von_neumann_entropy,
 )
 
 
@@ -196,18 +199,35 @@ class RandomSpec:
 
 @dataclass(frozen=True, eq=False)
 class Transfer:
-    """Marginals of circuits' Choi states P_n, read from their environment transfers.
+    """What the correlation quantifiers read of Choi states P_n: step states, outputs, S(P_n).
 
-    Every field has a leading sample axis of length S, one entry per circuit
-    of a stack; a process from ``build_from_circuit`` holds a stack of one.
-    Each marginal is traced from P_n without forming it (``_transfer``). All
-    are positive semidefinite by construction and share the trace of
-    ``final``, which is validated; S(P_n) is the entropy of ``final``.
+    Every field has a leading sample axis of length S, one entry per state;
+    its arrays are read-only. A stack of circuits gets its fields from its
+    environment transfer (``_transfer``), which traces each marginal from
+    P_n without forming it; they are positive semidefinite by construction
+    and share the validated trace of the final environment (x) ancilla
+    state, whose entropy is S(P_n). ``Transfer.of_state`` reads a stack of
+    one from a state's 2n slots.
     """
 
     steps: np.ndarray    # (S, n, d^2, d^2): step j's Choi state on (i_{j-1}, o_j)
     outputs: np.ndarray  # (S, n, d, d): o_j, traced from the (o_j, environment) state
-    final: np.ndarray    # (S, d_env r, k): factor of environment (x) ancilla after step n
+    entropy: np.ndarray  # (S,): S(P_n)
+
+    def __post_init__(self) -> None:
+        for m in (self.steps, self.outputs, self.entropy):
+            m.setflags(write=False)
+
+    @classmethod
+    def of_state(cls, state: DensityMatrix) -> "Transfer":
+        """Stack of one read from a 2n-slot state: its step marginals, single slots o_j and entropy.
+
+        Raises ``slot_shape``'s ``ValueError`` for a state off the slot layout.
+        """
+        n, _ = slot_shape(state)
+        steps = np.array([partial_trace(state, (2 * j, 2 * j + 1)).mat for j in range(n)])
+        outputs = np.array([partial_trace(state, (2 * j + 1,)).mat for j in range(n)])
+        return cls(steps[None], outputs[None], np.array([von_neumann_entropy(state)]))
 
 
 def build_from_circuit(
@@ -302,7 +322,7 @@ def _circuit_state(
 def _transfer(
     unitaries: np.ndarray, env: np.ndarray, exact: np.ndarray
 ) -> tuple[Transfer, list[list[float]]]:
-    """Step marginals, final environment states and exact hierarchy residuals of a circuit stack.
+    """Step marginals, S(P_n) and exact hierarchy residuals of a circuit stack.
 
     ``unitaries`` is (S, n, d d_env, d d_env), ``env`` the environments'
     factors (S, d_env, r) and ``exact`` a boolean mask (S,) of the samples
@@ -376,10 +396,8 @@ def _transfer(
         _circuit_state(unitaries[k], (de, r), fac[k])  # raises the leak message
     residuals = [_level_residuals((lv[m].reshape(-1, de * r) for lv in levels), d)
                  for m in range(len(picked))]
-    steps, outputs = np.stack(steps, axis=1), np.stack(outputs, axis=1)
-    for m in (steps, outputs, fac):
-        m.setflags(write=False)
-    return Transfer(steps, outputs, fac), residuals
+    transfer = Transfer(np.stack(steps, axis=1), np.stack(outputs, axis=1), factor_entropies(fac))
+    return transfer, residuals
 
 
 def _choi_state(d: int, unitaries: Sequence[np.ndarray], psi_env: np.ndarray) -> DensityMatrix:
@@ -393,11 +411,7 @@ def _choi_state(d: int, unitaries: Sequence[np.ndarray], psi_env: np.ndarray) ->
     """
     n = len(unitaries)
     de, r = psi_env.shape
-    working = d ** (2 * n) * de * r
-    if working > max_dense_dim():
-        raise DimensionLimitError(
-            f"working dimension {working} exceeds dense limit {max_dense_dim()}"
-        )
+    check_dense("working dimension", d ** (2 * n) * de * r)
     # vec axes: (slots of P_{j-1}, env, ancilla). The new pair's amplitudes
     # are I/sqrt(d), so its kept half i_{j-1} selects the input column of
     # the unitary on the live half.

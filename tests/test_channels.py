@@ -81,6 +81,10 @@ class TestDepolarizingChoi:
         with pytest.raises(ValueError):
             depolarizing_choi(2, 1.5)
 
+    def test_dimension_below_two_refused(self):
+        with pytest.raises(ValueError, match="^dimension must be >= 2, got 1$"):
+            depolarizing_choi(1, 0.5)
+
     def test_choi_trace_condition_enforced(self):
         # a product state with non-mixed input marginal is not a Choi state
         bad = DensityMatrix(np.diag([1.0, 0, 0, 0]), (2, 2))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -552,6 +553,25 @@ class TestEmitFigureCommand:
         assert "causality hierarchy violated at p = " in capsys.readouterr().err
         assert not out.exists()
 
+    def test_fig6_names_the_first_failing_point_in_grid_order(self, tmp_path, monkeypatch, capsys):
+        # p = 1.0 is built in the rank-2 stack, before the rank-4 stack that
+        # holds p = 0.5; the smaller p must still be the one named.
+        build_stack = proctensor.cli.build_stack
+
+        def failing_at_half_and_one(unitaries, envs, tol_causal=DEFAULT_TOL.causal):
+            transfer, reports = build_stack(unitaries, envs, tol_causal)
+            fail = [2.0 * env.mat[2, 2].real in (0.5, 1.0) for env in envs]  # the control's p
+            return transfer, [dataclasses.replace(r, tol=-1.0) if f else r
+                              for f, r in zip(fail, reports)]
+
+        monkeypatch.setattr(proctensor.cli, "build_stack", failing_at_half_and_one)
+        out = tmp_path / "fig6.csv"
+        assert main(["emit-figure", "--figure", "fig6", "--grid", "21", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: causality hierarchy violated at p = 0.5: worst residual ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
 
 class TestCsvOutput:
     @pytest.mark.parametrize(
@@ -886,6 +906,63 @@ class TestTolerance:
             main(["audit-random", "--samples", "1", "--tol", tol])
         assert info.value.code == 2
         assert "--tol" in capsys.readouterr().err
+
+
+def _spec_doc_with(**fields) -> dict:
+    return {**cnot_swap_spec_doc(), **fields}
+
+
+class TestInputRefusals:
+    """Each input refusal a command reaches: exit 2, one error line, no traceback."""
+
+    @pytest.mark.parametrize("command", ["verify", "analyze"])
+    @pytest.mark.parametrize("doc, message", [
+        ([1, 2], "top-level document must be an object"),
+        (_spec_doc_with(env="abc"), "field 'env' is not a nested [re, im] array"),
+        (_spec_doc_with(env=[[1, 0], [0, 0]]),
+         "field 'env' must be a square matrix of [re, im] pairs, got shape (2, 2)"),
+        (_spec_doc_with(env=complex_to_pairs(np.eye(1))),
+         "field 'env' has dimension 1, expected 2"),
+        (_spec_doc_with(env=complex_to_pairs(np.eye(2))),
+         "field 'env' is not a valid density matrix: trace (2+0j) deviates from 1 beyond 1.0e-10"),
+        (_spec_doc_with(unitaries=cnot_swap_spec_doc()["unitaries"][:1]),
+         "field 'unitaries' must list exactly n = 2 matrices"),
+    ])
+    def test_spec_file_refusal(self, tmp_path, capsys, command, doc, message):
+        path = tmp_path / "proc.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, "--in", str(path)]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["audit-random", "--samples", "0"], "--samples must be >= 1"),
+        (["audit-random", "--n", "0", "--samples", "1"], "invalid (n, d, d_env) = (0, 2, 4)"),
+    ])
+    def test_command_refusal(self, capsys, argv, message):
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    @pytest.mark.parametrize("dims, message", [
+        ("x", "not a comma-separated dimension list: 'x'"),
+        ("2,1", "dimensions must be >= 2: '2,1'"),
+    ])
+    def test_dimension_list_refusal(self, capsys, dims, message):
+        # argparse prints its usage, then one error line, and exits 2.
+        with pytest.raises(SystemExit) as info:
+            main(["sweep-depolarizing", "--d", dims, "--grid", "3"])
+        assert info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert errors == [f"proctensor sweep-depolarizing: error: argument --d: {message}"]
+        assert "Traceback" not in err
+
+    def test_out_in_a_missing_directory(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "sweep.csv"
+        assert main(["sweep-depolarizing", "--grid", "3", "--out", str(out)]) == 2
+        stdout, err = capsys.readouterr()
+        assert stdout == ""
+        assert err == f"I/O error: [Errno 2] No such file or directory: '{out}'\n"
 
 
 class TestDenseCap:

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import proctensor.linalg
 from proctensor import (
     DensityMatrix,
     DimensionLimitError,
@@ -63,6 +64,15 @@ class TestDenseInput:
             DensityMatrix(v @ v.T, (2,), factor=v)
         with pytest.raises(ValueError):
             DensityMatrix(None, (2,))
+
+    @pytest.mark.parametrize("dims, factor, message", [
+        ((0,), np.zeros((0, 1)), r"subsystem dimensions must be >= 1, got \(0,\)"),
+        ((2,), np.ones((3, 1)), r"factor shape \(3, 1\) does not match dimension 2"),
+        ((2,), np.array([[np.nan], [0.0]]), "factor entries must be finite"),
+    ])
+    def test_factor_input_is_refused_by_name(self, dims, factor, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            DensityMatrix(None, dims, factor=factor)
 
     def test_mat_is_the_input_array(self, rng):
         mat = np.array(random_density(rng, (2, 3)).mat)
@@ -162,6 +172,10 @@ class TestPartialTrace:
             partial_trace(rho, (2,))
         with pytest.raises(ValueError):
             partial_trace(rho, ())
+        with pytest.raises(ValueError, match=r"^keep has repeated indices: \(0, 0\)$"):
+            partial_trace(rho, (0, 0))
+        with pytest.raises(ValueError, match="^perm must cover every subsystem$"):
+            permute_subsystems(rho, (1,))
 
 
 class TestPartialTranspose:
@@ -351,6 +365,16 @@ class TestMutualInformation:
             mutual_information(rho, ((0,), (0, 1)))
         with pytest.raises(ValueError):
             mutual_information(rho, ((0,),))
+
+    def test_block_entropies_add_left_to_right(self, rng, monkeypatch):
+        # The blocks' entropies 0.1, 0.2 and 0.3, then the global one: the
+        # sum must be the left-to-right one, which math.fsum (standing in for
+        # the compensated ``sum`` of Python 3.12) does not give.
+        entropies = iter([0.1, 0.2, 0.3, 0.0625])
+        monkeypatch.setattr(proctensor.linalg, "von_neumann_entropy", lambda rho: next(entropies))
+        got = mutual_information(random_density(rng, (2, 2, 2)), ((0,), (1,), (2,)))
+        assert math.fsum([0.1, 0.2, 0.3]) != (0.1 + 0.2) + 0.3
+        assert got == ((0.1 + 0.2) + 0.3) - 0.0625
 
 
 class TestTraceDistance:

@@ -31,8 +31,9 @@ from proctensor import (
 
 import proctensor.processes
 from proctensor.io import load_choi, save_choi
+from proctensor.linalg import von_neumann_entropy
 from proctensor.metrics import SLACK_NAMES, BoundAudit, transfer_quantities
-from proctensor.processes import random_processes
+from proctensor.processes import Transfer, random_processes
 
 from conftest import random_density, seeded_circuit_spec
 
@@ -104,6 +105,57 @@ class TestCorrelationReport:
     def test_odd_slot_count_rejected(self, rng):
         with pytest.raises(ValueError):
             correlation_report(random_density(rng, (2, 2, 2)))
+
+    @pytest.mark.parametrize("dims, message", [
+        ((2, 2, 2), "a process tensor needs an even slot count, got 3"),
+        ((2, 3), "slot dimensions must be uniform, got (2, 3)"),
+    ])
+    def test_state_off_the_slot_layout_raises_the_slot_error(self, rng, dims, message):
+        state = random_density(rng, dims)
+        for read in (correlation_report, non_markovianity_crosscheck, Transfer.of_state):
+            with pytest.raises(ValueError) as info:
+                read(state)
+            assert str(info.value) == message
+
+    def test_markov_adds_left_to_right(self):
+        # math.fsum stands in for a compensated sum, such as ``sum`` of
+        # floats from Python 3.12; M must stay the left-to-right sum that
+        # ``bound_slacks`` also forms.
+        step = (0.1, 0.2, 0.3)
+        assert math.fsum(step) != (0.1 + 0.2) + 0.3
+        rep = CorrelationReport(d=2, total=1.0, step_markov=step, non_markov=0.25)
+        assert rep.markov == (0.1 + 0.2) + 0.3
+        assert rep.markov == np.add.accumulate(np.array([step]), axis=1)[0, -1]
+        assert rep.additivity_residual == abs(1.0 - (((0.1 + 0.2) + 0.3) + 0.25))
+
+
+class TestTransferOfState:
+    """``Transfer.of_state`` reads a state's stack of one from its 2n slots."""
+
+    def test_fields_are_the_slot_marginals(self, rng):
+        state = random_density(rng, (2, 2, 2, 2))
+        transfer = Transfer.of_state(state)
+        assert transfer.steps.shape == (1, 2, 4, 4)
+        assert transfer.outputs.shape == (1, 2, 2, 2)
+        for j, (step, out) in enumerate(zip(transfer.steps[0], transfer.outputs[0])):
+            assert np.array_equal(step, partial_trace(state, (2 * j, 2 * j + 1)).mat)
+            assert np.array_equal(out, partial_trace(state, (2 * j + 1,)).mat)
+        assert transfer.entropy.tolist() == [von_neumann_entropy(state)]
+
+    def test_report_is_row_zero_of_its_quantities(self, rng):
+        state = random_density(rng, (2,) * 6)
+        step, total, non_markov = (q[0].tolist() for q in transfer_quantities(
+            Transfer.of_state(state)))
+        assert correlation_report(state) == CorrelationReport(2, total, tuple(step), non_markov)
+
+    def test_fields_are_read_only(self, rng):
+        built = random_process(RandomSpec(n=2, d=2, d_env=2, seed=3)).transfer
+        for transfer in (built, Transfer.of_state(random_density(rng, (2, 2)))):
+            for name in ("steps", "outputs", "entropy"):
+                with pytest.raises(ValueError, match="read-only"):
+                    getattr(transfer, name)[0] = 0.0
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                transfer.entropy = np.zeros(1)
 
 
 def report_fields(rep: CorrelationReport) -> list[float]:
@@ -446,3 +498,8 @@ class TestImplicationChecks:
         rep = correlation_report(random_process(RandomSpec(n=3, d=2, d_env=2, seed=1)))
         with pytest.raises(ValueError):
             implication_checks(rep, 0.1)
+
+    def test_negative_epsilon_refused(self):
+        rep = correlation_report(cnot_swap_process())
+        with pytest.raises(ValueError, match="^epsilon must be nonnegative, got -0.001$"):
+            implication_checks(rep, -1e-3)

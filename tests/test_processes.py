@@ -540,6 +540,19 @@ class TestNamedGates:
             assert got.read_bytes() == want.read_bytes(), k
 
 
+class TestSpecRefusals:
+    @pytest.mark.parametrize("n, d, message", [
+        (0, 2, "n must be >= 1, got 0"), (1, 1, "d must be >= 2, got 1"),
+    ])
+    def test_circuit_spec_below_one_step_or_two_levels(self, n, d, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            CircuitProcessSpec(n=n, d=d, env_state=maximally_mixed(2), unitaries=())
+
+    def test_unknown_env_init(self):
+        with pytest.raises(ValueError, match="^unknown env_init 'thermal'$"):
+            random_env(np.random.default_rng(0), 2, "thermal")
+
+
 class TestHaarUnitary:
     def test_unitarity(self, rng):
         for dim in (1, 2, 5):
@@ -549,6 +562,10 @@ class TestHaarUnitary:
     def test_dim_one_is_phase(self):
         u = haar_unitary(1, 3)
         assert abs(abs(u[0, 0]) - 1.0) <= 1e-12
+
+    def test_dim_below_one_refused(self):
+        with pytest.raises(ValueError, match="^dim must be >= 1, got 0$"):
+            haar_unitary(0, 3)
 
     def test_first_entry_moment(self):
         # Haar moment: E|U_00|^2 = 1/dim
@@ -715,7 +732,7 @@ class TestBuildStack:
                 continue
             assert outcome == alone.causality
             kinds.append("certified" if outcome.bounds else "generic")
-            for field in ("steps", "outputs", "final"):
+            for field in ("steps", "outputs", "entropy"):
                 got, want = getattr(transfer, field)[k], getattr(alone.transfer, field)[0]
                 assert np.max(np.abs(got - want)) <= 1e-12
         if tol == 2e-11:
