@@ -204,14 +204,16 @@ class Transfer:
     Every field has a leading sample axis of length S, one entry per state;
     its arrays are read-only. A stack of circuits gets its fields from its
     environment transfer (``_transfer``), which traces each marginal from
-    P_n without forming it; they are positive semidefinite by construction
-    and share the validated trace of the final environment (x) ancilla
-    state, whose entropy is S(P_n). ``Transfer.of_state`` reads a stack of
-    one from a state's 2n slots.
+    P_n without forming it: step j's is tr_{E'}(W_j sigma_{j-1} W_j^dag),
+    with sigma_{j-1} the environment's reduced state before step j and W_j
+    its Kraus operators weighed by the later steps. They are positive
+    semidefinite in exact arithmetic and share the validated trace of the
+    final environment (x) ancilla state, whose entropy is S(P_n).
+    ``Transfer.of_state`` reads a stack of one from a state's 2n slots.
     """
 
     steps: np.ndarray    # (S, n, d^2, d^2): step j's Choi state on (i_{j-1}, o_j)
-    outputs: np.ndarray  # (S, n, d, d): o_j, traced from the (o_j, environment) state
+    outputs: np.ndarray  # (S, n, d, d): o_j, the step state with i_{j-1} traced out
     entropy: np.ndarray  # (S,): S(P_n)
 
     def __post_init__(self) -> None:
@@ -340,17 +342,34 @@ def _transfer(
         rho_j = sum_{o,a} K_oa rho_{j-1} K_oa^dag    (R untouched),
 
     carried as a factor F with rows (E, R): the columns of K_oa F, stacked
-    over (o, a), are cut back to d_env r by a QR. Before the cut, K_oa F
-    with rows (o_j, E', a = i_{j-1}) is a factor of the state of
+    over (o, a), are cut back to d_env r by a QR where they outnumber
+    d_env r. Step n is not cut: nothing reads rho_n but its trace, the
+    Choi state's, and its entropy, S(P_n) = S(rho_n) since (slots, E, R)
+    is pure; ``factor_entropies`` takes that from the uncut factor's
+    narrower Gram side.
+
+    K_oa F with rows (o_j, E', a = i_{j-1}) is a factor of the state of
     (i_{j-1}, o_j, E, R) with the earlier slots traced out. The later steps
     weigh E by the effect E_j = T_{j+1}^dag ... T_n^dag(I), with
     T_k^dag(X) = sum_{o,a} K_oa^dag X K_oa, which is I when they are
     unitary; tracing E against it gives the step marginals of the Choi state
-    P_n, leaks included. With E_j = L L^dag (Cholesky), that trace is the
-    plain trace over E of the factor L^dag K_oa F. Since (slots, E, R) is
-    pure, S(P_n) = S(rho_n).
+    P_n, leaks included. With E_j = L L^dag (Cholesky) and W_j the operators
+    L^dag K_oa stacked into rows (a, o, E'), that trace is the plain trace
+    over E' of the weighed factor W_j F. The marginal reads F only through
+    the environment's reduced state sigma_{j-1} = tr_R rho_{j-1}:
 
-    The same weighed factor, with its rows (column of F, i_{j-1}, o_j), is a
+        step_j = tr_{E'} (W_j sigma_{j-1} W_j^dag),    output_j = tr_{i_{j-1}} step_j.
+
+    Proof: write F_E for F with its rows R moved into its columns, so rows
+    E and columns (R, column). Then W_j F_E is the weighed factor with R in
+    its columns, and the marginal on (i_{j-1}, o_j, E') is
+    (W_j F_E)(W_j F_E)^dag = W_j (F_E F_E^dag) W_j^dag, where F_E F_E^dag
+    sums rho_{j-1} = F F^dag over R on both sides: it is tr_R rho_{j-1}.
+    So the loop carries only sigma_{j-1}, one d_env-sided product per
+    step, and the marginals of every step come from two batched products
+    after it.
+
+    The weighed factor W_j F, with its rows (column of F, i_{j-1}, o_j), is a
     factor of the marginal of P_n on its first 2j slots: F's columns stand
     in for the earlier slots, which the pure prefix state maps into them
     isometrically on its support. Trace distances are blind to that
@@ -367,24 +386,19 @@ def _transfer(
         x = (effects[-1][:, None, None] @ k).reshape(s, -1, de)
         effects.append(k.reshape(s, -1, de).conj().swapaxes(1, 2) @ x)
     lh = np.linalg.cholesky(np.stack(effects[::-1], axis=1)).conj().swapaxes(-1, -2)
-    weighed = np.einsum("sjzx,sjoxae->jsaoze", lh, ks).reshape(n, s, -1, de)  # rows (a, o, E')
+    weighed = np.einsum("sjzx,sjoxae->sjaoze", lh, ks).reshape(s, n, -1, de)  # W: rows (a, o, E')
     fac = env.reshape(s, -1, 1)  # rows (E, R)
     picked = np.flatnonzero(exact)
-    steps, outputs, levels = [], [], []
-    for k, kw in zip(ks.transpose(1, 0, 2, 3, 4, 5).reshape(n, s, -1, de), weighed):
+    sigmas, levels = [], []
+    for j, k in enumerate(ks.reshape(s, n, -1, de).swapaxes(0, 1)):
         f = fac.reshape(s, de, -1)  # columns (R, column)
-        # The widest arrays of a stack are these factors, before the cut;
-        # each is dropped as soon as the next is formed.
-        step = kw @ f  # rows (i_{j-1}, o_j, E'), columns (R, column)
+        sigmas.append(f @ f.conj().swapaxes(1, 2))  # sigma_{j-1} = tr_R rho_{j-1}
         if len(picked):  # level j's factors: (sample, column, i_{j-1}, o_j, E', R)
-            levels.append(np.moveaxis(step[picked].reshape(len(picked), d, d, de, r, -1), 5, 1))
-        step = step.reshape(s, d * d, -1)  # rows (i_{j-1}, o_j)
-        steps.append(step @ step.conj().swapaxes(1, 2))
-        step = step.reshape(s, d, d, -1).swapaxes(1, 2).reshape(s, d, -1)  # rows o_j
-        outputs.append(step @ step.conj().swapaxes(1, 2))
-        del step
+            step = weighed[picked, j] @ f[picked]  # rows (i_{j-1}, o_j, E'), columns (R, column)
+            levels.append(np.moveaxis(step.reshape(len(picked), d, d, de, r, -1), 5, 1))
         t = (k @ f).reshape(s, d, de, d, r, -1).transpose(0, 2, 4, 1, 3, 5)  # (., E, R, o, a, .)
-        if t[0].size <= (de * r) ** 2:
+        del f, fac  # rho_{j-1} is read: a cut's copies form without it
+        if j == n - 1 or t[0].size <= (de * r) ** 2:  # rho_n is read uncut
             fac = t.reshape(s, de * r, -1)
         else:
             t = np.conjugate(t, order="C").reshape(s, de * r, -1)
@@ -396,8 +410,13 @@ def _transfer(
         _circuit_state(unitaries[k], (de, r), fac[k])  # raises the leak message
     residuals = [_level_residuals((lv[m].reshape(-1, de * r) for lv in levels), d)
                  for m in range(len(picked))]
-    transfer = Transfer(np.stack(steps, axis=1), np.stack(outputs, axis=1), factor_entropies(fac))
-    return transfer, residuals
+    entropy = factor_entropies(fac)  # on the narrower Gram side of rho_n's factor
+    del fac
+    ws = (weighed @ np.stack(sigmas, axis=1)).reshape(s, n, d * d, -1)  # W sigma: columns (E', E)
+    np.conjugate(weighed, out=weighed)  # no longer read as W
+    steps = ws @ weighed.reshape(s, n, d * d, -1).swapaxes(2, 3)  # tr_{E'} W sigma W^dag
+    outputs = np.trace(steps.reshape(s, n, d, d, d, d), axis1=2, axis2=4)  # tr_{i_{j-1}}
+    return Transfer(steps, outputs, entropy), residuals
 
 
 def _choi_state(d: int, unitaries: Sequence[np.ndarray], psi_env: np.ndarray) -> DensityMatrix:
@@ -632,12 +651,15 @@ def random_process(spec: RandomSpec) -> ProcessTensor:
 
 
 # Bytes that one stack of ``random_processes`` may hold at its peak, which is in ``_transfer``.
-# Measured with ``tracemalloc`` (numpy 2.4), a sample holds two of its widest factors (a
-# step's factor and its conjugate copy, before the cut), about six arrays the size of its
-# unitaries and two of its step marginals: 55 kB at n = 3, d = 2, d_env = 4 and 67 kB at
-# n = 5, which ``_sample_bytes`` bounds from above. A stack adds up to ``_STACK_FIXED`` of
+# Measured with ``tracemalloc`` (numpy 2.4), a sample holds at most two of its widest arrays
+# (a step's product with the Kraus operators and its reordered copy, that copy and the one a
+# cut's QR makes, or the uncut final factor and the conjugate copy its Gram is formed from),
+# one square array (a cut's R or that Gram) and about five arrays the size of its unitaries:
+# 50 kB at n = 3, d = 2, d_env = 4 and 67 kB at n = 5. ``_sample_bytes`` bounds it from above
+# on every shape measured (d <= 3; n <= 8 with d_env <= 8 and each ``EnvInit``; n = 20, 60,
+# 200 with d_env <= 4), by 1.4 % at the closest. A stack adds up to ``_STACK_FIXED`` of
 # numpy's own buffers. In time, on one core of an Intel Xeon, a stack of n = 3 samples (draw,
-# build and audit) costs about 0.5 ms plus 0.2 ms per sample, and per sample it gains nothing
+# build and audit) costs about 0.5 ms plus 0.14 ms per sample, and per sample it gains nothing
 # beyond about 34 samples, while its memory grows; so the budget gives 34 samples (2 MB) at
 # n = 3, d = 2, d_env = 4, and a peak memory that does not grow with the count.
 _STACK_BYTES = 2_190_000
@@ -647,16 +669,24 @@ _STACK_FIXED = 160_000
 def _sample_bytes(n: int, d: int, d_env: int) -> int:
     """Upper bound on the bytes one sample of a ``random_processes`` stack holds in ``_transfer``.
 
-    The environment's factor has d_env r columns with r <= d_env, so a step's
-    factor has at most d^2 d_env r rows and min(d^(2(n-1)), d_env r) columns
-    (``_transfer``; d^(2 d_env) >= d_env^2 caps the exponent). The step
-    marginals are n matrices of side d^2, kept in a list and then stacked;
-    6 kB more cover the sample's Python objects (its generator, reports).
-    A sample that the certificate leaves undecided also keeps its n level
-    factors for the exact hierarchy, which this does not count.
+    The carried factor has d_env r rows, r <= d_env the environment's rank,
+    and after a cut at most d_env r columns. A step's product with the
+    Kraus operators, its reordered copy and the final factor, which is not
+    cut, have d^2 times as many: at most d^2 min(d^(2(n-1)), d_env r)
+    (``_transfer``; d^(2 d_env) >= d_env^2 caps the exponent). Two of these
+    wide arrays live at once, beside one square one of side at most
+    min(d_env r, d^(2n)): a cut's R, or the final factor's Gram on its
+    narrower side. Five arrays the size of the n unitaries cover the
+    unitaries, their Kraus copy, W, W sigma and the n effects and sigmas of
+    side d_env. The step marginals are n d^4 entries, the reports'
+    residuals as Python floats 4 n more, and 6 kB cover the sample's other
+    Python objects (its generator, reports). A sample that the certificate
+    leaves undecided also keeps its n level factors for the exact
+    hierarchy, which this does not count.
     """
     wide = d * d * d_env**2 * min(d ** (2 * min(n - 1, d_env)), d_env**2)
-    return 16 * (2 * wide + 6 * n * (d * d_env) ** 2 + 2 * n * d**4) + 6144
+    square = min(d_env**2, d ** (2 * n)) ** 2
+    return 16 * (2 * wide + square + 5 * n * (d * d_env) ** 2 + n * d**4 + 4 * n) + 6144
 
 
 def _stack_size(spec: RandomSpec) -> int:

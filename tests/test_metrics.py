@@ -203,6 +203,20 @@ class TestTransferReport:
             assume(False)  # the leaks moved the trace beyond DEFAULT_TOL.tr
         self.assert_matches_dense(pt)
 
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("d_env", [8, 16])
+    @pytest.mark.parametrize("env_init", ["maximally-mixed", "pure-ground", "seeded-random"])
+    def test_wide_environment_matches_the_dense_state(self, n, d_env, env_init):
+        # Full-rank environments leave the final factor d_env^2 rows and
+        # d^(2n) columns, at most as many, so S(P_n) comes from its Gram
+        # F^dag F wherever the columns are fewer.
+        pt = random_process(RandomSpec(n=n, d=2, d_env=d_env, seed=n + d_env, env_init=env_init))
+        dense = Transfer.of_state(pt.state)
+        for name in ("steps", "outputs", "entropy"):
+            got, want = getattr(pt.transfer, name), getattr(dense, name)
+            assert got.shape == want.shape
+            assert np.max(np.abs(got - want)) <= 1e-12, name
+
     def test_named_processes_match_dense_report(self):
         for k in range(21):
             self.assert_matches_dense(nm_depolarizing_process(k / 20))

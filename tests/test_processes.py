@@ -20,6 +20,7 @@ from proctensor import (
     RandomSpec,
     build_from_circuit,
     cnot_swap_process,
+    correlation_report,
     depolarizing_choi,
     fredkin_unitary,
     haar_unitary,
@@ -139,6 +140,18 @@ class TestBuildFromCircuit:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    @pytest.mark.parametrize("n, cuts", [(1, 0), (2, 0), (3, 0), (5, 2), (8, 5)])
+    def test_no_cut_after_the_last_step(self, monkeypatch, n, cuts):
+        # At d = 2, d_env = 4 the carried factor (16 rows) outgrows 16
+        # columns in step 3: steps 3, ..., n - 1 cut it by a QR, and step n
+        # leaves it uncut for S(P_n) and the trace check.
+        spec = seeded_circuit_spec(n, 2, 4, 0, "maximally-mixed")
+        real, shapes = np.linalg.qr, []
+        monkeypatch.setattr(np.linalg, "qr", lambda a, mode: shapes.append(a.shape) or real(a, mode=mode))
+        pt = build_from_circuit(spec)
+        assert shapes == [(1, 64, 16)] * cuts
+        assert correlation_report(pt).additivity_residual <= 1e-12
 
     def test_leaky_transfer_names_the_unitary(self):
         # Four steps, each about 5.4e-11 off unitary, move the trace of the
@@ -673,7 +686,7 @@ class TestRandomProcesses:
         # ``_sample_bytes`` bounds what a sample holds from above, so the
         # largest stack ``random_processes`` builds fits ``_STACK_BYTES``;
         # only a single sample may exceed it alone.
-        for n, d, d_env in itertools.product((1, 2, 3, 5, 8), (2, 3), (1, 2, 4)):
+        for n, d, d_env in itertools.product((1, 2, 3, 5, 8), (2, 3), (1, 2, 4, 8)):
             spec = RandomSpec(n=n, d=d, d_env=d_env, seed=11, env_init=env_init)
             size = proctensor.processes._stack_size(spec)
             list(random_processes(spec, 1))  # lazy imports and first-call set-up
