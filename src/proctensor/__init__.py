@@ -29,6 +29,7 @@ from .processes import (
     build_stack,
     cnot_swap_process,
     fredkin_dilation,
+    fredkin_env,
     fredkin_unitary,
     haar_unitary,
     nm_depolarizing_process,

@@ -3,7 +3,10 @@
 A channel is the n = 1 process tensor: its normalized Choi state is a
 ``ProcessTensor`` on the slots (i_0, o_1), and a dilation is a one-step
 ``CircuitProcessSpec`` whose Choi state ``build_from_circuit(spec).state``
-simulates.
+simulates. ``depolarizing_choi`` and ``channel_M`` go through the dense
+Choi state; they are the reference route for the CLI's sweep, which reads
+M from a stack of Fredkin dilations (``processes.fredkin_env``) and forms
+no Choi state.
 """
 
 from __future__ import annotations

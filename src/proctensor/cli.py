@@ -16,7 +16,6 @@ from pathlib import Path
 import numpy as np
 
 from . import io
-from .channels import channel_M, depolarizing_choi
 from .config import DEFAULT_TOL
 from .linalg import LinalgError
 from .metrics import (
@@ -30,9 +29,11 @@ from .metrics import (
 )
 from .processes import (
     CausalityError,
+    CausalityReport,
     RandomSpec,
     build_stack,
-    nm_depolarizing_spec,
+    fredkin_env,
+    fredkin_unitary,
     random_processes,
     # Not called here: bench/test_bench.py asserts that its tracer rebinds this name in cli.
     verify_causality,  # noqa: F401
@@ -70,11 +71,38 @@ def _grid(points: int) -> list[float]:
     return [j / (points - 1) for j in range(points)]
 
 
+def _fredkin_stack(
+    grid: list[float], n: int, d: int
+) -> tuple[list[CausalityReport], tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Reports and ``transfer_quantities`` of n Fredkin steps at each p of ``grid``, as one stack.
+
+    Point p is ``fredkin_dilation(p, d)`` at n = 1 and ``nm_depolarizing_spec(p)``
+    at n = 2, d = 2, built by one ``build_stack`` call.
+    """
+    u = fredkin_unitary(d)
+    unitaries = np.broadcast_to(u, (len(grid), n, *u.shape))
+    transfer, reports = build_stack(unitaries, [fredkin_env(p, d) for p in grid])
+    return reports, transfer_quantities(transfer)
+
+
+def _violated(points: list[str], reports: list[CausalityReport]) -> bool:
+    """Whether a report fails, judged in grid order; names the first failing point on stderr."""
+    for point, report in zip(points, reports):
+        if not report.passed:
+            print(f"error: causality hierarchy violated at {point}: worst residual "
+                  f"{report.worst:.3e} > {report.tol:.1e}", file=sys.stderr)
+            return True
+    return False
+
+
 def cmd_sweep_depolarizing(args: argparse.Namespace) -> int:
-    rows = []
+    grid, rows = _grid(args.grid), []
     for d in args.d:
-        for p in _grid(args.grid):
-            rows.append((float(d), p, channel_M(depolarizing_choi(d, p))))
+        # The one-step Fredkin dilation is the depolarizing channel; M is its step value.
+        reports, (step, _, _) = _fredkin_stack(grid, 1, d)
+        if _violated([f"d = {d}, p = {p}" for p in grid], reports):
+            return EXIT_VIOLATION
+        rows += [(float(d), p, m) for p, m in zip(grid, step[:, 0].tolist())]
     _write_lines(args.out, io.csv_lines(("d", "p", "M_nats"), rows))
     return EXIT_OK
 
@@ -86,27 +114,12 @@ def cmd_emit_figure(args: argparse.Namespace) -> int:
         print("error: --figure fig6 is a qubit circuit and takes no --d but 2", file=sys.stderr)
         return EXIT_USAGE
     grid = _grid(args.grid)
-    specs = [nm_depolarizing_spec(p) for p in grid]
-    # A stack shares one environment factor shape: rank 2 at p = 0 and 1, rank 4 between.
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for k, spec in enumerate(specs):
-        groups.setdefault(spec.env_state.factor.shape, []).append(k)
-    causalities, rows = [None] * len(grid), [None] * len(grid)
-    for ks in groups.values():
-        stack = [specs[k] for k in ks]
-        transfer, reports = build_stack(
-            np.array([s.unitaries for s in stack]), [s.env_state for s in stack]
-        )
-        step, total, non_markov = transfer_quantities(transfer)
-        values = np.column_stack([step, non_markov, total]).tolist()  # M1, M2, N, I
-        for k, report, row in zip(ks, reports, values):
-            causalities[k], rows[k] = report, (grid[k], *row)
-    # Judged in grid order, so the first failing point named is the smallest p.
-    for p, causality in zip(grid, causalities):
-        if not causality.passed:
-            print(f"error: causality hierarchy violated at p = {p}: worst residual "
-                  f"{causality.worst:.3e} > {causality.tol:.1e}", file=sys.stderr)
-            return EXIT_VIOLATION
+    # Every p shares the environment's factor shape, so the whole grid is one stack.
+    reports, (step, total, non_markov) = _fredkin_stack(grid, 2, 2)
+    if _violated([f"p = {p}" for p in grid], reports):
+        return EXIT_VIOLATION
+    values = np.column_stack([step, non_markov, total]).tolist()  # M1, M2, N, I
+    rows = [(p, *row) for p, row in zip(grid, values)]
     _write_lines(args.out, io.csv_lines(("p", "M1", "M2", "N", "I"), rows))
     return EXIT_OK
 

@@ -21,7 +21,6 @@ from .linalg import (
     check_dense,
     factor_entropies,
     factor_trace_distance,
-    kron,
     maximally_mixed,
     partial_trace,
     unitarity_residual,
@@ -549,12 +548,17 @@ def fredkin_unitary(d: int = 2) -> np.ndarray:
     return _permutation((d, 2, d), lambda s, c, t: (np.where(c, t, s), c, np.where(c, s, t)))
 
 
-def _fredkin_env(p: float, d: int) -> DensityMatrix:
-    """Initial environment of ``fredkin_dilation(p, d)``; p must lie in [0, 1]."""
+def fredkin_env(p: float, d: int) -> DensityMatrix:
+    """Initial environment of ``fredkin_dilation(p, d)``; p must lie in [0, 1].
+
+    Built from its factor diag(sqrt(1-p), sqrt(p)) (x) I/sqrt(d), with no
+    dense matrix and no eigendecomposition. The factor keeps its zero
+    columns at p = 0 and 1, so every p gives one factor shape, (2d, 2d),
+    and a p-grid builds as one stack.
+    """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"p must lie in [0, 1], got {p}")
-    control = np.diag([1.0 - p, p])
-    return DensityMatrix(kron(control, np.eye(d) / d), (2, d))
+    return DensityMatrix(None, (2, d), factor=np.diag(np.sqrt(np.repeat([1.0 - p, p], d) / d)))
 
 
 def fredkin_dilation(p: float, d: int = 2) -> CircuitProcessSpec:
@@ -564,7 +568,7 @@ def fredkin_dilation(p: float, d: int = 2) -> CircuitProcessSpec:
     with a maximally mixed target qudit.
     """
     return CircuitProcessSpec(
-        n=1, d=d, env_state=_fredkin_env(p, d), unitaries=(fredkin_unitary(d),)
+        n=1, d=d, env_state=fredkin_env(p, d), unitaries=(fredkin_unitary(d),)
     )
 
 
@@ -575,7 +579,7 @@ def nm_depolarizing_spec(p: float) -> CircuitProcessSpec:
     depolarizing, but memory flows through the shared environment.
     """
     return CircuitProcessSpec(
-        n=2, d=2, env_state=_fredkin_env(p, 2), unitaries=(fredkin_unitary(2),) * 2
+        n=2, d=2, env_state=fredkin_env(p, 2), unitaries=(fredkin_unitary(2),) * 2
     )
 
 

@@ -18,8 +18,11 @@ from proctensor import (
     RandomSpec,
     audit_bounds,
     build_from_circuit,
+    channel_M,
     cnot_swap_process,
     correlation_report,
+    depolarizing_choi,
+    fredkin_dilation,
     haar_unitary,
     kron,
     max_entangled_state,
@@ -482,6 +485,26 @@ class TestSweepCommand:
         main(["sweep-depolarizing", "--d", "2", "--grid", "11", "--out", str(b)])
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize(
+        "command", [["sweep-depolarizing"], ["emit-figure", "--figure", "fig2"]]
+    )
+    def test_failed_hierarchy_exits_one(self, tmp_path, monkeypatch, capsys, command):
+        # No certificate decides, and the exact hierarchy fails every point: a
+        # violation, exit 1 as for fig6, naming the first point of the first d.
+        monkeypatch.setattr(
+            proctensor.processes, "_unitarity_certificate", lambda r, t: np.ones(r.shape)
+        )
+        monkeypatch.setattr(
+            proctensor.processes, "_level_residuals", lambda levels, d: [0.25 for _ in levels]
+        )
+        out = tmp_path / "sweep.csv"
+        assert main(command + ["--d", "3,2", "--grid", "3", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: causality hierarchy violated at d = 3, p = 0.0: worst residual "
+            f"2.500e-01 > {DEFAULT_TOL.causal:.1e}\n"
+        )
+        assert not out.exists()
+
 
 class TestEmitFigureCommand:
     def test_fig6_values(self, tmp_path):
@@ -498,17 +521,30 @@ class TestEmitFigureCommand:
 
     @pytest.mark.parametrize("grid", [2, 3, 21, 101])
     def test_fig6_stacks_match_one_build_per_point(self, tmp_path, grid):
-        # fig6 builds its grid as stacks grouped by environment rank; one
+        # fig6 builds its grid, and the sweep each d's grid, as one stack; one
         # process per point, in grid order, is the oracle, byte for byte.
+        ps = [j / (grid - 1) for j in range(grid)]
         out = tmp_path / "fig6.csv"
         assert main(["emit-figure", "--figure", "fig6", "--grid", str(grid), "--out", str(out)]) == 0
         rows = []
-        for j in range(grid):
-            p = j / (grid - 1)
+        for p in ps:
             rep = correlation_report(nm_depolarizing_process(p))
             rows.append((p, rep.step_markov[0], rep.step_markov[1], rep.non_markov, rep.total))
         lines = proctensor.io.csv_lines(("p", "M1", "M2", "N", "I"), rows)
         assert out.read_text() == "\n".join(lines) + "\n"
+        sweep = tmp_path / "sweep.csv"
+        argv = ["sweep-depolarizing", "--d", "2,3,4", "--grid", str(grid), "--out", str(sweep)]
+        assert main(argv) == 0
+        rows = []
+        for d in (2, 3, 4):
+            for p in ps:
+                rep = correlation_report(build_from_circuit(fredkin_dilation(p, d)))
+                rows.append((float(d), p, rep.step_markov[0]))
+        lines = proctensor.io.csv_lines(("d", "p", "M_nats"), rows)
+        assert sweep.read_text() == "\n".join(lines) + "\n"
+        # The dense Choi state of the channel is an independent route to M.
+        dense = [channel_M(depolarizing_choi(d, p)) for d in (2, 3, 4) for p in ps]
+        assert np.max(np.abs(np.array([m for _, _, m in rows]) - dense)) <= 1e-12
 
     def test_fig2_delegates(self, tmp_path):
         out, sweep = tmp_path / "fig2.csv", tmp_path / "sweep.csv"
@@ -554,13 +590,14 @@ class TestEmitFigureCommand:
         assert not out.exists()
 
     def test_fig6_names_the_first_failing_point_in_grid_order(self, tmp_path, monkeypatch, capsys):
-        # p = 1.0 is built in the rank-2 stack, before the rank-4 stack that
-        # holds p = 0.5; the smaller p must still be the one named.
+        # p = 0.5 and p = 1.0 both fail; the reports are judged in grid order,
+        # so the smaller p is the one named.
         build_stack = proctensor.cli.build_stack
 
         def failing_at_half_and_one(unitaries, envs, tol_causal=DEFAULT_TOL.causal):
             transfer, reports = build_stack(unitaries, envs, tol_causal)
-            fail = [2.0 * env.mat[2, 2].real in (0.5, 1.0) for env in envs]  # the control's p
+            # the control's p, read from F F^dag of the environment's factor
+            fail = [np.isclose(2.0 * env.mat[2, 2].real, (0.5, 1.0)).any() for env in envs]
             return transfer, [dataclasses.replace(r, tol=-1.0) if f else r
                               for f, r in zip(fail, reports)]
 

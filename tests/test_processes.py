@@ -22,6 +22,7 @@ from proctensor import (
     cnot_swap_process,
     correlation_report,
     depolarizing_choi,
+    fredkin_env,
     fredkin_unitary,
     haar_unitary,
     kron,
@@ -463,6 +464,29 @@ class TestNmDepolarizingProcess:
             proc = nm_depolarizing_process(p)
             first = partial_trace(proc.state, (0, 1))
             assert trace_distance(first, depolarizing_choi(2, p).state) <= 1e-9
+
+
+class TestFredkinEnv:
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 1.0])
+    def test_factor_of_the_control_and_target(self, monkeypatch, d, p):
+        # One factor shape at every p, zero columns kept, so a p-grid builds as
+        # one stack; no eigendecomposition gives the factor.
+        def no_eigh(*args, **kwargs):
+            raise AssertionError("eigh called")
+
+        monkeypatch.setattr(np.linalg, "eigh", no_eigh)
+        env = fredkin_env(p, d)
+        assert env.factor.shape == (2 * d, 2 * d)
+        want = kron(np.diag([1.0 - p, p]), np.eye(d) / d)
+        assert np.max(np.abs(env.mat - want)) <= 1e-15
+        assert env.trace == pytest.approx(1.0, abs=1e-15)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("p", [-0.1, 1.1])
+    def test_p_outside_the_unit_interval(self, d, p):
+        with pytest.raises(ValueError, match=rf"^p must lie in \[0, 1\], got {p}$"):
+            fredkin_env(p, d)
 
 
 class TestSwapChainProcess:
