@@ -4,8 +4,10 @@ Index convention: the leftmost tensor factor is the slowest-varying
 (big-endian) index, matching ``numpy.kron`` with the left operand first.
 All entropic quantities are in nats.
 
-Every state carries a factor F with rho = F F^dag (see ``DensityMatrix``
-for how a dense input gets one). Partial traces and permutations reshape F,
+Every state carries a factor F with rho = F F^dag. A dense input gets it
+from a diagonally pivoted Cholesky factorization, certified by its
+residual, with ``eigh`` only where the certificate is undecided (see
+``DensityMatrix``). Partial traces and permutations reshape F,
 spectra come from the small Gram matrix F^dag F when F is narrow, and the
 dense matrix is only materialized on demand, which keeps
 large-but-low-rank states cheap.
@@ -59,6 +61,50 @@ def unitarity_residual(u: np.ndarray) -> float | np.ndarray:
     return np.linalg.norm(gram, axis=(-2, -1))
 
 
+def _certified_factor(mat: np.ndarray, tr: float) -> np.ndarray | None:
+    """Diagonally pivoted Cholesky factor F of a dense input A, or None if undecided.
+
+    Columns are added while the largest remaining pivot exceeds the rounding
+    level c = tr dim eps, and each pivot's own entry is exactly its square
+    root, so a diagonal input gets the square roots of its entries (Higham,
+    "Analysis of the Cholesky decomposition of a semi-definite matrix",
+    1990; LAPACK's ``?pstrf``). F, with its columns in ascending pivot order
+    as ``eigh`` orders eigenvalues, is returned only when its residual
+    ||A - F F^dag||_F is at most min(c, ``DEFAULT_TOL.psd``). By Weyl's
+    inequality every eigenvalue of A's Hermitian part is then at least
+    -``DEFAULT_TOL.psd``, and F holds A at the rounding level. F is built
+    column by column and the residual row block by row block, so no
+    dim x dim work array is formed for a low-rank input.
+    """
+    dim = mat.shape[0]
+    cut = tr * dim * np.finfo(float).eps
+    pivots = mat.diagonal().real.copy()
+    rows = np.empty((min(dim, 16), dim), dtype=complex)  # row k is column k of F
+    k = 0
+    while True:
+        i = int(np.argmax(pivots))
+        pivot = pivots[i]
+        if pivot <= cut:
+            break
+        if k == len(rows):
+            rows = np.concatenate([rows, np.empty((min(k, dim - k), dim), dtype=complex)])
+        col = (mat[:, i] - rows[:k].T @ rows[:k, i].conj()) / math.sqrt(pivot)
+        col[i] = math.sqrt(pivot)
+        pivots -= col.real**2 + col.imag**2
+        pivots[i] = 0.0
+        rows[k] = col
+        k += 1
+    factor = np.ascontiguousarray(rows[:k][::-1].T)
+    del rows  # a full-rank input's buffer is as large as its factor
+    fh = factor.conj().T
+    block = max(1, 2**14 // dim)
+    sq = 0.0
+    for r in range(0, dim, block):
+        e = mat[r:r + block] - factor[r:r + block] @ fh
+        sq += np.vdot(e, e).real
+    return factor if math.sqrt(sq) <= min(cut, DEFAULT_TOL.psd) else None
+
+
 class DensityMatrix:
     """Hermitian, PSD, unit-trace matrix with a subsystem-shape annotation.
 
@@ -66,10 +112,17 @@ class DensityMatrix:
     product must equal the matrix dimension. Construct from exactly one of
     a dense matrix or a factor F with rho = F F^dag.
 
-    A dense matrix is fully validated, and the eigendecomposition w, V that
-    checks positivity gives its factor: the eigenpairs with w above the
-    rounding level w.max() dim eps (``numpy.linalg.matrix_rank``'s cut-off),
-    so no tolerance sets the rank; ``mat`` is the validated input array. A
+    A dense matrix A is fully validated. Its factor is the pivoted Cholesky
+    factor of ``_certified_factor``, with columns down to the rounding level
+    c = tr dim eps, kept when ||A - F F^dag||_F <= min(c,
+    ``DEFAULT_TOL.psd``), which certifies positivity. An input that this
+    leaves undecided (a small negative eigenvalue that ``DEFAULT_TOL.psd``
+    allows, positive eigenvalues below the pivot cut, an anti-Hermitian
+    part within ``DEFAULT_TOL.herm``) falls back to the eigendecomposition
+    w, V: w.min() < -``DEFAULT_TOL.psd`` is refused, and the factor is the
+    eigenpairs with w above the rounding level w.max() dim eps
+    (``numpy.linalg.matrix_rank``'s cut-off). Either way no tolerance sets
+    the rank; ``mat`` is the validated input array. A
     given factor is checked for shape and finiteness, and ``mat`` is F F^dag,
     formed on first use. Either way the factor must have unit trace, so an
     input whose negative eigenvalues, allowed by ``DEFAULT_TOL.psd`` but
@@ -105,11 +158,13 @@ class DensityMatrix:
             tr = complex(np.trace(mat))
             if abs(tr - 1.0) > tol.tr:
                 raise NotAStateError(f"trace {tr} deviates from 1 beyond {tol.tr:.1e}")
-            w, v = np.linalg.eigh(mat)
-            if w[0] < -tol.psd:
-                raise NotAStateError(f"minimum eigenvalue {w[0]:.3e} < -{tol.psd:.1e}")
-            keep = w > w[-1] * dim * np.finfo(float).eps
-            factor = v[:, keep] * np.sqrt(w[keep])
+            factor = _certified_factor(mat, tr.real)
+            if factor is None:
+                w, v = np.linalg.eigh(mat)
+                if w[0] < -tol.psd:
+                    raise NotAStateError(f"minimum eigenvalue {w[0]:.3e} < -{tol.psd:.1e}")
+                keep = w > w[-1] * dim * np.finfo(float).eps
+                factor = v[:, keep] * np.sqrt(w[keep])
             mat.setflags(write=False)
         else:
             factor = np.asarray(factor, dtype=complex)

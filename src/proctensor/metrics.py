@@ -144,11 +144,12 @@ def non_markovianity_crosscheck(pt: ProcessTensor | DensityMatrix) -> float:
     closest Markov (product-of-steps) Choi state. May return ``math.inf``
     on support mismatch; never silently capped.
 
-    The step marginals are those of ``Transfer.of_state``. Each gets a
-    fresh factor from the eigh of its own d^2-sided matrix, so the
-    product's factor has at most d^{2n} columns (the marginals' own factors
-    can be far wider), and only ``relative_entropy`` eigendecomposes the
-    product.
+    The step marginals are those of ``Transfer.of_state``. Each is
+    validated as a d^2-sided ``DensityMatrix``, whose factor has at most
+    d^2 columns, so the product's factor has at most d^{2n} (the marginals'
+    own factors can be far wider). Where the marginals' pivoted Cholesky
+    factors are certified, only ``relative_entropy`` eigendecomposes, once,
+    on the product.
     """
     state = pt.state if isinstance(pt, ProcessTensor) else pt
     factors = [DensityMatrix(m, state.dims[:2]).factor for m in Transfer.of_state(state).steps[0]]

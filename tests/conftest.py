@@ -17,6 +17,18 @@ def random_density(rng: np.random.Generator, dims, rank: int | None = None) -> D
     return DensityMatrix(mat / np.trace(mat).real, dims)
 
 
+def count_eigh(monkeypatch) -> list[int]:
+    """Patch ``np.linalg.eigh`` to record the side of every matrix it is called on."""
+    sides, eigh = [], np.linalg.eigh
+
+    def counting_eigh(m, *args, **kwargs):
+        sides.append(m.shape[0])
+        return eigh(m, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    return sides
+
+
 def random_pure(rng: np.random.Generator, dims) -> DensityMatrix:
     dims = tuple(dims)
     dim = math.prod(dims)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,9 +32,9 @@ from proctensor.processes import (
 )
 from proctensor.config import DEFAULT_TOL
 from proctensor.io import load_choi, save_choi
-from proctensor.linalg import state_spectrum, unitarity_residual
+from proctensor.linalg import _certified_factor, state_spectrum, unitarity_residual
 
-from conftest import leaky_unitary, random_density, random_pure
+from conftest import count_eigh, leaky_unitary, random_density, random_pure
 
 LN2 = math.log(2)
 EPS = np.finfo(float).eps
@@ -55,6 +56,27 @@ class TestDensityMatrix:
     def test_rejects_bad_shape_product(self):
         with pytest.raises(ValueError):
             DensityMatrix(np.eye(4) / 4, (2, 3))
+
+
+def eigh_factor(mat: np.ndarray) -> np.ndarray:
+    """The slow route: eigenpairs above the rounding level w.max() dim eps, as V sqrt(w)."""
+    w, v = np.linalg.eigh(mat)
+    keep = w > w[-1] * len(mat) * EPS
+    return v[:, keep] * np.sqrt(w[keep])
+
+
+def forbid_eigh(monkeypatch):
+    def eigh(*args, **kwargs):
+        raise AssertionError("eigh called on the certified path")
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+
+
+def rotated(rng, w, dim: int) -> np.ndarray:
+    """A Hermitian matrix of side dim with eigenvalues w (zero-padded) in a Haar basis."""
+    u = haar_unitary(dim, rng)
+    m = (u * np.concatenate([w, np.zeros(dim - len(w))])) @ u.conj().T
+    return (m + m.conj().T) / 2
 
 
 class TestDenseInput:
@@ -122,6 +144,82 @@ class TestDenseInput:
         e = 0.9e-10
         with pytest.raises(NotAStateError, match="factor trace"):
             DensityMatrix(np.diag([1.0 + 3 * e, -e, -e, -e]), (2, 2))
+
+    @pytest.mark.parametrize("side", [12, 64, 256])
+    @pytest.mark.parametrize("rank", [1, 3, None])
+    def test_matches_the_eigh_oracle(self, rng, monkeypatch, side, rank):
+        dims = {12: (3, 4), 64: (4, 4, 4), 256: (4, 4, 4, 4)}[side]
+        r = side if rank is None else rank
+        g = rng.standard_normal((side, r)) + 1j * rng.standard_normal((side, r))
+        mat = g @ g.conj().T
+        mat /= np.trace(mat).real
+        oracle = DensityMatrix(None, dims, factor=eigh_factor(mat))
+        w = np.linalg.eigvalsh(mat)
+        forbid_eigh(monkeypatch)
+        rho = DensityMatrix(mat, dims)
+        f = rho.factor
+        assert np.linalg.norm(mat - f @ f.conj().T, 2) <= side * EPS
+        assert f.shape[1] == np.count_nonzero(w > w[-1] * side * EPS) == r
+        for keep in [(0,), (1,), tuple(range(1, len(dims)))]:
+            got = von_neumann_entropy(partial_trace(rho, keep))
+            assert got == pytest.approx(von_neumann_entropy(partial_trace(oracle, keep)), abs=1e-12)
+
+    @pytest.mark.parametrize("diag", [
+        [0.5, 0.0, 0.3, 0.2],
+        [1 - 1e-13 - 1e-17, 1e-13, 1e-17],
+        [0.05 * k for k in (4, 0, 1, 0, 3, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 10)],
+    ])
+    def test_diagonal_input_gives_the_eigh_factor_exactly(self, monkeypatch, diag):
+        mat = np.diag(np.array(diag, dtype=complex))
+        oracle = eigh_factor(mat)
+        forbid_eigh(monkeypatch)
+        assert np.array_equal(DensityMatrix(mat, (len(diag),)).factor, oracle)
+
+    @pytest.mark.parametrize("case", ["allowed negative", "kept 1e-13, dropped 1e-17", "anti-Hermitian"])
+    def test_fallback_gives_the_eigh_factor(self, monkeypatch, case):
+        rng = np.random.default_rng(5)
+        if case == "allowed negative":
+            mat = np.diag([1 + DEFAULT_TOL.psd / 10, -DEFAULT_TOL.psd / 10]).astype(complex)
+        elif case == "kept 1e-13, dropped 1e-17":
+            # Spread over 256 rows, the 1e-13 eigenvalue leaves every pivot below the
+            # rounding level, so only the residual shows that the factor misses it.
+            mat = rotated(rng, np.array([1 - 1e-13 - 1e-17, 1e-13, 1e-17]), 256)
+        else:
+            g = rng.standard_normal((12, 3)) + 1j * rng.standard_normal((12, 3))
+            h = rng.standard_normal((12, 12))
+            mat = g @ g.conj().T / np.sum(np.abs(g) ** 2) + 1e-12 * (h - h.T)
+        oracle = eigh_factor(mat)
+        sides = count_eigh(monkeypatch)
+        rho = DensityMatrix(mat, (len(mat),))
+        assert sides == [len(mat)]
+        assert np.array_equal(rho.factor, oracle)
+        if case == "kept 1e-13, dropped 1e-17":
+            assert rho.factor.shape[1] == 2
+
+    def test_fallback_refuses_a_negative_eigenvalue_by_name(self, monkeypatch):
+        psd = DEFAULT_TOL.psd
+        sides = count_eigh(monkeypatch)
+        with pytest.raises(NotAStateError, match=r"^minimum eigenvalue -2\.000e-10 < -1\.0e-10$"):
+            DensityMatrix(np.diag([1 + 2 * psd, -2 * psd]), (2,))
+        assert sides == [2]
+
+    def test_low_rank_input_peaks_below_the_eigh_route(self, rng):
+        # The eigh route peaked at 3.28 MB (numpy 2.4), the 1.05 MB input included, and the
+        # Hermiticity check alone reaches about that; the factorization forms no 256 x 256 array.
+        g = rng.standard_normal((256, 4)) + 1j * rng.standard_normal((256, 4))
+        mat = g @ g.conj().T
+        mat /= np.trace(mat).real
+        tracemalloc.start()
+        try:
+            DensityMatrix(mat.copy(), (256,))
+            total = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            _certified_factor(mat, 1.0)
+            factoring = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert total <= 3.28e6
+        assert factoring < mat.nbytes
 
 
 class TestKron:
