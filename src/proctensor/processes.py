@@ -352,10 +352,13 @@ def _transfer(
     weigh E by the effect E_j = T_{j+1}^dag ... T_n^dag(I), with
     T_k^dag(X) = sum_{o,a} K_oa^dag X K_oa, which is I when they are
     unitary; tracing E against it gives the step marginals of the Choi state
-    P_n, leaks included. With E_j = L L^dag (Cholesky) and W_j the operators
-    L^dag K_oa stacked into rows (a, o, E'), that trace is the plain trace
-    over E' of the weighed factor W_j F. The marginal reads F only through
-    the environment's reduced state sigma_{j-1} = tr_R rho_{j-1}:
+    P_n, leaks included. The chain starts at E_{n-1} = T_n^dag(I) =
+    sum_{o,a} K_oa^dag K_oa, with no product by E_n = I. With
+    E_j = L L^dag (Cholesky) and W_j the operators L^dag K_oa stacked into
+    rows (a, o, E'), that trace is the plain trace over E' of the weighed
+    factor W_j F. W is one batched product of L^dag with the Kraus blocks
+    laid out as (E', (o, a, E)), its rows then reordered. The marginal reads
+    F only through the environment's reduced state sigma_{j-1} = tr_R rho_{j-1}:
 
         step_j = tr_{E'} (W_j sigma_{j-1} W_j^dag),    output_j = tr_{i_{j-1}} step_j.
 
@@ -380,12 +383,16 @@ def _transfer(
     d = dim // de
     ks = unitaries.reshape(s, n, d, de, d, de) / math.sqrt(d)  # (sample, step, o, E', a, E)
     kraus = ks.transpose(1, 0, 2, 4, 3, 5)  # (step, sample, o, a, E', E): K_oa
-    effects = [np.broadcast_to(np.eye(de), (s, de, de))]  # E_n, then E_{n-1}, ..., E_1
-    for k in kraus[:0:-1]:
-        x = (effects[-1][:, None, None] @ k).reshape(s, -1, de)
-        effects.append(k.reshape(s, -1, de).conj().swapaxes(1, 2) @ x)
+    effects = [np.broadcast_to(np.eye(de), (s, de, de))]  # E_n = I, then E_{n-1}, ..., E_1
+    for k in kraus[:0:-1]:  # T^dag(E) = sum_{o,a} K_oa^dag (E K_oa), rows (o, a, E')
+        flat = k.reshape(s, -1, de)
+        x = flat if len(effects) == 1 else (effects[-1][:, None, None] @ k).reshape(s, -1, de)
+        effects.append(flat.conj().swapaxes(1, 2) @ x)
     lh = np.linalg.cholesky(np.stack(effects[::-1], axis=1)).conj().swapaxes(-1, -2)
-    weighed = np.einsum("sjzx,sjoxae->sjaoze", lh, ks).reshape(s, n, -1, de)  # W: rows (a, o, E')
+    w = lh @ ks.transpose(0, 1, 3, 2, 4, 5).reshape(s, n, de, -1)  # rows E', columns (o, a, E)
+    w = w.reshape(s, n, de, d, d, de).transpose(0, 1, 4, 3, 2, 5)
+    weighed = w.reshape(s, n, -1, de)  # W: rows (a, o, E')
+    del w
     fac = env.reshape(s, -1, 1)  # rows (E, R)
     picked = np.flatnonzero(exact)
     sigmas, levels = [], []
@@ -403,7 +410,9 @@ def _transfer(
             t = np.conjugate(t, order="C").reshape(s, de * r, -1)
             fac = np.linalg.qr(t.swapaxes(1, 2), mode="r").conj().swapaxes(1, 2)
         del t  # else the next step's factors would form beside it
-    traces = np.sum(np.abs(fac.reshape(s, -1)) ** 2, axis=1)
+    fac = np.ascontiguousarray(fac)  # already contiguous: step n's factor is a reordered copy
+    v = fac.reshape(s, -1).view(float)
+    traces = np.einsum("si,si->s", v, v)  # sum |F|^2 over rho_n's factor
     bad = ~(np.abs(traces - 1.0) <= DEFAULT_TOL.tr)  # catches NaN too
     for k in np.flatnonzero(bad):
         _circuit_state(unitaries[k], (de, r), fac[k])  # raises the leak message

@@ -32,7 +32,12 @@ from proctensor.processes import (
 )
 from proctensor.config import DEFAULT_TOL
 from proctensor.io import load_choi, save_choi
-from proctensor.linalg import _certified_factor, state_spectrum, unitarity_residual
+from proctensor.linalg import (
+    _certified_factor,
+    hermiticity_residual,
+    state_spectrum,
+    unitarity_residual,
+)
 
 from conftest import count_eigh, leaky_unitary, random_density, random_pure
 
@@ -204,8 +209,9 @@ class TestDenseInput:
         assert sides == [2]
 
     def test_low_rank_input_peaks_below_the_eigh_route(self, rng):
-        # The eigh route peaked at 3.28 MB (numpy 2.4), the 1.05 MB input included, and the
-        # Hermiticity check alone reaches about that; the factorization forms no 256 x 256 array.
+        # The eigh route peaked at 3.28 MB (numpy 2.4), the 1.05 MB input included. The
+        # Hermiticity check, by row blocks, and the factorization form no 256 x 256 array,
+        # so the constructor peaks at 1.88 MB: below the input's copy plus one input's size.
         g = rng.standard_normal((256, 4)) + 1j * rng.standard_normal((256, 4))
         mat = g @ g.conj().T
         mat /= np.trace(mat).real
@@ -218,8 +224,40 @@ class TestDenseInput:
             factoring = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert total <= 3.28e6
+        assert total <= 2 * mat.nbytes
         assert factoring < mat.nbytes
+
+
+class TestHermiticityResidual:
+    """The row-block residual equals the full-array max |m - m^dag|, and forms no input-sized array."""
+
+    @staticmethod
+    def full_array(m: np.ndarray) -> float:
+        return float(np.max(np.abs(m - m.conj().T))) if m.size else 0.0
+
+    def test_equals_the_full_array_formula(self, rng):
+        herm = random_density(rng, (16, 16)).mat
+        off = herm.copy()
+        off[200, 150] += 1e-11  # both rows beyond the first block
+        g = rng.standard_normal((81, 81)) + 1j * rng.standard_normal((81, 81))
+        for m in (herm, off, g, np.zeros((0, 0), dtype=complex)):
+            assert hermiticity_residual(m) == self.full_array(m)
+        assert hermiticity_residual(off) == pytest.approx(1e-11, rel=1e-3)
+
+    def test_nan_propagates(self):
+        m = np.eye(300, dtype=complex)
+        m[299, 0] = np.nan
+        assert math.isnan(hermiticity_residual(m))
+
+    def test_peaks_below_one_input(self, rng):
+        m = random_density(rng, (256,), rank=4).mat
+        tracemalloc.start()
+        try:
+            hermiticity_residual(m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < m.nbytes
 
 
 class TestKron:
@@ -388,7 +426,7 @@ class TestEntropy:
             assert sab <= sa + sb + 1e-8
 
 
-    def test_stack_matches_each_state(self, rng):
+    def test_stack_matches_each_state(self, rng, monkeypatch):
         # full-rank, rank-deficient and pure states, side 4, in one stack
         states = [random_density(rng, (4,), rank=k) for k in (4, 2, 1)]
         stack = np.array([rho.mat for rho in states])
@@ -397,6 +435,37 @@ class TestEntropy:
         for s, rho in zip(got, states):
             assert s == pytest.approx(von_neumann_entropy(rho), abs=1e-13)
         assert von_neumann_entropies(stack.reshape(3, 1, 4, 4)).shape == (3, 1)
+        # Side 2 is taken in closed form; eigvalsh on the same stack is the oracle.
+        u = haar_unitary(2, rng)
+        qubits = np.array([
+            random_pure(rng, (2,)).mat,
+            np.eye(2) / 2,
+            np.diag([1.0, 0.0]),
+            np.diag([1.0 - 1e-17, 1e-17]),
+            (u * [1.0 - 1e-16, 1e-16]) @ u.conj().T,
+            np.array([[0.6, 0.1 - 0.2j], [0.1 + 0.2j, 0.4]]),
+            *(random_density(rng, (2,)).mat for _ in range(50)),
+        ])
+        spectra = np.linalg.eigvalsh(qubits)
+        entropies = [-sum(x * math.log(x) for x in w if x > 0) for w in spectra]
+
+        def eigvalsh(*args, **kwargs):
+            raise AssertionError("eigvalsh called")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+        closed = proctensor.linalg._hermitian_spectra(qubits)
+        bound = 4 * EPS * np.max(np.abs(spectra), axis=1)[:, None]
+        assert np.all(np.abs(closed - spectra) <= bound)
+        # eigvalsh itself strays up to about 6 eps max|lambda| on random qubit states; the
+        # closed form stays within 2 eps of the same formula in extended precision.
+        a, c, b = (qubits[:, i, j].astype(np.clongdouble) for i, j in ((0, 0), (1, 1), (1, 0)))
+        h, r = (a.real + c.real) / 2, np.sqrt(((a.real - c.real) / 2) ** 2 + abs(b) ** 2)
+        exact = np.stack([h - r, h + r], axis=1)
+        assert np.all(np.abs(closed - exact) <= bound / 2)
+        assert np.all(np.abs(von_neumann_entropies(qubits) - entropies) <= 1e-13)
+        assert von_neumann_entropies(qubits.reshape(2, -1, 2, 2)).shape == (2, len(qubits) // 2)
+        with pytest.raises(AssertionError, match="eigvalsh called"):
+            von_neumann_entropies(stack)
 
     def test_stack_rejects_negative_eigenvalues(self):
         bad = np.array([np.eye(2) / 2, np.diag([1.0 + 1e-9, -1e-9])])

@@ -35,7 +35,7 @@ from proctensor.linalg import von_neumann_entropy
 from proctensor.metrics import SLACK_NAMES, BoundAudit, transfer_quantities
 from proctensor.processes import Transfer, random_processes
 
-from conftest import count_eigh, random_density, seeded_circuit_spec
+from conftest import count_eigh, leaky_unitary, random_density, seeded_circuit_spec
 
 LN2 = math.log(2)
 
@@ -216,6 +216,28 @@ class TestTransferReport:
             got, want = getattr(pt.transfer, name), getattr(dense, name)
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-12, name
+
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("env_init", ["maximally-mixed", "pure-ground", "seeded-random"])
+    def test_leaky_stack_matches_the_dense_state(self, n, d, env_init):
+        # Every step leaks 1e-11 to 1e-10, so each effect E_j = T_{j+1}^dag(E_{j+1}),
+        # E_{n-1} = sum K^dag K first, is off the identity by as much, and the
+        # stacked fields must still be those of each sample's dense Choi state.
+        rng = np.random.default_rng([n, d])
+        specs = []
+        for seed in range(3):
+            spec = seeded_circuit_spec(n, d, 2, seed, env_init)
+            leaks = 10.0 ** rng.uniform(-11, -10, n)
+            us = tuple(leaky_unitary(u, leak, rng) for u, leak in zip(spec.unitaries, leaks))
+            specs.append(dataclasses.replace(spec, unitaries=us))
+        transfer, _ = proctensor.processes.build_stack(
+            np.array([s.unitaries for s in specs]), [s.env_state for s in specs], 1.0)
+        for k, spec in enumerate(specs):
+            dense = Transfer.of_state(build_from_circuit(spec, 1.0).state)
+            for name in ("steps", "outputs", "entropy"):
+                got, want = getattr(transfer, name)[k], getattr(dense, name)[0]
+                assert np.max(np.abs(got - want)) <= 1e-12, (k, name)
 
     def test_named_processes_match_dense_report(self):
         for k in range(21):
