@@ -30,9 +30,17 @@ from proctensor import (
 )
 
 import proctensor.processes
+from proctensor import io
+from proctensor.config import DEFAULT_TOL
 from proctensor.io import load_choi, save_choi
 from proctensor.linalg import von_neumann_entropy
-from proctensor.metrics import SLACK_NAMES, BoundAudit, transfer_quantities
+from proctensor.metrics import (
+    SLACK_NAMES,
+    BoundAudit,
+    bound_slacks,
+    bounds_hold,
+    transfer_quantities,
+)
 from proctensor.processes import Transfer, random_processes
 
 from conftest import count_eigh, leaky_unitary, random_density, seeded_circuit_spec
@@ -453,6 +461,35 @@ class TestAuditBounds:
         assert abs(audit.markov_tradeoff_slack - float(exact_thm2)) <= tol
         assert abs(audit.total_tradeoff_slack - float(exact_thm2p)) <= tol
         assert audit.max_nonmarkov_slack == pytest.approx(float(2 * (n - 1) * fl - fn), abs=tol)
+
+
+# The keys that ``analyze`` prints for an audit, in order, each with its column of the
+# ``bound_slacks`` row; ``bounds_pass`` follows them. Written out, not derived, so that
+# a change of names, order or layout shows here.
+AUDIT_KEYS = {
+    1: [("unordered_slack[1]", 0), ("ordered_slack[1]", 1), ("max_nonmarkov_slack", 2),
+        ("markov_tradeoff_slack", 3), ("total_tradeoff_slack", 4)],
+    2: [("unordered_slack[1]", 2), ("unordered_slack[2]", 3), ("ordered_slack[1]", 4),
+        ("ordered_slack[2]", 5), ("max_nonmarkov_slack", 6), ("markov_tradeoff_slack", 7),
+        ("total_tradeoff_slack", 8), ("two_step_slack_first", 0), ("two_step_slack_second", 1)],
+    3: [("unordered_slack[1]", 0), ("unordered_slack[2]", 1), ("unordered_slack[3]", 2),
+        ("ordered_slack[1]", 3), ("ordered_slack[2]", 4), ("ordered_slack[3]", 5),
+        ("max_nonmarkov_slack", 6), ("markov_tradeoff_slack", 7), ("total_tradeoff_slack", 8)],
+}
+
+
+class TestAuditLayout:
+    @pytest.mark.parametrize("n, d", [(1, 2), (2, 2), (3, 2), (2, 3)])
+    def test_audit_lines_are_the_row(self, n, d):
+        rep = correlation_report(random_process(RandomSpec(n=n, d=d, d_env=2, seed=11)))
+        row = bound_slacks(np.array([rep.step_markov]), np.array([rep.total]),
+                           np.array([rep.non_markov]), d)
+        keys = AUDIT_KEYS[n]
+        assert row.shape == (1, len(keys))
+        lines = io.audit_lines(audit_bounds(rep))
+        assert lines == [f"{key} = {io.fmt(row[0, col])}" for key, col in keys] + [
+            f"bounds_pass = {bool(bounds_hold(row, DEFAULT_TOL.xcheck)[0])}"
+        ]
 
 
 class TestDerivedFields:
