@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import DEFAULT_TOL, max_dense_dim
 from .linalg import DensityMatrix, DimensionLimitError
-from .metrics import SLACK_NAMES, BoundAudit, CorrelationReport
+from .metrics import PER_STEP, BoundAudit, CorrelationReport
 from .processes import CausalityReport, CircuitProcessSpec, EnvInit, ProcessTensor
 from .processes import build_from_circuit, checked_unitaries, random_env, slot_shape
 
@@ -284,13 +284,11 @@ def report_lines(report: CorrelationReport) -> list[str]:
 
 def audit_lines(audit: BoundAudit) -> list[str]:
     lines = []
-    for name in SLACK_NAMES:
-        s = getattr(audit, f"{name}_slack")
-        if isinstance(s, tuple):
-            lines += [f"{name}_slack[{k}] = {fmt(x)}" for k, x in enumerate(s, start=1)]
-        else:
-            lines.append(f"{name}_slack = {fmt(s)}")
-    for which, s in zip(("first", "second"), audit.two_step_slacks or ()):
+    for name, per_step in PER_STEP.items():
+        ends = [f"[{k}]" for k in range(1, audit.n + 1)] if per_step else [""]
+        slack = zip(ends, audit.slack(name), strict=True)
+        lines += [f"{name}_slack{end} = {fmt(x)}" for end, x in slack]
+    for which, s in zip(("first", "second"), audit.slack("two_step")):
         lines.append(f"two_step_slack_{which} = {fmt(s)}")
     lines.append(f"bounds_pass = {audit.passed}")
     return lines

@@ -8,6 +8,7 @@ correlations, and the non-Markovian correlations across step blocks.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -64,35 +65,45 @@ class CorrelationReport:
         return abs(self.total - (self.markov + self.non_markov))
 
 
-# The proved bounds, each read as the field ``f"{name}_slack"`` of a ``BoundAudit``.
-SLACK_NAMES = ("unordered", "ordered", "max_nonmarkov", "markov_tradeoff", "total_tradeoff")
+# The proved bounds in their column order in a row of ``bound_slacks``, each
+# marked True if it has one slack per step k and False if it has one slack.
+# At n = 2 the row starts with the two-step pair, 2 comp_1 - N and comp_2 - N.
+PER_STEP = {
+    "unordered": True,          # 2 sum_{j!=k} comp_j - N, comp_j = 2 ln d - M_j
+    "ordered": True,            # 2 sum_{j<k} comp_j + sum_{j>k} comp_j - N
+    "max_nonmarkov": False,     # 2(n-1) ln d - N
+    "markov_tradeoff": False,   # 2n ln d - ((2^n-1)/(2^n-2)) N - M
+    "total_tradeoff": False,    # 2n ln d - N/(2^n-2) - I
+}
+SLACK_NAMES = tuple(PER_STEP)
 
 
 @dataclass(frozen=True)
 class BoundAudit:
     """Signed slacks (bound minus quantity) for every proved inequality, judged at ``tol``.
 
-    A slack of at least -``tol`` means the bound holds; zero slack flags
-    saturation. ``two_step_slacks`` is populated only for n = 2.
-    ``dataclasses.replace(audit, tol=...)`` re-judges the same slacks.
+    ``slacks`` is an n-step row of ``bound_slacks``; ``slack`` reads one
+    bound's columns from it. A slack of at least -``tol`` means the bound
+    holds; zero slack flags saturation. ``dataclasses.replace(audit, tol=...)``
+    re-judges the same slacks.
     """
 
-    unordered_slack: tuple[float, ...]   # per k: 2*sum_{j!=k} complement_j - N
-    ordered_slack: tuple[float, ...]     # per k: 2*sum_{j<k} + sum_{j>k} complements - N
-    max_nonmarkov_slack: float           # 2(n-1) ln d - N
-    markov_tradeoff_slack: float         # 2n ln d - ((2^n-1)/(2^n-2)) N - M
-    total_tradeoff_slack: float          # 2n ln d - N/(2^n-2) - I
-    two_step_slacks: tuple[float, float] | None
+    n: int
+    slacks: tuple[float, ...]
     tol: float
+
+    def slack(self, name: str) -> tuple[float, ...]:
+        """The slacks of bound ``name``; ``"two_step"`` gives the n = 2 pair and at other n ()."""
+        if name == "two_step":
+            return self.slacks[:2] if self.n == 2 else ()
+        starts = [*slack_starts(self.n), len(self.slacks)]
+        k = SLACK_NAMES.index(name)
+        return self.slacks[starts[k]:starts[k + 1]]
 
     @property
     def passed(self) -> bool:
-        """Whether every slack, the two-step ones included, is at least -``tol``; a NaN fails."""
-        slacks = list(self.two_step_slacks or ())
-        for name in SLACK_NAMES:
-            s = getattr(self, f"{name}_slack")
-            slacks += s if isinstance(s, tuple) else (s,)
-        return bool(bounds_hold(np.array([slacks]), self.tol)[0])
+        """Whether every slack is at least -``tol``; a NaN fails."""
+        return bool(bounds_hold(np.array([self.slacks]), self.tol)[0])
 
 
 def correlation_report(pt: ProcessTensor | DensityMatrix) -> CorrelationReport:
@@ -161,35 +172,21 @@ def audit_bounds(
     report: CorrelationReport, tol: float = DEFAULT_TOL.xcheck
 ) -> BoundAudit:
     """Evaluate every proved inequality on a correlation report: one row of ``bound_slacks``."""
-    n = report.n
     row = bound_slacks(
         np.array([report.step_markov]), np.array([report.total]), np.array([report.non_markov]),
         report.d,
-    )[0].tolist()
-    starts = slack_starts(n)
-    unordered, ordered, thm1, thm2, thm2p = (
-        row[a:b] for a, b in zip(starts, [*starts[1:], len(row)])
     )
-    return BoundAudit(
-        unordered_slack=tuple(unordered),
-        ordered_slack=tuple(ordered),
-        max_nonmarkov_slack=thm1[0],
-        markov_tradeoff_slack=thm2[0],
-        total_tradeoff_slack=thm2p[0],
-        two_step_slacks=(row[0], row[1]) if n == 2 else None,
-        tol=tol,
-    )
+    return BoundAudit(n=report.n, slacks=tuple(row[0].tolist()), tol=tol)
 
 
 def slack_starts(n: int) -> list[int]:
-    """First column of each bound of ``SLACK_NAMES`` in an n-step row of ``bound_slacks``.
+    """First column of each bound of ``PER_STEP`` in an n-step row of ``bound_slacks``.
 
-    A row holds, at n = 2, the two-step pair first; then the n per-step
-    slacks of ``unordered`` and of ``ordered``, and one slack for each other
-    name, each bound's columns running up to the next one's start.
+    At n = 2 the two-step pair comes first. Each bound's columns, n of them
+    if it is per step and else one, run up to the next one's start.
     """
-    t = 2 if n == 2 else 0
-    return [t, t + n, t + 2 * n, t + 2 * n + 1, t + 2 * n + 2]
+    widths = [n if per_step else 1 for per_step in PER_STEP.values()]
+    return list(itertools.accumulate(widths[:-1], initial=2 if n == 2 else 0))
 
 
 def bound_slacks(

@@ -753,13 +753,8 @@ class TestAuditRandomCommand:
         fields = dict(ln.split(" = ") for ln in out.read_text().splitlines())
         assert fields["violations"] == "1"
         assert float(fields["worst_causality_residual"]) == 0.25
-        expected = {
-            "unordered": min(min(a.unordered_slack) for a in alone),
-            "ordered": min(min(a.ordered_slack) for a in alone),
-            "max_nonmarkov": min(a.max_nonmarkov_slack for a in alone),
-            "markov_tradeoff": min(a.markov_tradeoff_slack for a in alone),
-            "total_tradeoff": min(a.total_tradeoff_slack for a in alone),
-        }
+        names = ("unordered", "ordered", "max_nonmarkov", "markov_tradeoff", "total_tradeoff")
+        expected = {name: min(min(a.slack(name)) for a in alone) for name in names}
         for name, slack in expected.items():
             assert float(fields[f"min_slack_{name}"]) == pytest.approx(slack, abs=1e-12)
 

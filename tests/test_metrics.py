@@ -271,7 +271,7 @@ class TestTransferReport:
         rep = correlation_report(swap_chain_process(12, 2))
         assert rep.non_markov == pytest.approx(22 * LN2, abs=1e-10)
         assert rep.markov == pytest.approx(0.0, abs=1e-10)
-        assert audit_bounds(rep).max_nonmarkov_slack == pytest.approx(0.0, abs=1e-10)
+        assert audit_bounds(rep).slack("max_nonmarkov") == pytest.approx((0.0,), abs=1e-10)
 
 
 def stack_rows(spec: RandomSpec, count: int) -> list[tuple[tuple[float, ...], float, float]]:
@@ -391,38 +391,37 @@ class TestAuditBounds:
     def test_swap_chain_saturates_max_bound(self):
         for n, d in [(2, 2), (3, 2), (2, 3)]:
             audit = audit_bounds(correlation_report(swap_chain_process(n, d)))
-            assert audit.max_nonmarkov_slack == pytest.approx(0.0, abs=1e-8)
+            assert audit.slack("max_nonmarkov") == pytest.approx((0.0,), abs=1e-8)
             assert audit.passed
 
     def test_cnot_swap_two_step_slacks(self):
         # both two-step bounds saturate: N = 2*(2 ln d - M_1) = 2 ln d - M_2
         audit = audit_bounds(correlation_report(cnot_swap_process()))
-        assert audit.two_step_slacks is not None
-        first, second = audit.two_step_slacks
+        first, second = audit.slack("two_step")
         assert first == pytest.approx(0.0, abs=1e-8)
         assert second == pytest.approx(0.0, abs=1e-8)
         # the looser unordered (causality-free) bound keeps 2 ln 2 of slack
-        assert audit.unordered_slack[0] == pytest.approx(2 * LN2, abs=1e-8)
+        assert audit.slack("unordered")[0] == pytest.approx(2 * LN2, abs=1e-8)
 
     def test_zero_nonmarkov_leaves_all_bounds_slack(self):
         audit = audit_bounds(correlation_report(nm_depolarizing_process(0.0)))
         assert audit.passed
-        assert min(audit.unordered_slack) >= -1e-8
-        assert min(audit.ordered_slack) >= -1e-8
+        assert min(audit.slack("unordered")) >= -1e-8
+        assert min(audit.slack("ordered")) >= -1e-8
 
     def test_unordered_bound_on_raw_states(self, rng):
         # holds without any causality structure
         for _ in range(30):
             rep = correlation_report(random_density(rng, (2, 2, 2, 2)))
             audit = audit_bounds(rep)
-            assert min(audit.unordered_slack) >= -1e-8
+            assert min(audit.slack("unordered")) >= -1e-8
 
     def test_single_step_degenerate_bounds(self):
         rep = correlation_report(random_process(RandomSpec(n=1, d=2, d_env=4, seed=3)))
         assert rep.non_markov == pytest.approx(0.0, abs=1e-10)
         audit = audit_bounds(rep)
         assert audit.passed
-        assert audit.two_step_slacks is None
+        assert audit.slack("two_step") == ()
 
     def test_random_processes_pass(self):
         for seed in range(20):
@@ -454,13 +453,15 @@ class TestAuditBounds:
         exact_thm2p = 2 * n * fl - fn / (2**n - 2) - fi
         # each slack is a sum of at most n + 4 terms no larger than scale
         tol = 4 * (n + 4) * np.finfo(float).eps * float(2 * total + fn + fm + fi + 2 * n * fl)
-        for got, exact in zip(audit.unordered_slack, exact_unordered, strict=True):
+        for got, exact in zip(audit.slack("unordered"), exact_unordered, strict=True):
             assert abs(got - float(exact)) <= tol
-        for got, exact in zip(audit.ordered_slack, exact_ordered, strict=True):
+        for got, exact in zip(audit.slack("ordered"), exact_ordered, strict=True):
             assert abs(got - float(exact)) <= tol
-        assert abs(audit.markov_tradeoff_slack - float(exact_thm2)) <= tol
-        assert abs(audit.total_tradeoff_slack - float(exact_thm2p)) <= tol
-        assert audit.max_nonmarkov_slack == pytest.approx(float(2 * (n - 1) * fl - fn), abs=tol)
+        (thm2,), (thm2p,) = audit.slack("markov_tradeoff"), audit.slack("total_tradeoff")
+        assert abs(thm2 - float(exact_thm2)) <= tol
+        assert abs(thm2p - float(exact_thm2p)) <= tol
+        (thm1,) = audit.slack("max_nonmarkov")
+        assert thm1 == pytest.approx(float(2 * (n - 1) * fl - fn), abs=tol)
 
 
 # The keys that ``analyze`` prints for an audit, in order, each with its column of the
@@ -502,35 +503,41 @@ class TestDerivedFields:
         assert rep.step_complement == tuple(2 * math.log(3) - m for m in (0.5, 1.25, 2.0))
         assert rep.additivity_residual == 0.25
 
-    def test_every_slack_name_is_a_field(self):
-        names = {f.name for f in dataclasses.fields(BoundAudit)}
-        assert {f"{name}_slack" for name in SLACK_NAMES} <= names
-        assert names - {f"{name}_slack" for name in SLACK_NAMES} == {"two_step_slacks", "tol"}
+    def test_audit_is_its_row_and_tolerance(self):
+        assert [f.name for f in dataclasses.fields(BoundAudit)] == ["n", "slacks", "tol"]
+        for n in (1, 2, 3):
+            rep = correlation_report(random_process(RandomSpec(n=n, d=2, d_env=2, seed=5)))
+            row = bound_slacks(np.array([rep.step_markov]), np.array([rep.total]),
+                               np.array([rep.non_markov]), 2)
+            audit = audit_bounds(rep)
+            assert audit.n == n
+            assert audit.slacks == tuple(row[0].tolist())
+            assert [len(audit.slack(name)) for name in SLACK_NAMES] == [n, n, 1, 1, 1]
+            by_name = sum((audit.slack(name) for name in SLACK_NAMES), ())
+            assert audit.slack("two_step") + by_name == audit.slacks
 
-    @staticmethod
-    def _audit(field: str, value: float) -> BoundAudit:
-        """An n = 2 audit whose slacks are all 1, but for one that is ``value``."""
-        slacks = dict(
-            unordered_slack=(1.0, 1.0), ordered_slack=(1.0, 1.0), max_nonmarkov_slack=1.0,
-            markov_tradeoff_slack=1.0, total_tradeoff_slack=1.0, two_step_slacks=(1.0, 1.0),
-        )
-        old = slacks[field]
-        slacks[field] = (old[0], value) if isinstance(old, tuple) else value
-        return BoundAudit(**slacks, tol=0.0)
+    # Columns of an n-step row of ``bound_slacks``, the n = 2 two-step pair included.
+    WIDTHS = {1: 5, 2: 9, 3: 9}
+    COLUMNS = [(n, col) for n, width in WIDTHS.items() for col in range(width)]
 
-    FIELDS = [*(f"{name}_slack" for name in SLACK_NAMES), "two_step_slacks"]
+    @classmethod
+    def _audit(cls, n: int, col: int, value: float) -> BoundAudit:
+        """An n-step audit whose slacks are all 1, but for column ``col``, which is ``value``."""
+        slacks = [1.0] * cls.WIDTHS[n]
+        slacks[col] = value
+        return BoundAudit(n=n, slacks=tuple(slacks), tol=0.0)
 
-    @pytest.mark.parametrize("field", FIELDS)
+    @pytest.mark.parametrize("n, col", COLUMNS)
     @pytest.mark.parametrize("t", [1e-8, 3e-11, 5e-324])
-    def test_replace_rejudges_at_the_new_tolerance(self, field, t):
-        audit = self._audit(field, -t)
+    def test_replace_rejudges_at_the_new_tolerance(self, n, col, t):
+        audit = self._audit(n, col, -t)
         assert not audit.passed
         assert dataclasses.replace(audit, tol=t).passed
         assert not dataclasses.replace(audit, tol=math.nextafter(t, 0.0)).passed
 
-    @pytest.mark.parametrize("field", FIELDS)
-    def test_nan_slack_fails(self, field):
-        audit = self._audit(field, math.nan)
+    @pytest.mark.parametrize("n, col", COLUMNS)
+    def test_nan_slack_fails(self, n, col):
+        audit = self._audit(n, col, math.nan)
         assert not dataclasses.replace(audit, tol=1.0).passed
 
     def test_audit_bounds_keeps_its_tolerance(self):

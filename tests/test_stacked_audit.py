@@ -75,12 +75,9 @@ def scalar_passed(slacks: dict[str, tuple[float, ...]], tol: float) -> bool:
 
 def audit_slacks(audit: BoundAudit) -> dict[str, tuple[float, ...]]:
     """The slacks of ``audit`` keyed as ``scalar_slacks`` keys them."""
-    out = {}
-    for name in SLACK_NAMES:
-        s = getattr(audit, f"{name}_slack")
-        out[name] = s if isinstance(s, tuple) else (s,)
-    if audit.two_step_slacks is not None:
-        out["two_step"] = audit.two_step_slacks
+    out = {name: audit.slack(name) for name in SLACK_NAMES}
+    if two_step := audit.slack("two_step"):
+        out["two_step"] = two_step
     return out
 
 
