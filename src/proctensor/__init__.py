@@ -12,7 +12,6 @@ from .linalg import (
     maximally_mixed,
     mutual_information,
     partial_trace,
-    partial_transpose,
     permute_subsystems,
     relative_entropy,
     trace_distance,
@@ -41,7 +40,6 @@ from .processes import (
 )
 from .channels import (
     EtaDiagnostics,
-    apply_channel,
     channel_M,
     depolarizing_choi,
     eta_diagnostics,

@@ -16,14 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (
-    DensityMatrix,
-    kron,
-    max_entangled_state,
-    mutual_information,
-    partial_trace,
-    partial_transpose,
-)
+from .linalg import DensityMatrix, max_entangled_state, mutual_information, partial_trace
 from .processes import CircuitProcessSpec, ProcessTensor, build_from_circuit
 
 
@@ -58,20 +51,6 @@ def depolarizing_choi(d: int, p: float) -> ProcessTensor:
     phi = max_entangled_state(d)
     mat = p * np.eye(d * d) / (d * d) + (1.0 - p) * phi.mat
     return ProcessTensor.from_state(DensityMatrix(mat, (d, d)))
-
-
-def apply_channel(choi: ProcessTensor, rho: DensityMatrix) -> DensityMatrix:
-    """Act with the one-step process ``choi`` on a state via its Choi state."""
-    _one_step(choi.n)
-    d = choi.d
-    if rho.dim != d:
-        raise ValueError(f"state dimension {rho.dim} does not match d = {d}")
-    upsilon_t = partial_transpose(choi.state, (0,))
-    # A unit-trace Choi state carries 1/d, hence the prefactor d.
-    big = kron(rho.mat, np.eye(d)) @ upsilon_t
-    t = big.reshape(d, d, d, d)
-    out = d * np.trace(t, axis1=0, axis2=2)
-    return DensityMatrix(out, (d,))
 
 
 def channel_M(choi: ProcessTensor) -> float:

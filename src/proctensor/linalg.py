@@ -254,7 +254,7 @@ def max_entangled_state(d: int) -> DensityMatrix:
     return DensityMatrix(None, (d, d), factor=v)
 
 
-def _check_subset(subset: Sequence[int], n: int, *, name: str = "subset") -> tuple[int, ...]:
+def _check_subset(subset: Sequence[int], n: int, *, name: str) -> tuple[int, ...]:
     subset = tuple(int(i) for i in subset)
     if len(set(subset)) != len(subset):
         raise ValueError(f"{name} has repeated indices: {subset}")
@@ -278,17 +278,6 @@ def partial_trace(rho: DensityMatrix, keep: Sequence[int]) -> DensityMatrix:
     t = t.transpose(keep + traced + (k,))
     new_factor = t.reshape(math.prod(out_dims), -1)
     return DensityMatrix(None, out_dims, factor=new_factor)
-
-
-def partial_transpose(rho: DensityMatrix, subset: Sequence[int]) -> np.ndarray:
-    """Transpose on the chosen factors in the computational basis."""
-    subset = _check_subset(subset, rho.num_subsystems)
-    k = rho.num_subsystems
-    t = rho.mat.reshape(rho.dims + rho.dims)
-    perm = list(range(2 * k))
-    for i in subset:
-        perm[i], perm[k + i] = perm[k + i], perm[i]
-    return t.transpose(perm).reshape(rho.dim, rho.dim)
 
 
 def permute_subsystems(rho: DensityMatrix, perm: Sequence[int]) -> DensityMatrix:

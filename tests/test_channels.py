@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -7,7 +8,6 @@ from proctensor import (
     CircuitProcessSpec,
     DensityMatrix,
     ProcessTensor,
-    apply_channel,
     build_from_circuit,
     channel_M,
     depolarizing_choi,
@@ -61,6 +61,30 @@ def dense_eta(spec: CircuitProcessSpec) -> tuple[float, float, float, float]:
 
     kept = mi((0,), (1,))
     return kept, 2 * math.log(d) - kept, mi((0,), (2, 3)), mi((0, 1), (3,))
+
+
+def choi_of(channel, d: int) -> np.ndarray:
+    """(1/d) sum_ij |i><j| (x) T(|i><j|): the Choi state of the linear map T = ``channel``."""
+    mat = np.zeros((d * d, d * d), dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            e_ij = np.zeros((d, d), dtype=complex)
+            e_ij[i, j] = 1.0
+            mat += kron(e_ij, channel(e_ij)) / d
+    return mat
+
+
+def depolarized(d: int, p: float, op: np.ndarray) -> np.ndarray:
+    """p tr(op) I/d + (1-p) op: the depolarizing channel, on any operator."""
+    return p * np.trace(op) * np.eye(d) / d + (1 - p) * op
+
+
+def dilated(spec: CircuitProcessSpec, op: np.ndarray) -> np.ndarray:
+    """tr_env U (op (x) sigma) U^dag: the channel of a one-step dilation, on any operator."""
+    d, de = spec.d, spec.d_env
+    u = spec.unitaries[0]
+    big = u @ kron(op, spec.env_state.mat) @ u.conj().T
+    return np.einsum("aebe->ab", big.reshape(d, de, d, de))
 
 
 class TestDepolarizingChoi:
@@ -123,68 +147,18 @@ class TestChoiFromDilation:
         with pytest.raises(ValueError):
             CircuitProcessSpec(n=1, d=2, env_state=env, unitaries=(np.eye(6),))
 
-
-class TestApplyChannel:
-    def test_identity_choi(self, rng):
-        rho = random_density(rng, (2,))
-        ident = ProcessTensor.from_state(max_entangled_state(2))
-        assert np.allclose(apply_channel(ident, rho).mat, rho.mat)
-
-    def test_depolarizing_action(self, rng):
-        rho = random_density(rng, (2,))
-        for p in (0.0, 0.4, 1.0):
-            out = apply_channel(depolarizing_choi(2, p), rho)
-            assert np.allclose(out.mat, p * np.eye(2) / 2 + (1 - p) * rho.mat)
-
-    def test_trace_preserved(self, rng):
-        choi = build_from_circuit(random_dilation(rng))
-        out = apply_channel(choi, random_density(rng, (2,)))
-        assert abs(np.trace(out.mat) - 1) <= 1e-10
-
-    def test_duality_with_dilation(self, rng):
-        # action via the Choi state equals the explicit dilation formula
-        for _ in range(5):
-            spec = random_dilation(rng, d_env=3)
-            rho = random_density(rng, (2,))
-            via_choi = apply_channel(build_from_circuit(spec), rho)
-            u = spec.unitaries[0]
-            big = u @ kron(rho.mat, spec.env_state.mat) @ u.conj().T
-            direct = partial_trace(DensityMatrix(big, (2, 3)), (0,))
-            assert trace_distance(via_choi, direct) <= 1e-9
-
-    def test_tomographic_roundtrip(self, rng):
-        # rebuild the Choi state by acting on an operator basis
-        choi = build_from_circuit(random_dilation(rng))
-        d = 2
-        rebuilt = np.zeros((4, 4), dtype=complex)
-        for i in range(d):
-            for j in range(d):
-                e_ij = np.zeros((d, d), dtype=complex)
-                e_ij[i, j] = 1.0
-                col = apply_channel_linear(choi, e_ij)
-                rebuilt += kron(e_ij, col) / d
-        assert np.max(np.abs(rebuilt - choi.state.mat)) <= 1e-9
-
-    def test_dimension_mismatch(self, rng):
-        with pytest.raises(ValueError):
-            apply_channel(depolarizing_choi(2, 0.5), random_density(rng, (3,)))
-
-    def test_two_step_process_rejected(self, rng):
-        with pytest.raises(ValueError, match="one-step"):
-            apply_channel(swap_chain_process(2, 2), random_density(rng, (2,)))
-        with pytest.raises(ValueError, match="one-step"):
-            channel_M(swap_chain_process(2, 2))
-
-
-def apply_channel_linear(choi: ProcessTensor, op: np.ndarray) -> np.ndarray:
-    """Extend the channel action to arbitrary operators by linearity."""
-    from proctensor.linalg import partial_transpose
-
-    d = choi.d
-    upsilon_t = partial_transpose(choi.state, (0,))
-    big = kron(op, np.eye(d)) @ upsilon_t
-    t = big.reshape(d, d, d, d)
-    return d * np.einsum("iaib->ab", t)
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_states_are_the_choi_states_of_their_channels(self, rng, d):
+        # Built and depolarizing states against the Choi state of their
+        # channel, formed from the channel's action on each |i><j|.
+        cases = [(depolarizing_choi(d, p), functools.partial(depolarized, d, p))
+                 for p in (0.0, 0.4, 1.0)]
+        for d_env in (2, 3):
+            for rank in (None, 1):
+                spec = random_dilation(rng, d_sys=d, d_env=d_env, rank=rank)
+                cases.append((build_from_circuit(spec), functools.partial(dilated, spec)))
+        for choi, channel in cases:
+            assert np.max(np.abs(choi.state.mat - choi_of(channel, d))) <= 1e-12
 
 
 class TestChannelM:
@@ -204,6 +178,10 @@ class TestChannelM:
         for d in (2, 3):
             vals = [channel_M(depolarizing_choi(d, j / 100)) for j in range(101)]
             assert all(vals[k + 1] <= vals[k] + 1e-10 for k in range(100))
+
+    def test_two_step_process_rejected(self):
+        with pytest.raises(ValueError, match="one-step"):
+            channel_M(swap_chain_process(2, 2))
 
     def test_zero_iff_fixed_output(self, rng):
         sigma = random_density(rng, (2,))

@@ -15,7 +15,6 @@ from proctensor import (
     maximally_mixed,
     mutual_information,
     partial_trace,
-    partial_transpose,
     permute_subsystems,
     relative_entropy,
     trace_distance,
@@ -312,28 +311,6 @@ class TestPartialTrace:
             partial_trace(rho, (0, 0))
         with pytest.raises(ValueError, match="^perm must cover every subsystem$"):
             permute_subsystems(rho, (1,))
-
-
-class TestPartialTranspose:
-    def test_involutive(self, rng):
-        # separable state, so the transposed matrix is itself a valid state
-        mat = np.zeros((6, 6), dtype=complex)
-        for _ in range(3):
-            mat += kron(random_density(rng, (2,)).mat, random_density(rng, (3,)).mat)
-        rho = DensityMatrix(mat / 3, (2, 3))
-        once = DensityMatrix(partial_transpose(rho, (1,)), (2, 3))
-        assert np.allclose(partial_transpose(once, (1,)), rho.mat)
-
-    def test_product_case(self, rng):
-        a = random_density(rng, (2,))
-        b = random_density(rng, (3,))
-        joint = DensityMatrix(kron(a.mat, b.mat), (2, 3))
-        assert np.allclose(partial_transpose(joint, (1,)), kron(a.mat, b.mat.T))
-
-    def test_max_entangled_gives_swap(self):
-        for d in (2, 3):
-            phi = max_entangled_state(d)
-            assert np.allclose(partial_transpose(phi, (0,)), swap_unitary(d) / d)
 
 
 class TestUnitarityResidual:
