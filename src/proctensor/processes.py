@@ -672,7 +672,7 @@ def random_process(spec: RandomSpec) -> ProcessTensor:
 # on every shape measured (d <= 3; n <= 8 with d_env <= 8 and each ``EnvInit``; n = 20, 60,
 # 200 with d_env <= 4), by 1.4 % at the closest. A stack adds up to ``_STACK_FIXED`` of
 # numpy's own buffers. In time, on one core of an Intel Xeon, a stack of n = 3 samples (draw,
-# build and audit) costs about 0.5 ms plus 0.14 ms per sample, and per sample it gains nothing
+# build and audit) costs about 0.45 ms plus 0.11 ms per sample, and per sample it gains nothing
 # beyond about 34 samples, while its memory grows; so the budget gives 34 samples (2 MB) at
 # n = 3, d = 2, d_env = 4, and a peak memory that does not grow with the count.
 _STACK_BYTES = 2_190_000
