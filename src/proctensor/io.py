@@ -286,8 +286,8 @@ def audit_lines(audit: BoundAudit) -> list[str]:
     lines = []
     for name, per_step in PER_STEP.items():
         ends = [f"[{k}]" for k in range(1, audit.n + 1)] if per_step else [""]
-        slack = zip(ends, audit.slack(name), strict=True)
-        lines += [f"{name}_slack{end} = {fmt(x)}" for end, x in slack]
+        pairs = zip(ends, audit.slack(name), strict=True)
+        lines += [f"{name}_slack{end} = {fmt(x)}" for end, x in pairs]
     for which, s in zip(("first", "second"), audit.slack("two_step")):
         lines.append(f"two_step_slack_{which} = {fmt(s)}")
     lines.append(f"bounds_pass = {audit.passed}")
