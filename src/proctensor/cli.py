@@ -32,7 +32,7 @@ from .processes import (
     CausalityReport,
     RandomSpec,
     build_stack,
-    fredkin_env,
+    fredkin_factors,
     fredkin_unitary,
     random_processes,
     # Not called here: bench/test_bench.py asserts that its tracer rebinds this name in cli.
@@ -81,7 +81,7 @@ def _fredkin_stack(
     """
     u = fredkin_unitary(d)
     unitaries = np.broadcast_to(u, (len(grid), n, *u.shape))
-    transfer, reports = build_stack(unitaries, [fredkin_env(p, d) for p in grid])
+    transfer, reports = build_stack(unitaries, fredkin_factors(grid, d))
     return reports, transfer_quantities(transfer)
 
 

@@ -106,7 +106,8 @@ def load_process_spec(path: str | Path) -> CircuitProcessSpec:
         # of side d_env is built, so what a spec allocates is bounded by its file.
         us = checked_unitaries(us, n, d * d_env)
         if env is None:
-            env = random_env(np.random.default_rng(seed), d_env, env_init)
+            factor = random_env(np.random.default_rng(seed), d_env, env_init)
+            env = DensityMatrix(None, (d_env,), factor=factor)
         return CircuitProcessSpec(n=n, d=d, env_state=env, unitaries=us)
     except ValueError as exc:
         raise SpecFileError(f"field 'unitaries': {exc}") from exc

@@ -134,8 +134,9 @@ class DensityMatrix:
     eigenpairs with w above the rounding level w.max() dim eps
     (``numpy.linalg.matrix_rank``'s cut-off). Either way no tolerance sets
     the rank; ``mat`` is the validated input array. A
-    given factor is checked for shape and finiteness, and ``mat`` is F F^dag,
-    formed on first use. Either way the factor must have unit trace, so an
+    given factor is checked for shape, and ``mat`` is F F^dag, formed on
+    first use. Either way the factor must be finite with unit trace
+    (``factor_traces``), so an
     input whose negative eigenvalues, allowed by ``DEFAULT_TOL.psd`` but
     dropped, sum beyond ``DEFAULT_TOL.tr`` is rejected.
     """
@@ -183,11 +184,7 @@ class DensityMatrix:
                 raise ValueError(
                     f"factor shape {factor.shape} does not match dimension {dim}"
                 )
-            if not np.all(np.isfinite(factor)):
-                raise ValueError("factor entries must be finite")
-        tr = float(np.sum(np.abs(factor) ** 2))
-        if abs(tr - 1.0) > tol.tr:
-            raise NotAStateError(f"factor trace {tr} deviates from 1 beyond {tol.tr:.1e}")
+        (tr,) = factor_traces(factor[None]).tolist()
         factor.setflags(write=False)
         self._factor = factor
         self._trace = tr
@@ -222,6 +219,28 @@ class DensityMatrix:
 
     def __repr__(self) -> str:
         return f"DensityMatrix(dims={self.dims})"
+
+
+def factor_traces(factors: np.ndarray) -> np.ndarray:
+    """Traces sum |F|^2 of a stack (S, dim, k) of factors F, each checked as ``DensityMatrix`` would.
+
+    The first factor in stack order with a non-finite entry raises
+    ``ValueError``, and the first whose trace is off 1 beyond
+    ``DEFAULT_TOL.tr`` raises ``NotAStateError``. A non-finite entry makes
+    its trace non-finite, so the entries are inspected only where a trace
+    fails. Each trace is summed over its factor in memory order, so a
+    C-contiguous stack gives each factor the bits it gets alone.
+    """
+    traces = np.sum(np.abs(factors) ** 2, axis=(-2, -1))
+    ok = np.abs(traces - 1.0) <= DEFAULT_TOL.tr  # false for NaN too
+    if not ok.all():
+        k = np.argmin(ok)  # the first failing factor
+        if not np.all(np.isfinite(factors[k])):
+            raise ValueError("factor entries must be finite")
+        raise NotAStateError(
+            f"factor trace {float(traces[k])} deviates from 1 beyond {DEFAULT_TOL.tr:.1e}"
+        )
+    return traces
 
 
 def check_dense(what: str, size: int) -> None:

@@ -21,6 +21,7 @@ from .linalg import (
     check_dense,
     factor_entropies,
     factor_trace_distance,
+    factor_traces,
     maximally_mixed,
     partial_trace,
     unitarity_residual,
@@ -134,14 +135,16 @@ class CircuitProcessSpec:
     environment, initially ``env_state``, threads through all steps. Its
     factor purifies it, with a rank that no tolerance sets (``DensityMatrix``).
     Each unitary's entries must be finite and its ``unitarity_residual``
-    ||U^dag U - I||_F at most ``DEFAULT_TOL.eig``. Specs compare by identity,
-    since their fields hold arrays.
+    ||U^dag U - I||_F at most ``DEFAULT_TOL.eig``; the spec keeps those
+    residuals, which ``build_from_circuit`` reads. Specs compare by
+    identity, since their fields hold arrays.
     """
 
     n: int
     d: int
     env_state: DensityMatrix
     unitaries: tuple[np.ndarray, ...]
+    _residuals: np.ndarray = field(init=False, repr=False)  # (1, n): a stack of one
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -150,7 +153,9 @@ class CircuitProcessSpec:
             raise ValueError(f"d must be >= 2, got {self.d}")
         us = checked_unitaries(self.unitaries, self.n, self.d * self.d_env)
         object.__setattr__(self, "unitaries", us)
-        _check_unitarity(unitarity_residual(np.array(us))[None])
+        residuals = unitarity_residual(np.array(us))[None]
+        _check_unitarity(residuals)
+        object.__setattr__(self, "_residuals", residuals)
 
     @property
     def d_env(self) -> int:
@@ -234,7 +239,7 @@ class Transfer:
 def build_from_circuit(
     spec: CircuitProcessSpec, tol_causal: float = DEFAULT_TOL.causal
 ) -> ProcessTensor:
-    """Process tensor of the Choi-generating circuit of ``spec``: ``build_stack`` on a stack of one.
+    """Process tensor of the Choi-generating circuit of ``spec``: a stack of one.
 
     A fresh maximally entangled pair feeds each step: its live half passes
     through the step unitary (becoming output slot o_j) while the kept half
@@ -245,24 +250,38 @@ def build_from_circuit(
     and the stack's transfer, and simulates its Choi state only when
     ``state`` is read. A failed hierarchy raises ``CausalityError``; a trace
     beyond ``DEFAULT_TOL.tr`` raises ``NotAStateError`` naming the leakiest
-    unitary.
+    unitary. The spec and its environment were validated when they were
+    made, so their unitarity residuals, factor and trace go to the stack's
+    build as they are, and no check runs twice.
     """
-    transfer, (report,) = build_stack(np.array([spec.unitaries]), [spec.env_state], tol_causal)
+    env = spec.env_state
+    transfer, (report,) = _build_stack(
+        np.array([spec.unitaries]), spec._residuals, env.factor[None], np.array([env.trace]),
+        tol_causal,
+    )
     return ProcessTensor(spec.n, spec.d, _passed(report), spec, transfer)
 
 
 def build_stack(
     unitaries: np.ndarray,
-    envs: Sequence[DensityMatrix],
+    env: np.ndarray,
     tol_causal: float = DEFAULT_TOL.causal,
 ) -> tuple[Transfer, list[CausalityReport]]:
     """Transfer and causality of a stack of S circuits, each check run once on the stack.
 
-    ``unitaries`` is (S, n, D, D) with D = d d_env and ``envs`` the S
-    initial environments, whose factors share one shape (d_env, r). The
+    ``unitaries`` is (S, n, D, D) with D = d d_env, and ``env`` the factors
+    (S, d_env, r) of the S initial environments, F with rho = F F^dag; a
+    shared environment may be one factor broadcast over the stack. The
     checks run in this order, and the first sample in stack order that
     fails one raises the error that building it alone would raise:
 
+    - environments: a shape that does not fit the unitaries raises
+      ``ValueError``; a non-finite factor or a trace beyond
+      ``DEFAULT_TOL.tr`` raises the error of
+      ``DensityMatrix(None, (d_env,), factor=env[k])`` (``factor_traces``).
+      The certificate reads these traces, each summed over its factor in
+      row-major order, the bits of ``DensityMatrix.trace`` for a
+      C-contiguous factor;
     - unitarity: a ``unitarity_residual`` beyond ``DEFAULT_TOL.eig`` raises
       the ``ValueError`` of ``CircuitProcessSpec``;
     - final traces (``_transfer``): a trace beyond ``DEFAULT_TOL.tr``
@@ -276,11 +295,31 @@ def build_stack(
     Returns the stacked ``Transfer`` and, per sample in stack order, its
     causality report at ``tol_causal``, failed ones included.
     """
+    env = np.ascontiguousarray(env, dtype=complex)  # a broadcast factor is copied row-major
+    dim = unitaries.shape[-1]
+    de = env.shape[1] if env.ndim == 3 else 0  # 0 fails the check
+    if len(env) != len(unitaries) or not 0 < de < dim or dim % de:
+        raise ValueError(
+            f"environment factors of shape {env.shape} do not fit {len(unitaries)} "
+            f"circuits of side {dim}"
+        )
+    traces = factor_traces(env)
     residuals = unitarity_residual(unitaries)
     _check_unitarity(residuals)
-    upper = _unitarity_certificate(residuals, np.array([e.trace for e in envs]))
+    return _build_stack(unitaries, residuals, env, traces, tol_causal)
+
+
+def _build_stack(
+    unitaries: np.ndarray,
+    residuals: np.ndarray,
+    env: np.ndarray,
+    traces: np.ndarray,
+    tol_causal: float,
+) -> tuple[Transfer, list[CausalityReport]]:
+    """``build_stack`` past its checks, on the ``residuals`` (S, n) and ``traces`` (S,) they read."""
+    upper = _unitarity_certificate(residuals, traces)
     certified = upper.max(axis=1) + _ROUNDING <= tol_causal
-    transfer, exact = _transfer(unitaries, np.array([e.factor for e in envs]), ~certified)
+    transfer, exact = _transfer(unitaries, env, ~certified)
     exact = iter(exact)
     return transfer, [
         CausalityReport(tuple(row), tol_causal, bounds=True) if ok
@@ -557,17 +596,27 @@ def fredkin_unitary(d: int = 2) -> np.ndarray:
     return _permutation((d, 2, d), lambda s, c, t: (np.where(c, t, s), c, np.where(c, s, t)))
 
 
-def fredkin_env(p: float, d: int) -> DensityMatrix:
-    """Initial environment of ``fredkin_dilation(p, d)``; p must lie in [0, 1].
+def fredkin_factors(ps: Sequence[float], d: int) -> np.ndarray:
+    """Factors (len(ps), 2d, 2d) of the environment of ``fredkin_dilation(p, d)``, one per p.
 
-    Built from its factor diag(sqrt(1-p), sqrt(p)) (x) I/sqrt(d), with no
-    dense matrix and no eigendecomposition. The factor keeps its zero
-    columns at p = 0 and 1, so every p gives one factor shape, (2d, 2d),
-    and a p-grid builds as one stack.
+    Row k is diag(sqrt(1-p), sqrt(p)) (x) I/sqrt(d) at p = ps[k], with no
+    dense matrix and no eigendecomposition. It keeps its zero columns at
+    p = 0 and 1, so every p gives one factor shape and a p-grid builds as
+    one stack. The first p outside [0, 1], or NaN, raises ``ValueError``.
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p must lie in [0, 1], got {p}")
-    return DensityMatrix(None, (2, d), factor=np.diag(np.sqrt(np.repeat([1.0 - p, p], d) / d)))
+    grid = np.asarray(ps, dtype=float)
+    inside = (0.0 <= grid) & (grid <= 1.0)
+    if not inside.all():
+        raise ValueError(f"p must lie in [0, 1], got {ps[np.argmin(inside)]}")
+    factors = np.zeros((len(grid), 2 * d, 2 * d))
+    diag = np.arange(2 * d)
+    factors[:, diag, diag] = np.sqrt(np.repeat(np.stack([1.0 - grid, grid], axis=1), d, axis=1) / d)
+    return factors
+
+
+def fredkin_env(p: float, d: int) -> DensityMatrix:
+    """Initial environment of ``fredkin_dilation(p, d)``: the state of ``fredkin_factors([p], d)``."""
+    return DensityMatrix(None, (2, d), factor=fredkin_factors([p], d)[0])
 
 
 def fredkin_dilation(p: float, d: int = 2) -> CircuitProcessSpec:
@@ -642,25 +691,31 @@ def haar_unitary(dim: int, seed: int | np.random.Generator) -> np.ndarray:
     return _haar(rng.standard_normal((2, dim, dim)))
 
 
-def random_env(rng: np.random.Generator, d_env: int, env_init: EnvInit) -> DensityMatrix:
-    """Initial environment state named by ``env_init``; ``seeded-random`` draws from ``rng``."""
+def random_env(rng: np.random.Generator, d_env: int, env_init: EnvInit) -> np.ndarray:
+    """Factor (d_env, r) of the initial environment named by ``env_init``.
+
+    ``maximally-mixed`` is I/sqrt(d_env) and ``pure-ground`` the column e_0;
+    neither reads ``rng``. ``seeded-random`` draws a complex Ginibre matrix g
+    from ``rng``, real parts first, and returns g / ||g||_F, a factor of
+    g g^dag / tr(g g^dag), with no dense matrix and no factorization.
+    """
     if env_init == "maximally-mixed":
-        return maximally_mixed(d_env)
+        return np.eye(d_env) / math.sqrt(d_env)
     if env_init == "pure-ground":
         ground = np.zeros((d_env, 1))
         ground[0, 0] = 1.0
-        return DensityMatrix(None, (d_env,), factor=ground)
+        return ground
     if env_init == "seeded-random":
         g = rng.standard_normal((d_env, d_env)) + 1j * rng.standard_normal((d_env, d_env))
-        mat = g @ g.conj().T
-        return DensityMatrix(mat / np.trace(mat).real, (d_env,))
+        return g / np.linalg.norm(g)
     raise ValueError(f"unknown env_init {env_init!r}")
 
 
 def random_process(spec: RandomSpec) -> ProcessTensor:
     """Deterministic (seeded) random process from Haar unitaries."""
-    (env,), (us,) = _random_circuits(spec, 1)
-    return build_from_circuit(CircuitProcessSpec(spec.n, spec.d, env, tuple(us)))
+    env, (us,) = _random_circuits(spec, 1)
+    env_state = DensityMatrix(None, (spec.d_env,), factor=env[0])
+    return build_from_circuit(CircuitProcessSpec(spec.n, spec.d, env_state, tuple(us)))
 
 
 # Bytes that one stack of ``random_processes`` may hold at its peak, which is in ``_transfer``.
@@ -672,7 +727,7 @@ def random_process(spec: RandomSpec) -> ProcessTensor:
 # on every shape measured (d <= 3; n <= 8 with d_env <= 8 and each ``EnvInit``; n = 20, 60,
 # 200 with d_env <= 4), by 1.4 % at the closest. A stack adds up to ``_STACK_FIXED`` of
 # numpy's own buffers. In time, on one core of an Intel Xeon, a stack of n = 3 samples (draw,
-# build and audit) costs about 0.45 ms plus 0.11 ms per sample, and per sample it gains nothing
+# build and audit) costs about 0.55 ms plus 0.11 ms per sample, and per sample it gains nothing
 # beyond about 34 samples, while its memory grows; so the budget gives 34 samples (2 MB) at
 # n = 3, d = 2, d_env = 4, and a peak memory that does not grow with the count.
 _STACK_BYTES = 2_190_000
@@ -691,9 +746,11 @@ def _sample_bytes(n: int, d: int, d_env: int) -> int:
     min(d_env r, d^(2n)): a cut's R, or the final factor's Gram on its
     narrower side. Five arrays the size of the n unitaries cover the
     unitaries, their Kraus copy, W, W sigma and the n effects and sigmas of
-    side d_env. The step marginals are n d^4 entries, the reports'
-    residuals as Python floats 4 n more, and 6 kB cover the sample's other
-    Python objects (its generator, reports). A sample that the certificate
+    side d_env; these fill at most half of the fifth, whose other half
+    covers the sample's row of the environment factors, at most d_env^2
+    entries. The step marginals are n d^4 entries, the reports' residuals
+    as Python floats 4 n more, and 6 kB cover the sample's Python objects:
+    its generator and its report. A sample that the certificate
     leaves undecided also keeps its n level factors for the exact
     hierarchy, which this does not count.
     """
@@ -723,23 +780,26 @@ def random_processes(
     stacks = -(-count // _stack_size(spec))
     for k in range(stacks):
         start, stop = k * count // stacks, (k + 1) * count // stacks
-        envs, us = _random_circuits(replace(spec, seed=spec.seed + start), stop - start)
-        yield build_stack(us, envs, tol_causal)
+        env, us = _random_circuits(replace(spec, seed=spec.seed + start), stop - start)
+        yield build_stack(us, env, tol_causal)
 
 
-def _random_circuits(spec: RandomSpec, count: int) -> tuple[list[DensityMatrix], np.ndarray]:
-    """Environments and (count, n, D, D) unitaries for the seeds spec.seed, ..., + count - 1.
+def _random_circuits(spec: RandomSpec, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Environment factors (count, d_env, r) and (count, n, D, D) unitaries for seeds spec.seed, ....
 
     Sample k draws from ``default_rng(spec.seed + k)``: its environment
-    (``random_env``), then the real and imaginary Gaussians of each unitary.
+    factor (``random_env``), then the real and imaginary Gaussians of each
+    unitary. A shared environment, drawn from no generator (maximally
+    mixed, pure ground), is one factor broadcast over the stack.
     """
     dim = spec.d * spec.d_env
     rngs = [np.random.default_rng(spec.seed + k) for k in range(count)]
     if spec.env_init == "seeded-random":
-        envs = [random_env(rng, spec.d_env, spec.env_init) for rng in rngs]
-    else:  # drawn from no generator: one state serves the stack
-        envs = [random_env(rngs[0], spec.d_env, spec.env_init)] * count
+        env = np.array([random_env(rng, spec.d_env, spec.env_init) for rng in rngs])
+    else:
+        shared = random_env(rngs[0], spec.d_env, spec.env_init)
+        env = np.broadcast_to(shared, (count, *shared.shape))
     gauss = np.empty((count, spec.n, 2, dim, dim))
     for rng, g in zip(rngs, gauss):
         rng.standard_normal(out=g)
-    return envs, _haar(gauss)
+    return env, _haar(gauss)

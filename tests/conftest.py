@@ -29,6 +29,18 @@ def count_eigh(monkeypatch) -> list[int]:
     return sides
 
 
+def count_states(monkeypatch) -> list[tuple[int, ...]]:
+    """Patch ``DensityMatrix.__init__`` to record the dims of every state constructed from now on."""
+    seen, init = [], DensityMatrix.__init__
+
+    def recording_init(self, mat, dims, **kwargs):
+        seen.append(tuple(dims))
+        init(self, mat, dims, **kwargs)
+
+    monkeypatch.setattr(DensityMatrix, "__init__", recording_init)
+    return seen
+
+
 def random_pure(rng: np.random.Generator, dims) -> DensityMatrix:
     dims = tuple(dims)
     dim = math.prod(dims)
@@ -64,7 +76,7 @@ def seeded_circuit_spec(
     """
     rng = np.random.default_rng(seed)
     env = random_env(rng, d_env, env_init)
-    env = DensityMatrix(None, env.dims, factor=env.factor * math.sqrt(env_trace))
+    env = DensityMatrix(None, (d_env,), factor=env * math.sqrt(env_trace))
     us = tuple(haar_unitary(d * d_env, rng) for _ in range(n))
     if leak:
         leak_rng = np.random.default_rng([seed, 1])

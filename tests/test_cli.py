@@ -46,7 +46,7 @@ from proctensor.io import (
     slot_labels,
 )
 
-from conftest import seeded_circuit_spec
+from conftest import count_states, seeded_circuit_spec
 
 LN2 = math.log(2)
 
@@ -163,7 +163,7 @@ class TestSpecFile:
         doc["seed"] = seed
         spec = load_process_spec(write_spec(tmp_path, doc))
         expected = random_env(np.random.default_rng(seed), 2, "seeded-random")
-        assert np.array_equal(spec.env_state.mat, expected.mat)
+        assert np.array_equal(spec.env_state.factor, expected)
 
     @pytest.mark.parametrize(
         "seed, message",
@@ -546,6 +546,16 @@ class TestEmitFigureCommand:
         dense = [channel_M(depolarizing_choi(d, p)) for d in (2, 3, 4) for p in ps]
         assert np.max(np.abs(np.array([m for _, _, m in rows]) - dense)) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "command", [["emit-figure", "--figure", "fig6"], ["sweep-depolarizing", "--d", "2,3,4"]]
+    )
+    def test_grid_forms_no_state(self, tmp_path, monkeypatch, command):
+        # A p-grid's environments are one factor array, checked once per stack.
+        seen = count_states(monkeypatch)
+        for grid in ("3", "21"):
+            assert main(command + ["--grid", grid, "--out", str(tmp_path / "out.csv")]) == 0
+        assert seen == []
+
     def test_fig2_delegates(self, tmp_path):
         out, sweep = tmp_path / "fig2.csv", tmp_path / "sweep.csv"
         for dims in ("2", "2,3"):
@@ -594,10 +604,10 @@ class TestEmitFigureCommand:
         # so the smaller p is the one named.
         build_stack = proctensor.cli.build_stack
 
-        def failing_at_half_and_one(unitaries, envs, tol_causal=DEFAULT_TOL.causal):
-            transfer, reports = build_stack(unitaries, envs, tol_causal)
-            # the control's p, read from F F^dag of the environment's factor
-            fail = [np.isclose(2.0 * env.mat[2, 2].real, (0.5, 1.0)).any() for env in envs]
+        def failing_at_half_and_one(unitaries, env, tol_causal=DEFAULT_TOL.causal):
+            transfer, reports = build_stack(unitaries, env, tol_causal)
+            # the control's p, read from F F^dag of each environment's factor
+            fail = [np.isclose(2.0 * (f @ f.conj().T)[2, 2].real, (0.5, 1.0)).any() for f in env]
             return transfer, [dataclasses.replace(r, tol=-1.0) if f else r
                               for f, r in zip(fail, reports)]
 
@@ -713,9 +723,9 @@ class TestAuditRandomCommand:
         sizes = []
         real = proctensor.processes.build_stack
 
-        def counting(unitaries, envs, tol_causal):
+        def counting(unitaries, env, tol_causal):
             sizes.append(len(unitaries))
-            return real(unitaries, envs, tol_causal)
+            return real(unitaries, env, tol_causal)
 
         monkeypatch.setattr(proctensor.processes, "build_stack", counting)
         return sizes
@@ -1060,17 +1070,14 @@ class TestDenseCap:
         assert peak < 2 * 2**20
 
     def test_audit_forms_no_state_beyond_two_slots(self, tmp_path, monkeypatch):
-        seen = []
-        init = DensityMatrix.__init__
-
-        def recording_init(self, mat, dims, **kwargs):
-            seen.append(tuple(dims))
-            init(self, mat, dims, **kwargs)
-
-        monkeypatch.setattr(DensityMatrix, "__init__", recording_init)
+        # The stack's environments are one factor array: the audit forms no
+        # state at all, of any slot count.
+        seen = count_states(monkeypatch)
         out = tmp_path / "audit.txt"
         assert main(["audit-random", "--n", "5", "--samples", "2", "--out", str(out)]) == 0
-        assert seen and max(map(len, seen)) <= 2
+        assert seen == []
+        maximally_mixed(2)
+        assert seen == [(2,)]  # the recorder is live
 
 
 class TestVerifyOnce:

@@ -240,7 +240,8 @@ class TestTransferReport:
             us = tuple(leaky_unitary(u, leak, rng) for u, leak in zip(spec.unitaries, leaks))
             specs.append(dataclasses.replace(spec, unitaries=us))
         transfer, _ = proctensor.processes.build_stack(
-            np.array([s.unitaries for s in specs]), [s.env_state for s in specs], 1.0)
+            np.array([s.unitaries for s in specs]), np.array([s.env_state.factor for s in specs]),
+            1.0)
         for k, spec in enumerate(specs):
             dense = Transfer.of_state(build_from_circuit(spec, 1.0).state)
             for name in ("steps", "outputs", "entropy"):

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -42,7 +43,7 @@ from proctensor.io import save_choi
 from proctensor.linalg import unitarity_residual
 from proctensor.processes import _STACK_BYTES, random_env, random_processes
 
-from conftest import leaky_unitary, random_density, seeded_circuit_spec
+from conftest import count_states, leaky_unitary, random_density, seeded_circuit_spec
 
 
 def random_circuit_spec(rng, n=2, d=2, d_env=2) -> CircuitProcessSpec:
@@ -653,10 +654,10 @@ class TestRandomProcesses:
     )
     def test_stacked_draws_match_one_matrix_at_a_time(self, n, d, d_env, env_init):
         spec = RandomSpec(n=n, d=d, d_env=d_env, seed=7, env_init=env_init)
-        envs, us = proctensor.processes._random_circuits(spec, 300)
+        env, us = proctensor.processes._random_circuits(spec, 300)
         for k in range(300):
             rng = np.random.default_rng(7 + k)
-            assert np.array_equal(envs[k].factor, random_env(rng, d_env, env_init).factor)
+            assert np.array_equal(env[k], random_env(rng, d_env, env_init))
             for j in range(n):
                 assert np.array_equal(us[k, j], inline_haar_unitary(d * d_env, rng))
 
@@ -692,12 +693,12 @@ class TestRandomProcesses:
         drawn = []
 
         def spoiled(spec, count):
-            envs, us = real(spec, count)
+            env, us = real(spec, count)
             us = us.copy()
             for k, (j, scale) in spoil.items():
                 us[k, j] *= 1.0 + scale
             drawn.append(us)
-            return envs, us
+            return env, us
 
         monkeypatch.setattr(proctensor.processes, "_random_circuits", spoiled)
         with pytest.raises(error, match=message) as info:
@@ -732,7 +733,7 @@ def leak_named(residuals):
 
 def stack_of(specs):
     """``build_stack``'s arguments for a list of specs that share one environment factor shape."""
-    return np.array([s.unitaries for s in specs]), [s.env_state for s in specs]
+    return np.array([s.unitaries for s in specs]), np.array([s.env_state.factor for s in specs])
 
 
 class TestBuildStack:
@@ -779,14 +780,14 @@ class TestBuildStack:
 
     def test_first_non_unitary_sample_raises_its_spec_error(self):
         specs = self.mixed_specs()
-        us, envs = stack_of(specs)
+        us, env = stack_of(specs)
         us = us.copy()
         us[1, 2] *= 1.0 + 1e-6
         us[3, 0] *= 1.0 + 1e-6
         with pytest.raises(ValueError) as alone:
-            CircuitProcessSpec(3, 2, envs[1], tuple(us[1]))
+            CircuitProcessSpec(3, 2, specs[1].env_state, tuple(us[1]))
         with pytest.raises(ValueError) as stacked:
-            proctensor.processes.build_stack(us, envs)
+            proctensor.processes.build_stack(us, env)
         assert str(stacked.value) == str(alone.value)
         assert str(alone.value).startswith("unitary 2 unitarity residual")
 
@@ -805,6 +806,184 @@ class TestBuildStack:
         assert leak_named(unitarity_residual(np.array(specs[1].unitaries))) in str(alone.value)
 
 
+ENV_INITS = ("maximally-mixed", "pure-ground", "seeded-random")
+
+
+def recorded_traces(monkeypatch) -> list[np.ndarray]:
+    """Patch the certificate to record the environment traces (S,) that each stack hands it."""
+    seen, real = [], proctensor.processes._unitarity_certificate
+
+    def recording(residuals, t_env):
+        seen.append(t_env)
+        return real(residuals, t_env)
+
+    monkeypatch.setattr(proctensor.processes, "_unitarity_certificate", recording)
+    return seen
+
+
+def old_trace(factor: np.ndarray) -> float:
+    """A factor's trace as ``DensityMatrix`` summed it before stacks were checked at once."""
+    return float(np.sum(np.abs(np.asarray(factor, dtype=complex)) ** 2))
+
+
+class TestStackEnvironments:
+    """A stack's environments are one factor array, checked once; each factor alone is the oracle."""
+
+    @staticmethod
+    def stack(count=5, d_env=2, seed=0):
+        spec = RandomSpec(n=2, d=2, d_env=d_env, seed=seed, env_init="seeded-random")
+        env, us = proctensor.processes._random_circuits(spec, count)
+        return us, env.copy()
+
+    @pytest.mark.parametrize("spoil", [
+        {1: np.nan, 3: 2.0},
+        {2: np.inf, 4: np.nan},
+        {0: complex(0.0, np.inf)},
+        {1: 1.0 + 3e-10, 3: np.nan},  # scales the factor: trace off 1 by 6e-10
+        {4: 1.0 - 2e-10},
+    ])
+    def test_first_bad_factor_raises_its_single_state_error(self, spoil):
+        us, env = self.stack()
+        for k, value in spoil.items():
+            if isinstance(value, float) and np.isfinite(value):
+                env[k] *= value
+            else:
+                env[k, 1, 0] = value
+        first = min(spoil)
+        with pytest.raises((ValueError, NotAStateError)) as alone:
+            DensityMatrix(None, (2,), factor=env[first])
+        with pytest.raises(type(alone.value)) as stacked:
+            proctensor.processes.build_stack(us, env)
+        assert str(stacked.value) == str(alone.value)
+        with pytest.raises(type(alone.value)) as one:
+            proctensor.processes.build_stack(us[first:first + 1], env[first:first + 1])
+        assert str(one.value) == str(alone.value)
+
+    def test_environments_are_checked_before_the_unitaries(self):
+        # As when each environment was a state built before its stack.
+        us, env = self.stack()
+        us[0, 0] *= 1.0 + 1e-6
+        env[3, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="^factor entries must be finite$"):
+            proctensor.processes.build_stack(us, env)
+
+    @pytest.mark.parametrize("shape", [(4, 2, 2), (6, 2, 2), (2, 2), (5, 3, 2), (5, 4, 2), (5, 0, 2)])
+    def test_factors_that_do_not_fit_the_unitaries(self, shape):
+        # Wrong count, no sample axis, a side that does not divide D = 4, or
+        # leaves d < 2, or is 0.
+        us, _ = self.stack()
+        with pytest.raises(ValueError, match=rf"^environment factors of shape {re.escape(str(shape))} "
+                                             r"do not fit 5 circuits of side 4$"):
+            proctensor.processes.build_stack(us, np.full(shape, 0.5))
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_fredkin_grid_rows_and_traces(self, monkeypatch, d):
+        grid = [j / 20 for j in range(21)]
+        factors = proctensor.processes.fredkin_factors(grid, d)
+        traces = recorded_traces(monkeypatch)
+        u = fredkin_unitary(d)
+        proctensor.processes.build_stack(np.broadcast_to(u, (21, 1, *u.shape)), factors)
+        (got,) = traces
+        for k, p in enumerate(grid):
+            want = np.diag(np.sqrt(np.repeat([1.0 - p, p], d) / d))  # the grid's former route
+            assert np.array_equal(factors[k], want)
+            assert np.array_equal(factors[k], fredkin_env(p, d).factor)
+            assert got[k] == fredkin_env(p, d).trace == old_trace(want)
+
+    @pytest.mark.parametrize("p", [-0.1, 1.1, float("nan")])
+    def test_fredkin_grid_refuses_p_outside_the_unit_interval(self, p):
+        # The first bad point in grid order is named, with fredkin_env's message.
+        with pytest.raises(ValueError) as alone:
+            fredkin_env(p, 2)
+        with pytest.raises(ValueError) as grid:
+            proctensor.processes.fredkin_factors([0.0, 0.5, p, 2.0, 1.0], 2)
+        assert str(grid.value) == str(alone.value) == f"p must lie in [0, 1], got {p}"
+
+    @pytest.mark.parametrize("env_init", ENV_INITS)
+    def test_stacked_traces_are_each_states_trace(self, monkeypatch, env_init):
+        traces = recorded_traces(monkeypatch)
+        for d_env in (1, 2, 3, 4, 8):
+            spec = RandomSpec(n=2, d=2, d_env=d_env, seed=3, env_init=env_init)
+            ((_, reports),) = random_processes(spec, 9)
+            got = traces.pop()
+            assert len(got) == len(reports) == 9
+            for k in range(9):
+                factor = random_env(np.random.default_rng(3 + k), d_env, env_init)
+                state = DensityMatrix(None, (d_env,), factor=factor)
+                assert got[k] == state.trace == old_trace(factor)
+
+    def test_stacked_traces_of_dense_spec_environments(self, monkeypatch):
+        # The explicit ``env`` of a spec file is a dense matrix; a stack of
+        # its factors gives each the trace its state validated, bit for bit,
+        # whether the stack is laid out in C or in Fortran order.
+        rng = np.random.default_rng(26)
+        for d_env in (2, 4):
+            states = [random_density(rng, (d_env,)) for _ in range(16)]
+            factors = np.array([s.factor for s in states])
+            us = np.array([[haar_unitary(2 * d_env, rng)] for _ in states])
+            traces = recorded_traces(monkeypatch)
+            for env in (factors, np.asfortranarray(factors.transpose(1, 2, 0)).transpose(2, 0, 1)):
+                proctensor.processes.build_stack(us, env)
+                got = traces.pop()
+                for k, state in enumerate(states):
+                    assert state.factor.flags.c_contiguous
+                    assert got[k] == state.trace == old_trace(state.factor)
+
+    @pytest.mark.parametrize("d_env", [1, 2, 3, 4, 8])
+    def test_seeded_random_state_matches_its_dense_route(self, d_env):
+        # The draw's former route: g g^dag / tr, validated as a dense state.
+        for seed in range(40):
+            factor = random_env(np.random.default_rng(seed), d_env, "seeded-random")
+            rng = np.random.default_rng(seed)
+            g = rng.standard_normal((d_env, d_env)) + 1j * rng.standard_normal((d_env, d_env))
+            mat = g @ g.conj().T
+            dense = DensityMatrix(mat / np.trace(mat).real, (d_env,))
+            state = DensityMatrix(None, (d_env,), factor=factor)
+            assert np.max(np.abs(state.mat - dense.mat)) <= 1e-14
+            assert abs(state.trace - dense.trace) <= 1e-14
+
+    @pytest.mark.parametrize("env_init", ENV_INITS)
+    def test_random_process_is_sample_k_bit_for_bit(self, env_init):
+        spec = RandomSpec(n=3, d=2, d_env=3, seed=60, env_init=env_init)
+        ((transfer, reports),) = random_processes(spec, 7)
+        for k, report in enumerate(reports):
+            alone = random_process(dataclasses.replace(spec, seed=60 + k))
+            assert report == alone.causality
+            for name in ("steps", "outputs", "entropy"):
+                assert np.array_equal(getattr(transfer, name)[k], getattr(alone.transfer, name)[0])
+
+    @pytest.mark.parametrize("env_init", ENV_INITS)
+    def test_random_processes_form_no_state(self, monkeypatch, env_init):
+        seen = count_states(monkeypatch)
+        for count in (1, 40):
+            spec = RandomSpec(n=3, d=2, d_env=4, seed=5, env_init=env_init)
+            assert sum(len(r) for _, r in random_processes(spec, count)) == count
+        assert seen == []
+
+    def test_spec_build_checks_nothing_twice(self, monkeypatch):
+        # The spec validated its unitaries and its environment when it was
+        # made; its build reads their residuals, factor and trace.
+        spec = seeded_circuit_spec(3, 2, 4, 9, "seeded-random")
+        calls = []
+
+        def counted(name):
+            real = getattr(proctensor.processes, name)
+
+            def counting(*args):
+                calls.append(name)
+                return real(*args)
+            return counting
+
+        for name in ("unitarity_residual", "factor_traces"):
+            monkeypatch.setattr(proctensor.processes, name, counted(name))
+        pt = build_from_circuit(spec)
+        assert calls == []
+        _, (report,) = proctensor.processes.build_stack(
+            np.array([spec.unitaries]), spec.env_state.factor[None])
+        assert calls == ["factor_traces", "unitarity_residual"]
+        assert report == pt.causality
+
+
 class TestExactHierarchy:
     """The hierarchy a build reads from its transfer, where the certificate cannot decide."""
 
@@ -812,7 +991,7 @@ class TestExactHierarchy:
     def exact(spec):
         # At tolerance 0 no certificate decides, so every residual is exact.
         _, (report,) = proctensor.processes.build_stack(
-            np.array([spec.unitaries]), [spec.env_state], 0.0
+            np.array([spec.unitaries]), spec.env_state.factor[None], 0.0
         )
         assert not report.bounds
         return report
