@@ -35,6 +35,7 @@ from .processes import (
     fredkin_factors,
     fredkin_unitary,
     random_processes,
+    stack_slices,
     # Not called here: bench/test_bench.py asserts that its tracer rebinds this name in cli.
     verify_causality,  # noqa: F401
 )
@@ -74,15 +75,21 @@ def _grid(points: int) -> list[float]:
 def _fredkin_stack(
     grid: list[float], n: int, d: int
 ) -> tuple[list[CausalityReport], tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Reports and ``transfer_quantities`` of n Fredkin steps at each p of ``grid``, as one stack.
+    """Reports and ``transfer_quantities`` of n Fredkin steps at each p of ``grid``, in stacks.
 
     Point p is ``fredkin_dilation(p, d)`` at n = 1 and ``nm_depolarizing_spec(p)``
-    at n = 2, d = 2, built by one ``build_stack`` call.
+    at n = 2, d = 2. The grid is built in ``stack_slices``, one ``build_stack``
+    call each on its own factors, so its peak memory does not grow with the
+    grid; each point's values are those of a stack of the whole grid, bit for bit.
     """
     u = fredkin_unitary(d)
-    unitaries = np.broadcast_to(u, (len(grid), n, *u.shape))
-    transfer, reports = build_stack(unitaries, fredkin_factors(grid, d))
-    return reports, transfer_quantities(transfer)
+    reports, quantities = [], []
+    for part in stack_slices(len(grid), n, d, 2 * d):
+        factors = fredkin_factors(grid[part], d)
+        transfer, stack = build_stack(np.broadcast_to(u, (len(factors), n, *u.shape)), factors)
+        reports += stack
+        quantities.append(transfer_quantities(transfer))
+    return reports, tuple(np.concatenate(q) for q in zip(*quantities))
 
 
 def _violated(points: list[str], reports: list[CausalityReport]) -> bool:
@@ -114,7 +121,6 @@ def cmd_emit_figure(args: argparse.Namespace) -> int:
         print("error: --figure fig6 is a qubit circuit and takes no --d but 2", file=sys.stderr)
         return EXIT_USAGE
     grid = _grid(args.grid)
-    # Every p shares the environment's factor shape, so the whole grid is one stack.
     reports, (step, total, non_markov) = _fredkin_stack(grid, 2, 2)
     if _violated([f"p = {p}" for p in grid], reports):
         return EXIT_VIOLATION

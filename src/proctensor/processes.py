@@ -8,6 +8,7 @@ flow through it between steps.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Iterator, Literal, Sequence
@@ -726,10 +727,10 @@ def random_process(spec: RandomSpec) -> ProcessTensor:
 # 50 kB at n = 3, d = 2, d_env = 4 and 67 kB at n = 5. ``_sample_bytes`` bounds it from above
 # on every shape measured (d <= 3; n <= 8 with d_env <= 8 and each ``EnvInit``; n = 20, 60,
 # 200 with d_env <= 4), by 1.4 % at the closest. A stack adds up to ``_STACK_FIXED`` of
-# numpy's own buffers. In time, on one core of an Intel Xeon, a stack of n = 3 samples (draw,
-# build and audit) costs about 0.55 ms plus 0.11 ms per sample, and per sample it gains nothing
-# beyond about 34 samples, while its memory grows; so the budget gives 34 samples (2 MB) at
-# n = 3, d = 2, d_env = 4, and a peak memory that does not grow with the count.
+# numpy's own buffers. In time, on one core of an Intel Xeon, a stack of 8 to 34 n = 3 samples
+# (draw, build and audit) costs about 0.59 ms plus 0.09 ms per sample, and per sample it gains
+# nothing beyond about 34 samples, while its memory grows; so the budget gives 34 samples
+# (2 MB) at n = 3, d = 2, d_env = 4, and a peak memory that does not grow with the count.
 _STACK_BYTES = 2_190_000
 _STACK_FIXED = 160_000
 
@@ -759,9 +760,21 @@ def _sample_bytes(n: int, d: int, d_env: int) -> int:
     return 16 * (2 * wide + square + 5 * n * (d * d_env) ** 2 + n * d**4 + 4 * n) + 6144
 
 
-def _stack_size(spec: RandomSpec) -> int:
-    """Most samples of ``spec``'s shape that one stack holds within ``_STACK_BYTES``; at least 1."""
-    return max(1, (_STACK_BYTES - _STACK_FIXED) // _sample_bytes(spec.n, spec.d, spec.d_env))
+def _stack_size(n: int, d: int, d_env: int) -> int:
+    """Most samples of shape (n, d, d_env) one stack holds within ``_STACK_BYTES``; at least 1."""
+    return max(1, (_STACK_BYTES - _STACK_FIXED) // _sample_bytes(n, d, d_env))
+
+
+def stack_slices(count: int, n: int, d: int, d_env: int) -> list[slice]:
+    """The fewest stacks of at most ``_stack_size(n, d, d_env)`` that cover ``count`` samples.
+
+    Stacks of circuits of n steps on d-dimensional slots and a d_env-sided
+    environment, in order, as slices of the samples; their sizes differ by
+    at most one, so a peak memory set by ``_sample_bytes`` does not grow
+    with the count.
+    """
+    stacks = -(-count // _stack_size(n, d, d_env))
+    return [slice(k * count // stacks, (k + 1) * count // stacks) for k in range(stacks)]
 
 
 def random_processes(
@@ -772,28 +785,29 @@ def random_processes(
     Yields, per stack of consecutive seeds, ``build_stack``'s stacked
     ``Transfer`` and, per sample in seed order, its causality report, on
     which ``build_from_circuit`` would raise where it failed. The stacks
-    are the fewest of at most ``_stack_size`` samples, and their sizes
-    differ by at most one. Sample k is the circuit of ``random_process`` for
-    seed spec.seed + k, bit for bit (``_random_circuits``), so the first
-    sample in seed order that fails a check raises the single-process error.
+    are ``stack_slices``: the fewest of at most ``_stack_size`` samples,
+    their sizes differing by at most one. Sample k is the circuit of
+    ``random_process`` for seed spec.seed + k, bit for bit
+    (``_random_circuits``), so the first sample in seed order that fails a
+    check raises the single-process error.
     """
-    stacks = -(-count // _stack_size(spec))
-    for k in range(stacks):
-        start, stop = k * count // stacks, (k + 1) * count // stacks
-        env, us = _random_circuits(replace(spec, seed=spec.seed + start), stop - start)
+    for part in stack_slices(count, spec.n, spec.d, spec.d_env):
+        stack = replace(spec, seed=spec.seed + part.start)
+        env, us = _random_circuits(stack, part.stop - part.start)
         yield build_stack(us, env, tol_causal)
 
 
 def _random_circuits(spec: RandomSpec, count: int) -> tuple[np.ndarray, np.ndarray]:
     """Environment factors (count, d_env, r) and (count, n, D, D) unitaries for seeds spec.seed, ....
 
-    Sample k draws from ``default_rng(spec.seed + k)``: its environment
-    factor (``random_env``), then the real and imaginary Gaussians of each
-    unitary. A shared environment, drawn from no generator (maximally
-    mixed, pure ground), is one factor broadcast over the stack.
+    Sample k draws from ``default_rng(spec.seed + k)``, bit for bit
+    (``_generators``): its environment factor (``random_env``), then the
+    real and imaginary Gaussians of each unitary. A shared environment,
+    drawn from no generator (maximally mixed, pure ground), is one factor
+    broadcast over the stack.
     """
     dim = spec.d * spec.d_env
-    rngs = [np.random.default_rng(spec.seed + k) for k in range(count)]
+    rngs = _generators(spec.seed, count)
     if spec.env_init == "seeded-random":
         env = np.array([random_env(rng, spec.d_env, spec.env_init) for rng in rngs])
     else:
@@ -803,3 +817,111 @@ def _random_circuits(spec: RandomSpec, count: int) -> tuple[np.ndarray, np.ndarr
     for rng, g in zip(rngs, gauss):
         rng.standard_normal(out=g)
     return env, _haar(gauss)
+
+
+# Stacks of fewer seeds take ``default_rng`` per generator. On one core of an Intel Xeon a
+# ``_seed_states`` pass costs 50 to 75 us, and a generator built from its row 1.6 us against
+# 10 us from ``default_rng``, so the measured crossover lies between 6 and 10 seeds. numpy's
+# SeedSequence pool holds 4 words of 32 bits; a seed from 2^128 on has more words, which numpy
+# mixes in after the pool, so a stack that reaches ``_SEED_LIMIT`` takes ``default_rng`` too.
+_SEEDED_STACK = 8
+_SEED_LIMIT = 2**128
+
+
+def _generators(seed: int, count: int) -> list[np.random.Generator]:
+    """Generators for the seeds seed + k, k < count, each in the state ``default_rng`` gives it.
+
+    Below ``_SEEDED_STACK`` seeds, or where a seed reaches ``_SEED_LIMIT``,
+    these are ``default_rng``'s own. Otherwise one ``_seed_states`` pass
+    seeds the whole stack, and each ``PCG64`` reads its row through a
+    ``_SeedState``, in place of a SeedSequence hashing its seed alone.
+    """
+    if count < _SEEDED_STACK or seed + count > _SEED_LIMIT:
+        return [np.random.default_rng(seed + k) for k in range(count)]
+    seed_state = _seed_state_type()
+    states = _seed_states(seed, count)
+    return [np.random.Generator(np.random.PCG64(seed_state(row))) for row in states]
+
+
+@functools.cache
+def _seed_state_type() -> type:
+    """The class of ``_generators``' seed sequences, made on first use.
+
+    Subclassing numpy's ISeedSequence imports ``numpy.random``, about 6 MB
+    of resident memory that a run which draws no generator does not need.
+    """
+
+    class _SeedState(np.random.bit_generator.ISeedSequence):
+        """What ``SeedSequence(seed).generate_state(4, np.uint64)`` gives, already computed.
+
+        That is all ``PCG64`` asks of a seed sequence. It reads the raw data
+        of the array it gets, so ``state`` is one C-contiguous row of
+        ``_seed_states``.
+        """
+
+        __slots__ = ("state",)
+
+        def __init__(self, state: np.ndarray) -> None:
+            self.state = state
+
+        def generate_state(self, n_words: int, dtype: type = np.uint32) -> np.ndarray:
+            return self.state
+
+    return _SeedState
+
+
+def _hash_constants(start: int, mult: int, calls: int) -> np.ndarray:
+    """Column (calls + 1, 1) of a hash constant: ``start``, times ``mult`` mod 2^32 per call."""
+    consts = [start]
+    for _ in range(calls):
+        consts.append(consts[-1] * mult % 2**32)
+    return np.array(consts, dtype=np.uint32)[:, None]
+
+
+_MIX_HASH = _hash_constants(0x43B0D7E5, 0x931E8875, 16)  # the pool's 16 hashmix calls
+_STATE_HASH = _hash_constants(0x8B51F9DD, 0x58F38DED, 8)  # the state's 8 words
+
+
+def _hashmix(v: np.ndarray, calls: slice) -> np.ndarray:
+    """SeedSequence's hashmix as its ``calls`` apply it, one call per row of the result.
+
+    The hash constant h that each call reads and multiplies carries across
+    calls, but depends on no data: call c reads ``_MIX_HASH[c]``.
+    """
+    v = (v ^ _MIX_HASH[calls]) * _MIX_HASH[calls.start + 1:calls.stop + 1]
+    return v ^ v >> 16
+
+
+def _seed_states(seed: int, count: int) -> np.ndarray:
+    """``SeedSequence(seed + k).generate_state(4, np.uint64)`` for k < count, as rows (count, 4).
+
+    numpy's SeedSequence hashes a seed's little-endian 32-bit words into a
+    pool of 4 words, and the pool into the state that ``PCG64`` reads. This
+    runs that hash on every seed of the stack at once, in uint32 arrays,
+    whose arithmetic wraps mod 2^32 (numpy scalars would warn). The seeds
+    must lie below 2^128: the pool reads a missing word as 0, and a fifth
+    word would be mixed in after it. Each seed's upper three words are
+    those of seed >> 32 or of the next integer, as count < 2^32.
+
+    - pool word i is hashmix(word i); then, for src = 0..3, every other pool
+      word dst becomes mix(pool[dst], hashmix(pool[src])), where mix(x, y)
+      is r ^ r >> 16 for r = 0xca01f9dd x - 0x4973f715 y. Those three
+      updates read pool[src] alone, so each round is one array step;
+    - state word i, for i = 0..7, is pool[i % 4] hashed by the state's own
+      constants, and word pairs, low word first, make the 4 uint64.
+    """
+    low = np.arange(count, dtype=np.uint64) + seed % 2**32
+    upper = np.array([[h >> shift & 0xFFFFFFFF for shift in (0, 32, 64)]
+                      for h in (seed >> 32, (seed >> 32) + 1)], dtype=np.uint32)
+    entropy = np.concatenate([low.astype(np.uint32)[None], upper[low >> 32].T])  # (4, count)
+    pool = _hashmix(entropy, slice(0, 4))
+    for src in range(4):
+        dst = [i for i in range(4) if i != src]
+        hashed = _hashmix(pool[src], slice(4 + 3 * src, 7 + 3 * src))
+        mixed = pool[dst] * 0xCA01F9DD - hashed * 0x4973F715
+        pool[dst] = mixed ^ mixed >> 16
+    words = (pool[[0, 1, 2, 3] * 2] ^ _STATE_HASH[:-1]) * _STATE_HASH[1:]
+    words ^= words >> 16
+    states = np.left_shift(words[1::2].T, 32, dtype=np.uint64)
+    states |= words[0::2].T
+    return np.ascontiguousarray(states)

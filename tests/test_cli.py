@@ -521,7 +521,7 @@ class TestEmitFigureCommand:
 
     @pytest.mark.parametrize("grid", [2, 3, 21, 101])
     def test_fig6_stacks_match_one_build_per_point(self, tmp_path, grid):
-        # fig6 builds its grid, and the sweep each d's grid, as one stack; one
+        # fig6 builds its grid, and the sweep each d's grid, in stacks; one
         # process per point, in grid order, is the oracle, byte for byte.
         ps = [j / (grid - 1) for j in range(grid)]
         out = tmp_path / "fig6.csv"
@@ -555,6 +555,50 @@ class TestEmitFigureCommand:
         for grid in ("3", "21"):
             assert main(command + ["--grid", grid, "--out", str(tmp_path / "out.csv")]) == 0
         assert seen == []
+
+    @pytest.mark.parametrize("command, dims", [
+        (["emit-figure", "--figure", "fig6"], [2]),
+        (["emit-figure", "--figure", "fig2", "--d", "2,3,4"], [2, 3, 4]),
+        (["sweep-depolarizing", "--d", "2,3,4"], [2, 3, 4]),
+    ])
+    def test_grid_is_split_by_the_stack_budget(self, tmp_path, monkeypatch, command, dims):
+        # Each grid runs in the fewest near-equal stacks of at most
+        # ``_stack_size`` points, and its CSV is that of one stack per grid.
+        stacks = []
+        build_stack = proctensor.cli.build_stack
+
+        def recording(unitaries, env, tol_causal=DEFAULT_TOL.causal):
+            stacks.append((unitaries.shape[1], len(env)))
+            return build_stack(unitaries, env, tol_causal)
+
+        monkeypatch.setattr(proctensor.cli, "build_stack", recording)
+        split, whole = tmp_path / "split.csv", tmp_path / "whole.csv"
+        assert main(command + ["--grid", "2001", "--out", str(split)]) == 0
+        n = 2 if "fig6" in command else 1
+        for d in dims:
+            size = proctensor.processes._stack_size(n, d, 2 * d)
+            grid = [stacks.pop(0) for _ in range(-(-2001 // size))]
+            assert len(grid) > 1 and {steps for steps, _ in grid} == {n}
+            points = [count for _, count in grid]
+            assert sum(points) == 2001 and max(points) <= size and max(points) - min(points) <= 1
+        assert stacks == []
+        monkeypatch.setattr(proctensor.processes, "_STACK_BYTES", 10**12)
+        assert main(command + ["--grid", "2001", "--out", str(whole)]) == 0
+        assert stacks == [(n, 2001)] * len(dims)
+        assert split.read_bytes() == whole.read_bytes()
+
+    def test_grid_peak_memory_does_not_grow_with_the_grid(self, tmp_path):
+        # One stack of 2001 points at d = 4 held 138 MB (tracemalloc); the budget's
+        # stacks hold 2 MB, beside the grid's reports and rows.
+        out = tmp_path / "sweep.csv"
+        main(["sweep-depolarizing", "--d", "4", "--grid", "3", "--out", str(out)])  # imports
+        tracemalloc.start()
+        try:
+            assert main(["sweep-depolarizing", "--d", "4", "--grid", "2001", "--out", str(out)]) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
     def test_fig2_delegates(self, tmp_path):
         out, sweep = tmp_path / "fig2.csv", tmp_path / "sweep.csv"
@@ -732,7 +776,7 @@ class TestAuditRandomCommand:
 
     def test_default_audit_runs_in_the_fewest_near_equal_stacks(self, tmp_path, monkeypatch):
         # n = 3, d = 2, d_env = 4 stacks hold at most 34 samples
-        assert proctensor.processes._stack_size(RandomSpec(3, 2, 4, 0)) == 34
+        assert proctensor.processes._stack_size(3, 2, 4) == 34
         sizes = self.stack_sizes(monkeypatch)
         out = tmp_path / "audit.txt"
         assert main(["audit-random", "--n", "3", "--samples", "100", "--out", str(out)]) == 0

@@ -713,7 +713,7 @@ class TestRandomProcesses:
         # only a single sample may exceed it alone.
         for n, d, d_env in itertools.product((1, 2, 3, 5, 8), (2, 3), (1, 2, 4, 8)):
             spec = RandomSpec(n=n, d=d, d_env=d_env, seed=11, env_init=env_init)
-            size = proctensor.processes._stack_size(spec)
+            size = proctensor.processes._stack_size(n, d, d_env)
             list(random_processes(spec, 1))  # lazy imports and first-call set-up
             tracemalloc.start()
             try:
@@ -723,6 +723,60 @@ class TestRandomProcesses:
                 tracemalloc.stop()
             assert len(reports) == size
             assert peak <= _STACK_BYTES or size == 1, (n, d, d_env, size, peak)
+
+
+# Seeds that start a stack: 0..2000, 50 either side of each 32-bit word boundary up to 2^128,
+# and one with a fifth word. A stack of 100 then reaches 99 past each.
+STACK_STARTS = [
+    *range(2001),
+    *(start for w in (1, 2, 3, 4) for start in range(2 ** (32 * w) - 50, 2 ** (32 * w) + 51)),
+    2**130,
+]
+
+
+class TestSeededGenerators:
+    """One ``_seed_states`` pass per stack seeds its generators; ``default_rng`` per seed is the oracle."""
+
+    @pytest.fixture(scope="class")
+    def oracle(self):
+        """Per seed, ``default_rng(seed)``'s state and its first 64 standard normals."""
+        seeds = {start + k for start in STACK_STARTS for k in range(100)}
+        table = {}
+        for seed in seeds:
+            rng = np.random.default_rng(seed)
+            table[seed] = rng.bit_generator.state, rng.standard_normal(64)
+        return table
+
+    @pytest.mark.parametrize("count", [1, 7, 8, 9, 34, 100])
+    def test_states_and_draws_equal_default_rng(self, oracle, count):
+        for start in STACK_STARTS:
+            rngs = proctensor.processes._generators(start, count)
+            assert len(rngs) == count
+            for k, rng in enumerate(rngs):
+                state, draws = oracle[start + k]
+                assert rng.bit_generator.state == state, (start, k)
+                assert np.array_equal(rng.standard_normal(64), draws), (start, k)
+
+    @pytest.mark.parametrize("start, count, calls", [
+        (0, 1, 1), (0, 7, 7), (2**32 - 3, 7, 7), (2**128 - 7, 7, 7),
+        (0, 8, 0), (5, 9, 0), (2**32 - 20, 34, 0), (2**64 - 5, 100, 0), (2**128 - 8, 8, 0),
+        (2**128 - 7, 8, 8), (2**128 - 50, 100, 100), (2**130, 34, 34),
+    ])
+    def test_route_by_stack_size_and_seed(self, monkeypatch, start, count, calls):
+        # Stacks of 8 or more seeds below 2^128 take one pass; any other takes
+        # default_rng per seed.
+        made = []
+        default_rng = np.random.default_rng
+
+        def counting(seed):
+            made.append(seed)
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        spec = RandomSpec(n=1, d=2, d_env=2, seed=start, env_init="seeded-random")
+        env, _ = proctensor.processes._random_circuits(spec, count)
+        assert len(env) == count
+        assert made == list(range(start, start + calls))
 
 
 def leak_named(residuals):
@@ -944,13 +998,16 @@ class TestStackEnvironments:
 
     @pytest.mark.parametrize("env_init", ENV_INITS)
     def test_random_process_is_sample_k_bit_for_bit(self, env_init):
-        spec = RandomSpec(n=3, d=2, d_env=3, seed=60, env_init=env_init)
-        ((transfer, reports),) = random_processes(spec, 7)
-        for k, report in enumerate(reports):
-            alone = random_process(dataclasses.replace(spec, seed=60 + k))
-            assert report == alone.causality
-            for name in ("steps", "outputs", "entropy"):
-                assert np.array_equal(getattr(transfer, name)[k], getattr(alone.transfer, name)[0])
+        # Stacks below and above ``_SEEDED_STACK``, and across 2^32 and 2^64.
+        for seed, count in itertools.product((60, 2**32 - 4, 2**64 - 5), (7, 9)):
+            spec = RandomSpec(n=3, d=2, d_env=3, seed=seed, env_init=env_init)
+            ((transfer, reports),) = random_processes(spec, count)
+            assert len(reports) == count
+            for k, report in enumerate(reports):
+                alone = random_process(dataclasses.replace(spec, seed=seed + k))
+                assert report == alone.causality
+                for name in ("steps", "outputs", "entropy"):
+                    assert np.array_equal(getattr(transfer, name)[k], getattr(alone.transfer, name)[0])
 
     @pytest.mark.parametrize("env_init", ENV_INITS)
     def test_random_processes_form_no_state(self, monkeypatch, env_init):
