@@ -29,7 +29,6 @@ from .metrics import (
 )
 from .processes import (
     CausalityError,
-    CausalityReport,
     RandomSpec,
     build_stack,
     fredkin_factors,
@@ -72,42 +71,41 @@ def _grid(points: int) -> list[float]:
     return [j / (points - 1) for j in range(points)]
 
 
-def _fredkin_stack(
-    grid: list[float], n: int, d: int
-) -> tuple[list[CausalityReport], tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Reports and ``transfer_quantities`` of n Fredkin steps at each p of ``grid``, in stacks.
+def _fredkin_stack(grid: list[float], n: int, d: int) -> tuple[np.ndarray, ...]:
+    """Causality residuals and ``transfer_quantities`` of n Fredkin steps at each p of ``grid``.
 
     Point p is ``fredkin_dilation(p, d)`` at n = 1 and ``nm_depolarizing_spec(p)``
     at n = 2, d = 2. The grid is built in ``stack_slices``, one ``build_stack``
     call each on its own factors, so its peak memory does not grow with the
     grid; each point's values are those of a stack of the whole grid, bit for bit.
+    Returns the residuals (points, n), then the step values, ``total`` and N.
     """
     u = fredkin_unitary(d)
-    reports, quantities = [], []
+    stacks = []
     for part in stack_slices(len(grid), n, d, 2 * d):
         factors = fredkin_factors(grid[part], d)
-        transfer, stack = build_stack(np.broadcast_to(u, (len(factors), n, *u.shape)), factors)
-        reports += stack
-        quantities.append(transfer_quantities(transfer))
-    return reports, tuple(np.concatenate(q) for q in zip(*quantities))
+        unitaries = np.broadcast_to(u, (len(factors), n, *u.shape))
+        transfer, residuals, _ = build_stack(unitaries, factors)
+        stacks.append((residuals, *transfer_quantities(transfer)))
+    return tuple(np.concatenate(column) for column in zip(*stacks))
 
 
-def _violated(points: list[str], reports: list[CausalityReport]) -> bool:
-    """Whether a report fails, judged in grid order; names the first failing point on stderr."""
-    for point, report in zip(points, reports):
-        if not report.passed:
-            print(f"error: causality hierarchy violated at {point}: worst residual "
-                  f"{report.worst:.3e} > {report.tol:.1e}", file=sys.stderr)
-            return True
-    return False
+def _violated(points: list[str], residuals: np.ndarray) -> bool:
+    """Whether a row of ``residuals`` fails ``DEFAULT_TOL.causal``; names the first on stderr."""
+    failed = np.flatnonzero(~(residuals <= DEFAULT_TOL.causal).all(axis=1))
+    if len(failed):
+        k = failed[0]
+        print(f"error: causality hierarchy violated at {points[k]}: worst residual "
+              f"{residuals[k].max():.3e} > {DEFAULT_TOL.causal:.1e}", file=sys.stderr)
+    return bool(len(failed))
 
 
 def cmd_sweep_depolarizing(args: argparse.Namespace) -> int:
     grid, rows = _grid(args.grid), []
     for d in args.d:
         # The one-step Fredkin dilation is the depolarizing channel; M is its step value.
-        reports, (step, _, _) = _fredkin_stack(grid, 1, d)
-        if _violated([f"d = {d}, p = {p}" for p in grid], reports):
+        residuals, step, _, _ = _fredkin_stack(grid, 1, d)
+        if _violated([f"d = {d}, p = {p}" for p in grid], residuals):
             return EXIT_VIOLATION
         rows += [(float(d), p, m) for p, m in zip(grid, step[:, 0].tolist())]
     _write_lines(args.out, io.csv_lines(("d", "p", "M_nats"), rows))
@@ -121,8 +119,8 @@ def cmd_emit_figure(args: argparse.Namespace) -> int:
         print("error: --figure fig6 is a qubit circuit and takes no --d but 2", file=sys.stderr)
         return EXIT_USAGE
     grid = _grid(args.grid)
-    reports, (step, total, non_markov) = _fredkin_stack(grid, 2, 2)
-    if _violated([f"p = {p}" for p in grid], reports):
+    residuals, step, total, non_markov = _fredkin_stack(grid, 2, 2)
+    if _violated([f"p = {p}" for p in grid], residuals):
         return EXIT_VIOLATION
     values = np.column_stack([step, non_markov, total]).tolist()  # M1, M2, N, I
     rows = [(p, *row) for p, row in zip(grid, values)]
@@ -160,16 +158,13 @@ def cmd_audit_random(args: argparse.Namespace) -> int:
     column_minima = math.inf  # per column of ``bound_slacks``, over every audited sample
     violations = 0
     spec = RandomSpec(n=args.n, d=args.d, d_env=args.denv, seed=args.seed)
-    for transfer, causalities in random_processes(spec, args.samples):
-        worst_causality = max(worst_causality, *(c.worst for c in causalities))
+    for transfer, residuals, _ in random_processes(spec, args.samples):
+        worst_causality = max(worst_causality, residuals.max())
         # A sample that fails the hierarchy is a violation and is not audited.
-        failed = [k for k, c in enumerate(causalities) if not c.passed]
-        quantities = transfer_quantities(transfer)
-        if failed:
-            quantities = [np.delete(q, failed, axis=0) for q in quantities]
-        slacks = bound_slacks(*quantities, spec.d)
+        passed = (residuals <= DEFAULT_TOL.causal).all(axis=1)
+        slacks = bound_slacks(*(q[passed] for q in transfer_quantities(transfer)), spec.d)
         column_minima = np.minimum(column_minima, slacks.min(axis=0, initial=math.inf))
-        violations += len(failed) + len(slacks) - np.count_nonzero(bounds_hold(slacks, args.tol))
+        violations += len(passed) - np.count_nonzero(bounds_hold(slacks, args.tol))
     min_slacks = np.minimum.reduceat(column_minima, slack_starts(spec.n)).tolist()
     elapsed = time.monotonic() - t0
     lines = [

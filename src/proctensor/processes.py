@@ -32,10 +32,14 @@ from .linalg import (
 
 @dataclass(frozen=True)
 class CausalityReport:
-    """Per-level residuals of the trace-condition hierarchy, judged at ``tol``.
+    """One process's per-level residuals of the trace-condition hierarchy, judged at ``tol``.
 
     ``bounds`` marks residuals that are upper bounds on the generic ones.
-    ``dataclasses.replace(report, tol=...)`` re-judges the same residuals.
+    ``dataclasses.replace(report, tol=...)`` re-judges the same residuals;
+    exact ones (``bounds`` false) as the hierarchy would at that ``tol``.
+    Bounds re-judged at a lower ``tol`` can fail where the exact hierarchy
+    passes, so a spec-built process is built at the tolerance it needs.
+    A stack of circuits keeps its verdicts as arrays (``build_stack``).
     """
 
     residuals: tuple[float, ...]  # level j = residuals[j-1], j = 1..n
@@ -256,10 +260,11 @@ def build_from_circuit(
     build as they are, and no check runs twice.
     """
     env = spec.env_state
-    transfer, (report,) = _build_stack(
+    transfer, residuals, certified = _build_stack(
         np.array([spec.unitaries]), spec._residuals, env.factor[None], np.array([env.trace]),
         tol_causal,
     )
+    report = CausalityReport(tuple(residuals[0].tolist()), tol_causal, bounds=bool(certified[0]))
     return ProcessTensor(spec.n, spec.d, _passed(report), spec, transfer)
 
 
@@ -267,7 +272,7 @@ def build_stack(
     unitaries: np.ndarray,
     env: np.ndarray,
     tol_causal: float = DEFAULT_TOL.causal,
-) -> tuple[Transfer, list[CausalityReport]]:
+) -> tuple[Transfer, np.ndarray, np.ndarray]:
     """Transfer and causality of a stack of S circuits, each check run once on the stack.
 
     ``unitaries`` is (S, n, D, D) with D = d d_env, and ``env`` the factors
@@ -293,8 +298,13 @@ def build_stack(
       transfer (``_transfer``), which then decides. No circuit is simulated
       twice, and no Choi state is formed.
 
-    Returns the stacked ``Transfer`` and, per sample in stack order, its
-    causality report at ``tol_causal``, failed ones included.
+    Returns the stacked ``Transfer``, the hierarchy residuals (S, n) of
+    levels 1..n and the mask ``certified`` (S,). Row k holds sample k's
+    certificate bounds where ``certified[k]``, its exact residuals
+    elsewhere, the residuals of the report that ``build_from_circuit``
+    gives it alone. Rows are judged at the ``tol_causal`` the stack was
+    built at: sample k passes where every entry of row k is at most it (a
+    NaN fails); a failed sample raises nothing here.
     """
     env = np.ascontiguousarray(env, dtype=complex)  # a broadcast factor is copied row-major
     dim = unitaries.shape[-1]
@@ -316,17 +326,13 @@ def _build_stack(
     env: np.ndarray,
     traces: np.ndarray,
     tol_causal: float,
-) -> tuple[Transfer, list[CausalityReport]]:
+) -> tuple[Transfer, np.ndarray, np.ndarray]:
     """``build_stack`` past its checks, on the ``residuals`` (S, n) and ``traces`` (S,) they read."""
-    upper = _unitarity_certificate(residuals, traces)
-    certified = upper.max(axis=1) + _ROUNDING <= tol_causal
+    rows = _unitarity_certificate(residuals, traces)
+    certified = rows.max(axis=1) + _ROUNDING <= tol_causal
     transfer, exact = _transfer(unitaries, env, ~certified)
-    exact = iter(exact)
-    return transfer, [
-        CausalityReport(tuple(row), tol_causal, bounds=True) if ok
-        else CausalityReport(tuple(next(exact)), tol_causal)
-        for ok, row in zip(certified, upper.tolist())
-    ]
+    rows[~certified] = exact
+    return transfer, rows, certified
 
 
 def _check_unitarity(residuals: np.ndarray) -> None:
@@ -362,7 +368,7 @@ def _circuit_state(
 
 def _transfer(
     unitaries: np.ndarray, env: np.ndarray, exact: np.ndarray
-) -> tuple[Transfer, list[list[float]]]:
+) -> tuple[Transfer, np.ndarray]:
     """Step marginals, S(P_n) and exact hierarchy residuals of a circuit stack.
 
     ``unitaries`` is (S, n, d d_env, d d_env), ``env`` the environments'
@@ -370,8 +376,8 @@ def _transfer(
     whose hierarchy residuals are wanted. The first circuit in stack order
     whose final trace fails validation raises ``_circuit_state``'s
     ``NotAStateError``, which names its leakiest unitary; only then are the
-    residuals formed, one list of levels 1..n per masked sample in stack
-    order.
+    residuals formed, as one array (m, n): levels 1..n of each of the m
+    masked samples, in stack order.
 
     Per circuit, rho_j is the state of environment E (x) ancilla R once the
     slots of the first j steps are traced out; rho_0 is the pure state of
@@ -456,8 +462,8 @@ def _transfer(
     bad = ~(np.abs(traces - 1.0) <= DEFAULT_TOL.tr)  # catches NaN too
     for k in np.flatnonzero(bad):
         _circuit_state(unitaries[k], (de, r), fac[k])  # raises the leak message
-    residuals = [_level_residuals((lv[m].reshape(-1, de * r) for lv in levels), d)
-                 for m in range(len(picked))]
+    residuals = np.array([_level_residuals((lv[m].reshape(-1, de * r) for lv in levels), d)
+                          for m in range(len(picked))]).reshape(len(picked), n)
     entropy = factor_entropies(fac)  # on the narrower Gram side of rho_n's factor
     del fac
     ws = (weighed @ np.stack(sigmas, axis=1)).reshape(s, n, d * d, -1)  # W sigma: columns (E', E)
@@ -730,7 +736,8 @@ def random_process(spec: RandomSpec) -> ProcessTensor:
 # numpy's own buffers. In time, on one core of an Intel Xeon, a stack of 8 to 34 n = 3 samples
 # (draw, build and audit) costs about 0.59 ms plus 0.09 ms per sample, and per sample it gains
 # nothing beyond about 34 samples, while its memory grows; so the budget gives 34 samples
-# (2 MB) at n = 3, d = 2, d_env = 4, and a peak memory that does not grow with the count.
+# (2 MB) at n = 3, d = 2, d_env = 4. ``stack_slices`` plans the stacks one at a time, so the
+# peak memory does not grow with the count, also before the first stack is drawn.
 _STACK_BYTES = 2_190_000
 _STACK_FIXED = 160_000
 
@@ -749,9 +756,9 @@ def _sample_bytes(n: int, d: int, d_env: int) -> int:
     unitaries, their Kraus copy, W, W sigma and the n effects and sigmas of
     side d_env; these fill at most half of the fifth, whose other half
     covers the sample's row of the environment factors, at most d_env^2
-    entries. The step marginals are n d^4 entries, the reports' residuals
-    as Python floats 4 n more, and 6 kB cover the sample's Python objects:
-    its generator and its report. A sample that the certificate
+    entries. The step marginals are n d^4 entries, the sample's rows of the
+    certificate's arrays and of the returned residuals 4 n more, and 6 kB
+    cover its Python objects: its generator. A sample that the certificate
     leaves undecided also keeps its n level factors for the exact
     hierarchy, which this does not count.
     """
@@ -765,28 +772,31 @@ def _stack_size(n: int, d: int, d_env: int) -> int:
     return max(1, (_STACK_BYTES - _STACK_FIXED) // _sample_bytes(n, d, d_env))
 
 
-def stack_slices(count: int, n: int, d: int, d_env: int) -> list[slice]:
+def stack_slices(count: int, n: int, d: int, d_env: int) -> Iterator[slice]:
     """The fewest stacks of at most ``_stack_size(n, d, d_env)`` that cover ``count`` samples.
 
     Stacks of circuits of n steps on d-dimensional slots and a d_env-sided
     environment, in order, as slices of the samples; their sizes differ by
     at most one, so a peak memory set by ``_sample_bytes`` does not grow
-    with the count.
+    with the count. The slices are made as they are read, so planning them
+    holds no memory that grows with the count either.
     """
     stacks = -(-count // _stack_size(n, d, d_env))
-    return [slice(k * count // stacks, (k + 1) * count // stacks) for k in range(stacks)]
+    return (slice(k * count // stacks, (k + 1) * count // stacks) for k in range(stacks))
 
 
 def random_processes(
     spec: RandomSpec, count: int, tol_causal: float = DEFAULT_TOL.causal
-) -> Iterator[tuple[Transfer, list[CausalityReport]]]:
+) -> Iterator[tuple[Transfer, np.ndarray, np.ndarray]]:
     """``random_process`` for the seeds spec.seed, ..., spec.seed + count - 1, built in stacks.
 
-    Yields, per stack of consecutive seeds, ``build_stack``'s stacked
-    ``Transfer`` and, per sample in seed order, its causality report, on
-    which ``build_from_circuit`` would raise where it failed. The stacks
-    are ``stack_slices``: the fewest of at most ``_stack_size`` samples,
-    their sizes differing by at most one. Sample k is the circuit of
+    Yields, per stack of consecutive seeds, what ``build_stack`` returns:
+    the stacked ``Transfer``, the hierarchy residuals (S, n) in seed order
+    and the mask (S,) of rows that hold certificate bounds. The rows are
+    judged at ``tol_causal``; ``build_from_circuit`` would raise for a
+    sample whose row fails it. The stacks are ``stack_slices``, planned
+    one at a time: the fewest of at most ``_stack_size`` samples, their
+    sizes differing by at most one. Sample k is the circuit of
     ``random_process`` for seed spec.seed + k, bit for bit
     (``_random_circuits``), so the first sample in seed order that fails a
     check raises the single-process error.

@@ -644,16 +644,17 @@ class TestEmitFigureCommand:
         assert not out.exists()
 
     def test_fig6_names_the_first_failing_point_in_grid_order(self, tmp_path, monkeypatch, capsys):
-        # p = 0.5 and p = 1.0 both fail; the reports are judged in grid order,
+        # p = 0.5 and p = 1.0 both fail; the rows are judged in grid order,
         # so the smaller p is the one named.
         build_stack = proctensor.cli.build_stack
 
         def failing_at_half_and_one(unitaries, env, tol_causal=DEFAULT_TOL.causal):
-            transfer, reports = build_stack(unitaries, env, tol_causal)
+            transfer, residuals, certified = build_stack(unitaries, env, tol_causal)
             # the control's p, read from F F^dag of each environment's factor
-            fail = [np.isclose(2.0 * (f @ f.conj().T)[2, 2].real, (0.5, 1.0)).any() for f in env]
-            return transfer, [dataclasses.replace(r, tol=-1.0) if f else r
-                              for f, r in zip(fail, reports)]
+            fail = np.array([np.isclose(2.0 * (f @ f.conj().T)[2, 2].real, (0.5, 1.0)).any()
+                             for f in env])
+            residuals[fail, -1] = 2.0 * tol_causal  # one level above the tolerance
+            return transfer, residuals, certified & ~fail
 
         monkeypatch.setattr(proctensor.cli, "build_stack", failing_at_half_and_one)
         out = tmp_path / "fig6.csv"
@@ -1158,10 +1159,13 @@ class TestVerifyOnce:
             kernel.append(d)
             return real_levels(levels, d)
 
-        # at tolerance 0 both the certificate and the exact hierarchy fail
+        # at tolerance 0 both the certificate and the exact hierarchy fail;
+        # the rows are judged at the tolerance their stacks were built at
         monkeypatch.setattr(
             proctensor.cli, "random_processes", lambda spec, count: real_engine(spec, count, 0.0)
         )
+        at_zero = dataclasses.replace(DEFAULT_TOL, causal=0.0)
+        monkeypatch.setattr(proctensor.cli, "DEFAULT_TOL", at_zero)
         monkeypatch.setattr(proctensor.processes, "_level_residuals", counting_levels)
         out = tmp_path / "audit.txt"
         assert main(["audit-random", "--n", "2", "--samples", "3", "--out", str(out)]) == 1

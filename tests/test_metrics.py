@@ -239,7 +239,7 @@ class TestTransferReport:
             leaks = 10.0 ** rng.uniform(-11, -10, n)
             us = tuple(leaky_unitary(u, leak, rng) for u, leak in zip(spec.unitaries, leaks))
             specs.append(dataclasses.replace(spec, unitaries=us))
-        transfer, _ = proctensor.processes.build_stack(
+        transfer, _, _ = proctensor.processes.build_stack(
             np.array([s.unitaries for s in specs]), np.array([s.env_state.factor for s in specs]),
             1.0)
         for k, spec in enumerate(specs):
@@ -278,7 +278,7 @@ class TestTransferReport:
 def stack_rows(spec: RandomSpec, count: int) -> list[tuple[tuple[float, ...], float, float]]:
     """Per sample of ``random_processes(spec, count)``: its step values, ``total`` and N."""
     rows = []
-    for transfer, _ in random_processes(spec, count):
+    for transfer, _, _ in random_processes(spec, count):
         step, total, non_markov = (q.tolist() for q in transfer_quantities(transfer))
         rows += zip(map(tuple, step), total, non_markov)
     return rows

@@ -39,6 +39,7 @@ from proctensor import (
     verify_causality,
 )
 
+from proctensor.config import DEFAULT_TOL
 from proctensor.io import save_choi
 from proctensor.linalg import unitarity_residual
 from proctensor.processes import _STACK_BYTES, random_env, random_processes
@@ -669,7 +670,9 @@ class TestRandomProcesses:
     @pytest.mark.parametrize("env_init", ["maximally-mixed", "pure-ground", "seeded-random"])
     def test_causality_matches_one_build_per_seed(self, env_init):
         spec = RandomSpec(n=3, d=2, d_env=3, seed=40, env_init=env_init)
-        outcomes = [c for _, stack in random_processes(spec, 20) for c in stack]
+        outcomes = [report_of(residuals, certified, k, DEFAULT_TOL.causal)
+                    for _, residuals, certified in random_processes(spec, 20)
+                    for k in range(len(residuals))]
         assert len(outcomes) == 20
         for k, report in enumerate(outcomes):
             alone = random_process(RandomSpec(3, 2, 3, 40 + k, env_init)).causality
@@ -717,12 +720,39 @@ class TestRandomProcesses:
             list(random_processes(spec, 1))  # lazy imports and first-call set-up
             tracemalloc.start()
             try:
-                ((_, reports),) = random_processes(spec, size)
+                ((_, residuals, _),) = random_processes(spec, size)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert len(reports) == size
+            assert len(residuals) == size
             assert peak <= _STACK_BYTES or size == 1, (n, d, d_env, size, peak)
+
+    @pytest.mark.parametrize("n, d, d_env", [(3, 2, 4), (1, 2, 1), (2, 2, 4), (8, 2, 8), (5, 3, 8)])
+    def test_stack_slices_are_the_fewest_near_equal_stacks(self, n, d, d_env):
+        # Made as they are read, the slices are those of the list once planned up front.
+        size = proctensor.processes._stack_size(n, d, d_env)
+        for count in [*range(1, 301), *([10**6 + 1] if size > 1 else [])]:
+            stacks = -(-count // size)
+            planned = [slice(k * count // stacks, (k + 1) * count // stacks) for k in range(stacks)]
+            slices = proctensor.processes.stack_slices(count, n, d, d_env)
+            assert not isinstance(slices, list)
+            assert list(slices) == planned
+
+    def test_first_stack_of_a_huge_count_holds_no_plan(self):
+        # Planning 3e7 samples as a list of slices traced about 115 MB before
+        # the first stack was drawn; the first stack alone fits ``_STACK_BYTES``.
+        spec = RandomSpec(n=3, d=2, d_env=4, seed=0)
+        list(random_processes(spec, 1))  # lazy imports and first-call set-up
+        tracemalloc.start()
+        try:
+            stacks = random_processes(spec, 3 * 10**7)
+            _, residuals, _ = next(stacks)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stacks.close()
+        assert residuals.shape == (33, 3)  # 3e7 samples in 882353 stacks of 33 or 34
+        assert peak < 4 * 2**20
 
 
 # Seeds that start a stack: 0..2000, 50 either side of each 32-bit word boundary up to 2^128,
@@ -790,6 +820,11 @@ def stack_of(specs):
     return np.array([s.unitaries for s in specs]), np.array([s.env_state.factor for s in specs])
 
 
+def report_of(residuals, certified, k, tol):
+    """Row k of a stack's verdict as the ``CausalityReport`` of sample k built alone at ``tol``."""
+    return CausalityReport(tuple(residuals[k].tolist()), tol, bounds=bool(certified[k]))
+
+
 class TestBuildStack:
     """Stacks of given circuits; ``build_from_circuit`` on each circuit alone is the oracle."""
 
@@ -811,10 +846,11 @@ class TestBuildStack:
     @pytest.mark.parametrize("tol", [0.0, 2e-11, 1e-9, 1.0])
     def test_outcomes_match_one_build_per_circuit(self, tol):
         specs = self.mixed_specs()
-        transfer, outcomes = proctensor.processes.build_stack(*stack_of(specs), tol)
-        assert len(outcomes) == len(specs)
+        transfer, residuals, certified = proctensor.processes.build_stack(*stack_of(specs), tol)
+        assert residuals.shape == (len(specs), 3) and certified.shape == (len(specs),)
         kinds = []
-        for k, (spec, outcome) in enumerate(zip(specs, outcomes)):
+        for k, spec in enumerate(specs):
+            outcome = report_of(residuals, certified, k, tol)
             try:
                 alone = build_from_circuit(spec, tol)
             except CausalityError as exc:
@@ -831,6 +867,27 @@ class TestBuildStack:
             assert kinds == ["certified", "generic", "certified", "failed", "certified"]
         if tol == 0.0:
             assert "certified" not in kinds
+
+    @pytest.mark.parametrize("env_init", ["maximally-mixed", "pure-ground", "seeded-random"])
+    @pytest.mark.parametrize("n", [1, 2, 5])
+    @pytest.mark.parametrize("tol", [0.0, 2e-11, 1e-9, 1.0])
+    def test_rows_are_each_circuits_verdict_bit_for_bit(self, env_init, n, tol):
+        # Haar circuits alternate with circuits leaking 3e-11 per step, whose
+        # certificates (2.4e-11 to 3.4e-10) leave them to the exact hierarchy
+        # at 2e-11, where two of them fail at n = 5.
+        specs = [seeded_circuit_spec(n, 2, 2, seed, env_init, leak=leak)
+                 for seed in range(4) for leak in (0.0, 3e-11)]
+        _, residuals, certified = proctensor.processes.build_stack(*stack_of(specs), tol)
+        assert residuals.shape == (8, n) and certified.dtype == bool
+        for k, spec in enumerate(specs):
+            try:
+                report = build_from_circuit(spec, tol).causality
+            except CausalityError as exc:
+                report = exc.report
+            assert residuals[k].tolist() == list(report.residuals)
+            assert bool(certified[k]) is report.bounds
+        expected = {0.0: [False] * 8, 2e-11: [True, False] * 4, 1e-9: [True] * 8, 1.0: [True] * 8}
+        assert certified.tolist() == expected[tol]
 
     def test_first_non_unitary_sample_raises_its_spec_error(self):
         specs = self.mixed_specs()
@@ -958,9 +1015,9 @@ class TestStackEnvironments:
         traces = recorded_traces(monkeypatch)
         for d_env in (1, 2, 3, 4, 8):
             spec = RandomSpec(n=2, d=2, d_env=d_env, seed=3, env_init=env_init)
-            ((_, reports),) = random_processes(spec, 9)
+            ((_, residuals, _),) = random_processes(spec, 9)
             got = traces.pop()
-            assert len(got) == len(reports) == 9
+            assert len(got) == len(residuals) == 9
             for k in range(9):
                 factor = random_env(np.random.default_rng(3 + k), d_env, env_init)
                 state = DensityMatrix(None, (d_env,), factor=factor)
@@ -1001,11 +1058,11 @@ class TestStackEnvironments:
         # Stacks below and above ``_SEEDED_STACK``, and across 2^32 and 2^64.
         for seed, count in itertools.product((60, 2**32 - 4, 2**64 - 5), (7, 9)):
             spec = RandomSpec(n=3, d=2, d_env=3, seed=seed, env_init=env_init)
-            ((transfer, reports),) = random_processes(spec, count)
-            assert len(reports) == count
-            for k, report in enumerate(reports):
+            ((transfer, residuals, certified),) = random_processes(spec, count)
+            assert residuals.shape == (count, 3) and certified.shape == (count,)
+            for k in range(count):
                 alone = random_process(dataclasses.replace(spec, seed=seed + k))
-                assert report == alone.causality
+                assert report_of(residuals, certified, k, DEFAULT_TOL.causal) == alone.causality
                 for name in ("steps", "outputs", "entropy"):
                     assert np.array_equal(getattr(transfer, name)[k], getattr(alone.transfer, name)[0])
 
@@ -1014,7 +1071,7 @@ class TestStackEnvironments:
         seen = count_states(monkeypatch)
         for count in (1, 40):
             spec = RandomSpec(n=3, d=2, d_env=4, seed=5, env_init=env_init)
-            assert sum(len(r) for _, r in random_processes(spec, count)) == count
+            assert sum(len(r) for _, r, _ in random_processes(spec, count)) == count
         assert seen == []
 
     def test_spec_build_checks_nothing_twice(self, monkeypatch):
@@ -1035,10 +1092,10 @@ class TestStackEnvironments:
             monkeypatch.setattr(proctensor.processes, name, counted(name))
         pt = build_from_circuit(spec)
         assert calls == []
-        _, (report,) = proctensor.processes.build_stack(
+        _, residuals, certified = proctensor.processes.build_stack(
             np.array([spec.unitaries]), spec.env_state.factor[None])
         assert calls == ["factor_traces", "unitarity_residual"]
-        assert report == pt.causality
+        assert report_of(residuals, certified, 0, DEFAULT_TOL.causal) == pt.causality
 
 
 class TestExactHierarchy:
@@ -1047,11 +1104,11 @@ class TestExactHierarchy:
     @staticmethod
     def exact(spec):
         # At tolerance 0 no certificate decides, so every residual is exact.
-        _, (report,) = proctensor.processes.build_stack(
+        _, residuals, certified = proctensor.processes.build_stack(
             np.array([spec.unitaries]), spec.env_state.factor[None], 0.0
         )
-        assert not report.bounds
-        return report
+        assert certified.tolist() == [False]
+        return tuple(residuals[0].tolist())
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -1071,7 +1128,7 @@ class TestExactHierarchy:
             dense = verify_causality(build_from_circuit(spec, 1.0).state, 0.0)
         except NotAStateError:
             assume(False)
-        for got, want in zip(self.exact(spec).residuals, dense.residuals, strict=True):
+        for got, want in zip(self.exact(spec), dense.residuals, strict=True):
             assert abs(got - want) <= 1e-15
 
     @pytest.mark.parametrize("n", [10, 100, 1000])
@@ -1080,10 +1137,11 @@ class TestExactHierarchy:
         # the certificate: its bounds hold level by level.
         for env_init in ("maximally-mixed", "pure-ground", "seeded-random"):
             spec = RandomSpec(n=n, d=2, d_env=4, seed=1, env_init=env_init)
-            ((_, (certificate,)),) = random_processes(spec, 1, 1.0)
-            ((_, (exact,)),) = random_processes(spec, 1, 0.0)
-            assert certificate.bounds and not exact.bounds
-            for c, e in zip(certificate.residuals, exact.residuals, strict=True):
+            ((_, certificate, certified),) = random_processes(spec, 1, 1.0)
+            ((_, exact, uncertified),) = random_processes(spec, 1, 0.0)
+            assert certified.tolist() == [True] and uncertified.tolist() == [False]
+            assert certificate.shape == exact.shape == (1, n)
+            for c, e in zip(certificate[0].tolist(), exact[0].tolist(), strict=True):
                 assert e <= c
 
     def test_swap_chain_is_causal_to_rounding_at_any_length(self):
@@ -1092,4 +1150,4 @@ class TestExactHierarchy:
             spec = CircuitProcessSpec(
                 n=n, d=2, env_state=maximally_mixed(2), unitaries=(swap_unitary(2),) * n
             )
-            assert self.exact(spec).worst <= 1e-14
+            assert max(self.exact(spec)) <= 1e-14

@@ -33,7 +33,7 @@ from proctensor.metrics import (
     slack_starts,
     transfer_quantities,
 )
-from proctensor.processes import RandomSpec, random_process, random_processes
+from proctensor.processes import CausalityReport, RandomSpec, random_process, random_processes
 
 
 @functools.cache
@@ -92,12 +92,16 @@ def row_slacks(row: list[float], n: int) -> dict[str, tuple[float, ...]]:
 
 
 def oracle_summary(spec: RandomSpec, samples: int, tol: float, stacks) -> tuple[int, str]:
-    """Exit status and summary of ``audit-random``, reduced sample by sample from scalar slacks."""
+    """Exit status and summary of ``audit-random``, reduced sample by sample from scalar slacks.
+
+    Each sample's causality row is judged in Python floats at the tolerance
+    its stack was built at, ``DEFAULT_TOL.causal``.
+    """
     worst, violations = 0.0, 0
     minima = dict.fromkeys(SLACK_NAMES, math.inf)
-    for k, causality in enumerate(c for _, causalities in stacks for c in causalities):
-        worst = max(worst, causality.worst)
-        if not causality.passed:
+    for k, row in enumerate(row for _, residuals, _ in stacks for row in residuals.tolist()):
+        worst = max(worst, max(row))
+        if not all(res <= DEFAULT_TOL.causal for res in row):
             violations += 1
             continue
         slacks = scalar_slacks(single_report(dataclasses.replace(spec, seed=spec.seed + k)))
@@ -131,7 +135,7 @@ class TestSlackKernel:
     )
     def test_stack_rows_equal_per_sample_audits(self, n, d, d_env, seed, count):
         spec = RandomSpec(n, d, d_env, seed)
-        ((transfer, _),) = random_processes(spec, count)
+        ((transfer, _, _),) = random_processes(spec, count)
         step, total, non_markov = transfer_quantities(transfer)
         slacks = bound_slacks(step, total, non_markov, d)
         assert slacks.shape == (count, slack_starts(n)[-1] + 1)
@@ -178,14 +182,19 @@ class TestEdgeStacks:
 
     @staticmethod
     def failing(fails):
-        """``random_processes`` whose reports fail for the sample indices that ``fails`` picks."""
+        """``random_processes`` whose rows fail for the sample indices that ``fails`` picks.
+
+        A failing row gets its last level at twice the tolerance, the others
+        as built, and is no longer marked certified.
+        """
 
         def engine(spec, count, tol_causal=DEFAULT_TOL.causal):
             start = 0
-            for transfer, causalities in random_processes(spec, count, tol_causal):
-                yield transfer, [dataclasses.replace(c, tol=-1.0) if fails(start + k) else c
-                                 for k, c in enumerate(causalities)]
-                start += len(causalities)
+            for transfer, residuals, certified in random_processes(spec, count, tol_causal):
+                failed = np.array([fails(start + k) for k in range(len(residuals))])
+                residuals[failed, -1] = 2.0 * tol_causal
+                yield transfer, residuals, certified & ~failed
+                start += len(residuals)
 
         return engine
 
@@ -215,7 +224,7 @@ class TestEdgeStacks:
 
 class TestNoPerSampleObjects:
     def test_audit_builds_no_report_or_audit(self, tmp_path, monkeypatch):
-        built = {BoundAudit: 0, CorrelationReport: 0}
+        built = {BoundAudit: 0, CorrelationReport: 0, CausalityReport: 0}
         for cls in built:
             init = cls.__init__
 
@@ -226,7 +235,7 @@ class TestNoPerSampleObjects:
             monkeypatch.setattr(cls, "__init__", counting)
         audit_bounds(proctensor.metrics.correlation_report(
             proctensor.processes.random_process(RandomSpec(3, 2, 4, 0))))
-        assert built == {BoundAudit: 1, CorrelationReport: 1}  # the counters count
+        assert built == {BoundAudit: 1, CorrelationReport: 1, CausalityReport: 1}  # they count
         out = tmp_path / "audit.txt"
         assert main(["audit-random", "--n", "3", "--samples", "100", "--out", str(out)]) == 0
-        assert built == {BoundAudit: 1, CorrelationReport: 1}
+        assert built == {BoundAudit: 1, CorrelationReport: 1, CausalityReport: 1}
