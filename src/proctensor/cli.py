@@ -31,6 +31,7 @@ from .processes import (
     CausalityError,
     RandomSpec,
     build_stack,
+    causality_holds,
     fredkin_factors,
     fredkin_unitary,
     random_processes,
@@ -90,12 +91,12 @@ def _fredkin_stack(grid: list[float], n: int, d: int) -> tuple[np.ndarray, ...]:
     return tuple(np.concatenate(column) for column in zip(*stacks))
 
 
-def _violated(points: list[str], residuals: np.ndarray) -> bool:
-    """Whether a row of ``residuals`` fails ``DEFAULT_TOL.causal``; names the first on stderr."""
-    failed = np.flatnonzero(~(residuals <= DEFAULT_TOL.causal).all(axis=1))
+def _violated(residuals: np.ndarray, grid: list[float], where: str = "") -> bool:
+    """Whether a row of ``residuals`` fails ``causality_holds``; names its first p on stderr."""
+    failed = np.flatnonzero(~causality_holds(residuals))
     if len(failed):
         k = failed[0]
-        print(f"error: causality hierarchy violated at {points[k]}: worst residual "
+        print(f"error: causality hierarchy violated at {where}p = {grid[k]}: worst residual "
               f"{residuals[k].max():.3e} > {DEFAULT_TOL.causal:.1e}", file=sys.stderr)
     return bool(len(failed))
 
@@ -105,7 +106,7 @@ def cmd_sweep_depolarizing(args: argparse.Namespace) -> int:
     for d in args.d:
         # The one-step Fredkin dilation is the depolarizing channel; M is its step value.
         residuals, step, _, _ = _fredkin_stack(grid, 1, d)
-        if _violated([f"d = {d}, p = {p}" for p in grid], residuals):
+        if _violated(residuals, grid, f"d = {d}, "):
             return EXIT_VIOLATION
         rows += [(float(d), p, m) for p, m in zip(grid, step[:, 0].tolist())]
     _write_lines(args.out, io.csv_lines(("d", "p", "M_nats"), rows))
@@ -120,7 +121,7 @@ def cmd_emit_figure(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     grid = _grid(args.grid)
     residuals, step, total, non_markov = _fredkin_stack(grid, 2, 2)
-    if _violated([f"p = {p}" for p in grid], residuals):
+    if _violated(residuals, grid):
         return EXIT_VIOLATION
     values = np.column_stack([step, non_markov, total]).tolist()  # M1, M2, N, I
     rows = [(p, *row) for p, row in zip(grid, values)]
@@ -161,7 +162,7 @@ def cmd_audit_random(args: argparse.Namespace) -> int:
     for transfer, residuals, _ in random_processes(spec, args.samples):
         worst_causality = max(worst_causality, residuals.max())
         # A sample that fails the hierarchy is a violation and is not audited.
-        passed = (residuals <= DEFAULT_TOL.causal).all(axis=1)
+        passed = causality_holds(residuals)
         slacks = bound_slacks(*(q[passed] for q in transfer_quantities(transfer)), spec.d)
         column_minima = np.minimum(column_minima, slacks.min(axis=0, initial=math.inf))
         violations += len(passed) - np.count_nonzero(bounds_hold(slacks, args.tol))

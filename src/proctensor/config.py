@@ -14,8 +14,8 @@ class Tolerances:
     dimensions. ``causal`` and ``xcheck`` are the defaults of the per-call
     overrides: ``tol_causal`` of ``build_from_circuit``,
     ``ProcessTensor.from_state`` and ``io.load_process``,
-    ``verify_causality(state, tol)``, ``audit_bounds(report, tol)`` and the
-    CLI's ``--tol``.
+    ``verify_causality(state, tol)``, ``causality_holds(residuals, tol)``,
+    ``audit_bounds(report, tol)`` and the CLI's ``--tol``.
     """
 
     herm: float = 1e-10     # Hermiticity residual

@@ -102,12 +102,12 @@ def load_process_spec(path: str | Path) -> CircuitProcessSpec:
         raise SpecFileError(f"field 'unitaries' must list exactly n = {n} matrices")
     us = tuple(pairs_to_complex(u, f"unitaries[{j}]") for j, u in enumerate(raw_us))
     try:
-        # The unitaries' side d * d_env is checked before a default environment
-        # of side d_env is built, so what a spec allocates is bounded by its file.
-        us = checked_unitaries(us, n, d * d_env)
         if env is None:
-            factor = random_env(np.random.default_rng(seed), d_env, env_init)
-            env = DensityMatrix(None, (d_env,), factor=factor)
+            # The unitaries' side d * d_env is checked before a default environment
+            # of side d_env is built, so what a spec allocates is bounded by its file.
+            us = checked_unitaries(us, n, d * d_env)
+            rng = np.random.default_rng(seed) if env_init == "seeded-random" else None
+            env = DensityMatrix(None, (d_env,), factor=random_env(rng, d_env, env_init))
         return CircuitProcessSpec(n=n, d=d, env_state=env, unitaries=us)
     except ValueError as exc:
         raise SpecFileError(f"field 'unitaries': {exc}") from exc

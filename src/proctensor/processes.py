@@ -53,13 +53,22 @@ class CausalityReport:
 
     @property
     def passed(self) -> bool:
-        """Whether every residual is at most ``tol``; a NaN fails."""
-        return all(res <= self.tol for res in self.residuals)
+        """Whether every residual is at most ``tol``; a NaN fails (``causality_holds``)."""
+        return bool(causality_holds(np.array(self.residuals), self.tol))
 
     @property
     def worst(self) -> float:
         """Largest residual."""
         return max(self.residuals)
+
+
+def causality_holds(residuals: np.ndarray, tol: float | None = None) -> np.ndarray:
+    """Per row of hierarchy residuals, whether every residual is at most ``tol``; a NaN fails.
+
+    ``tol`` defaults to ``DEFAULT_TOL.causal``, read at the call: the
+    tolerance a stack is built and judged at (``build_stack``).
+    """
+    return (residuals <= (DEFAULT_TOL.causal if tol is None else tol)).all(axis=-1)
 
 
 class CausalityError(ValueError):
@@ -268,11 +277,7 @@ def build_from_circuit(
     return ProcessTensor(spec.n, spec.d, _passed(report), spec, transfer)
 
 
-def build_stack(
-    unitaries: np.ndarray,
-    env: np.ndarray,
-    tol_causal: float = DEFAULT_TOL.causal,
-) -> tuple[Transfer, np.ndarray, np.ndarray]:
+def build_stack(unitaries: np.ndarray, env: np.ndarray) -> tuple[Transfer, np.ndarray, np.ndarray]:
     """Transfer and causality of a stack of S circuits, each check run once on the stack.
 
     ``unitaries`` is (S, n, D, D) with D = d d_env, and ``env`` the factors
@@ -293,7 +298,7 @@ def build_stack(
     - final traces (``_transfer``): a trace beyond ``DEFAULT_TOL.tr``
       raises ``NotAStateError`` naming the leakiest unitary;
     - certificate (``_unitarity_certificate``): its bounds decide a sample
-      only where they pass ``_ROUNDING`` or more below ``tol_causal``.
+      only where they pass ``_ROUNDING`` or more below ``DEFAULT_TOL.causal``.
       Every other sample gets the exact hierarchy, read from the same
       transfer (``_transfer``), which then decides. No circuit is simulated
       twice, and no Choi state is formed.
@@ -302,9 +307,8 @@ def build_stack(
     levels 1..n and the mask ``certified`` (S,). Row k holds sample k's
     certificate bounds where ``certified[k]``, its exact residuals
     elsewhere, the residuals of the report that ``build_from_circuit``
-    gives it alone. Rows are judged at the ``tol_causal`` the stack was
-    built at: sample k passes where every entry of row k is at most it (a
-    NaN fails); a failed sample raises nothing here.
+    gives it alone. Sample k passes where ``causality_holds`` holds for
+    row k; a failed sample raises nothing here.
     """
     env = np.ascontiguousarray(env, dtype=complex)  # a broadcast factor is copied row-major
     dim = unitaries.shape[-1]
@@ -317,7 +321,7 @@ def build_stack(
     traces = factor_traces(env)
     residuals = unitarity_residual(unitaries)
     _check_unitarity(residuals)
-    return _build_stack(unitaries, residuals, env, traces, tol_causal)
+    return _build_stack(unitaries, residuals, env, traces, DEFAULT_TOL.causal)
 
 
 def _build_stack(
@@ -329,7 +333,7 @@ def _build_stack(
 ) -> tuple[Transfer, np.ndarray, np.ndarray]:
     """``build_stack`` past its checks, on the ``residuals`` (S, n) and ``traces`` (S,) they read."""
     rows = _unitarity_certificate(residuals, traces)
-    certified = rows.max(axis=1) + _ROUNDING <= tol_causal
+    certified = causality_holds(rows + _ROUNDING, tol_causal)
     transfer, exact = _transfer(unitaries, env, ~certified)
     rows[~certified] = exact
     return transfer, rows, certified
@@ -698,13 +702,14 @@ def haar_unitary(dim: int, seed: int | np.random.Generator) -> np.ndarray:
     return _haar(rng.standard_normal((2, dim, dim)))
 
 
-def random_env(rng: np.random.Generator, d_env: int, env_init: EnvInit) -> np.ndarray:
+def random_env(rng: np.random.Generator | None, d_env: int, env_init: EnvInit) -> np.ndarray:
     """Factor (d_env, r) of the initial environment named by ``env_init``.
 
     ``maximally-mixed`` is I/sqrt(d_env) and ``pure-ground`` the column e_0;
-    neither reads ``rng``. ``seeded-random`` draws a complex Ginibre matrix g
-    from ``rng``, real parts first, and returns g / ||g||_F, a factor of
-    g g^dag / tr(g g^dag), with no dense matrix and no factorization.
+    neither reads ``rng``, which may then be None. ``seeded-random`` draws
+    a complex Ginibre matrix g from ``rng``, real parts first, and returns
+    g / ||g||_F, a factor of g g^dag / tr(g g^dag), with no dense matrix
+    and no factorization.
     """
     if env_init == "maximally-mixed":
         return np.eye(d_env) / math.sqrt(d_env)
@@ -786,15 +791,15 @@ def stack_slices(count: int, n: int, d: int, d_env: int) -> Iterator[slice]:
 
 
 def random_processes(
-    spec: RandomSpec, count: int, tol_causal: float = DEFAULT_TOL.causal
+    spec: RandomSpec, count: int
 ) -> Iterator[tuple[Transfer, np.ndarray, np.ndarray]]:
     """``random_process`` for the seeds spec.seed, ..., spec.seed + count - 1, built in stacks.
 
     Yields, per stack of consecutive seeds, what ``build_stack`` returns:
     the stacked ``Transfer``, the hierarchy residuals (S, n) in seed order
-    and the mask (S,) of rows that hold certificate bounds. The rows are
-    judged at ``tol_causal``; ``build_from_circuit`` would raise for a
-    sample whose row fails it. The stacks are ``stack_slices``, planned
+    and the mask (S,) of rows that hold certificate bounds;
+    ``build_from_circuit`` would raise for a sample whose row fails
+    ``causality_holds``. The stacks are ``stack_slices``, planned
     one at a time: the fewest of at most ``_stack_size`` samples, their
     sizes differing by at most one. Sample k is the circuit of
     ``random_process`` for seed spec.seed + k, bit for bit
@@ -804,7 +809,7 @@ def random_processes(
     for part in stack_slices(count, spec.n, spec.d, spec.d_env):
         stack = replace(spec, seed=spec.seed + part.start)
         env, us = _random_circuits(stack, part.stop - part.start)
-        yield build_stack(us, env, tol_causal)
+        yield build_stack(us, env)
 
 
 def _random_circuits(spec: RandomSpec, count: int) -> tuple[np.ndarray, np.ndarray]:

@@ -1,10 +1,23 @@
+import contextlib
+import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+import proctensor.processes
 from proctensor import CircuitProcessSpec, DensityMatrix, haar_unitary
+from proctensor.config import DEFAULT_TOL
 from proctensor.processes import random_env
+
+
+@contextlib.contextmanager
+def causal_tol(tol: float):
+    """Within the block, stacks are built and judged at ``tol``, as ``processes.DEFAULT_TOL``."""
+    at_tol = dataclasses.replace(DEFAULT_TOL, causal=tol)
+    with mock.patch.object(proctensor.processes, "DEFAULT_TOL", at_tol):
+        yield
 
 
 def random_density(rng: np.random.Generator, dims, rank: int | None = None) -> DensityMatrix:

@@ -228,6 +228,37 @@ class TestSpecFile:
         with pytest.raises(SpecFileError, match="env_init"):
             load_process_spec(write_spec(tmp_path, doc))
 
+    @pytest.mark.parametrize("env_init, built", [
+        ("maximally-mixed", 0), ("pure-ground", 0), ("seeded-random", 1),
+    ])
+    def test_generator_is_built_only_where_it_is_read(self, tmp_path, monkeypatch, env_init, built):
+        # Only seeded-random draws its environment; the others need no generator.
+        doc = haar_spec_doc(0)
+        doc["env_init"] = env_init
+        seeds, default_rng = [], np.random.default_rng
+
+        def counting(seed):
+            seeds.append(seed)
+            return default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", counting)
+        spec = load_process_spec(write_spec(tmp_path, doc))
+        assert seeds == [0] * built
+        assert np.array_equal(spec.env_state.factor, random_env(default_rng(0), 2, env_init))
+
+    def test_explicit_env_spec_checks_its_unitaries_once(self, tmp_path, monkeypatch):
+        calls, real = [], proctensor.processes.checked_unitaries
+
+        def counting(*args):
+            calls.append(args[1:])
+            return real(*args)
+
+        monkeypatch.setattr(proctensor.io, "checked_unitaries", counting)
+        monkeypatch.setattr(proctensor.processes, "checked_unitaries", counting)
+        spec = load_process_spec(write_spec(tmp_path, cnot_swap_spec_doc()))
+        assert calls == [(2, 4)]
+        assert build_from_circuit(spec).causality.passed
+
     def test_env_init_variants(self, tmp_path):
         doc = cnot_swap_spec_doc()
         del doc["env"]
@@ -567,9 +598,9 @@ class TestEmitFigureCommand:
         stacks = []
         build_stack = proctensor.cli.build_stack
 
-        def recording(unitaries, env, tol_causal=DEFAULT_TOL.causal):
+        def recording(unitaries, env):
             stacks.append((unitaries.shape[1], len(env)))
-            return build_stack(unitaries, env, tol_causal)
+            return build_stack(unitaries, env)
 
         monkeypatch.setattr(proctensor.cli, "build_stack", recording)
         split, whole = tmp_path / "split.csv", tmp_path / "whole.csv"
@@ -648,12 +679,12 @@ class TestEmitFigureCommand:
         # so the smaller p is the one named.
         build_stack = proctensor.cli.build_stack
 
-        def failing_at_half_and_one(unitaries, env, tol_causal=DEFAULT_TOL.causal):
-            transfer, residuals, certified = build_stack(unitaries, env, tol_causal)
+        def failing_at_half_and_one(unitaries, env):
+            transfer, residuals, certified = build_stack(unitaries, env)
             # the control's p, read from F F^dag of each environment's factor
             fail = np.array([np.isclose(2.0 * (f @ f.conj().T)[2, 2].real, (0.5, 1.0)).any()
                              for f in env])
-            residuals[fail, -1] = 2.0 * tol_causal  # one level above the tolerance
+            residuals[fail, -1] = 2.0 * DEFAULT_TOL.causal  # one level above the tolerance
             return transfer, residuals, certified & ~fail
 
         monkeypatch.setattr(proctensor.cli, "build_stack", failing_at_half_and_one)
@@ -768,9 +799,9 @@ class TestAuditRandomCommand:
         sizes = []
         real = proctensor.processes.build_stack
 
-        def counting(unitaries, env, tol_causal):
+        def counting(unitaries, env):
             sizes.append(len(unitaries))
-            return real(unitaries, env, tol_causal)
+            return real(unitaries, env)
 
         monkeypatch.setattr(proctensor.processes, "build_stack", counting)
         return sizes
@@ -1152,7 +1183,6 @@ class TestVerifyOnce:
 
     def test_audit_counts_failed_hierarchy_as_violation(self, tmp_path, monkeypatch):
         kernel = []
-        real_engine = proctensor.processes.random_processes
         real_levels = proctensor.processes._level_residuals
 
         def counting_levels(levels, d):
@@ -1160,12 +1190,9 @@ class TestVerifyOnce:
             return real_levels(levels, d)
 
         # at tolerance 0 both the certificate and the exact hierarchy fail;
-        # the rows are judged at the tolerance their stacks were built at
-        monkeypatch.setattr(
-            proctensor.cli, "random_processes", lambda spec, count: real_engine(spec, count, 0.0)
-        )
+        # the one tolerance builds the stacks and judges their rows
         at_zero = dataclasses.replace(DEFAULT_TOL, causal=0.0)
-        monkeypatch.setattr(proctensor.cli, "DEFAULT_TOL", at_zero)
+        monkeypatch.setattr(proctensor.processes, "DEFAULT_TOL", at_zero)
         monkeypatch.setattr(proctensor.processes, "_level_residuals", counting_levels)
         out = tmp_path / "audit.txt"
         assert main(["audit-random", "--n", "2", "--samples", "3", "--out", str(out)]) == 1

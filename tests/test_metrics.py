@@ -43,7 +43,7 @@ from proctensor.metrics import (
 )
 from proctensor.processes import Transfer, random_processes
 
-from conftest import count_eigh, leaky_unitary, random_density, seeded_circuit_spec
+from conftest import causal_tol, count_eigh, leaky_unitary, random_density, seeded_circuit_spec
 
 LN2 = math.log(2)
 
@@ -239,9 +239,11 @@ class TestTransferReport:
             leaks = 10.0 ** rng.uniform(-11, -10, n)
             us = tuple(leaky_unitary(u, leak, rng) for u, leak in zip(spec.unitaries, leaks))
             specs.append(dataclasses.replace(spec, unitaries=us))
-        transfer, _, _ = proctensor.processes.build_stack(
-            np.array([s.unitaries for s in specs]), np.array([s.env_state.factor for s in specs]),
-            1.0)
+        with causal_tol(1.0):
+            transfer, _, _ = proctensor.processes.build_stack(
+                np.array([s.unitaries for s in specs]),
+                np.array([s.env_state.factor for s in specs]),
+            )
         for k, spec in enumerate(specs):
             dense = Transfer.of_state(build_from_circuit(spec, 1.0).state)
             for name in ("steps", "outputs", "entropy"):

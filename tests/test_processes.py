@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import itertools
 import math
 import re
@@ -42,9 +43,9 @@ from proctensor import (
 from proctensor.config import DEFAULT_TOL
 from proctensor.io import save_choi
 from proctensor.linalg import unitarity_residual
-from proctensor.processes import _STACK_BYTES, random_env, random_processes
+from proctensor.processes import _STACK_BYTES, causality_holds, random_env, random_processes
 
-from conftest import count_states, leaky_unitary, random_density, seeded_circuit_spec
+from conftest import causal_tol, count_states, leaky_unitary, random_density, seeded_circuit_spec
 
 
 def random_circuit_spec(rng, n=2, d=2, d_env=2) -> CircuitProcessSpec:
@@ -825,6 +826,35 @@ def report_of(residuals, certified, k, tol):
     return CausalityReport(tuple(residuals[k].tolist()), tol, bounds=bool(certified[k]))
 
 
+class TestCausalityHolds:
+    """The one rule a row of hierarchy residuals is judged by: each at most tol, a NaN failing."""
+
+    @pytest.mark.parametrize("tol", [0.0, 2e-11, 1e-9, 1.0])
+    def test_a_residual_at_tol_holds_and_the_next_float_fails(self, tol):
+        above = np.nextafter(tol, math.inf)
+        rows = np.array([[0.0, tol, tol], [tol, above, 0.0], [np.nan, 0.0, 0.0], [tol, tol, tol],
+                         [0.0, 0.0, np.nan]])
+        verdicts = [True, False, False, True, False]
+        assert causality_holds(rows, tol).tolist() == verdicts
+        for row, verdict in zip(rows, verdicts):
+            assert causality_holds(row[None], tol).tolist() == [verdict]
+            assert bool(causality_holds(row, tol)) is verdict
+            assert CausalityReport(tuple(row.tolist()), tol).passed is verdict
+
+    def test_default_is_the_causal_tolerance_at_the_call(self):
+        rows = np.array([[DEFAULT_TOL.causal, 0.0], [0.0, 0.0]])
+        assert causality_holds(rows).tolist() == [True, True]
+        with causal_tol(0.0):
+            assert causality_holds(rows).tolist() == [False, True]
+        assert causality_holds(rows).tolist() == [True, True]
+
+    def test_stacks_take_no_tolerance(self):
+        # They are built and judged at DEFAULT_TOL.causal, the default of the row rule.
+        assert list(inspect.signature(proctensor.processes.build_stack).parameters) == [
+            "unitaries", "env"]
+        assert list(inspect.signature(random_processes).parameters) == ["spec", "count"]
+
+
 class TestBuildStack:
     """Stacks of given circuits; ``build_from_circuit`` on each circuit alone is the oracle."""
 
@@ -846,7 +876,8 @@ class TestBuildStack:
     @pytest.mark.parametrize("tol", [0.0, 2e-11, 1e-9, 1.0])
     def test_outcomes_match_one_build_per_circuit(self, tol):
         specs = self.mixed_specs()
-        transfer, residuals, certified = proctensor.processes.build_stack(*stack_of(specs), tol)
+        with causal_tol(tol):
+            transfer, residuals, certified = proctensor.processes.build_stack(*stack_of(specs))
         assert residuals.shape == (len(specs), 3) and certified.shape == (len(specs),)
         kinds = []
         for k, spec in enumerate(specs):
@@ -877,7 +908,8 @@ class TestBuildStack:
         # at 2e-11, where two of them fail at n = 5.
         specs = [seeded_circuit_spec(n, 2, 2, seed, env_init, leak=leak)
                  for seed in range(4) for leak in (0.0, 3e-11)]
-        _, residuals, certified = proctensor.processes.build_stack(*stack_of(specs), tol)
+        with causal_tol(tol):
+            _, residuals, certified = proctensor.processes.build_stack(*stack_of(specs))
         assert residuals.shape == (8, n) and certified.dtype == bool
         for k, spec in enumerate(specs):
             try:
@@ -911,8 +943,8 @@ class TestBuildStack:
         with pytest.raises(NotAStateError) as alone:
             build_from_circuit(specs[1])
         for tol in (1e-9, 0.0):
-            with pytest.raises(NotAStateError) as stacked:
-                proctensor.processes.build_stack(*stack_of(specs), tol)
+            with causal_tol(tol), pytest.raises(NotAStateError) as stacked:
+                proctensor.processes.build_stack(*stack_of(specs))
             assert str(stacked.value) == str(alone.value)
         assert leak_named(unitarity_residual(np.array(specs[1].unitaries))) in str(alone.value)
 
@@ -1104,9 +1136,10 @@ class TestExactHierarchy:
     @staticmethod
     def exact(spec):
         # At tolerance 0 no certificate decides, so every residual is exact.
-        _, residuals, certified = proctensor.processes.build_stack(
-            np.array([spec.unitaries]), spec.env_state.factor[None], 0.0
-        )
+        with causal_tol(0.0):
+            _, residuals, certified = proctensor.processes.build_stack(
+                np.array([spec.unitaries]), spec.env_state.factor[None]
+            )
         assert certified.tolist() == [False]
         return tuple(residuals[0].tolist())
 
@@ -1137,8 +1170,10 @@ class TestExactHierarchy:
         # the certificate: its bounds hold level by level.
         for env_init in ("maximally-mixed", "pure-ground", "seeded-random"):
             spec = RandomSpec(n=n, d=2, d_env=4, seed=1, env_init=env_init)
-            ((_, certificate, certified),) = random_processes(spec, 1, 1.0)
-            ((_, exact, uncertified),) = random_processes(spec, 1, 0.0)
+            with causal_tol(1.0):
+                ((_, certificate, certified),) = random_processes(spec, 1)
+            with causal_tol(0.0):
+                ((_, exact, uncertified),) = random_processes(spec, 1)
             assert certified.tolist() == [True] and uncertified.tolist() == [False]
             assert certificate.shape == exact.shape == (1, n)
             for c, e in zip(certificate[0].tolist(), exact[0].tolist(), strict=True):

@@ -188,11 +188,11 @@ class TestEdgeStacks:
         as built, and is no longer marked certified.
         """
 
-        def engine(spec, count, tol_causal=DEFAULT_TOL.causal):
+        def engine(spec, count):
             start = 0
-            for transfer, residuals, certified in random_processes(spec, count, tol_causal):
+            for transfer, residuals, certified in random_processes(spec, count):
                 failed = np.array([fails(start + k) for k in range(len(residuals))])
-                residuals[failed, -1] = 2.0 * tol_causal
+                residuals[failed, -1] = 2.0 * DEFAULT_TOL.causal
                 yield transfer, residuals, certified & ~failed
                 start += len(residuals)
 
