@@ -166,6 +166,7 @@ def cmd_audit_random(args: argparse.Namespace) -> int:
         slacks = bound_slacks(*(q[passed] for q in transfer_quantities(transfer)), spec.d)
         column_minima = np.minimum(column_minima, slacks.min(axis=0, initial=math.inf))
         violations += len(passed) - np.count_nonzero(bounds_hold(slacks, args.tol))
+        del transfer, residuals, slacks  # not held while the next stack is drawn
     min_slacks = np.minimum.reduceat(column_minima, slack_starts(spec.n)).tolist()
     elapsed = time.monotonic() - t0
     lines = [

@@ -296,7 +296,11 @@ def build_stack(unitaries: np.ndarray, env: np.ndarray) -> tuple[Transfer, np.nd
     - unitarity: a ``unitarity_residual`` beyond ``DEFAULT_TOL.eig`` raises
       the ``ValueError`` of ``CircuitProcessSpec``;
     - final traces (``_transfer``): a trace beyond ``DEFAULT_TOL.tr``
-      raises ``NotAStateError`` naming the leakiest unitary;
+      raises ``NotAStateError`` naming the leakiest unitary. The transfer
+      runs in the fewest near-equal slices of at most ``_slice_size``
+      samples, in stack order, so the stack's peak memory fits
+      ``_STACK_BYTES`` beside what it holds; the slices' arrays are
+      concatenated, bit for bit those of one slice;
     - certificate (``_unitarity_certificate``): its bounds decide a sample
       only where they pass ``_ROUNDING`` or more below ``DEFAULT_TOL.causal``.
       Every other sample gets the exact hierarchy, read from the same
@@ -334,8 +338,19 @@ def _build_stack(
     """``build_stack`` past its checks, on the ``residuals`` (S, n) and ``traces`` (S,) they read."""
     rows = _unitarity_certificate(residuals, traces)
     certified = causality_holds(rows + _ROUNDING, tol_causal)
-    transfer, exact = _transfer(unitaries, env, ~certified)
-    rows[~certified] = exact
+    s, n, dim = unitaries.shape[:3]
+    de = env.shape[1]
+    undecided = ~certified
+    size = _slice_size(s, n, dim // de, de)
+    if size >= s:  # one slice runs on the whole arrays: views and a concatenation cost 1-6 %
+        transfer, exact = _transfer(unitaries, env, undecided)
+    else:
+        built = [_transfer(unitaries[part], env[part], undecided[part])
+                 for part in _near_equal_slices(s, size)]
+        fields = zip(*((t.steps, t.outputs, t.entropy, e) for t, e in built))
+        steps, outputs, entropy, exact = (np.concatenate(f) for f in fields)
+        transfer = Transfer(steps, outputs, entropy)
+    rows[undecided] = exact
     return transfer, rows, certified
 
 
@@ -688,10 +703,14 @@ def _haar(gauss: np.ndarray) -> np.ndarray:
     Each is the phase-corrected QR of its complex Gaussian; a stack gives the
     same unitaries, bit for bit, as one matrix at a time.
     """
-    z = (gauss[..., 0, :, :] + 1j * gauss[..., 1, :, :]) / math.sqrt(2.0)
+    z = np.empty(gauss.shape[:-3] + gauss.shape[-2:], dtype=complex)
+    z.real, z.imag = gauss[..., 0, :, :], gauss[..., 1, :, :]
+    z /= math.sqrt(2.0)  # the bits of (re + 1j im) / sqrt(2), with no temporaries
     q, r = np.linalg.qr(z)
+    del z  # freed before the phases are applied to Q in place
     diag = np.diagonal(r, axis1=-2, axis2=-1)
-    return q * (diag / np.abs(diag))[..., None, :]
+    q *= (diag / np.abs(diag))[..., None, :]
+    return q
 
 
 def haar_unitary(dim: int, seed: int | np.random.Generator) -> np.ndarray:
@@ -730,25 +749,23 @@ def random_process(spec: RandomSpec) -> ProcessTensor:
     return build_from_circuit(CircuitProcessSpec(spec.n, spec.d, env_state, tuple(us)))
 
 
-# Bytes that one stack of ``random_processes`` may hold at its peak, which is in ``_transfer``.
-# Measured with ``tracemalloc`` (numpy 2.4), a sample holds at most two of its widest arrays
-# (a step's product with the Kraus operators and its reordered copy, that copy and the one a
-# cut's QR makes, or the uncut final factor and the conjugate copy its Gram is formed from),
-# one square array (a cut's R or that Gram) and about five arrays the size of its unitaries:
-# 50 kB at n = 3, d = 2, d_env = 4 and 67 kB at n = 5. ``_sample_bytes`` bounds it from above
-# on every shape measured (d <= 3; n <= 8 with d_env <= 8 and each ``EnvInit``; n = 20, 60,
-# 200 with d_env <= 4), by 1.4 % at the closest. A stack adds up to ``_STACK_FIXED`` of
-# numpy's own buffers. In time, on one core of an Intel Xeon, a stack of 8 to 34 n = 3 samples
-# (draw, build and audit) costs about 0.59 ms plus 0.09 ms per sample, and per sample it gains
-# nothing beyond about 34 samples, while its memory grows; so the budget gives 34 samples
-# (2 MB) at n = 3, d = 2, d_env = 4. ``stack_slices`` plans the stacks one at a time, so the
-# peak memory does not grow with the count, also before the first stack is drawn.
+# Bytes that one stack of ``random_processes`` may hold at its peak. A stack is planned by what
+# a sample holds outside ``_transfer`` (``_draw_bytes``: 18.7 kB at n = 3, d = 2, d_env = 4, so
+# 105 samples), and ``_build_stack`` runs its transfer in slices planned by what a sample holds
+# inside it (``_sample_bytes``: 59 kB), beside what the stack already holds (``_slice_size``:
+# 100 samples run as four slices of 25). A stack adds up to ``_STACK_FIXED``
+# of numpy's own buffers. Measured with ``tracemalloc`` (numpy 2.4), the draw sets the peak
+# where d_env >= 2: 0.83 of the budget at n = 3, d = 2, d_env = 4, against 0.5 to 0.7 for the
+# build and 0.1 for the audit; at d_env = 1 the transfer slices or the audit do. In time, on one
+# core of an Intel Xeon with one BLAS thread, an n = 3 stack (draw, build and audit) costs about
+# 0.67 ms plus 0.098 ms per sample, and a transfer slice beyond the first about 0.08 ms, so a
+# 100-sample audit runs as one stack.
 _STACK_BYTES = 2_190_000
 _STACK_FIXED = 160_000
 
 
 def _sample_bytes(n: int, d: int, d_env: int) -> int:
-    """Upper bound on the bytes one sample of a ``random_processes`` stack holds in ``_transfer``.
+    """Upper bound on the bytes one sample of a transfer slice holds in ``_transfer``.
 
     The carried factor has d_env r rows, r <= d_env the environment's rank,
     and after a cut at most d_env r columns. A step's product with the
@@ -763,18 +780,69 @@ def _sample_bytes(n: int, d: int, d_env: int) -> int:
     covers the sample's row of the environment factors, at most d_env^2
     entries. The step marginals are n d^4 entries, the sample's rows of the
     certificate's arrays and of the returned residuals 4 n more, and 6 kB
-    cover its Python objects: its generator. A sample that the certificate
-    leaves undecided also keeps its n level factors for the exact
-    hierarchy, which this does not count.
+    cover its Python objects. A sample that the certificate leaves
+    undecided also keeps its n level factors for the exact hierarchy,
+    which this does not count.
     """
     wide = d * d * d_env**2 * min(d ** (2 * min(n - 1, d_env)), d_env**2)
     square = min(d_env**2, d ** (2 * n)) ** 2
     return 16 * (2 * wide + square + 5 * n * (d * d_env) ** 2 + n * d**4 + 4 * n) + 6144
 
 
+def _draw_bytes(n: int, d: int, d_env: int) -> int:
+    """Upper bound on the bytes a stacked sample holds outside ``_transfer``: its draw and audit.
+
+    The draw holds the sample's generator (2 kB covers one of
+    ``default_rng``'s), its Gaussians and, in the Haar QR, four arrays the
+    size of its n unitaries (the complex Gaussians, LAPACK's copy of them,
+    Q and R) with their reflectors and phases, 2 n d d_env entries;
+    ``random_env`` holds at most two of its environment factors. The
+    checks of ``build_stack`` hold less: the unitaries and the three arrays
+    of their size that ``unitarity_residual`` forms. The audit holds the
+    sample's unitaries, its transfer fields (n d^4 + n d^2 entries), a copy
+    of them in the batched spectra, the three o_j and i_{j-1} marginals
+    (3 n d^2) with their copy, and its rows of residuals, quantities and
+    slacks: about 12 n floats. The larger of the two is the bound; the
+    audit's is larger only where d_env is small beside d (d_env = 1, or
+    d = 3 with d_env = 2).
+    """
+    draw = 5 * n * (d * d_env) ** 2 + 2 * n * d * d_env + 2 * d_env**2
+    audit = n * (d * d_env) ** 2 + 2 * n * (d**4 + d**2) + 6 * n * d**2 + 6 * n
+    return 16 * max(draw, audit) + 2048
+
+
 def _stack_size(n: int, d: int, d_env: int) -> int:
-    """Most samples of shape (n, d, d_env) one stack holds within ``_STACK_BYTES``; at least 1."""
-    return max(1, (_STACK_BYTES - _STACK_FIXED) // _sample_bytes(n, d, d_env))
+    """Most samples of shape (n, d, d_env) one stack holds within ``_STACK_BYTES``; at least 1.
+
+    The stack leaves room for a transfer slice of one sample, so only a
+    stack of one exceeds the budget, where one sample's transfer does.
+    """
+    room = _STACK_BYTES - _STACK_FIXED - _sample_bytes(n, d, d_env)
+    return max(1, room // _draw_bytes(n, d, d_env))
+
+
+def _slice_size(count: int, n: int, d: int, d_env: int) -> int:
+    """Most samples of one ``_transfer`` slice of a stack of ``count`` circuits; at least 1.
+
+    While its transfer is built, the stack holds per sample its unitaries,
+    its environment factor, its unitarity, certificate and exact residual
+    rows, and its transfer fields twice while the slices' are concatenated.
+    A slice's samples hold ``_sample_bytes`` each beside that, within
+    ``_STACK_BYTES``.
+    """
+    held = n * (d * d_env) ** 2 + d_env**2 + 2 * (n * (d**4 + d**2) + 1) + 2 * n + 1
+    room = _STACK_BYTES - _STACK_FIXED - 16 * count * held
+    return max(1, room // _sample_bytes(n, d, d_env))
+
+
+def _near_equal_slices(count: int, size: int) -> Iterator[slice]:
+    """The fewest slices of at most ``size`` that cover ``count`` items in order.
+
+    Their sizes differ by at most one. They are made as they are read, so
+    planning them holds no memory that grows with the count.
+    """
+    parts = -(-count // size)
+    return (slice(k * count // parts, (k + 1) * count // parts) for k in range(parts))
 
 
 def stack_slices(count: int, n: int, d: int, d_env: int) -> Iterator[slice]:
@@ -782,12 +850,11 @@ def stack_slices(count: int, n: int, d: int, d_env: int) -> Iterator[slice]:
 
     Stacks of circuits of n steps on d-dimensional slots and a d_env-sided
     environment, in order, as slices of the samples; their sizes differ by
-    at most one, so a peak memory set by ``_sample_bytes`` does not grow
+    at most one, so a peak memory set by ``_draw_bytes`` does not grow
     with the count. The slices are made as they are read, so planning them
     holds no memory that grows with the count either.
     """
-    stacks = -(-count // _stack_size(n, d, d_env))
-    return (slice(k * count // stacks, (k + 1) * count // stacks) for k in range(stacks))
+    return _near_equal_slices(count, _stack_size(n, d, d_env))
 
 
 def random_processes(
@@ -810,6 +877,7 @@ def random_processes(
         stack = replace(spec, seed=spec.seed + part.start)
         env, us = _random_circuits(stack, part.stop - part.start)
         yield build_stack(us, env)
+        del env, us  # not held while the next stack is drawn
 
 
 def _random_circuits(spec: RandomSpec, count: int) -> tuple[np.ndarray, np.ndarray]:

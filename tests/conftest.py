@@ -20,6 +20,39 @@ def causal_tol(tol: float):
         yield
 
 
+def stack_plan(monkeypatch, stack: int, part: int) -> None:
+    """From now on, stacks of at most ``stack`` samples and transfer slices of at most ``part``.
+
+    Both are the fewest near-equal parts of their whole, as the budget's are.
+    """
+    monkeypatch.setattr(proctensor.processes, "_stack_size", lambda n, d, d_env: stack)
+    monkeypatch.setattr(proctensor.processes, "_slice_size", lambda count, n, d, d_env: part)
+
+
+def record_plan(monkeypatch) -> tuple[list[int], list[int]]:
+    """The sizes of the stacks built from now on, and of their transfer slices, each in order."""
+    stacks, slices = [], []
+    build, transfer = proctensor.processes._build_stack, proctensor.processes._transfer
+
+    def building(unitaries, *args):
+        stacks.append(len(unitaries))
+        return build(unitaries, *args)
+
+    def transferring(unitaries, *args):
+        slices.append(len(unitaries))
+        return transfer(unitaries, *args)
+
+    monkeypatch.setattr(proctensor.processes, "_build_stack", building)
+    monkeypatch.setattr(proctensor.processes, "_transfer", transferring)
+    return stacks, slices
+
+
+def near_equal(count: int, size: int) -> list[int]:
+    """Sizes of the fewest parts of at most ``size`` that cover ``count``, as the plans make them."""
+    parts = -(-count // size)
+    return [(k + 1) * count // parts - k * count // parts for k in range(parts)]
+
+
 def random_density(rng: np.random.Generator, dims, rank: int | None = None) -> DensityMatrix:
     """Random full(or fixed)-rank density matrix from a Ginibre factor."""
     dims = tuple(dims)

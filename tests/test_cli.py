@@ -46,7 +46,7 @@ from proctensor.io import (
     slot_labels,
 )
 
-from conftest import count_states, seeded_circuit_spec
+from conftest import count_states, near_equal, record_plan, seeded_circuit_spec, stack_plan
 
 LN2 = math.log(2)
 
@@ -771,48 +771,72 @@ class TestAuditRandomCommand:
         text = out.read_text()
         assert "violations = 0" in text and "min_slack_unordered = 0.0\n" in text
 
-    @pytest.mark.parametrize("budget, stacks", [
-        pytest.param(1, [1] * 35, id="1"),
-        pytest.param(10**12, [35], id="1000000000000"),
-        pytest.param(
-            proctensor.processes._STACK_FIXED + 13 * proctensor.processes._sample_bytes(3, 2, 4),
-            [11, 12, 12], id="uneven-stacks",
-        ),
-    ])
-    def test_summary_does_not_depend_on_stack_boundaries(self, tmp_path, monkeypatch, budget, stacks):
-        # The default budget splits 35 samples into stacks of 17 and 18; these
-        # make 35 stacks of one, one stack of all 35, and stacks of at most 13.
-        args = ["audit-random", "--n", "3", "--samples", "35", "--seed", "5"]
-        default, stacked = tmp_path / "default.txt", tmp_path / "stacked.txt"
-        sizes = self.stack_sizes(monkeypatch)
+    # Plans that vary the stack and slice sizes apart, each against the default
+    # plan: stacks of one, one stack in one slice, in slices of one, in uneven
+    # slices, and uneven stacks in uneven slices.
+    PLANS = [(1, 1), (10**9, 10**9), (10**9, 1), (10**9, 8), (13, 5)]
+    COMMANDS = {
+        "audit": (["audit-random", "--n", "3", "--samples", "35", "--seed", "5"], [35]),
+        "fig6": (["emit-figure", "--figure", "fig6", "--grid", "2001"], [2001]),
+        "sweep": (["sweep-depolarizing", "--d", "2,3,4", "--grid", "101"], [101] * 3),
+    }
+
+    @pytest.mark.parametrize("stack, part", PLANS)
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_summary_does_not_depend_on_stack_boundaries(
+        self, tmp_path, monkeypatch, command, stack, part
+    ):
+        # Every row is built per sample, so the bytes are those of the default
+        # plan whatever the stacks and the slices of their transfers.
+        args, counts = self.COMMANDS[command]
+        default, planned = tmp_path / "default.txt", tmp_path / "planned.txt"
+        stacks, slices = record_plan(monkeypatch)
         assert main(args + ["--out", str(default)]) == 0
-        assert sizes == [17, 18]
-        sizes.clear()
-        monkeypatch.setattr(proctensor.processes, "_STACK_BYTES", budget)
-        assert main(args + ["--out", str(stacked)]) == 0
-        assert sizes == stacks
-        assert stacked.read_bytes() == default.read_bytes()
+        if command == "audit":  # one stack, its transfer in slices of 17 and 18
+            assert (stacks, slices) == ([35], [17, 18])
+        else:  # the grids span several stacks, and some stack several slices
+            assert len(slices) > len(stacks) > len(counts)
+        stacks.clear()
+        slices.clear()
+        stack_plan(monkeypatch, stack, part)
+        assert main(args + ["--out", str(planned)]) == 0
+        assert stacks == [size for count in counts for size in near_equal(count, stack)]
+        assert slices == [size for count in stacks for size in near_equal(count, part)]
+        assert planned.read_bytes() == default.read_bytes()
 
-    @staticmethod
-    def stack_sizes(monkeypatch) -> list[int]:
-        """The sizes of the stacks ``random_processes`` builds from now on, in order."""
-        sizes = []
-        real = proctensor.processes.build_stack
-
-        def counting(unitaries, env):
-            sizes.append(len(unitaries))
-            return real(unitaries, env)
-
-        monkeypatch.setattr(proctensor.processes, "build_stack", counting)
-        return sizes
-
-    def test_default_audit_runs_in_the_fewest_near_equal_stacks(self, tmp_path, monkeypatch):
-        # n = 3, d = 2, d_env = 4 stacks hold at most 34 samples
-        assert proctensor.processes._stack_size(3, 2, 4) == 34
-        sizes = self.stack_sizes(monkeypatch)
+    @pytest.mark.parametrize("samples, stacks, slices", [
+        (100, [100], [25] * 4),
+        (1000, [100] * 10, [25] * 40),
+        (106, [53, 53], [26, 27] * 2),
+    ])
+    def test_default_audit_runs_in_the_fewest_near_equal_stacks(
+        self, tmp_path, monkeypatch, samples, stacks, slices
+    ):
+        # n = 3, d = 2, d_env = 4 stacks hold at most 105 samples, and each
+        # transfer runs in the fewest near-equal slices that fit beside its stack.
+        assert proctensor.processes._stack_size(3, 2, 4) == 105
+        planned = record_plan(monkeypatch)
         out = tmp_path / "audit.txt"
-        assert main(["audit-random", "--n", "3", "--samples", "100", "--out", str(out)]) == 0
-        assert sizes == [33, 33, 34]
+        args = ["audit-random", "--n", "3", "--samples", str(samples), "--out", str(out)]
+        assert main(args) == 0
+        assert planned == (stacks, slices)
+
+    def test_audit_peak_memory_does_not_grow_with_the_sample_count(self, tmp_path):
+        # 3000 samples run in 29 stacks and peak as one stack of 105 does: neither
+        # the previous stack's arrays nor the plan are held while the next is drawn.
+        out = tmp_path / "audit.txt"
+        main(["audit-random", "--n", "3", "--samples", "9", "--out", str(out)])  # imports
+        peaks = []
+        for samples in ("105", "3000"):
+            tracemalloc.start()
+            try:
+                assert main(["audit-random", "--n", "3", "--samples", samples, "--out", str(out)]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        one, many = peaks
+        assert one <= proctensor.processes._STACK_BYTES
+        assert many <= 1.02 * one, (one, many)
 
     def test_negative_seed_named(self, capsys):
         assert main(["audit-random", "--seed", "-1"]) == 2

@@ -43,7 +43,14 @@ from proctensor.metrics import (
 )
 from proctensor.processes import Transfer, random_processes
 
-from conftest import causal_tol, count_eigh, leaky_unitary, random_density, seeded_circuit_spec
+from conftest import (
+    causal_tol,
+    count_eigh,
+    leaky_unitary,
+    random_density,
+    seeded_circuit_spec,
+    stack_plan,
+)
 
 LN2 = math.log(2)
 
@@ -311,12 +318,11 @@ class TestStackedReports:
 
     @pytest.mark.parametrize("env_init", ["maximally-mixed", "pure-ground", "seeded-random"])
     def test_stack_rows_equal_single_builds(self, monkeypatch, env_init):
-        # Stacks of at most 5 samples, so 12 samples run as 4, 4 and 4.
+        # Stacks of at most 5 samples, their transfers in slices of at most 2,
+        # so 12 samples run as 4, 4 and 4, each stack in slices of 2 and 2.
+        stack_plan(monkeypatch, 5, 2)
         for n, d, d_env in itertools.product((1, 2, 3, 5, 9), (2, 3), (1, 2, 4)):
             spec = RandomSpec(n=n, d=d, d_env=d_env, seed=7 * n + d_env, env_init=env_init)
-            per_sample = proctensor.processes._sample_bytes(n, d, d_env)
-            monkeypatch.setattr(proctensor.processes, "_STACK_BYTES",
-                                proctensor.processes._STACK_FIXED + 5 * per_sample)
             rows = stack_rows(spec, 12)
             assert len(rows) == 12
             for k, row in enumerate(rows):

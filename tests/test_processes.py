@@ -43,7 +43,14 @@ from proctensor import (
 from proctensor.config import DEFAULT_TOL
 from proctensor.io import save_choi
 from proctensor.linalg import unitarity_residual
-from proctensor.processes import _STACK_BYTES, causality_holds, random_env, random_processes
+from proctensor.metrics import bound_slacks, transfer_quantities
+from proctensor.processes import (
+    _STACK_BYTES,
+    build_stack,
+    causality_holds,
+    random_env,
+    random_processes,
+)
 
 from conftest import causal_tol, count_states, leaky_unitary, random_density, seeded_circuit_spec
 
@@ -712,21 +719,46 @@ class TestRandomProcesses:
 
     @pytest.mark.parametrize("env_init", ["maximally-mixed", "pure-ground", "seeded-random"])
     def test_stack_peak_memory_fits_the_budget(self, env_init):
-        # ``_sample_bytes`` bounds what a sample holds from above, so the
-        # largest stack ``random_processes`` builds fits ``_STACK_BYTES``;
-        # only a single sample may exceed it alone.
-        for n, d, d_env in itertools.product((1, 2, 3, 5, 8), (2, 3), (1, 2, 4, 8)):
+        # ``_draw_bytes`` bounds what a sample holds outside ``_transfer`` from
+        # above, and ``_sample_bytes`` what it holds in a transfer slice, so the
+        # largest stack ``random_processes`` builds fits ``_STACK_BYTES`` whole:
+        # its draw, the arrays it holds, every transfer slice and its audit.
+        # Only a stack of one may exceed it, where one sample's transfer does.
+        sliced = 0
+        for n, d, d_env in itertools.product((1, 2, 3, 5, 8, 20), (2, 3), (1, 2, 4, 8)):
             spec = RandomSpec(n=n, d=d, d_env=d_env, seed=11, env_init=env_init)
             size = proctensor.processes._stack_size(n, d, d_env)
+            sliced += proctensor.processes._slice_size(size, n, d, d_env) < size
             list(random_processes(spec, 1))  # lazy imports and first-call set-up
             tracemalloc.start()
             try:
-                ((_, residuals, _),) = random_processes(spec, size)
+                for transfer, residuals, _ in random_processes(spec, size):
+                    passed = causality_holds(residuals)
+                    bound_slacks(*(q[passed] for q in transfer_quantities(transfer)), d)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert len(residuals) == size
             assert peak <= _STACK_BYTES or size == 1, (n, d, d_env, size, peak)
+        assert sliced >= 40  # of the 48 shapes
+
+    @pytest.mark.parametrize("n, d, d_env", [(3, 2, 4), (2, 3, 2), (20, 2, 2), (5, 2, 8)])
+    def test_given_stack_peak_memory_fits_the_budget(self, n, d, d_env):
+        # ``build_stack`` on circuits given whole, as many as a planned stack
+        # holds: its transfer runs in several slices, within the budget.
+        size = proctensor.processes._stack_size(n, d, d_env)
+        spec = RandomSpec(n, d, d_env, 3, "seeded-random")
+        env, us = proctensor.processes._random_circuits(spec, size)
+        assert proctensor.processes._slice_size(size, n, d, d_env) < size  # several slices
+        build_stack(us[:1], env[:1])  # first-call set-up
+        tracemalloc.start()
+        try:
+            _, residuals, _ = build_stack(us, env)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(residuals) == size
+        assert peak <= _STACK_BYTES, (size, peak)
 
     @pytest.mark.parametrize("n, d, d_env", [(3, 2, 4), (1, 2, 1), (2, 2, 4), (8, 2, 8), (5, 3, 8)])
     def test_stack_slices_are_the_fewest_near_equal_stacks(self, n, d, d_env):
@@ -752,7 +784,7 @@ class TestRandomProcesses:
         finally:
             tracemalloc.stop()
         stacks.close()
-        assert residuals.shape == (33, 3)  # 3e7 samples in 882353 stacks of 33 or 34
+        assert residuals.shape == (104, 3)  # 3e7 samples in 285715 stacks of 104 or 105
         assert peak < 4 * 2**20
 
 
