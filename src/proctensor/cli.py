@@ -30,12 +30,9 @@ from .metrics import (
 from .processes import (
     CausalityError,
     RandomSpec,
-    build_stack,
     causality_holds,
-    fredkin_factors,
-    fredkin_unitary,
+    fredkin_processes,
     random_processes,
-    stack_slices,
     # Not called here: bench/test_bench.py asserts that its tracer rebinds this name in cli.
     verify_causality,  # noqa: F401
 )
@@ -75,19 +72,11 @@ def _grid(points: int) -> list[float]:
 def _fredkin_stack(grid: list[float], n: int, d: int) -> tuple[np.ndarray, ...]:
     """Causality residuals and ``transfer_quantities`` of n Fredkin steps at each p of ``grid``.
 
-    Point p is ``fredkin_dilation(p, d)`` at n = 1 and ``nm_depolarizing_spec(p)``
-    at n = 2, d = 2. The grid is built in ``stack_slices``, one ``build_stack``
-    call each on its own factors, so its peak memory does not grow with the
-    grid; each point's values are those of a stack of the whole grid, bit for bit.
-    Returns the residuals (points, n), then the step values, ``total`` and N.
+    The grid is built in the stacks of ``fredkin_processes``, so its peak
+    memory does not grow with the grid. Returns the residuals (points, n),
+    then the step values, ``total`` and N.
     """
-    u = fredkin_unitary(d)
-    stacks = []
-    for part in stack_slices(len(grid), n, d, 2 * d):
-        factors = fredkin_factors(grid[part], d)
-        unitaries = np.broadcast_to(u, (len(factors), n, *u.shape))
-        transfer, residuals, _ = build_stack(unitaries, factors)
-        stacks.append((residuals, *transfer_quantities(transfer)))
+    stacks = [(r, *transfer_quantities(t)) for t, r, _ in fredkin_processes(grid, n, d)]
     return tuple(np.concatenate(column) for column in zip(*stacks))
 
 

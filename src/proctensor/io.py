@@ -26,6 +26,7 @@ from .processes import CausalityReport, CircuitProcessSpec, EnvInit, ProcessTens
 from .processes import build_from_circuit, checked_unitaries, random_env, slot_shape
 
 CHOI_MAGIC = "proctensor-choi"
+SPEC_FIELDS = ("n", "d", "d_env", "env", "env_init", "seed", "unitaries")  # all a spec may hold
 _QUOTED = 120  # most characters of a Choi header that an error message quotes
 
 
@@ -43,6 +44,11 @@ def complex_to_pairs(m: np.ndarray) -> list[list[list[float]]]:
 
 
 def pairs_to_complex(data: Any, fieldname: str) -> np.ndarray:
+    """The complex square matrix of a parsed JSON field of [re, im] pairs of numbers.
+
+    Leaves that are not JSON numbers (int or float), such as strings or
+    booleans, raise ``SpecFileError`` naming ``fieldname`` and their types.
+    """
     try:
         arr = np.asarray(data, dtype=float)
     except (TypeError, ValueError) as exc:
@@ -51,6 +57,12 @@ def pairs_to_complex(data: Any, fieldname: str) -> np.ndarray:
         raise SpecFileError(
             f"field '{fieldname}' must be a square matrix of [re, im] pairs, "
             f"got shape {arr.shape}"
+        )
+    kinds = set(map(type, itertools.chain.from_iterable(itertools.chain.from_iterable(data))))
+    if not kinds <= {int, float}:  # "1" and true would read as 1.0
+        names = ", ".join(sorted(kind.__name__ for kind in kinds - {int, float}))
+        raise SpecFileError(
+            f"field '{fieldname}' has [re, im] entries that are not numbers: {names}"
         )
     with np.errstate(invalid="ignore"):  # 1j * inf is nan + inf j; the object refuses it
         return arr[:, :, 0] + 1j * arr[:, :, 1]
@@ -80,10 +92,17 @@ def load_process_spec(path: str | Path) -> CircuitProcessSpec:
         raise SpecFileError(f"invalid JSON in {path}: {exc}") from exc
     if not isinstance(doc, dict):
         raise SpecFileError("top-level document must be an object")
+    unknown = [key for key in doc if key not in SPEC_FIELDS]
+    if unknown:
+        fields = ", ".join(SPEC_FIELDS)
+        raise SpecFileError(f"unknown field {unknown[0]!r}; a spec has only the fields {fields}")
     n = _require_at_least(doc, "n", 1)
     d = _require_at_least(doc, "d", 2)
     d_env = _require_at_least(doc, "d_env", 1)
     if "env" in doc:
+        for key in ("env_init", "seed"):
+            if key in doc:
+                raise SpecFileError(f"field 'env' gives the environment, so '{key}' must not")
         mat = pairs_to_complex(doc["env"], "env")
         if mat.shape[0] != d_env:
             raise SpecFileError(f"field 'env' has dimension {mat.shape[0]}, expected {d_env}")
@@ -103,9 +122,10 @@ def load_process_spec(path: str | Path) -> CircuitProcessSpec:
     us = tuple(pairs_to_complex(u, f"unitaries[{j}]") for j, u in enumerate(raw_us))
     try:
         if env is None:
-            # The unitaries' side d * d_env is checked before a default environment
+            # Unitary 0's side is checked against d * d_env before a default environment
             # of side d_env is built, so what a spec allocates is bounded by its file.
-            us = checked_unitaries(us, n, d * d_env)
+            if len(us[0]) != d * d_env:
+                checked_unitaries(us, n, d * d_env)  # raises as CircuitProcessSpec would
             rng = np.random.default_rng(seed) if env_init == "seeded-random" else None
             env = DensityMatrix(None, (d_env,), factor=random_env(rng, d_env, env_init))
         return CircuitProcessSpec(n=n, d=d, env_state=env, unitaries=us)

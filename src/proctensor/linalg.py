@@ -68,8 +68,9 @@ def unitarity_residual(u: np.ndarray) -> float | np.ndarray:
     as for its matrix alone. A single matrix gives an ``np.float64``, which
     is a float.
     """
-    gram = u.conj().swapaxes(-1, -2) @ u - np.eye(u.shape[-1])
-    return np.linalg.norm(gram, axis=(-2, -1))
+    with np.errstate(over="ignore", invalid="ignore"):  # huge entries give inf or NaN: a failure
+        gram = u.conj().swapaxes(-1, -2) @ u - np.eye(u.shape[-1])
+        return np.linalg.norm(gram, axis=(-2, -1))
 
 
 def _certified_factor(mat: np.ndarray, tr: float) -> np.ndarray | None:
@@ -95,7 +96,7 @@ def _certified_factor(mat: np.ndarray, tr: float) -> np.ndarray | None:
     while True:
         i = int(np.argmax(pivots))
         pivot = pivots[i]
-        if pivot <= cut:
+        if not pivot > cut:  # a NaN pivot, from overflowed entries, stops too
             break
         if k == len(rows):
             rows = np.concatenate([rows, np.empty((min(k, dim - k), dim), dtype=complex)])
@@ -162,21 +163,23 @@ class DensityMatrix:
                 )
             if not np.all(np.isfinite(mat)):
                 raise ValueError("matrix entries must be finite")
-            res = hermiticity_residual(mat)
-            if res > tol.herm:
-                raise NotHermitianError(
-                    f"Hermiticity residual {res:.3e} > {tol.herm:.1e}"
-                )
-            tr = complex(np.trace(mat))
-            if abs(tr - 1.0) > tol.tr:
-                raise NotAStateError(f"trace {tr} deviates from 1 beyond {tol.tr:.1e}")
-            factor = _certified_factor(mat, tr.real)
-            if factor is None:
-                w, v = np.linalg.eigh(mat)
-                if w[0] < -tol.psd:
-                    raise NotAStateError(f"minimum eigenvalue {w[0]:.3e} < -{tol.psd:.1e}")
-                keep = w > w[-1] * dim * np.finfo(float).eps
-                factor = v[:, keep] * np.sqrt(w[keep])
+            # Huge finite entries overflow to inf or NaN here, which the checks below refuse.
+            with np.errstate(over="ignore", invalid="ignore"):
+                res = hermiticity_residual(mat)
+                if res > tol.herm:
+                    raise NotHermitianError(
+                        f"Hermiticity residual {res:.3e} > {tol.herm:.1e}"
+                    )
+                tr = complex(np.trace(mat))
+                if not abs(tr - 1.0) <= tol.tr:  # a NaN trace fails too
+                    raise NotAStateError(f"trace {tr} deviates from 1 beyond {tol.tr:.1e}")
+                factor = _certified_factor(mat, tr.real)
+                if factor is None:
+                    w, v = np.linalg.eigh(mat)
+                    if w[0] < -tol.psd:
+                        raise NotAStateError(f"minimum eigenvalue {w[0]:.3e} < -{tol.psd:.1e}")
+                    keep = w > w[-1] * dim * np.finfo(float).eps
+                    factor = v[:, keep] * np.sqrt(w[keep])
             mat.setflags(write=False)
         else:
             factor = np.asarray(factor, dtype=complex)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Iterator, Literal, Sequence
+from typing import Callable, Iterable, Iterator, Literal, Sequence, get_args
 
 import numpy as np
 
@@ -213,6 +213,9 @@ class RandomSpec:
             raise ValueError(f"invalid (n, d, d_env) = {(self.n, self.d, self.d_env)}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.env_init not in get_args(EnvInit):
+            allowed = ", ".join(get_args(EnvInit))
+            raise ValueError(f"env_init must be one of {allowed}, got {self.env_init!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,6 +253,9 @@ class Transfer:
         return cls(steps[None], outputs[None], np.array([von_neumann_entropy(state)]))
 
 
+Stack = tuple[Transfer, np.ndarray, np.ndarray]  # build_stack's: transfer, residuals, certified
+
+
 def build_from_circuit(
     spec: CircuitProcessSpec, tol_causal: float = DEFAULT_TOL.causal
 ) -> ProcessTensor:
@@ -277,7 +283,7 @@ def build_from_circuit(
     return ProcessTensor(spec.n, spec.d, _passed(report), spec, transfer)
 
 
-def build_stack(unitaries: np.ndarray, env: np.ndarray) -> tuple[Transfer, np.ndarray, np.ndarray]:
+def build_stack(unitaries: np.ndarray, env: np.ndarray) -> Stack:
     """Transfer and causality of a stack of S circuits, each check run once on the stack.
 
     ``unitaries`` is (S, n, D, D) with D = d d_env, and ``env`` the factors
@@ -334,7 +340,7 @@ def _build_stack(
     env: np.ndarray,
     traces: np.ndarray,
     tol_causal: float,
-) -> tuple[Transfer, np.ndarray, np.ndarray]:
+) -> Stack:
     """``build_stack`` past its checks, on the ``residuals`` (S, n) and ``traces`` (S,) they read."""
     rows = _unitarity_certificate(residuals, traces)
     certified = causality_holds(rows + _ROUNDING, tol_causal)
@@ -744,12 +750,12 @@ def random_env(rng: np.random.Generator | None, d_env: int, env_init: EnvInit) -
 
 def random_process(spec: RandomSpec) -> ProcessTensor:
     """Deterministic (seeded) random process from Haar unitaries."""
-    env, (us,) = _random_circuits(spec, 1)
+    (us,), env = _random_circuits(spec, 1)
     env_state = DensityMatrix(None, (spec.d_env,), factor=env[0])
     return build_from_circuit(CircuitProcessSpec(spec.n, spec.d, env_state, tuple(us)))
 
 
-# Bytes that one stack of ``random_processes`` may hold at its peak. A stack is planned by what
+# Bytes that one stack of ``_stacks`` may hold at its peak. A stack is planned by what
 # a sample holds outside ``_transfer`` (``_draw_bytes``: 18.7 kB at n = 3, d = 2, d_env = 4, so
 # 105 samples), and ``_build_stack`` runs its transfer in slices planned by what a sample holds
 # inside it (``_sample_bytes``: 59 kB), beside what the stack already holds (``_slice_size``:
@@ -845,49 +851,69 @@ def _near_equal_slices(count: int, size: int) -> Iterator[slice]:
     return (slice(k * count // parts, (k + 1) * count // parts) for k in range(parts))
 
 
-def stack_slices(count: int, n: int, d: int, d_env: int) -> Iterator[slice]:
-    """The fewest stacks of at most ``_stack_size(n, d, d_env)`` that cover ``count`` samples.
+def _stacks(
+    count: int, n: int, d: int, d_env: int,
+    circuits: Callable[[slice], tuple[np.ndarray, np.ndarray]],
+) -> Iterator[Stack]:
+    """``build_stack`` of ``circuits(part)`` per stack ``part`` of ``count`` samples, in order.
 
-    Stacks of circuits of n steps on d-dimensional slots and a d_env-sided
-    environment, in order, as slices of the samples; their sizes differ by
-    at most one, so a peak memory set by ``_draw_bytes`` does not grow
-    with the count. The slices are made as they are read, so planning them
-    holds no memory that grows with the count either.
+    The samples are circuits of n steps on d-dimensional slots and a
+    d_env-sided environment. The stacks are the fewest slices of at most
+    ``_stack_size(n, d, d_env)`` samples, their sizes differing by at most
+    one, so a peak memory set by ``_draw_bytes`` does not grow with the
+    count. ``circuits`` gives a stack's unitaries (S, n, D, D) and
+    environment factors (S, d_env, r). The stacks are planned, drawn and
+    built one at a time, and nothing of a stack's draw is held while its
+    caller reads what ``build_stack`` returned.
     """
-    return _near_equal_slices(count, _stack_size(n, d, d_env))
+    for part in _near_equal_slices(count, _stack_size(n, d, d_env)):
+        yield build_stack(*circuits(part))
 
 
-def random_processes(
-    spec: RandomSpec, count: int
-) -> Iterator[tuple[Transfer, np.ndarray, np.ndarray]]:
+def random_processes(spec: RandomSpec, count: int) -> Iterator[Stack]:
     """``random_process`` for the seeds spec.seed, ..., spec.seed + count - 1, built in stacks.
 
-    Yields, per stack of consecutive seeds, what ``build_stack`` returns:
-    the stacked ``Transfer``, the hierarchy residuals (S, n) in seed order
-    and the mask (S,) of rows that hold certificate bounds;
-    ``build_from_circuit`` would raise for a sample whose row fails
-    ``causality_holds``. The stacks are ``stack_slices``, planned
-    one at a time: the fewest of at most ``_stack_size`` samples, their
-    sizes differing by at most one. Sample k is the circuit of
+    Yields, per stack of consecutive seeds (``_stacks``), what
+    ``build_stack`` returns: the stacked ``Transfer``, the hierarchy
+    residuals (S, n) in seed order and the mask (S,) of rows that hold
+    certificate bounds; ``build_from_circuit`` would raise for a sample
+    whose row fails ``causality_holds``. Sample k is the circuit of
     ``random_process`` for seed spec.seed + k, bit for bit
     (``_random_circuits``), so the first sample in seed order that fails a
     check raises the single-process error.
     """
-    for part in stack_slices(count, spec.n, spec.d, spec.d_env):
-        stack = replace(spec, seed=spec.seed + part.start)
-        env, us = _random_circuits(stack, part.stop - part.start)
-        yield build_stack(us, env)
-        del env, us  # not held while the next stack is drawn
+    return _stacks(count, spec.n, spec.d, spec.d_env, lambda part: _random_circuits(
+        replace(spec, seed=spec.seed + part.start), part.stop - part.start))
+
+
+def fredkin_processes(ps: Sequence[float], n: int, d: int) -> Iterator[Stack]:
+    """n Fredkin steps on one environment per p of ``ps``, built in stacks (``_stacks``).
+
+    Point p is ``fredkin_dilation(p, d)`` at n = 1 and
+    ``nm_depolarizing_spec(p)`` at n = 2, d = 2: the unitary
+    ``fredkin_unitary(d)`` at every step, broadcast over the stack, on the
+    environment of ``fredkin_factors``, whose side is 2d. Yields
+    ``build_stack``'s triple per stack, in the order of ``ps``; each
+    point's values are those of one stack of all of ``ps``, bit for bit.
+    """
+    u = fredkin_unitary(d)
+
+    def circuits(part: slice) -> tuple[np.ndarray, np.ndarray]:
+        factors = fredkin_factors(ps[part], d)
+        return np.broadcast_to(u, (len(factors), n, *u.shape)), factors
+
+    return _stacks(len(ps), n, d, 2 * d, circuits)
 
 
 def _random_circuits(spec: RandomSpec, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Environment factors (count, d_env, r) and (count, n, D, D) unitaries for seeds spec.seed, ....
+    """Unitaries (count, n, D, D) and environment factors (count, d_env, r) for seeds spec.seed, ....
 
-    Sample k draws from ``default_rng(spec.seed + k)``, bit for bit
-    (``_generators``): its environment factor (``random_env``), then the
-    real and imaginary Gaussians of each unitary. A shared environment,
-    drawn from no generator (maximally mixed, pure ground), is one factor
-    broadcast over the stack.
+    They come in the order ``build_stack`` takes them. Sample k draws from
+    ``default_rng(spec.seed + k)``, bit for bit (``_generators``): its
+    environment factor (``random_env``), then the real and imaginary
+    Gaussians of each unitary. A shared environment, drawn from no
+    generator (maximally mixed, pure ground), is one factor broadcast over
+    the stack.
     """
     dim = spec.d * spec.d_env
     rngs = _generators(spec.seed, count)
@@ -899,7 +925,7 @@ def _random_circuits(spec: RandomSpec, count: int) -> tuple[np.ndarray, np.ndarr
     gauss = np.empty((count, spec.n, 2, dim, dim))
     for rng, g in zip(rngs, gauss):
         rng.standard_normal(out=g)
-    return env, _haar(gauss)
+    return _haar(gauss), env
 
 
 # Stacks of fewer seeds take ``default_rng`` per generator. On one core of an Intel Xeon a

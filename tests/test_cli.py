@@ -259,6 +259,100 @@ class TestSpecFile:
         assert calls == [(2, 4)]
         assert build_from_circuit(spec).causality.passed
 
+    @pytest.mark.parametrize("env_init", ["maximally-mixed", "pure-ground", "seeded-random"])
+    def test_default_env_spec_checks_its_unitaries_once(self, tmp_path, monkeypatch, env_init):
+        # Before the environment is built only unitary 0's side is compared with
+        # d * d_env; the full check is the spec's own.
+        calls, real = [], proctensor.processes.checked_unitaries
+
+        def counting(*args):
+            calls.append(args[1:])
+            return real(*args)
+
+        monkeypatch.setattr(proctensor.io, "checked_unitaries", counting)
+        monkeypatch.setattr(proctensor.processes, "checked_unitaries", counting)
+        doc = haar_spec_doc(0)
+        doc["env_init"] = env_init
+        spec = load_process_spec(write_spec(tmp_path, doc))
+        assert calls == [(3, 4)]
+        assert build_from_circuit(spec).causality.passed
+
+    @pytest.mark.parametrize("env_init", ["maximally-mixed", "seeded-random"])
+    @pytest.mark.parametrize(
+        "d_env, j, shape", [(2, 1, (2, 2)), (2, 2, (8, 8)), (10**6, 0, (4, 4))]
+    )
+    def test_default_env_spec_names_the_first_unitary_off_its_side(
+        self, tmp_path, capsys, env_init, d_env, j, shape
+    ):
+        # Unitary 0 off its side is named before an environment of side d_env
+        # is built; a later one is named by the spec, with the same wording.
+        doc = haar_spec_doc(0)
+        doc.update(env_init=env_init, d_env=d_env)
+        doc["unitaries"][j] = complex_to_pairs(np.eye(shape[0]))
+        path = write_spec(tmp_path, doc)
+        side = 2 * d_env
+        message = f"field 'unitaries': unitary {j} has shape {shape}, expected {(side, side)}"
+        assert main(["verify", "--in", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("leaf, shown", [("1", "str"), (True, "bool"), (False, "bool"),
+                                             (None, "NoneType"), ([1], None)])
+    @pytest.mark.parametrize("field", ["unitaries", "env"])
+    def test_entry_that_is_not_a_number_named(self, tmp_path, capsys, leaf, shown, field):
+        # numpy reads "1" and true as 1.0; a spec's [re, im] entries are JSON numbers.
+        doc = cnot_swap_spec_doc()
+        if field == "env":
+            doc["env"][1][1][0], name = leaf, "env"
+        else:
+            doc["unitaries"][1][2][3][1], name = leaf, "unitaries[1]"
+        path = write_spec(tmp_path, doc)
+        if isinstance(leaf, list):  # a nested entry is no [re, im] pair
+            message = f"field '{name}' is not a nested [re, im] array"
+        else:
+            message = f"field '{name}' has [re, im] entries that are not numbers: {shown}"
+        assert main(["verify", "--in", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("key", ["env_inti", "seeds", "N", "unitary"])
+    def test_unknown_field_named(self, tmp_path, capsys, key):
+        # A typo such as env_inti once gave a maximally mixed environment silently.
+        doc = cnot_swap_spec_doc()
+        del doc["env"]
+        doc[key] = "pure-ground"
+        path = write_spec(tmp_path, doc)
+        assert main(["verify", "--in", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: unknown field '{key}'; a spec has only the fields "
+            "n, d, d_env, env, env_init, seed, unitaries\n"
+        )
+
+    @pytest.mark.parametrize("key, value", [("env_init", "pure-ground"), ("seed", 3),
+                                            ("env_init", "maximally-mixed")])
+    def test_env_with_env_init_or_seed_named(self, tmp_path, capsys, key, value):
+        # ``env`` once won silently over env_init and seed.
+        doc = cnot_swap_spec_doc()
+        doc[key] = value
+        path = write_spec(tmp_path, doc)
+        assert main(["verify", "--in", str(path)]) == 2
+        message = f"field 'env' gives the environment, so '{key}' must not"
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("place", ["diagonal", "everywhere"])
+    def test_huge_unitary_entries_exit_two(self, tmp_path, capsys, place):
+        # Finite entries of 1e308 overflow the unitarity residual to inf or NaN,
+        # which its check refuses; no numpy warning reaches the user.
+        doc = cnot_swap_spec_doc()
+        u = np.eye(4) if place == "diagonal" else np.ones((4, 4), complex) * (1 + 1j)
+        doc["unitaries"][0] = complex_to_pairs(1e308 * u)
+        path = write_spec(tmp_path, doc)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for command in ("verify", "analyze"):
+                assert main([command, "--in", str(path)]) == 2
+                err = capsys.readouterr().err
+                assert err.startswith("error: field 'unitaries': unitary 0 unitarity residual ")
+                assert err.count("\n") == 1
+
     def test_env_init_variants(self, tmp_path):
         doc = cnot_swap_spec_doc()
         del doc["env"]
@@ -469,6 +563,41 @@ class TestChoiFile:
         assert main(["verify", "--in", str(path)]) == 2
         assert "finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entries, message", [
+        ("diagonal", "error: trace (inf+0j) deviates from 1 beyond 1.0e-10\n"),
+        ("everywhere", "error: Hermiticity residual inf > 1.0e-10\n"),
+        ("real everywhere", "error: trace (inf+0j) deviates from 1 beyond 1.0e-10\n"),
+        ("off the diagonal", "error: minimum eigenvalue -1.000e+308 < -1.0e-10\n"),
+        ("1e160 off the diagonal", "error: minimum eigenvalue -1.000e+160 < -1.0e-10\n"),
+        ("cancelling", "error: trace (nan+0j) deviates from 1 beyond 1.0e-10\n"),
+    ])
+    def test_huge_entries_exit_two(self, tmp_path, capsys, entries, message):
+        # Finite entries overflow the trace, the Hermiticity residual or the
+        # pivoted Cholesky to inf or NaN, which the checks refuse with no warning.
+        n = 2 if entries == "cancelling" else 1
+        mat = np.eye(4**n, dtype=complex) / 4**n
+        if entries == "cancelling":  # numpy's 8-way unrolled sum meets inf and -inf
+            mat[[0, 8], [0, 8]], mat[[1, 9], [1, 9]] = 1e308, -1e308
+            with np.errstate(over="ignore", invalid="ignore"):
+                assert np.isnan(np.trace(mat))
+        elif entries == "diagonal":
+            mat = 1e308 * np.eye(4)
+        elif entries == "everywhere":
+            mat = np.full((4, 4), 1e308 * (1 + 1j))
+        elif entries == "real everywhere":
+            mat = np.full((4, 4), 1e308)
+        else:
+            mat[0, 1] = mat[1, 0] = 1e160 if entries.startswith("1e160") else 1e308
+        path = tmp_path / "huge.choi"
+        lines = [f"proctensor-choi n={n} d=2 slots={slot_labels(n)}"]
+        lines += [" ".join(f"{fmt(z.real)} {fmt(z.imag)}" for z in row) for row in mat]
+        path.write_text("\n".join(lines) + "\n")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for command in ("verify", "analyze"):
+                assert main([command, "--in", str(path)]) == 2
+                assert capsys.readouterr().err == message
+
     @settings(max_examples=200, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(values=st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=32))
@@ -595,27 +724,17 @@ class TestEmitFigureCommand:
     def test_grid_is_split_by_the_stack_budget(self, tmp_path, monkeypatch, command, dims):
         # Each grid runs in the fewest near-equal stacks of at most
         # ``_stack_size`` points, and its CSV is that of one stack per grid.
-        stacks = []
-        build_stack = proctensor.cli.build_stack
-
-        def recording(unitaries, env):
-            stacks.append((unitaries.shape[1], len(env)))
-            return build_stack(unitaries, env)
-
-        monkeypatch.setattr(proctensor.cli, "build_stack", recording)
+        stacks, _ = record_plan(monkeypatch)
         split, whole = tmp_path / "split.csv", tmp_path / "whole.csv"
         assert main(command + ["--grid", "2001", "--out", str(split)]) == 0
         n = 2 if "fig6" in command else 1
-        for d in dims:
-            size = proctensor.processes._stack_size(n, d, 2 * d)
-            grid = [stacks.pop(0) for _ in range(-(-2001 // size))]
-            assert len(grid) > 1 and {steps for steps, _ in grid} == {n}
-            points = [count for _, count in grid]
-            assert sum(points) == 2001 and max(points) <= size and max(points) - min(points) <= 1
-        assert stacks == []
+        sizes = [near_equal(2001, proctensor.processes._stack_size(n, d, 2 * d)) for d in dims]
+        assert all(len(grid) > 1 for grid in sizes)
+        assert stacks == [size for grid in sizes for size in grid]
+        stacks.clear()
         monkeypatch.setattr(proctensor.processes, "_STACK_BYTES", 10**12)
         assert main(command + ["--grid", "2001", "--out", str(whole)]) == 0
-        assert stacks == [(n, 2001)] * len(dims)
+        assert stacks == [2001] * len(dims)
         assert split.read_bytes() == whole.read_bytes()
 
     def test_grid_peak_memory_does_not_grow_with_the_grid(self, tmp_path):
@@ -677,7 +796,7 @@ class TestEmitFigureCommand:
     def test_fig6_names_the_first_failing_point_in_grid_order(self, tmp_path, monkeypatch, capsys):
         # p = 0.5 and p = 1.0 both fail; the rows are judged in grid order,
         # so the smaller p is the one named.
-        build_stack = proctensor.cli.build_stack
+        build_stack = proctensor.processes.build_stack
 
         def failing_at_half_and_one(unitaries, env):
             transfer, residuals, certified = build_stack(unitaries, env)
@@ -687,7 +806,7 @@ class TestEmitFigureCommand:
             residuals[fail, -1] = 2.0 * DEFAULT_TOL.causal  # one level above the tolerance
             return transfer, residuals, certified & ~fail
 
-        monkeypatch.setattr(proctensor.cli, "build_stack", failing_at_half_and_one)
+        monkeypatch.setattr(proctensor.processes, "build_stack", failing_at_half_and_one)
         out = tmp_path / "fig6.csv"
         assert main(["emit-figure", "--figure", "fig6", "--grid", "21", "--out", str(out)]) == 1
         err = capsys.readouterr().err

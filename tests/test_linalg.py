@@ -345,7 +345,7 @@ class TestUnitarityResidual:
     def test_stack_matches_one_matrix_at_a_time(self, rng):
         # ``random_process`` takes the residuals of one circuit, ``random_processes``
         # those of a stack: both must be the same bits.
-        _, us = _random_circuits(RandomSpec(n=3, d=2, d_env=4, seed=3), 40)
+        us, _ = _random_circuits(RandomSpec(n=3, d=2, d_env=4, seed=3), 40)
         leaky = np.array([[leaky_unitary(u, 1e-11, rng, k % 2 == 1) for u in circuit]
                           for k, circuit in enumerate(us)])
         for stack in (us, leaky):

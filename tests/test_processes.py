@@ -24,6 +24,7 @@ from proctensor import (
     cnot_swap_process,
     correlation_report,
     depolarizing_choi,
+    fredkin_dilation,
     fredkin_env,
     fredkin_unitary,
     haar_unitary,
@@ -31,6 +32,7 @@ from proctensor import (
     max_entangled_state,
     maximally_mixed,
     nm_depolarizing_process,
+    nm_depolarizing_spec,
     partial_trace,
     permute_subsystems,
     random_process,
@@ -48,11 +50,20 @@ from proctensor.processes import (
     _STACK_BYTES,
     build_stack,
     causality_holds,
+    fredkin_processes,
     random_env,
     random_processes,
 )
 
-from conftest import causal_tol, count_states, leaky_unitary, random_density, seeded_circuit_spec
+from conftest import (
+    causal_tol,
+    count_states,
+    leaky_unitary,
+    near_equal,
+    random_density,
+    record_plan,
+    seeded_circuit_spec,
+)
 
 
 def random_circuit_spec(rng, n=2, d=2, d_env=2) -> CircuitProcessSpec:
@@ -624,6 +635,16 @@ class TestHaarUnitary:
 
 
 class TestRandomProcess:
+    @pytest.mark.parametrize("env_init", ["bogus", "thermal", "", None])
+    def test_unknown_env_init_refused_where_the_spec_is_made(self, env_init):
+        # It was refused only once a sample was drawn (``random_env``).
+        with pytest.raises(ValueError) as info:
+            RandomSpec(2, 2, 2, 0, env_init=env_init)
+        assert str(info.value) == (
+            "env_init must be one of maximally-mixed, pure-ground, seeded-random, "
+            f"got {env_init!r}"
+        )
+
     def test_deterministic(self):
         spec = RandomSpec(n=2, d=2, d_env=3, seed=11, env_init="seeded-random")
         a = random_process(spec)
@@ -663,7 +684,7 @@ class TestRandomProcesses:
     )
     def test_stacked_draws_match_one_matrix_at_a_time(self, n, d, d_env, env_init):
         spec = RandomSpec(n=n, d=d, d_env=d_env, seed=7, env_init=env_init)
-        env, us = proctensor.processes._random_circuits(spec, 300)
+        us, env = proctensor.processes._random_circuits(spec, 300)
         for k in range(300):
             rng = np.random.default_rng(7 + k)
             assert np.array_equal(env[k], random_env(rng, d_env, env_init))
@@ -704,12 +725,12 @@ class TestRandomProcesses:
         drawn = []
 
         def spoiled(spec, count):
-            env, us = real(spec, count)
+            us, env = real(spec, count)
             us = us.copy()
             for k, (j, scale) in spoil.items():
                 us[k, j] *= 1.0 + scale
             drawn.append(us)
-            return env, us
+            return us, env
 
         monkeypatch.setattr(proctensor.processes, "_random_circuits", spoiled)
         with pytest.raises(error, match=message) as info:
@@ -748,7 +769,7 @@ class TestRandomProcesses:
         # holds: its transfer runs in several slices, within the budget.
         size = proctensor.processes._stack_size(n, d, d_env)
         spec = RandomSpec(n, d, d_env, 3, "seeded-random")
-        env, us = proctensor.processes._random_circuits(spec, size)
+        us, env = proctensor.processes._random_circuits(spec, size)
         assert proctensor.processes._slice_size(size, n, d, d_env) < size  # several slices
         build_stack(us[:1], env[:1])  # first-call set-up
         tracemalloc.start()
@@ -760,16 +781,23 @@ class TestRandomProcesses:
         assert len(residuals) == size
         assert peak <= _STACK_BYTES, (size, peak)
 
-    @pytest.mark.parametrize("n, d, d_env", [(3, 2, 4), (1, 2, 1), (2, 2, 4), (8, 2, 8), (5, 3, 8)])
-    def test_stack_slices_are_the_fewest_near_equal_stacks(self, n, d, d_env):
-        # Made as they are read, the slices are those of the list once planned up front.
+    @pytest.mark.parametrize("source, n, d, d_env", [
+        ("random", 3, 2, 4), ("random", 1, 2, 1), ("random", 2, 2, 4), ("random", 8, 2, 8),
+        ("random", 5, 3, 8), ("fredkin", 1, 2, 4), ("fredkin", 1, 4, 8), ("fredkin", 2, 2, 4),
+    ])
+    def test_stacks_are_the_fewest_near_equal_stacks(self, monkeypatch, source, n, d, d_env):
+        # Both sources run one plan: the fewest stacks of at most ``_stack_size``
+        # samples, their sizes differing by at most one, in order.
+        stacks, _ = record_plan(monkeypatch)
         size = proctensor.processes._stack_size(n, d, d_env)
-        for count in [*range(1, 301), *([10**6 + 1] if size > 1 else [])]:
-            stacks = -(-count // size)
-            planned = [slice(k * count // stacks, (k + 1) * count // stacks) for k in range(stacks)]
-            slices = proctensor.processes.stack_slices(count, n, d, d_env)
-            assert not isinstance(slices, list)
-            assert list(slices) == planned
+        for count in (1, 2, size, size + 1, 2 * size + 1, 3 * size - 1):
+            if source == "random":
+                built = random_processes(RandomSpec(n=n, d=d, d_env=d_env, seed=5), count)
+            else:
+                built = fredkin_processes([k / count for k in range(count)], n, d)
+            assert sum(len(residuals) for _, residuals, _ in built) == count
+            assert stacks == near_equal(count, size)
+            stacks.clear()
 
     def test_first_stack_of_a_huge_count_holds_no_plan(self):
         # Planning 3e7 samples as a list of slices traced about 115 MB before
@@ -837,7 +865,7 @@ class TestSeededGenerators:
 
         monkeypatch.setattr(np.random, "default_rng", counting)
         spec = RandomSpec(n=1, d=2, d_env=2, seed=start, env_init="seeded-random")
-        env, _ = proctensor.processes._random_circuits(spec, count)
+        _, env = proctensor.processes._random_circuits(spec, count)
         assert len(env) == count
         assert made == list(range(start, start + calls))
 
@@ -1007,7 +1035,7 @@ class TestStackEnvironments:
     @staticmethod
     def stack(count=5, d_env=2, seed=0):
         spec = RandomSpec(n=2, d=2, d_env=d_env, seed=seed, env_init="seeded-random")
-        env, us = proctensor.processes._random_circuits(spec, count)
+        us, env = proctensor.processes._random_circuits(spec, count)
         return us, env.copy()
 
     @pytest.mark.parametrize("spoil", [
@@ -1064,6 +1092,25 @@ class TestStackEnvironments:
             assert np.array_equal(factors[k], want)
             assert np.array_equal(factors[k], fredkin_env(p, d).factor)
             assert got[k] == fredkin_env(p, d).trace == old_trace(want)
+
+    @pytest.mark.parametrize("n, d", [(1, 2), (1, 3), (1, 4), (2, 2)])
+    def test_fredkin_processes_are_one_build_per_point(self, n, d):
+        # Point p is fredkin_dilation(p, d) at n = 1 and nm_depolarizing_spec(p) at n = 2.
+        grid = [j / 20 for j in range(21)]
+        ((transfer, residuals, certified),) = fredkin_processes(grid, n, d)
+        for k, p in enumerate(grid):
+            pt = build_from_circuit(fredkin_dilation(p, d) if n == 1 else nm_depolarizing_spec(p))
+            assert residuals[k].tolist() == list(pt.causality.residuals)
+            assert certified[k] == pt.causality.bounds
+            for got, want in zip(
+                (transfer.steps, transfer.outputs, transfer.entropy),
+                (pt.transfer.steps, pt.transfer.outputs, pt.transfer.entropy),
+            ):
+                assert np.array_equal(got[k], want[0])
+
+    def test_fredkin_processes_refuse_p_outside_the_unit_interval(self):
+        with pytest.raises(ValueError, match=r"^p must lie in \[0, 1\], got 1.5$"):
+            list(fredkin_processes([0.0, 1.5], 1, 2))
 
     @pytest.mark.parametrize("p", [-0.1, 1.1, float("nan")])
     def test_fredkin_grid_refuses_p_outside_the_unit_interval(self, p):
