@@ -27,12 +27,9 @@ from .processes import (
     build_from_circuit,
     build_stack,
     cnot_swap_process,
-    fredkin_dilation,
-    fredkin_env,
+    fredkin_spec,
     fredkin_unitary,
     haar_unitary,
-    nm_depolarizing_process,
-    nm_depolarizing_spec,
     random_process,
     swap_chain_process,
     swap_unitary,

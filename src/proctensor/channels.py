@@ -5,8 +5,8 @@ A channel is the n = 1 process tensor: its normalized Choi state is a
 ``CircuitProcessSpec`` whose Choi state ``build_from_circuit(spec).state``
 simulates. ``depolarizing_choi`` and ``channel_M`` go through the dense
 Choi state; they are the reference route for the CLI's sweep, which reads
-M from a stack of Fredkin dilations, built on one array of environment
-factors (``processes.fredkin_factors``), and forms no Choi state.
+M from a stack of one-step Fredkin dilations (``processes.fredkin_processes``,
+whose point p is ``fredkin_spec(p, 1, d)``) and forms no Choi state.
 """
 
 from __future__ import annotations

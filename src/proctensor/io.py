@@ -114,6 +114,8 @@ def load_process_spec(path: str | Path) -> CircuitProcessSpec:
         env_init = doc.get("env_init", "maximally-mixed")
         if env_init not in get_args(EnvInit):
             raise SpecFileError(f"field 'env_init' has unknown value {env_init!r}")
+        if "seed" in doc and env_init != "seeded-random":
+            raise SpecFileError(f"field 'seed' needs env_init 'seeded-random', not {env_init!r}")
         seed = _require_at_least(doc, "seed", 0) if "seed" in doc else 0
         env = None
     raw_us = _require(doc, "unitaries", list)

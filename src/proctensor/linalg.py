@@ -234,7 +234,8 @@ def factor_traces(factors: np.ndarray) -> np.ndarray:
     fails. Each trace is summed over its factor in memory order, so a
     C-contiguous stack gives each factor the bits it gets alone.
     """
-    traces = np.sum(np.abs(factors) ** 2, axis=(-2, -1))
+    with np.errstate(over="ignore", invalid="ignore"):  # a huge or NaN entry fails its trace below
+        traces = np.sum(np.abs(factors) ** 2, axis=(-2, -1))
     ok = np.abs(traces - 1.0) <= DEFAULT_TOL.tr  # false for NaN too
     if not ok.all():
         k = np.argmin(ok)  # the first failing factor

@@ -628,10 +628,13 @@ def fredkin_unitary(d: int = 2) -> np.ndarray:
     return _permutation((d, 2, d), lambda s, c, t: (np.where(c, t, s), c, np.where(c, s, t)))
 
 
-def fredkin_factors(ps: Sequence[float], d: int) -> np.ndarray:
-    """Factors (len(ps), 2d, 2d) of the environment of ``fredkin_dilation(p, d)``, one per p.
+def _fredkin_circuits(ps: Sequence[float], n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Unitaries (S, n, 2d^2, 2d^2) and environment factors (S, 2d, 2d) of the Fredkin family.
 
-    Row k is diag(sqrt(1-p), sqrt(p)) (x) I/sqrt(d) at p = ps[k], with no
+    Point k is n steps of ``fredkin_unitary(d)``, broadcast over the S =
+    len(ps) points, on one environment: a control qubit in
+    (1-p)|0><0| + p|1><1| tensored with a maximally mixed target qudit, at
+    p = ps[k]. Its factor is diag(sqrt(1-p), sqrt(p)) (x) I/sqrt(d), with no
     dense matrix and no eigendecomposition. It keeps its zero columns at
     p = 0 and 1, so every p gives one factor shape and a p-grid builds as
     one stack. The first p outside [0, 1], or NaN, raises ``ValueError``.
@@ -643,39 +646,19 @@ def fredkin_factors(ps: Sequence[float], d: int) -> np.ndarray:
     factors = np.zeros((len(grid), 2 * d, 2 * d))
     diag = np.arange(2 * d)
     factors[:, diag, diag] = np.sqrt(np.repeat(np.stack([1.0 - grid, grid], axis=1), d, axis=1) / d)
-    return factors
+    u = fredkin_unitary(d)
+    return np.broadcast_to(u, (len(grid), n, *u.shape)), factors
 
 
-def fredkin_env(p: float, d: int) -> DensityMatrix:
-    """Initial environment of ``fredkin_dilation(p, d)``: the state of ``fredkin_factors([p], d)``."""
-    return DensityMatrix(None, (2, d), factor=fredkin_factors([p], d)[0])
+def fredkin_spec(p: float, n: int, d: int) -> CircuitProcessSpec:
+    """n Fredkin steps on one environment at p: the one-point stack of ``fredkin_processes``.
 
-
-def fredkin_dilation(p: float, d: int = 2) -> CircuitProcessSpec:
-    """One-step dilation of the depolarizing channel by a Fredkin gate.
-
-    The environment is a control qubit in (1-p)|0><0| + p|1><1| tensored
-    with a maximally mixed target qudit.
+    At n = 1 it dilates the depolarizing channel rho -> p I/d + (1-p) rho.
+    From n = 2 on each step is locally depolarizing, but memory flows
+    through the shared environment (``_fredkin_circuits``).
     """
-    return CircuitProcessSpec(
-        n=1, d=d, env_state=fredkin_env(p, d), unitaries=(fredkin_unitary(d),)
-    )
-
-
-def nm_depolarizing_spec(p: float) -> CircuitProcessSpec:
-    """Two-step qubit circuit of two Fredkin interactions with one environment.
-
-    The environment is that of ``fredkin_dilation(p)``; each step is locally
-    depolarizing, but memory flows through the shared environment.
-    """
-    return CircuitProcessSpec(
-        n=2, d=2, env_state=fredkin_env(p, 2), unitaries=(fredkin_unitary(2),) * 2
-    )
-
-
-def nm_depolarizing_process(p: float) -> ProcessTensor:
-    """Process tensor of ``nm_depolarizing_spec(p)``."""
-    return build_from_circuit(nm_depolarizing_spec(p))
+    (us,), (env,) = _fredkin_circuits([p], n, d)
+    return CircuitProcessSpec(n, d, DensityMatrix(None, (2, d), factor=env), tuple(us))
 
 
 def swap_chain_process(n: int, d: int) -> ProcessTensor:
@@ -889,20 +872,12 @@ def random_processes(spec: RandomSpec, count: int) -> Iterator[Stack]:
 def fredkin_processes(ps: Sequence[float], n: int, d: int) -> Iterator[Stack]:
     """n Fredkin steps on one environment per p of ``ps``, built in stacks (``_stacks``).
 
-    Point p is ``fredkin_dilation(p, d)`` at n = 1 and
-    ``nm_depolarizing_spec(p)`` at n = 2, d = 2: the unitary
-    ``fredkin_unitary(d)`` at every step, broadcast over the stack, on the
-    environment of ``fredkin_factors``, whose side is 2d. Yields
-    ``build_stack``'s triple per stack, in the order of ``ps``; each
-    point's values are those of one stack of all of ``ps``, bit for bit.
+    Point p is ``fredkin_spec(p, n, d)``, whose environment has side 2d
+    (``_fredkin_circuits``). Yields ``build_stack``'s triple per stack, in
+    the order of ``ps``; each point's values are those of one stack of all
+    of ``ps``, bit for bit.
     """
-    u = fredkin_unitary(d)
-
-    def circuits(part: slice) -> tuple[np.ndarray, np.ndarray]:
-        factors = fredkin_factors(ps[part], d)
-        return np.broadcast_to(u, (len(factors), n, *u.shape)), factors
-
-    return _stacks(len(ps), n, d, 2 * d, circuits)
+    return _stacks(len(ps), n, d, 2 * d, lambda part: _fredkin_circuits(ps[part], n, d))
 
 
 def _random_circuits(spec: RandomSpec, count: int) -> tuple[np.ndarray, np.ndarray]:

@@ -20,11 +20,10 @@ from proctensor import (
     correlation_report,
     depolarizing_choi,
     eta_diagnostics,
-    fredkin_dilation,
+    fredkin_spec,
     haar_unitary,
     implication_checks,
     kron,
-    nm_depolarizing_process,
     non_markovianity_crosscheck,
     partial_trace,
     permute_subsystems,
@@ -57,7 +56,7 @@ def test_criterion_01_depolarizing_endpoints():
 def test_criterion_02_fredkin_dilation():
     ok = True
     for p in (0.0, 0.25, 0.5, 0.75, 1.0):
-        got = build_from_circuit(fredkin_dilation(p))
+        got = build_from_circuit(fredkin_spec(p, 1, 2))
         ok &= trace_distance(got.state, depolarizing_choi(2, p).state) <= 1e-9
     report(2, "Fredkin dilation equals depolarizing Choi", ok)
 
@@ -77,18 +76,18 @@ def test_criterion_03_eta_identities():
 
 def test_criterion_04_two_step_depolarizing_values():
     ok = True
-    rep0 = correlation_report(nm_depolarizing_process(0.0))
+    rep0 = correlation_report(build_from_circuit(fredkin_spec(0.0, 2, 2)))
     ok &= abs(rep0.step_markov[0] - 2 * LN2) <= 1e-8
     ok &= abs(rep0.step_markov[1] - 2 * LN2) <= 1e-8
     ok &= abs(rep0.non_markov) <= 1e-8
     ok &= abs(rep0.total - 4 * LN2) <= 1e-8
-    rep1 = correlation_report(nm_depolarizing_process(1.0))
+    rep1 = correlation_report(build_from_circuit(fredkin_spec(1.0, 2, 2)))
     ok &= abs(rep1.step_markov[0]) <= 1e-8
     ok &= abs(rep1.step_markov[1]) <= 1e-8
     ok &= abs(rep1.non_markov - 2 * LN2) <= 1e-8
     ok &= abs(rep1.total - 2 * LN2) <= 1e-8
     for j in range(21):
-        rep = correlation_report(nm_depolarizing_process(j / 20))
+        rep = correlation_report(build_from_circuit(fredkin_spec(j / 20, 2, 2)))
         ok &= abs(rep.step_markov[0] - rep.step_markov[1]) <= 1e-8
     report(4, "two-step depolarizing caption values", ok)
 
@@ -159,7 +158,7 @@ def test_criterion_08_dual_formula_nonmarkovianity():
 def test_criterion_09_additivity():
     ok = True
     processes = [
-        nm_depolarizing_process(p) for p in (0.0, 0.25, 0.5, 0.75, 1.0)
+        build_from_circuit(fredkin_spec(p, 2, 2)) for p in (0.0, 0.25, 0.5, 0.75, 1.0)
     ]
     processes.append(cnot_swap_process())
     processes += [swap_chain_process(n, d) for n in (2, 3) for d in (2, 3)]

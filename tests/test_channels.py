@@ -12,7 +12,7 @@ from proctensor import (
     channel_M,
     depolarizing_choi,
     eta_diagnostics,
-    fredkin_dilation,
+    fredkin_spec,
     haar_unitary,
     kron,
     max_entangled_state,
@@ -125,7 +125,7 @@ class TestChoiFromDilation:
 
     @pytest.mark.parametrize("p", [0.0, 0.25, 0.5, 0.75, 1.0])
     def test_fredkin_matches_depolarizing(self, p):
-        got = build_from_circuit(fredkin_dilation(p))
+        got = build_from_circuit(fredkin_spec(p, 1, 2))
         assert trace_distance(got.state, depolarizing_choi(2, p).state) <= 1e-9
 
     def test_global_swap_gives_fixed_output(self, rng):
@@ -201,7 +201,7 @@ class TestEtaDiagnostics:
         assert eta.inout_ancilla == pytest.approx(0.0, abs=1e-9)
 
     def test_fredkin_fully_depolarizing(self):
-        eta = eta_diagnostics(fredkin_dilation(1.0))
+        eta = eta_diagnostics(fredkin_spec(1.0, 1, 2))
         assert eta.lost == pytest.approx(2 * LN2, abs=1e-9)
         assert eta.in_env_ancilla == pytest.approx(2 * LN2, abs=1e-9)
 

@@ -22,12 +22,11 @@ from proctensor import (
     cnot_swap_process,
     correlation_report,
     depolarizing_choi,
-    fredkin_dilation,
+    fredkin_spec,
     haar_unitary,
     kron,
     max_entangled_state,
     maximally_mixed,
-    nm_depolarizing_process,
     random_process,
     swap_chain_process,
     verify_causality,
@@ -335,6 +334,22 @@ class TestSpecFile:
         path = write_spec(tmp_path, doc)
         assert main(["verify", "--in", str(path)]) == 2
         message = f"field 'env' gives the environment, so '{key}' must not"
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("env_init", [None, "pure-ground", "maximally-mixed"])
+    def test_seed_without_seeded_random_named(self, tmp_path, capsys, env_init):
+        # Only seeded-random reads ``seed``; elsewhere it was once ignored silently.
+        doc = cnot_swap_spec_doc()
+        del doc["env"]
+        doc["seed"] = 5
+        if env_init:
+            doc["env_init"] = env_init
+        path = write_spec(tmp_path, doc)
+        message = f"field 'seed' needs env_init 'seeded-random', not {env_init or 'maximally-mixed'!r}"
+        with pytest.raises(SpecFileError) as info:
+            load_process_spec(path)
+        assert str(info.value) == message
+        assert main(["verify", "--in", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("place", ["diagonal", "everywhere"])
@@ -688,7 +703,7 @@ class TestEmitFigureCommand:
         assert main(["emit-figure", "--figure", "fig6", "--grid", str(grid), "--out", str(out)]) == 0
         rows = []
         for p in ps:
-            rep = correlation_report(nm_depolarizing_process(p))
+            rep = correlation_report(build_from_circuit(fredkin_spec(p, 2, 2)))
             rows.append((p, rep.step_markov[0], rep.step_markov[1], rep.non_markov, rep.total))
         lines = proctensor.io.csv_lines(("p", "M1", "M2", "N", "I"), rows)
         assert out.read_text() == "\n".join(lines) + "\n"
@@ -698,7 +713,7 @@ class TestEmitFigureCommand:
         rows = []
         for d in (2, 3, 4):
             for p in ps:
-                rep = correlation_report(build_from_circuit(fredkin_dilation(p, d)))
+                rep = correlation_report(build_from_circuit(fredkin_spec(p, 1, d)))
                 rows.append((float(d), p, rep.step_markov[0]))
         lines = proctensor.io.csv_lines(("d", "p", "M_nats"), rows)
         assert sweep.read_text() == "\n".join(lines) + "\n"
@@ -1352,8 +1367,8 @@ class TestAnalyzeChoiFile:
         "swap-n3-d2": lambda: swap_chain_process(3, 2).spec,
         "swap-n2-d3": lambda: swap_chain_process(2, 3).spec,
         "cnot-swap": lambda: cnot_swap_process().spec,
-        "nm-depolarizing-0.5": lambda: nm_depolarizing_process(0.5).spec,
-        "nm-depolarizing-1": lambda: nm_depolarizing_process(1.0).spec,
+        "nm-depolarizing-0.5": lambda: fredkin_spec(0.5, 2, 2),
+        "nm-depolarizing-1": lambda: fredkin_spec(1.0, 2, 2),
         "haar-n1": lambda: seeded_circuit_spec(1, 2, 4, 31, "seeded-random"),
         "haar-n2-d3": lambda: seeded_circuit_spec(2, 3, 2, 32, "pure-ground"),
         "haar-n3": lambda: seeded_circuit_spec(3, 2, 4, 33, "maximally-mixed"),

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -60,6 +61,17 @@ class TestDensityMatrix:
     def test_rejects_bad_shape_product(self):
         with pytest.raises(ValueError):
             DensityMatrix(np.eye(4) / 4, (2, 3))
+
+    @pytest.mark.parametrize("scale", [1e200, 1e200 * (1 + 1j), 1e308 * (1 + 1j)])
+    def test_huge_factor_is_refused_with_no_numpy_warning(self, scale):
+        # Its entries overflow the trace to inf, which the trace check refuses;
+        # a NaN entry is still refused as such.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotAStateError, match=r"^factor trace inf deviates from 1 "):
+                DensityMatrix(None, (2,), factor=scale * np.eye(2))
+            with pytest.raises(ValueError, match="^factor entries must be finite$"):
+                DensityMatrix(None, (2,), factor=np.array([[np.nan, 0.0], [0.0, scale]]))
 
 
 def eigh_factor(mat: np.ndarray) -> np.ndarray:

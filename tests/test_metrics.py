@@ -19,10 +19,10 @@ from proctensor import (
     cnot_swap_process,
     correlation_report,
     depolarizing_choi,
+    fredkin_spec,
     implication_checks,
     kron,
     mutual_information,
-    nm_depolarizing_process,
     non_markovianity_crosscheck,
     partial_trace,
     random_process,
@@ -57,7 +57,7 @@ LN2 = math.log(2)
 
 class TestCorrelationReport:
     def test_identity_two_step(self):
-        rep = correlation_report(nm_depolarizing_process(0.0))
+        rep = correlation_report(build_from_circuit(fredkin_spec(0.0, 2, 2)))
         assert rep.total == pytest.approx(4 * LN2, abs=1e-8)
         assert rep.markov == pytest.approx(4 * LN2, abs=1e-8)
         assert rep.non_markov == pytest.approx(0.0, abs=1e-8)
@@ -259,7 +259,7 @@ class TestTransferReport:
 
     def test_named_processes_match_dense_report(self):
         for k in range(21):
-            self.assert_matches_dense(nm_depolarizing_process(k / 20))
+            self.assert_matches_dense(build_from_circuit(fredkin_spec(k / 20, 2, 2)))
         for n, d in ((2, 2), (3, 2), (4, 2), (2, 3), (3, 3)):
             self.assert_matches_dense(swap_chain_process(n, d))
         self.assert_matches_dense(cnot_swap_process())
@@ -390,7 +390,7 @@ class TestNonMarkovianityCrosscheck:
             assert got == pytest.approx(self.dense_crosscheck(state), abs=1e-12)
 
     def test_one_eigh_of_the_product(self, monkeypatch):
-        pt = nm_depolarizing_process(0.3)
+        pt = build_from_circuit(fredkin_spec(0.3, 2, 2))
         sides = count_eigh(monkeypatch)
         non_markovianity_crosscheck(pt)
         assert sides == [16]  # the step marginals get certified pivoted Cholesky factors
@@ -413,7 +413,7 @@ class TestAuditBounds:
         assert audit.slack("unordered")[0] == pytest.approx(2 * LN2, abs=1e-8)
 
     def test_zero_nonmarkov_leaves_all_bounds_slack(self):
-        audit = audit_bounds(correlation_report(nm_depolarizing_process(0.0)))
+        audit = audit_bounds(correlation_report(build_from_circuit(fredkin_spec(0.0, 2, 2))))
         assert audit.passed
         assert min(audit.slack("unordered")) >= -1e-8
         assert min(audit.slack("ordered")) >= -1e-8
@@ -557,7 +557,7 @@ class TestDerivedFields:
 
 class TestImplicationChecks:
     def test_identity_process(self):
-        rep = correlation_report(nm_depolarizing_process(0.0))
+        rep = correlation_report(build_from_circuit(fredkin_spec(0.0, 2, 2)))
         flags = implication_checks(rep, 0.01)
         assert "violated" not in flags.values()
         assert flags["high_step1_markov"] == "holds"

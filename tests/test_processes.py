@@ -24,15 +24,12 @@ from proctensor import (
     cnot_swap_process,
     correlation_report,
     depolarizing_choi,
-    fredkin_dilation,
-    fredkin_env,
+    fredkin_spec,
     fredkin_unitary,
     haar_unitary,
     kron,
     max_entangled_state,
     maximally_mixed,
-    nm_depolarizing_process,
-    nm_depolarizing_spec,
     partial_trace,
     permute_subsystems,
     random_process,
@@ -465,13 +462,13 @@ class TestVerifyCausality:
 class TestNmDepolarizingProcess:
     def test_invalid_p(self):
         with pytest.raises(ValueError):
-            nm_depolarizing_process(-0.1)
+            fredkin_spec(-0.1, 2, 2)
 
     def test_step_marginals_are_depolarizing(self):
         # each step marginal fits the depolarizing family for some p_eff
         phi = max_entangled_state(2)
         for p in (0.0, 0.3, 0.7, 1.0):
-            proc = nm_depolarizing_process(p)
+            proc = build_from_circuit(fredkin_spec(p, 2, 2))
             for pair in ((0, 1), (2, 3)):
                 marg = partial_trace(proc.state, pair)
                 overlap = float(np.real(np.trace(phi.mat @ marg.mat)))
@@ -482,7 +479,7 @@ class TestNmDepolarizingProcess:
 
     def test_first_step_matches_single_fredkin(self):
         for p in (0.2, 0.8):
-            proc = nm_depolarizing_process(p)
+            proc = build_from_circuit(fredkin_spec(p, 2, 2))
             first = partial_trace(proc.state, (0, 1))
             assert trace_distance(first, depolarizing_choi(2, p).state) <= 1e-9
 
@@ -497,7 +494,7 @@ class TestFredkinEnv:
             raise AssertionError("eigh called")
 
         monkeypatch.setattr(np.linalg, "eigh", no_eigh)
-        env = fredkin_env(p, d)
+        env = fredkin_spec(p, 1, d).env_state
         assert env.factor.shape == (2 * d, 2 * d)
         want = kron(np.diag([1.0 - p, p]), np.eye(d) / d)
         assert np.max(np.abs(env.mat - want)) <= 1e-15
@@ -507,7 +504,7 @@ class TestFredkinEnv:
     @pytest.mark.parametrize("p", [-0.1, 1.1])
     def test_p_outside_the_unit_interval(self, d, p):
         with pytest.raises(ValueError, match=rf"^p must lie in \[0, 1\], got {p}$"):
-            fredkin_env(p, d)
+            fredkin_spec(p, 1, d)
 
 
 class TestSwapChainProcess:
@@ -521,7 +518,7 @@ class TestSwapChainProcess:
 
     def test_equals_nm_depolarizing_at_p_one(self):
         a = swap_chain_process(2, 2)
-        b = nm_depolarizing_process(1.0)
+        b = build_from_circuit(fredkin_spec(1.0, 2, 2))
         assert np.max(np.abs(a.state.mat - b.state.mat)) <= 1e-9
 
     def test_causality(self):
@@ -588,7 +585,7 @@ class TestNamedGates:
                 unitaries=(CNOT, loop_swap(2)))),
             (swap_chain_process(3, 2), CircuitProcessSpec(
                 n=3, d=2, env_state=maximally_mixed(2), unitaries=(loop_swap(2),) * 3)),
-            (nm_depolarizing_process(p), CircuitProcessSpec(
+            (build_from_circuit(fredkin_spec(p, 2, 2)), CircuitProcessSpec(
                 n=2, d=2, env_state=fredkin_env, unitaries=(loop_fredkin(2),) * 2)),
         ]
         for k, (named, spec) in enumerate(pairs):
@@ -1044,7 +1041,9 @@ class TestStackEnvironments:
         {0: complex(0.0, np.inf)},
         {1: 1.0 + 3e-10, 3: np.nan},  # scales the factor: trace off 1 by 6e-10
         {4: 1.0 - 2e-10},
+        {2: 1e200, 4: np.nan},  # overflows the trace to inf, with no numpy warning
     ])
+    @pytest.mark.filterwarnings("error")
     def test_first_bad_factor_raises_its_single_state_error(self, spoil):
         us, env = self.stack()
         for k, value in spoil.items():
@@ -1082,24 +1081,28 @@ class TestStackEnvironments:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_fredkin_grid_rows_and_traces(self, monkeypatch, d):
         grid = [j / 20 for j in range(21)]
-        factors = proctensor.processes.fredkin_factors(grid, d)
+        us, factors = proctensor.processes._fredkin_circuits(grid, 1, d)
+        assert us.shape == (21, 1, 2 * d * d, 2 * d * d)
+        assert all(np.array_equal(u, fredkin_unitary(d)) for u in us[:, 0])
         traces = recorded_traces(monkeypatch)
-        u = fredkin_unitary(d)
-        proctensor.processes.build_stack(np.broadcast_to(u, (21, 1, *u.shape)), factors)
+        proctensor.processes.build_stack(us, factors)
         (got,) = traces
         for k, p in enumerate(grid):
+            env = fredkin_spec(p, 1, d).env_state
             want = np.diag(np.sqrt(np.repeat([1.0 - p, p], d) / d))  # the grid's former route
             assert np.array_equal(factors[k], want)
-            assert np.array_equal(factors[k], fredkin_env(p, d).factor)
-            assert got[k] == fredkin_env(p, d).trace == old_trace(want)
+            assert np.array_equal(factors[k], env.factor)
+            assert got[k] == env.trace == old_trace(want)
 
-    @pytest.mark.parametrize("n, d", [(1, 2), (1, 3), (1, 4), (2, 2)])
+    @pytest.mark.parametrize("n, d", [(1, 2), (1, 3), (1, 4), (2, 2), (2, 3), (3, 2)])
     def test_fredkin_processes_are_one_build_per_point(self, n, d):
-        # Point p is fredkin_dilation(p, d) at n = 1 and nm_depolarizing_spec(p) at n = 2.
+        spec = fredkin_spec(0.3, n, d)
+        assert (spec.n, spec.d, spec.d_env, len(spec.unitaries)) == (n, d, 2 * d, n)
+        assert all(np.array_equal(u, fredkin_unitary(d)) for u in spec.unitaries)
         grid = [j / 20 for j in range(21)]
         ((transfer, residuals, certified),) = fredkin_processes(grid, n, d)
         for k, p in enumerate(grid):
-            pt = build_from_circuit(fredkin_dilation(p, d) if n == 1 else nm_depolarizing_spec(p))
+            pt = build_from_circuit(fredkin_spec(p, n, d))
             assert residuals[k].tolist() == list(pt.causality.residuals)
             assert certified[k] == pt.causality.bounds
             for got, want in zip(
@@ -1114,11 +1117,11 @@ class TestStackEnvironments:
 
     @pytest.mark.parametrize("p", [-0.1, 1.1, float("nan")])
     def test_fredkin_grid_refuses_p_outside_the_unit_interval(self, p):
-        # The first bad point in grid order is named, with fredkin_env's message.
+        # The first bad point in grid order is named, with fredkin_spec's message.
         with pytest.raises(ValueError) as alone:
-            fredkin_env(p, 2)
+            fredkin_spec(p, 1, 2)
         with pytest.raises(ValueError) as grid:
-            proctensor.processes.fredkin_factors([0.0, 0.5, p, 2.0, 1.0], 2)
+            proctensor.processes._fredkin_circuits([0.0, 0.5, p, 2.0, 1.0], 1, 2)
         assert str(grid.value) == str(alone.value) == f"p must lie in [0, 1], got {p}"
 
     @pytest.mark.parametrize("env_init", ENV_INITS)
