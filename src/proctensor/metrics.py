@@ -25,13 +25,12 @@ class CorrelationReport:
     """Correlation quantifiers of one process, all in nats.
 
     Every quantity is read from a ``Transfer``: the n step Choi states on
-    (i_{j-1}, o_j), one single-slot state per output o_j and the global
-    entropy S(P_n). A process built from a circuit has its own
-    (``ProcessTensor.transfer``); any other state is read from its 2n
-    slots (``Transfer.of_state``). The step values and the i_{j-1} singles
-    of ``total`` come from the step states, the o_j singles of ``total``
-    from the outputs, so ``additivity_residual`` compares two routes to the
-    o_j marginals.
+    (i_{j-1}, o_j) and the global entropy S(P_n). A process built from a
+    circuit has its own (``ProcessTensor.transfer``); any other state is
+    read from its 2n slots (``Transfer.of_state``). The step values and
+    both kinds of singles of ``total``, i_{j-1} and o_j, come from the step
+    states, so I = M + N holds in exact arithmetic and
+    ``additivity_residual`` is the rounding gap of that identity.
     """
 
     d: int
@@ -61,7 +60,7 @@ class CorrelationReport:
 
     @property
     def additivity_residual(self) -> float:
-        """|total - (markov + non_markov)|."""
+        """|total - (markov + non_markov)|: the rounding gap of the identity I = M + N."""
         return abs(self.total - (self.markov + self.non_markov))
 
 
@@ -120,7 +119,7 @@ def correlation_report(pt: ProcessTensor | DensityMatrix) -> CorrelationReport:
     else:
         transfer = Transfer.of_state(pt)
     step, total, non_markov = (q[0].tolist() for q in transfer_quantities(transfer))
-    d = transfer.outputs.shape[-1]
+    d = math.isqrt(transfer.steps.shape[-1])
     return CorrelationReport(d=d, total=total, step_markov=tuple(step), non_markov=non_markov)
 
 
@@ -129,19 +128,20 @@ def transfer_quantities(transfer: Transfer) -> tuple[np.ndarray, np.ndarray, np.
 
     Row k holds the fields of ``correlation_report`` on sample k built
     alone, bit for bit. Every spectrum of the stack comes from one batched
-    ``eigvalsh`` per kind of state.
+    ``eigvalsh`` per kind of state. The singles i_{j-1} and o_j are the
+    partial traces of step j's state, so
+    total = sum_j S(i_{j-1}) + sum_j S(o_j) - S(P_n).
     """
-    steps, outputs = transfer.steps, transfer.outputs
-    s, n, d = steps.shape[0], steps.shape[1], outputs.shape[-1]
+    steps = transfer.steps
+    s, n, d = steps.shape[0], steps.shape[1], math.isqrt(steps.shape[-1])
     blocks = steps.reshape(s, n, d, d, d, d)
     s_step = von_neumann_entropies(steps)
     singles = von_neumann_entropies(np.concatenate([
         np.einsum("sniojo->snij", blocks),  # i_{j-1}
-        np.einsum("snioip->snop", blocks),  # o_j, from the step states
-        outputs,                            # o_j, from the circuit's transfer or the slots
+        np.einsum("snioip->snop", blocks),  # o_j
     ], axis=1))
-    s_in, s_out, s_outputs = singles[:, :n], singles[:, n:2 * n], singles[:, 2 * n:]
-    total = s_in.sum(axis=1) + s_outputs.sum(axis=1) - transfer.entropy
+    s_in, s_out = singles[:, :n], singles[:, n:]
+    total = s_in.sum(axis=1) + s_out.sum(axis=1) - transfer.entropy
     # At n = 1 the one step block is the whole state, so N is exactly 0; the
     # difference of its two spectra's entropies would only show their rounding.
     non_markov = s_step.sum(axis=1) - transfer.entropy if n > 1 else np.zeros(s)
@@ -253,8 +253,8 @@ def implication_checks(report: CorrelationReport, epsilon: float) -> dict[str, S
     """
     if report.n != 2:
         raise ValueError(f"implication checks are defined for n = 2, got n = {report.n}")
-    if epsilon < 0:
-        raise ValueError(f"epsilon must be nonnegative, got {epsilon}")
+    if not (math.isfinite(epsilon) and epsilon >= 0):
+        raise ValueError(f"epsilon must be finite and nonnegative, got {epsilon}")
     log_d = math.log(report.d)
     m1, m2 = report.step_markov
     big_n, big_i = report.non_markov, report.total

@@ -161,10 +161,7 @@ class CircuitProcessSpec:
     _residuals: np.ndarray = field(init=False, repr=False)  # (1, n): a stack of one
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        if self.d < 2:
-            raise ValueError(f"d must be >= 2, got {self.d}")
+        _check_slots(self.n, self.d)
         us = checked_unitaries(self.unitaries, self.n, self.d * self.d_env)
         object.__setattr__(self, "unitaries", us)
         residuals = unitarity_residual(np.array(us))[None]
@@ -174,6 +171,14 @@ class CircuitProcessSpec:
     @property
     def d_env(self) -> int:
         return self.env_state.dim
+
+
+def _check_slots(n: int, d: int) -> None:
+    """Refuse fewer than one step or fewer than two levels per slot: a spec's or a stack's."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if d < 2:
+        raise ValueError(f"d must be >= 2, got {d}")
 
 
 def checked_unitaries(unitaries: Iterable[np.ndarray], n: int, dim: int) -> tuple[np.ndarray, ...]:
@@ -220,7 +225,7 @@ class RandomSpec:
 
 @dataclass(frozen=True, eq=False)
 class Transfer:
-    """What the correlation quantifiers read of Choi states P_n: step states, outputs, S(P_n).
+    """What the correlation quantifiers read of Choi states P_n: step states and S(P_n).
 
     Every field has a leading sample axis of length S, one entry per state;
     its arrays are read-only. A stack of circuits gets its fields from its
@@ -231,26 +236,26 @@ class Transfer:
     semidefinite in exact arithmetic and share the validated trace of the
     final environment (x) ancilla state, whose entropy is S(P_n).
     ``Transfer.of_state`` reads a stack of one from a state's 2n slots.
+    Every single-slot marginal, i_{j-1} and o_j alike, is a partial trace
+    of step j's state, so none is stored apart from it.
     """
 
     steps: np.ndarray    # (S, n, d^2, d^2): step j's Choi state on (i_{j-1}, o_j)
-    outputs: np.ndarray  # (S, n, d, d): o_j, the step state with i_{j-1} traced out
     entropy: np.ndarray  # (S,): S(P_n)
 
     def __post_init__(self) -> None:
-        for m in (self.steps, self.outputs, self.entropy):
+        for m in (self.steps, self.entropy):
             m.setflags(write=False)
 
     @classmethod
     def of_state(cls, state: DensityMatrix) -> "Transfer":
-        """Stack of one read from a 2n-slot state: its step marginals, single slots o_j and entropy.
+        """Stack of one read from a 2n-slot state: its step marginals and its entropy.
 
         Raises ``slot_shape``'s ``ValueError`` for a state off the slot layout.
         """
         n, _ = slot_shape(state)
         steps = np.array([partial_trace(state, (2 * j, 2 * j + 1)).mat for j in range(n)])
-        outputs = np.array([partial_trace(state, (2 * j + 1,)).mat for j in range(n)])
-        return cls(steps[None], outputs[None], np.array([von_neumann_entropy(state)]))
+        return cls(steps[None], np.array([von_neumann_entropy(state)]))
 
 
 Stack = tuple[Transfer, np.ndarray, np.ndarray]  # build_stack's: transfer, residuals, certified
@@ -292,8 +297,8 @@ def build_stack(unitaries: np.ndarray, env: np.ndarray) -> Stack:
     checks run in this order, and the first sample in stack order that
     fails one raises the error that building it alone would raise:
 
-    - environments: a shape that does not fit the unitaries raises
-      ``ValueError``; a non-finite factor or a trace beyond
+    - environments: a shape that does not fit the unitaries, or unitaries
+      of no step, raises ``ValueError``; a non-finite factor or a trace beyond
       ``DEFAULT_TOL.tr`` raises the error of
       ``DensityMatrix(None, (d_env,), factor=env[k])`` (``factor_traces``).
       The certificate reads these traces, each summed over its factor in
@@ -323,10 +328,10 @@ def build_stack(unitaries: np.ndarray, env: np.ndarray) -> Stack:
     env = np.ascontiguousarray(env, dtype=complex)  # a broadcast factor is copied row-major
     dim = unitaries.shape[-1]
     de = env.shape[1] if env.ndim == 3 else 0  # 0 fails the check
-    if len(env) != len(unitaries) or not 0 < de < dim or dim % de:
+    if len(env) != len(unitaries) or unitaries.shape[1] < 1 or not 0 < de < dim or dim % de:
         raise ValueError(
-            f"environment factors of shape {env.shape} do not fit {len(unitaries)} "
-            f"circuits of side {dim}"
+            f"environment factors of shape {env.shape} do not fit unitaries of shape "
+            f"{unitaries.shape}"
         )
     traces = factor_traces(env)
     residuals = unitarity_residual(unitaries)
@@ -353,9 +358,9 @@ def _build_stack(
     else:
         built = [_transfer(unitaries[part], env[part], undecided[part])
                  for part in _near_equal_slices(s, size)]
-        fields = zip(*((t.steps, t.outputs, t.entropy, e) for t, e in built))
-        steps, outputs, entropy, exact = (np.concatenate(f) for f in fields)
-        transfer = Transfer(steps, outputs, entropy)
+        fields = zip(*((t.steps, t.entropy, e) for t, e in built))
+        steps, entropy, exact = (np.concatenate(f) for f in fields)
+        transfer = Transfer(steps, entropy)
     rows[undecided] = exact
     return transfer, rows, certified
 
@@ -431,7 +436,7 @@ def _transfer(
     laid out as (E', (o, a, E)), its rows then reordered. The marginal reads
     F only through the environment's reduced state sigma_{j-1} = tr_R rho_{j-1}:
 
-        step_j = tr_{E'} (W_j sigma_{j-1} W_j^dag),    output_j = tr_{i_{j-1}} step_j.
+        step_j = tr_{E'} (W_j sigma_{j-1} W_j^dag).
 
     Proof: write F_E for F with its rows R moved into its columns, so rows
     E and columns (R, column). Then W_j F_E is the weighed factor with R in
@@ -494,8 +499,7 @@ def _transfer(
     ws = (weighed @ np.stack(sigmas, axis=1)).reshape(s, n, d * d, -1)  # W sigma: columns (E', E)
     np.conjugate(weighed, out=weighed)  # no longer read as W
     steps = ws @ weighed.reshape(s, n, d * d, -1).swapaxes(2, 3)  # tr_{E'} W sigma W^dag
-    outputs = np.trace(steps.reshape(s, n, d, d, d, d), axis1=2, axis2=4)  # tr_{i_{j-1}}
-    return Transfer(steps, outputs, entropy), residuals
+    return Transfer(steps, entropy), residuals
 
 
 def _choi_state(d: int, unitaries: Sequence[np.ndarray], psi_env: np.ndarray) -> DensityMatrix:
@@ -788,15 +792,14 @@ def _draw_bytes(n: int, d: int, d_env: int) -> int:
     ``random_env`` holds at most two of its environment factors. The
     checks of ``build_stack`` hold less: the unitaries and the three arrays
     of their size that ``unitarity_residual`` forms. The audit holds the
-    sample's unitaries, its transfer fields (n d^4 + n d^2 entries), a copy
-    of them in the batched spectra, the three o_j and i_{j-1} marginals
-    (3 n d^2) with their copy, and its rows of residuals, quantities and
-    slacks: about 12 n floats. The larger of the two is the bound; the
-    audit's is larger only where d_env is small beside d (d_env = 1, or
-    d = 3 with d_env = 2).
+    sample's unitaries, its step states (n d^4 entries), a copy of them in
+    the batched spectra, the i_{j-1} and o_j marginals (2 n d^2) with their
+    copy, and its rows of residuals, quantities and slacks: about 12 n
+    floats. The larger of the two is the bound; the audit's is larger only
+    where d_env is small beside d (d_env = 1, or d = 3 with d_env = 2).
     """
     draw = 5 * n * (d * d_env) ** 2 + 2 * n * d * d_env + 2 * d_env**2
-    audit = n * (d * d_env) ** 2 + 2 * n * (d**4 + d**2) + 6 * n * d**2 + 6 * n
+    audit = n * (d * d_env) ** 2 + 2 * n * d**4 + 4 * n * d**2 + 6 * n
     return 16 * max(draw, audit) + 2048
 
 
@@ -815,11 +818,11 @@ def _slice_size(count: int, n: int, d: int, d_env: int) -> int:
 
     While its transfer is built, the stack holds per sample its unitaries,
     its environment factor, its unitarity, certificate and exact residual
-    rows, and its transfer fields twice while the slices' are concatenated.
-    A slice's samples hold ``_sample_bytes`` each beside that, within
-    ``_STACK_BYTES``.
+    rows, and its transfer fields (n d^4 + 1 entries) twice while the
+    slices' are concatenated. A slice's samples hold ``_sample_bytes`` each
+    beside that, within ``_STACK_BYTES``.
     """
-    held = n * (d * d_env) ** 2 + d_env**2 + 2 * (n * (d**4 + d**2) + 1) + 2 * n + 1
+    held = n * (d * d_env) ** 2 + d_env**2 + 2 * (n * d**4 + 1) + 2 * n + 1
     room = _STACK_BYTES - _STACK_FIXED - 16 * count * held
     return max(1, room // _sample_bytes(n, d, d_env))
 
@@ -845,12 +848,15 @@ def _stacks(
     ``_stack_size(n, d, d_env)`` samples, their sizes differing by at most
     one, so a peak memory set by ``_draw_bytes`` does not grow with the
     count. ``circuits`` gives a stack's unitaries (S, n, D, D) and
-    environment factors (S, d_env, r). The stacks are planned, drawn and
-    built one at a time, and nothing of a stack's draw is held while its
-    caller reads what ``build_stack`` returned.
+    environment factors (S, d_env, r). n < 1 or d < 2 raises
+    ``CircuitProcessSpec``'s ``ValueError`` at the call, before any stack
+    is planned. The stacks are planned, drawn and built one at a time, and
+    nothing of a stack's draw is held while its caller reads what
+    ``build_stack`` returned.
     """
-    for part in _near_equal_slices(count, _stack_size(n, d, d_env)):
-        yield build_stack(*circuits(part))
+    _check_slots(n, d)
+    parts = _near_equal_slices(count, _stack_size(n, d, d_env))
+    return (build_stack(*circuits(part)) for part in parts)
 
 
 def random_processes(spec: RandomSpec, count: int) -> Iterator[Stack]:

@@ -41,7 +41,7 @@ from proctensor.metrics import (
     bounds_hold,
     transfer_quantities,
 )
-from proctensor.processes import Transfer, random_processes
+from proctensor.processes import Transfer, random_processes, verify_causality
 
 from conftest import (
     causal_tol,
@@ -96,15 +96,24 @@ class TestCorrelationReport:
                 assert rep.non_markov == 0.0
                 assert rep.additivity_residual == abs(rep.total - rep.markov)
 
-    @pytest.mark.parametrize("env_init", ["pure-ground", "seeded-random"])
+    @pytest.mark.parametrize("source", ["pure-ground", "seeded-random", "full-rank", "rank-deficient"])
     @pytest.mark.parametrize("n, d", [(2, 2), (3, 2), (2, 3)])
-    def test_matches_mutual_information_of_the_slots(self, n, d, env_init):
+    def test_matches_mutual_information_of_the_slots(self, n, d, source):
         # A non-maximally-mixed environment leaves the outputs o_j mixed
         # unequally, so S(o_j) != S(i_{j-1}); every quantity is a mutual
-        # information of the dense Choi state.
+        # information of the dense Choi state. The raw states, of full rank
+        # or of rank d^n, are no processes: their reports read the slots.
         for seed in range(3):
-            pt = random_process(RandomSpec(n=n, d=d, d_env=2, seed=seed, env_init=env_init))
-            rep, state = correlation_report(pt), pt.state
+            if source in ("full-rank", "rank-deficient"):
+                rng = np.random.default_rng([n, d, seed])
+                rank = None if source == "full-rank" else d**n
+                state = random_density(rng, (d,) * (2 * n), rank=rank)
+                assert not verify_causality(state).passed
+                rep = correlation_report(state)
+            else:
+                spec = RandomSpec(n=n, d=d, d_env=2, seed=seed, env_init=source)
+                pt = random_process(spec)
+                rep, state = correlation_report(pt), pt.state
             singles = [(k,) for k in range(2 * n)]
             blocks = [(2 * j, 2 * j + 1) for j in range(n)]
             assert rep.total == pytest.approx(mutual_information(state, singles), abs=1e-12)
@@ -150,11 +159,15 @@ class TestTransferOfState:
     def test_fields_are_the_slot_marginals(self, rng):
         state = random_density(rng, (2, 2, 2, 2))
         transfer = Transfer.of_state(state)
+        assert [f.name for f in dataclasses.fields(Transfer)] == ["steps", "entropy"]
         assert transfer.steps.shape == (1, 2, 4, 4)
-        assert transfer.outputs.shape == (1, 2, 2, 2)
-        for j, (step, out) in enumerate(zip(transfer.steps[0], transfer.outputs[0])):
+        for j, step in enumerate(transfer.steps[0]):
             assert np.array_equal(step, partial_trace(state, (2 * j, 2 * j + 1)).mat)
-            assert np.array_equal(out, partial_trace(state, (2 * j + 1,)).mat)
+            # Both single slots of step j are its partial traces.
+            pair = DensityMatrix(step, (2, 2))
+            for k, slot in enumerate((2 * j, 2 * j + 1)):
+                single = partial_trace(state, (slot,)).mat
+                assert np.max(np.abs(partial_trace(pair, (k,)).mat - single)) <= 1e-15
         assert transfer.entropy.tolist() == [von_neumann_entropy(state)]
 
     def test_report_is_row_zero_of_its_quantities(self, rng):
@@ -166,7 +179,7 @@ class TestTransferOfState:
     def test_fields_are_read_only(self, rng):
         built = random_process(RandomSpec(n=2, d=2, d_env=2, seed=3)).transfer
         for transfer in (built, Transfer.of_state(random_density(rng, (2, 2)))):
-            for name in ("steps", "outputs", "entropy"):
+            for name in ("steps", "entropy"):
                 with pytest.raises(ValueError, match="read-only"):
                     getattr(transfer, name)[0] = 0.0
             with pytest.raises(dataclasses.FrozenInstanceError):
@@ -227,7 +240,7 @@ class TestTransferReport:
         # F^dag F wherever the columns are fewer.
         pt = random_process(RandomSpec(n=n, d=2, d_env=d_env, seed=n + d_env, env_init=env_init))
         dense = Transfer.of_state(pt.state)
-        for name in ("steps", "outputs", "entropy"):
+        for name in ("steps", "entropy"):
             got, want = getattr(pt.transfer, name), getattr(dense, name)
             assert got.shape == want.shape
             assert np.max(np.abs(got - want)) <= 1e-12, name
@@ -253,7 +266,7 @@ class TestTransferReport:
             )
         for k, spec in enumerate(specs):
             dense = Transfer.of_state(build_from_circuit(spec, 1.0).state)
-            for name in ("steps", "outputs", "entropy"):
+            for name in ("steps", "entropy"):
                 got, want = getattr(transfer, name)[k], getattr(dense, name)[0]
                 assert np.max(np.abs(got - want)) <= 1e-12, (k, name)
 
@@ -263,16 +276,6 @@ class TestTransferReport:
         for n, d in ((2, 2), (3, 2), (4, 2), (2, 3), (3, 3)):
             self.assert_matches_dense(swap_chain_process(n, d))
         self.assert_matches_dense(cnot_swap_process())
-
-    def test_additivity_compares_the_transfer_outputs(self):
-        # total takes its o_j singles from the transfer, not from the step
-        # states, so a wrong output marginal shows in the residual.
-        pt = random_process(RandomSpec(n=3, d=2, d_env=4, seed=0))
-        assert correlation_report(pt).additivity_residual <= 1e-12
-        pure = np.broadcast_to(np.diag([1.0, 0.0]), pt.transfer.outputs.shape)
-        wrong = dataclasses.replace(pt.transfer, outputs=pure)
-        rep = correlation_report(dataclasses.replace(pt, transfer=wrong))
-        assert rep.additivity_residual > 1e-3
 
     def test_long_swap_chain_without_the_choi_state(self, monkeypatch):
         # At n = 12 the Choi state would have 2^24 rows; the report never
@@ -583,5 +586,13 @@ class TestImplicationChecks:
 
     def test_negative_epsilon_refused(self):
         rep = correlation_report(cnot_swap_process())
-        with pytest.raises(ValueError, match="^epsilon must be nonnegative, got -0.001$"):
+        with pytest.raises(ValueError, match="^epsilon must be finite and nonnegative, got -0.001$"):
             implication_checks(rep, -1e-3)
+
+    @pytest.mark.parametrize("epsilon", [math.nan, math.inf, -math.inf])
+    def test_non_finite_epsilon_refused(self, epsilon):
+        # A NaN would leave every premise false (all "vacuous"), and inf every
+        # premise and conclusion true (all "holds").
+        rep = correlation_report(cnot_swap_process())
+        with pytest.raises(ValueError, match=f"^epsilon must be finite and nonnegative, got {epsilon}$"):
+            implication_checks(rep, epsilon)

@@ -948,7 +948,7 @@ class TestBuildStack:
                 continue
             assert outcome == alone.causality
             kinds.append("certified" if outcome.bounds else "generic")
-            for field in ("steps", "outputs", "entropy"):
+            for field in ("steps", "entropy"):
                 got, want = getattr(transfer, field)[k], getattr(alone.transfer, field)[0]
                 assert np.max(np.abs(got - want)) <= 1e-12
         if tol == 2e-11:
@@ -1075,8 +1075,32 @@ class TestStackEnvironments:
         # leaves d < 2, or is 0.
         us, _ = self.stack()
         with pytest.raises(ValueError, match=rf"^environment factors of shape {re.escape(str(shape))} "
-                                             r"do not fit 5 circuits of side 4$"):
+                                             r"do not fit unitaries of shape \(5, 2, 4, 4\)$"):
             proctensor.processes.build_stack(us, np.full(shape, 0.5))
+
+    @pytest.mark.filterwarnings("error")
+    def test_circuits_of_no_step_are_refused(self):
+        # As a spec of n = 0 is, before any check reads the unitaries.
+        us, env = self.stack()
+        with pytest.raises(ValueError, match=r"^environment factors of shape \(5, 2, 2\) "
+                                             r"do not fit unitaries of shape \(5, 0, 4, 4\)$"):
+            proctensor.processes.build_stack(us[:, :0], env)
+
+    @pytest.mark.parametrize("n, d, message", [
+        (0, 2, "n must be >= 1, got 0"), (-1, 2, "n must be >= 1, got -1"),
+        (1, 1, "d must be >= 2, got 1"), (0, 1, "n must be >= 1, got 0"),
+    ])
+    @pytest.mark.filterwarnings("error")
+    def test_fredkin_processes_refuse_what_a_point_refuses(self, n, d, message):
+        # The stacks are refused at the call, before any is planned, with the
+        # message of the point ``fredkin_spec`` at the same (n, d), which
+        # cannot form the circuit of a negative step count.
+        if n >= 0:
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                fredkin_spec(0.5, n, d)
+        for ps in ([0.5], []):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                fredkin_processes(ps, n, d)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_fredkin_grid_rows_and_traces(self, monkeypatch, d):
@@ -1106,8 +1130,7 @@ class TestStackEnvironments:
             assert residuals[k].tolist() == list(pt.causality.residuals)
             assert certified[k] == pt.causality.bounds
             for got, want in zip(
-                (transfer.steps, transfer.outputs, transfer.entropy),
-                (pt.transfer.steps, pt.transfer.outputs, pt.transfer.entropy),
+                (transfer.steps, transfer.entropy), (pt.transfer.steps, pt.transfer.entropy)
             ):
                 assert np.array_equal(got[k], want[0])
 
@@ -1177,7 +1200,7 @@ class TestStackEnvironments:
             for k in range(count):
                 alone = random_process(dataclasses.replace(spec, seed=seed + k))
                 assert report_of(residuals, certified, k, DEFAULT_TOL.causal) == alone.causality
-                for name in ("steps", "outputs", "entropy"):
+                for name in ("steps", "entropy"):
                     assert np.array_equal(getattr(transfer, name)[k], getattr(alone.transfer, name)[0])
 
     @pytest.mark.parametrize("env_init", ENV_INITS)
