@@ -214,8 +214,9 @@ class RandomSpec:
     env_init: EnvInit = "maximally-mixed"
 
     def __post_init__(self) -> None:
-        if self.n < 1 or self.d < 2 or self.d_env < 1:
-            raise ValueError(f"invalid (n, d, d_env) = {(self.n, self.d, self.d_env)}")
+        _check_slots(self.n, self.d)
+        if self.d_env < 1:
+            raise ValueError(f"d_env must be >= 1, got {self.d_env}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.env_init not in get_args(EnvInit):
@@ -310,8 +311,8 @@ def build_stack(unitaries: np.ndarray, env: np.ndarray) -> Stack:
       raises ``NotAStateError`` naming the leakiest unitary. The transfer
       runs in the fewest near-equal slices of at most ``_slice_size``
       samples, in stack order, so the stack's peak memory fits
-      ``_STACK_BYTES`` beside what it holds; the slices' arrays are
-      concatenated, bit for bit those of one slice;
+      ``_STACK_BYTES`` beside what it holds; each slice fills its part of
+      the stack's arrays in place, bit for bit what one slice would;
     - certificate (``_unitarity_certificate``): its bounds decide a sample
       only where they pass ``_ROUNDING`` or more below ``DEFAULT_TOL.causal``.
       Every other sample gets the exact hierarchy, read from the same
@@ -351,18 +352,13 @@ def _build_stack(
     certified = causality_holds(rows + _ROUNDING, tol_causal)
     s, n, dim = unitaries.shape[:3]
     de = env.shape[1]
+    d = dim // de
+    steps, entropy = np.empty((s, n, d * d, d * d), dtype=complex), np.empty(s)
     undecided = ~certified
-    size = _slice_size(s, n, dim // de, de)
-    if size >= s:  # one slice runs on the whole arrays: views and a concatenation cost 1-6 %
-        transfer, exact = _transfer(unitaries, env, undecided)
-    else:
-        built = [_transfer(unitaries[part], env[part], undecided[part])
-                 for part in _near_equal_slices(s, size)]
-        fields = zip(*((t.steps, t.entropy, e) for t, e in built))
-        steps, entropy, exact = (np.concatenate(f) for f in fields)
-        transfer = Transfer(steps, entropy)
-    rows[undecided] = exact
-    return transfer, rows, certified
+    for part in _near_equal_slices(s, _slice_size(s, n, d, de)):
+        _transfer(unitaries[part], env[part], undecided[part],
+                  steps[part], entropy[part], rows[part])
+    return Transfer(steps, entropy), rows, certified
 
 
 def _check_unitarity(residuals: np.ndarray) -> None:
@@ -397,17 +393,20 @@ def _circuit_state(
 
 
 def _transfer(
-    unitaries: np.ndarray, env: np.ndarray, exact: np.ndarray
-) -> tuple[Transfer, np.ndarray]:
-    """Step marginals, S(P_n) and exact hierarchy residuals of a circuit stack.
+    unitaries: np.ndarray, env: np.ndarray, exact: np.ndarray,
+    steps: np.ndarray, entropy: np.ndarray, rows: np.ndarray,
+) -> None:
+    """Fill in the step marginals, S(P_n) and exact hierarchy residuals of a circuit stack.
 
     ``unitaries`` is (S, n, d d_env, d d_env), ``env`` the environments'
     factors (S, d_env, r) and ``exact`` a boolean mask (S,) of the samples
     whose hierarchy residuals are wanted. The first circuit in stack order
     whose final trace fails validation raises ``_circuit_state``'s
-    ``NotAStateError``, which names its leakiest unitary; only then are the
-    residuals formed, as one array (m, n): levels 1..n of each of the m
-    masked samples, in stack order.
+    ``NotAStateError``, which names its leakiest unitary; only then is
+    anything written: the step marginals into ``steps`` (S, n, d^2, d^2),
+    S(P_n) into ``entropy`` (S,) and levels 1..n of each masked sample into
+    its row of ``rows`` (S, n), whose other rows are left as they are.
+    ``_build_stack`` passes views of its stack's arrays, one slice at a time.
 
     Per circuit, rho_j is the state of environment E (x) ancilla R once the
     slots of the first j steps are traced out; rho_0 is the pure state of
@@ -492,14 +491,13 @@ def _transfer(
     bad = ~(np.abs(traces - 1.0) <= DEFAULT_TOL.tr)  # catches NaN too
     for k in np.flatnonzero(bad):
         _circuit_state(unitaries[k], (de, r), fac[k])  # raises the leak message
-    residuals = np.array([_level_residuals((lv[m].reshape(-1, de * r) for lv in levels), d)
-                          for m in range(len(picked))]).reshape(len(picked), n)
-    entropy = factor_entropies(fac)  # on the narrower Gram side of rho_n's factor
+    for m, k in enumerate(picked):
+        rows[k] = _level_residuals((lv[m].reshape(-1, de * r) for lv in levels), d)
+    entropy[:] = factor_entropies(fac)  # on the narrower Gram side of rho_n's factor
     del fac
     ws = (weighed @ np.stack(sigmas, axis=1)).reshape(s, n, d * d, -1)  # W sigma: columns (E', E)
     np.conjugate(weighed, out=weighed)  # no longer read as W
-    steps = ws @ weighed.reshape(s, n, d * d, -1).swapaxes(2, 3)  # tr_{E'} W sigma W^dag
-    return Transfer(steps, entropy), residuals
+    steps[:] = ws @ weighed.reshape(s, n, d * d, -1).swapaxes(2, 3)  # tr_{E'} W sigma W^dag
 
 
 def _choi_state(d: int, unitaries: Sequence[np.ndarray], psi_env: np.ndarray) -> DensityMatrix:
@@ -659,8 +657,10 @@ def fredkin_spec(p: float, n: int, d: int) -> CircuitProcessSpec:
 
     At n = 1 it dilates the depolarizing channel rho -> p I/d + (1-p) rho.
     From n = 2 on each step is locally depolarizing, but memory flows
-    through the shared environment (``_fredkin_circuits``).
+    through the shared environment (``_fredkin_circuits``). n < 1 or d < 2
+    raises ``CircuitProcessSpec``'s ``ValueError`` before anything is built.
     """
+    _check_slots(n, d)
     (us,), (env,) = _fredkin_circuits([p], n, d)
     return CircuitProcessSpec(n, d, DensityMatrix(None, (2, d), factor=env), tuple(us))
 
@@ -670,7 +670,10 @@ def swap_chain_process(n: int, d: int) -> ProcessTensor:
 
     Every step swaps the system with a d-dimensional environment that starts
     maximally mixed, so o_1 is maximally mixed and o_{j+1} carries i_{j-1}.
+    n < 1 or d < 2 raises ``CircuitProcessSpec``'s ``ValueError`` before
+    anything is built, and n = 1, a chain of one step, is refused too.
     """
+    _check_slots(n, d)
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     spec = CircuitProcessSpec(
@@ -745,14 +748,14 @@ def random_process(spec: RandomSpec) -> ProcessTensor:
 # Bytes that one stack of ``_stacks`` may hold at its peak. A stack is planned by what
 # a sample holds outside ``_transfer`` (``_draw_bytes``: 18.7 kB at n = 3, d = 2, d_env = 4, so
 # 105 samples), and ``_build_stack`` runs its transfer in slices planned by what a sample holds
-# inside it (``_sample_bytes``: 59 kB), beside what the stack already holds (``_slice_size``:
-# 100 samples run as four slices of 25). A stack adds up to ``_STACK_FIXED``
-# of numpy's own buffers. Measured with ``tracemalloc`` (numpy 2.4), the draw sets the peak
-# where d_env >= 2: 0.83 of the budget at n = 3, d = 2, d_env = 4, against 0.5 to 0.7 for the
-# build and 0.1 for the audit; at d_env = 1 the transfer slices or the audit do. In time, on one
-# core of an Intel Xeon with one BLAS thread, an n = 3 stack (draw, build and audit) costs about
-# 0.67 ms plus 0.098 ms per sample, and a transfer slice beyond the first about 0.08 ms, so a
-# 100-sample audit runs as one stack.
+# inside it (``_sample_bytes``: 59 kB), beside what the stack already holds, its transfer fields
+# included, which each slice fills in place (``_slice_size``: 100 samples run as four slices of
+# 25). A stack adds up to ``_STACK_FIXED`` of numpy's own buffers. Measured with ``tracemalloc``
+# (numpy 2.4), the draw sets the peak where d_env >= 2: 0.83 of the budget at n = 3, d = 2,
+# d_env = 4, against 0.5 to 0.7 for the build and 0.1 for the audit; at d_env = 1 the transfer
+# slices or the audit do. In time, on one core of an Intel Xeon with one BLAS thread, an n = 3
+# stack (draw, build and audit) costs about 0.67 ms plus 0.098 ms per sample, and a transfer
+# slice beyond the first about 0.08 ms, so a 100-sample audit runs as one stack.
 _STACK_BYTES = 2_190_000
 _STACK_FIXED = 160_000
 
@@ -771,11 +774,11 @@ def _sample_bytes(n: int, d: int, d_env: int) -> int:
     unitaries, their Kraus copy, W, W sigma and the n effects and sigmas of
     side d_env; these fill at most half of the fifth, whose other half
     covers the sample's row of the environment factors, at most d_env^2
-    entries. The step marginals are n d^4 entries, the sample's rows of the
-    certificate's arrays and of the returned residuals 4 n more, and 6 kB
-    cover its Python objects. A sample that the certificate leaves
-    undecided also keeps its n level factors for the exact hierarchy,
-    which this does not count.
+    entries. The step marginals are n d^4 entries, formed before they are
+    copied into the stack's, the sample's rows of the certificate's arrays
+    and of its exact residuals 4 n more, and 6 kB cover its Python
+    objects. A sample that the certificate leaves undecided also keeps its
+    n level factors for the exact hierarchy, which this does not count.
     """
     wide = d * d * d_env**2 * min(d ** (2 * min(n - 1, d_env)), d_env**2)
     square = min(d_env**2, d ** (2 * n)) ** 2
@@ -817,12 +820,12 @@ def _slice_size(count: int, n: int, d: int, d_env: int) -> int:
     """Most samples of one ``_transfer`` slice of a stack of ``count`` circuits; at least 1.
 
     While its transfer is built, the stack holds per sample its unitaries,
-    its environment factor, its unitarity, certificate and exact residual
-    rows, and its transfer fields (n d^4 + 1 entries) twice while the
-    slices' are concatenated. A slice's samples hold ``_sample_bytes`` each
-    beside that, within ``_STACK_BYTES``.
+    its environment factor, its unitarity and certificate residual rows
+    and its transfer fields (n d^4 + 1 entries), which the slices fill in
+    place. A slice's samples hold ``_sample_bytes`` each beside that,
+    within ``_STACK_BYTES``.
     """
-    held = n * (d * d_env) ** 2 + d_env**2 + 2 * (n * d**4 + 1) + 2 * n + 1
+    held = n * (d * d_env) ** 2 + d_env**2 + (n * d**4 + 1) + 2 * n + 1
     room = _STACK_BYTES - _STACK_FIXED - 16 * count * held
     return max(1, room // _sample_bytes(n, d, d_env))
 

@@ -1212,7 +1212,9 @@ class TestInputRefusals:
 
     @pytest.mark.parametrize("argv, message", [
         (["audit-random", "--samples", "0"], "--samples must be >= 1"),
-        (["audit-random", "--n", "0", "--samples", "1"], "invalid (n, d, d_env) = (0, 2, 4)"),
+        (["audit-random", "--n", "0", "--samples", "1"], "n must be >= 1, got 0"),
+        (["audit-random", "--d", "1", "--samples", "1"], "d must be >= 2, got 1"),
+        (["audit-random", "--denv", "0", "--samples", "1"], "d_env must be >= 1, got 0"),
     ])
     def test_command_refusal(self, capsys, argv, message):
         assert main(argv) == 2

@@ -60,6 +60,7 @@ from conftest import (
     random_density,
     record_plan,
     seeded_circuit_spec,
+    stack_plan,
 )
 
 
@@ -528,6 +529,18 @@ class TestSwapChainProcess:
         with pytest.raises(ValueError):
             swap_chain_process(1, 2)
 
+    @pytest.mark.parametrize("n, d, message", [
+        (1, 2, "n must be >= 2, got 1"), (0, 2, "n must be >= 1, got 0"),
+        (2, 1, "d must be >= 2, got 1"), (2, 0, "d must be >= 2, got 0"),
+        (2, -1, "d must be >= 2, got -1"),
+    ])
+    @pytest.mark.filterwarnings("error")
+    def test_refusals_name_the_slot_fact(self, n, d, message):
+        # (n, d) are checked before the environment or a unitary is formed,
+        # with the messages of ``CircuitProcessSpec``; n = 1 is no chain.
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            swap_chain_process(n, d)
+
 
 class TestCnotSwapProcess:
     def test_choi_structure(self):
@@ -978,6 +991,33 @@ class TestBuildStack:
         expected = {0.0: [False] * 8, 2e-11: [True, False] * 4, 1e-9: [True] * 8, 1.0: [True] * 8}
         assert certified.tolist() == expected[tol]
 
+    @pytest.mark.parametrize("env_init", ["maximally-mixed", "seeded-random"])
+    @pytest.mark.parametrize("tol", [0.0, 2e-11])
+    def test_each_slice_fills_its_samples_in_place(self, monkeypatch, env_init, tol):
+        # Transfer slices of at most 3 run the 8 samples as 2, 3 and 3. At
+        # 2e-11 the certificate leaves samples 1, 3, 5 and 7 to the exact
+        # hierarchy: offsets 1, 1, 0 and 2 of the three slices; at 0 all.
+        stack_plan(monkeypatch, 8, 3)
+        slices = record_plan(monkeypatch)[1]
+        specs = [seeded_circuit_spec(3, 2, 2, seed, env_init, leak=leak)
+                 for seed in range(4) for leak in (0.0, 3e-11)]
+        with causal_tol(tol):
+            transfer, residuals, certified = build_stack(*stack_of(specs))
+        assert slices == [2, 3, 3]
+        for k, spec in enumerate(specs):
+            try:
+                alone = build_from_circuit(spec, tol)
+                report = alone.causality
+            except CausalityError as exc:
+                report = exc.report
+                alone = build_from_circuit(spec, 1.0)  # its transfer, as tol does not move it
+            assert residuals[k].tolist() == list(report.residuals), k
+            assert bool(certified[k]) is report.bounds, k
+            assert np.array_equal(transfer.steps[k], alone.transfer.steps[0]), k
+            assert np.array_equal(transfer.entropy[k], alone.transfer.entropy[0]), k
+        expected = {0.0: [False] * 8, 2e-11: [True, False] * 4}
+        assert certified.tolist() == expected[tol]
+
     def test_first_non_unitary_sample_raises_its_spec_error(self):
         specs = self.mixed_specs()
         us, env = stack_of(specs)
@@ -1089,15 +1129,15 @@ class TestStackEnvironments:
     @pytest.mark.parametrize("n, d, message", [
         (0, 2, "n must be >= 1, got 0"), (-1, 2, "n must be >= 1, got -1"),
         (1, 1, "d must be >= 2, got 1"), (0, 1, "n must be >= 1, got 0"),
+        (1, 0, "d must be >= 2, got 0"), (1, -1, "d must be >= 2, got -1"),
     ])
     @pytest.mark.filterwarnings("error")
     def test_fredkin_processes_refuse_what_a_point_refuses(self, n, d, message):
         # The stacks are refused at the call, before any is planned, with the
         # message of the point ``fredkin_spec`` at the same (n, d), which
-        # cannot form the circuit of a negative step count.
-        if n >= 0:
-            with pytest.raises(ValueError, match=f"^{message}$"):
-                fredkin_spec(0.5, n, d)
+        # checks them before it forms a circuit.
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            fredkin_spec(0.5, n, d)
         for ps in ([0.5], []):
             with pytest.raises(ValueError, match=f"^{message}$"):
                 fredkin_processes(ps, n, d)
