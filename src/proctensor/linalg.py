@@ -236,15 +236,26 @@ def factor_traces(factors: np.ndarray) -> np.ndarray:
     """
     with np.errstate(over="ignore", invalid="ignore"):  # a huge or NaN entry fails its trace below
         traces = np.sum(np.abs(factors) ** 2, axis=(-2, -1))
+    check_traces(traces, factors)
+    return traces
+
+
+def check_traces(traces: np.ndarray, arrays: np.ndarray) -> None:
+    """Raise for the first of the ``traces`` (S,) off 1 beyond ``DEFAULT_TOL.tr``, NaN included.
+
+    ``arrays`` (S, ...) are what each trace was read from: the factors of
+    ``factor_traces``, or states that such factors would give. The first
+    failing trace raises ``ValueError`` where its array has a non-finite
+    entry, and ``NotAStateError`` otherwise.
+    """
     ok = np.abs(traces - 1.0) <= DEFAULT_TOL.tr  # false for NaN too
     if not ok.all():
-        k = np.argmin(ok)  # the first failing factor
-        if not np.all(np.isfinite(factors[k])):
+        k = np.argmin(ok)  # the first failing trace
+        if not np.all(np.isfinite(arrays[k])):
             raise ValueError("factor entries must be finite")
         raise NotAStateError(
             f"factor trace {float(traces[k])} deviates from 1 beyond {DEFAULT_TOL.tr:.1e}"
         )
-    return traces
 
 
 def check_dense(what: str, size: int) -> None:
@@ -355,7 +366,13 @@ def _hermitian_spectra(mats: np.ndarray) -> np.ndarray:
 
 
 def _entropy_from_spectrum(w: np.ndarray) -> np.ndarray:
-    """-sum(lambda ln lambda) along the last axis of ``w``, with 0 ln 0 := 0."""
+    """-sum(lambda ln lambda) along the last axis of ``w``, with 0 ln 0 := 0.
+
+    A non-finite eigenvalue, or one below -``DEFAULT_TOL.psd``, raises
+    ``NotAStateError``: a NaN fails, as in ``processes.causality_holds``.
+    """
+    if not np.isfinite(w).all():
+        raise NotAStateError("non-finite eigenvalue in the spectrum")
     if float(w.min(initial=0.0)) < -DEFAULT_TOL.psd:
         raise NotAStateError(f"negative eigenvalue {w.min():.3e} beyond -{DEFAULT_TOL.psd:.1e}")
     w = np.where(w > 0.0, w, 1.0)  # 1 ln 1 = 0 stands in for 0 ln 0 and rounding below 0

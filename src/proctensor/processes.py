@@ -8,6 +8,7 @@ flow through it between steps.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from dataclasses import dataclass, field, replace
@@ -20,12 +21,14 @@ from .linalg import (
     DensityMatrix,
     NotAStateError,
     check_dense,
+    check_traces,
     factor_entropies,
     factor_trace_distance,
     factor_traces,
     maximally_mixed,
     partial_trace,
     unitarity_residual,
+    von_neumann_entropies,
     von_neumann_entropy,
 )
 
@@ -373,16 +376,15 @@ def _check_unitarity(residuals: np.ndarray) -> None:
         raise ValueError(f"unitary {j} unitarity residual {residuals[k, j]:.3e}")
 
 
-def _circuit_state(
-    unitaries: Sequence[np.ndarray], dims: tuple[int, ...], factor: np.ndarray
-) -> DensityMatrix:
-    """``DensityMatrix`` of a factor that a circuit of these ``unitaries`` produced.
+@contextlib.contextmanager
+def _leak_named(unitaries: Sequence[np.ndarray]) -> Iterator[None]:
+    """Within the block, a ``NotAStateError`` of a circuit's output also names its leakiest unitary.
 
-    A trace beyond ``DEFAULT_TOL.tr`` comes from the unitaries' leaks, so
-    the ``NotAStateError`` names the one of the largest ``unitarity_residual``.
+    A trace beyond ``DEFAULT_TOL.tr`` comes from the ``unitaries``' leaks,
+    so the error names the one of the largest ``unitarity_residual``.
     """
     try:
-        return DensityMatrix(None, dims, factor=factor)
+        yield
     except NotAStateError as exc:
         residuals = unitarity_residual(np.asarray(unitaries))
         j = int(np.argmax(residuals))
@@ -401,26 +403,34 @@ def _transfer(
     ``unitaries`` is (S, n, d d_env, d d_env), ``env`` the environments'
     factors (S, d_env, r) and ``exact`` a boolean mask (S,) of the samples
     whose hierarchy residuals are wanted. The first circuit in stack order
-    whose final trace fails validation raises ``_circuit_state``'s
-    ``NotAStateError``, which names its leakiest unitary; only then is
-    anything written: the step marginals into ``steps`` (S, n, d^2, d^2),
-    S(P_n) into ``entropy`` (S,) and levels 1..n of each masked sample into
-    its row of ``rows`` (S, n), whose other rows are left as they are.
-    ``_build_stack`` passes views of its stack's arrays, one slice at a time.
+    whose final trace fails validation raises ``NotAStateError`` naming its
+    leakiest unitary (``_leak_named``); only then is anything written: the
+    step marginals into ``steps`` (S, n, d^2, d^2), S(P_n) into ``entropy``
+    (S,) and levels 1..n of each masked sample into its row of ``rows``
+    (S, n), whose other rows are left as they are. ``_build_stack`` passes
+    views of its stack's arrays, one slice at a time.
 
     Per circuit, rho_j is the state of environment E (x) ancilla R once the
     slots of the first j steps are traced out; rho_0 is the pure state of
     the environment's factor. With U_j as a tensor (o, E', a, E) and the
     operators K_oa = U_j[o, :, a, :] / sqrt(d) on E,
 
-        rho_j = sum_{o,a} K_oa rho_{j-1} K_oa^dag    (R untouched),
+        rho_j = sum_{o,a} K_oa rho_{j-1} K_oa^dag    (R untouched).
 
-    carried as a factor F with rows (E, R): the columns of K_oa F, stacked
-    over (o, a), are cut back to d_env r by a QR where they outnumber
-    d_env r. Step n is not cut: nothing reads rho_n but its trace, the
-    Choi state's, and its entropy, S(P_n) = S(rho_n) since (slots, E, R)
-    is pure; ``factor_entropies`` takes that from the uncut factor's
-    narrower Gram side.
+    While it is narrow, rho_j is carried as a factor F with rows (E, R):
+    the columns of K_oa F, stacked over (o, a). A step multiplies its
+    column count by d^2, so from the first step j < n whose factor would
+    have more columns than its d_env r rows, rho_j = F F^dag itself is
+    carried, a matrix of side d_env r laid out as (E, (R, R'), F). Each
+    later step is the Kraus sum above: one batched product of the stacked
+    K_oa (rows (o, E', a)) with rho, one reorder that puts (o, a) beside
+    its F, and one product with the stacked conjugates K_oa^* (rows
+    (o, a, F)), which sums over (o, a, F). Nothing reads rho_n but its
+    trace, the Choi state's, and its entropy, S(P_n) = S(rho_n) since
+    (slots, E, R) is pure: ``factor_entropies`` takes that from the
+    factor's narrower Gram side, and ``von_neumann_entropies`` from a
+    carried rho_n, the Gram F F^dag of side d_env r that a wider factor
+    would give.
 
     K_oa F with rows (o_j, E', a = i_{j-1}) is a factor of the state of
     (i_{j-1}, o_j, E, R) with the earlier slots traced out. The later steps
@@ -428,12 +438,13 @@ def _transfer(
     T_k^dag(X) = sum_{o,a} K_oa^dag X K_oa, which is I when they are
     unitary; tracing E against it gives the step marginals of the Choi state
     P_n, leaks included. The chain starts at E_{n-1} = T_n^dag(I) =
-    sum_{o,a} K_oa^dag K_oa, with no product by E_n = I. With
-    E_j = L L^dag (Cholesky) and W_j the operators L^dag K_oa stacked into
-    rows (a, o, E'), that trace is the plain trace over E' of the weighed
-    factor W_j F. W is one batched product of L^dag with the Kraus blocks
-    laid out as (E', (o, a, E)), its rows then reordered. The marginal reads
-    F only through the environment's reduced state sigma_{j-1} = tr_R rho_{j-1}:
+    sum_{o,a} K_oa^dag K_oa, with no product by E_n = I, and fills one
+    array of E_1, ..., E_n in place. With E_j = L L^dag (Cholesky) and W_j
+    the operators L^dag K_oa stacked into rows (a, o, E'), that trace is
+    the plain trace over E' of the weighed factor W_j F. W is one batched
+    product of L^dag with the Kraus blocks laid out as (E', (o, a, E)), its
+    rows then reordered. The marginal reads F only through the
+    environment's reduced state sigma_{j-1} = tr_R rho_{j-1}:
 
         step_j = tr_{E'} (W_j sigma_{j-1} W_j^dag).
 
@@ -442,62 +453,107 @@ def _transfer(
     its columns, and the marginal on (i_{j-1}, o_j, E') is
     (W_j F_E)(W_j F_E)^dag = W_j (F_E F_E^dag) W_j^dag, where F_E F_E^dag
     sums rho_{j-1} = F F^dag over R on both sides: it is tr_R rho_{j-1}.
-    So the loop carries only sigma_{j-1}, one d_env-sided product per
-    step, and the marginals of every step come from two batched products
-    after it.
+    A carried rho_{j-1} gives it as one product with vec(I_r) over
+    (R, R'). So the loop carries only sigma_{j-1}, one d_env-sided product
+    per step, and the marginals of every step come from two batched
+    products after it.
 
     The weighed factor W_j F, with its rows (column of F, i_{j-1}, o_j), is a
     factor of the marginal of P_n on its first 2j slots: F's columns stand
     in for the earlier slots, which the pure prefix state maps into them
     isometrically on its support. Trace distances are blind to that
     isometry, so ``_level_residuals`` on these factors gives the hierarchy's
-    residuals exactly, on matrices of side at most d d_env r.
+    residuals exactly, on matrices of side at most d d_env r. Where rho_{j-1}
+    is carried, its factor is G = V sqrt(max(lambda, 0)) from
+    ``eigh(rho_{j-1})``. G G^dag = F F^dag (to rounding, where a negative
+    lambda is cut to 0), so F = G U with U U^dag the projector onto the
+    columns of G with lambda > 0. Level j's factors from F are then those
+    from G with U^T applied to the index of the factor's column, an
+    isometry on the support of every state that level compares, so the
+    residuals are the same. Level 1 reads the environment's own factor, as
+    no step precedes it.
     """
     s, n, dim = unitaries.shape[:3]
     de, r = env.shape[1:]
     d = dim // de
     ks = unitaries.reshape(s, n, d, de, d, de) / math.sqrt(d)  # (sample, step, o, E', a, E)
     kraus = ks.transpose(1, 0, 2, 4, 3, 5)  # (step, sample, o, a, E', E): K_oa
-    effects = [np.broadcast_to(np.eye(de), (s, de, de))]  # E_n = I, then E_{n-1}, ..., E_1
-    for k in kraus[:0:-1]:  # T^dag(E) = sum_{o,a} K_oa^dag (E K_oa), rows (o, a, E')
-        flat = k.reshape(s, -1, de)
-        x = flat if len(effects) == 1 else (effects[-1][:, None, None] @ k).reshape(s, -1, de)
-        effects.append(flat.conj().swapaxes(1, 2) @ x)
-    lh = np.linalg.cholesky(np.stack(effects[::-1], axis=1)).conj().swapaxes(-1, -2)
+    effects = np.empty((s, n, de, de), dtype=complex)  # E_1, ..., E_n
+    effects[:, -1] = np.eye(de)
+    for j in range(n - 1, 0, -1):  # E_j = T^dag(E_{j+1}) = sum_{o,a} K_oa^dag (E_{j+1} K_oa)
+        flat = kraus[j].reshape(s, -1, de)  # rows (o, a, E')
+        x = flat if j == n - 1 else (effects[:, j, None, None] @ kraus[j]).reshape(s, -1, de)
+        np.matmul(flat.conj().swapaxes(1, 2), x, out=effects[:, j - 1])
+    lh = np.linalg.cholesky(effects).conj().swapaxes(-1, -2)
+    del effects
     w = lh @ ks.transpose(0, 1, 3, 2, 4, 5).reshape(s, n, de, -1)  # rows E', columns (o, a, E)
     w = w.reshape(s, n, de, d, d, de).transpose(0, 1, 4, 3, 2, 5)
     weighed = w.reshape(s, n, -1, de)  # W: rows (a, o, E')
     del w
-    fac = env.reshape(s, -1, 1)  # rows (E, R)
+    fac, rho = env.reshape(s, -1, 1), None  # rows (E, R)
     picked = np.flatnonzero(exact)
-    sigmas, levels = [], []
-    for j, k in enumerate(ks.reshape(s, n, -1, de).swapaxes(0, 1)):
-        f = fac.reshape(s, de, -1)  # columns (R, column)
-        sigmas.append(f @ f.conj().swapaxes(1, 2))  # sigma_{j-1} = tr_R rho_{j-1}
+    sigmas, levels = np.empty((s, n, de, de), dtype=complex), []
+    vec_r = np.eye(r).reshape(1, -1)  # vec(I_r): tr_R of a carried state, over (R, R')
+    for j, k in enumerate(ks.reshape(s, n, -1, de).swapaxes(0, 1)):  # K: rows (o, E', a)
+        if rho is None:
+            f = fac.reshape(s, de, -1)  # columns (R, column)
+            sigmas[:, j] = f @ f.conj().swapaxes(1, 2)  # sigma_{j-1} = tr_R rho_{j-1}
+        else:  # the same, over (R, R') of the carried rho_{j-1}
+            sigmas[:, j] = (vec_r @ rho.reshape(s, de, r * r, de))[:, :, 0]
         if len(picked):  # level j's factors: (sample, column, i_{j-1}, o_j, E', R)
-            step = weighed[picked, j] @ f[picked]  # rows (i_{j-1}, o_j, E'), columns (R, column)
+            if rho is None:
+                fp = f[picked]
+            else:  # eigh's factor of rho_{j-1}, rows (E, R)
+                lam, v = np.linalg.eigh(_matrix(rho[picked]))
+                fp = (v * np.sqrt(np.maximum(lam, 0.0))[:, None]).reshape(len(picked), de, -1)
+            step = weighed[picked, j] @ fp  # rows (i_{j-1}, o_j, E'), columns (R, column)
             levels.append(np.moveaxis(step.reshape(len(picked), d, d, de, r, -1), 5, 1))
-        t = (k @ f).reshape(s, d, de, d, r, -1).transpose(0, 2, 4, 1, 3, 5)  # (., E, R, o, a, .)
-        del f, fac  # rho_{j-1} is read: a cut's copies form without it
-        if j == n - 1 or t[0].size <= (de * r) ** 2:  # rho_n is read uncut
-            fac = t.reshape(s, de * r, -1)
-        else:
-            t = np.conjugate(t, order="C").reshape(s, de * r, -1)
-            fac = np.linalg.qr(t.swapaxes(1, 2), mode="r").conj().swapaxes(1, 2)
-        del t  # else the next step's factors would form beside it
-    fac = np.ascontiguousarray(fac)  # already contiguous: step n's factor is a reordered copy
-    v = fac.reshape(s, -1).view(float)
-    traces = np.einsum("si,si->s", v, v)  # sum |F|^2 over rho_n's factor
-    bad = ~(np.abs(traces - 1.0) <= DEFAULT_TOL.tr)  # catches NaN too
-    for k in np.flatnonzero(bad):
-        _circuit_state(unitaries[k], (de, r), fac[k])  # raises the leak message
+            del fp  # not held beside the step's products below
+        if rho is None:
+            t = (k @ f).reshape(s, d, de, d, r, -1).transpose(0, 2, 4, 1, 3, 5)  # (., E, R, o, a, .)
+            del f, fac  # rho_{j-1} is read: the copies below form without it
+            fac = t.reshape(s, de * r, -1)  # a reordered copy, rows (E, R)
+            del t  # else the next step's factors would form beside it
+            if j < n - 1 and fac[0].size > (de * r) ** 2:  # carry rho_j = F F^dag from here
+                rho = (fac @ fac.conj().swapaxes(1, 2)).reshape(s, de, r, de, r)
+                del fac
+                rho = np.ascontiguousarray(rho.swapaxes(3, 4))  # (E, R, R', F)
+        else:  # rho_j = sum_{o,a} K_oa rho_{j-1} K_oa^dag
+            kr = (k @ rho.reshape(s, de, -1)).reshape(s, d, de, d, r * r, de)  # (o, E', a, RR', F)
+            del rho
+            kr = kr.transpose(0, 2, 4, 1, 3, 5).reshape(s, de * r * r, -1)  # ((E', RR'), (o, a, F))
+            kc = np.conjugate(kraus[j].swapaxes(-1, -2), order="C")  # K_oa^*: (o, a, F, E')
+            rho = (kr @ kc.reshape(s, -1, de)).reshape(s, de, r, r, de)
+            del kr, kc
+    dense = rho is not None
+    if dense:
+        final = _matrix(rho)  # rows (E, R), columns (F, R')
+        del rho
+        traces = np.trace(final, axis1=1, axis2=2).real
+    else:
+        final = np.ascontiguousarray(fac)  # already contiguous: the last factor is a reordered copy
+        del fac
+        v = final.reshape(s, -1).view(float)
+        traces = np.einsum("si,si->s", v, v)  # sum |F|^2 over rho_n's factor
+    ok = np.abs(traces - 1.0) <= DEFAULT_TOL.tr  # false for NaN too
+    if not ok.all():
+        k = np.argmin(ok)
+        with _leak_named(unitaries[k]):
+            check_traces(traces[k:k + 1], final[k:k + 1])
     for m, k in enumerate(picked):
         rows[k] = _level_residuals((lv[m].reshape(-1, de * r) for lv in levels), d)
-    entropy[:] = factor_entropies(fac)  # on the narrower Gram side of rho_n's factor
-    del fac
-    ws = (weighed @ np.stack(sigmas, axis=1)).reshape(s, n, d * d, -1)  # W sigma: columns (E', E)
+    # rho_n's entropy: on rho_n itself, or on the narrower Gram side of its factor
+    entropy[:] = von_neumann_entropies(final) if dense else factor_entropies(final)
+    del final
+    ws = (weighed @ sigmas).reshape(s, n, d * d, -1)  # W sigma: columns (E', E)
     np.conjugate(weighed, out=weighed)  # no longer read as W
     steps[:] = ws @ weighed.reshape(s, n, d * d, -1).swapaxes(2, 3)  # tr_{E'} W sigma W^dag
+
+
+def _matrix(rho: np.ndarray) -> np.ndarray:
+    """Carried states (S, E, R, R', F) of ``_transfer`` as matrices (S, (E, R), (F, R'))."""
+    s, de, r = rho.shape[:3]
+    return rho.swapaxes(3, 4).reshape(s, de * r, de * r)
 
 
 def _choi_state(d: int, unitaries: Sequence[np.ndarray], psi_env: np.ndarray) -> DensityMatrix:
@@ -520,7 +576,8 @@ def _choi_state(d: int, unitaries: Sequence[np.ndarray], psi_env: np.ndarray) ->
         t = np.tensordot(vec, u.reshape(d, de, d, de), axes=([1], [3]))
         # t axes: (slots, ancilla, o_j, env, i_{j-1})
         vec = t.transpose(0, 4, 2, 3, 1).reshape(-1, de, r) / math.sqrt(d)
-    return _circuit_state(unitaries, (d,) * (2 * n), vec.reshape(-1, de * r))
+    with _leak_named(unitaries):
+        return DensityMatrix(None, (d,) * (2 * n), factor=vec.reshape(-1, de * r))
 
 
 def _level_residuals(levels: Iterable[np.ndarray], d: int) -> list[float]:
@@ -752,10 +809,12 @@ def random_process(spec: RandomSpec) -> ProcessTensor:
 # included, which each slice fills in place (``_slice_size``: 100 samples run as four slices of
 # 25). A stack adds up to ``_STACK_FIXED`` of numpy's own buffers. Measured with ``tracemalloc``
 # (numpy 2.4), the draw sets the peak where d_env >= 2: 0.83 of the budget at n = 3, d = 2,
-# d_env = 4, against 0.5 to 0.7 for the build and 0.1 for the audit; at d_env = 1 the transfer
-# slices or the audit do. In time, on one core of an Intel Xeon with one BLAS thread, an n = 3
-# stack (draw, build and audit) costs about 0.67 ms plus 0.098 ms per sample, and a transfer
-# slice beyond the first about 0.08 ms, so a 100-sample audit runs as one stack.
+# d_env = 4, against 0.4 to 0.6 for the build and 0.1 for the audit; at d_env = 1 the transfer
+# slices or the audit do. A slice's widest arrays are those of a step's product, whether the
+# transfer carries a factor or, once that factor would be wider than tall, the state itself.
+# In time, on one core of an Intel Xeon with one BLAS thread, an n = 3 stack (draw, build and
+# audit) costs about 0.67 ms plus 0.098 ms per sample, and a transfer slice beyond the first
+# about 0.08 ms, so a 100-sample audit runs as one stack.
 _STACK_BYTES = 2_190_000
 _STACK_FIXED = 160_000
 
@@ -763,22 +822,30 @@ _STACK_FIXED = 160_000
 def _sample_bytes(n: int, d: int, d_env: int) -> int:
     """Upper bound on the bytes one sample of a transfer slice holds in ``_transfer``.
 
-    The carried factor has d_env r rows, r <= d_env the environment's rank,
-    and after a cut at most d_env r columns. A step's product with the
-    Kraus operators, its reordered copy and the final factor, which is not
-    cut, have d^2 times as many: at most d^2 min(d^(2(n-1)), d_env r)
-    (``_transfer``; d^(2 d_env) >= d_env^2 caps the exponent). Two of these
-    wide arrays live at once, beside one square one of side at most
-    min(d_env r, d^(2n)): a cut's R, or the final factor's Gram on its
-    narrower side. Five arrays the size of the n unitaries cover the
-    unitaries, their Kraus copy, W, W sigma and the n effects and sigmas of
-    side d_env; these fill at most half of the fifth, whose other half
-    covers the sample's row of the environment factors, at most d_env^2
-    entries. The step marginals are n d^4 entries, formed before they are
-    copied into the stack's, the sample's rows of the certificate's arrays
-    and of its exact residuals 4 n more, and 6 kB cover its Python
-    objects. A sample that the certificate leaves undecided also keeps its
-    n level factors for the exact hierarchy, which this does not count.
+    The carried state has d_env r rows, r <= d_env the environment's rank:
+    a factor of at most d_env r columns or, from the first step whose
+    factor would be wider, the state itself, a square of side d_env r. A
+    step's product with the Kraus operators and its reordered copy have
+    d^2 times as many entries, as do the final factor and the copy its Gram
+    is formed from: at most d^2 d_env r min(d^(2(n-1)), d_env r), since the
+    state is carried only where d^(2(n-1)) > d_env r (d^(2 d_env) >=
+    d_env^2 caps the exponent). Two of these wide arrays live at once,
+    beside one square one of side at most min(d_env r, d^(2n)): the carried
+    state, or the final factor's Gram on its narrower side. The final
+    carried state, its copy as a matrix and the one its spectrum is taken
+    from are squares, held when nothing wide is. Five arrays the size of
+    the n unitaries cover those of that size, at most four at once: the
+    unitaries, their Kraus copy and two of the copy W is formed from, W,
+    its reordered copy and W sigma. The smaller arrays beside them fill at
+    most the fifth: the n effects, their Cholesky factors and the n sigmas
+    of side d_env, one step's conjugate Kraus operators and the sample's
+    row of the environment factors, at most d_env^2 entries. The step
+    marginals are n d^4 entries, formed before they are copied into the
+    stack's, the sample's rows of the certificate's arrays and of its exact
+    residuals 4 n more, and 6 kB cover its Python objects. A sample that the
+    certificate leaves undecided also keeps its n level factors for the
+    exact hierarchy, and eigh's factors of its carried states, which this
+    does not count.
     """
     wide = d * d * d_env**2 * min(d ** (2 * min(n - 1, d_env)), d_env**2)
     square = min(d_env**2, d ** (2 * n)) ** 2

@@ -461,6 +461,20 @@ class TestEntropy:
         with pytest.raises(NotAStateError, match="negative eigenvalue"):
             von_neumann_entropies(bad)
 
+    def test_a_non_finite_spectrum_fails(self, monkeypatch):
+        # A NaN is below no bound, so it once passed the check and was read
+        # as 1 ln 1 = 0. Side 2 is taken in closed form, any other side by
+        # eigvalsh, whose spectrum reaches the same check.
+        with pytest.raises(NotAStateError, match="non-finite eigenvalue"):
+            von_neumann_entropies(np.array([np.eye(2) / 2, [[0.5, 0.0], [0.0, np.nan]]]))
+        for bad in (np.nan, np.inf):
+            with pytest.raises(NotAStateError, match="non-finite eigenvalue"):
+                proctensor.linalg._entropy_from_spectrum(np.array([[0.5, 0.5, 0.0], [bad, 0.5, 0.5]]))
+        real = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: real(m) + [0.0, np.nan, 0.0])
+        with pytest.raises(NotAStateError, match="non-finite eigenvalue"):
+            von_neumann_entropies(np.eye(3)[None] / 3)
+
 
 class TestRelativeEntropy:
     def test_self_is_zero(self, rng):

@@ -161,16 +161,16 @@ class TestBuildFromCircuit:
             tracemalloc.stop()
         assert peak < 2**20
 
-    @pytest.mark.parametrize("n, cuts", [(1, 0), (2, 0), (3, 0), (5, 2), (8, 5)])
-    def test_no_cut_after_the_last_step(self, monkeypatch, n, cuts):
-        # At d = 2, d_env = 4 the carried factor (16 rows) outgrows 16
-        # columns in step 3: steps 3, ..., n - 1 cut it by a QR, and step n
-        # leaves it uncut for S(P_n) and the trace check.
+    @pytest.mark.parametrize("n", [1, 2, 3, 8, 200])
+    def test_certified_build_calls_no_qr(self, monkeypatch, n):
+        # At d = 2, d_env = 4 the carried factor (16 rows) would outgrow 16
+        # columns in step 3; from there the transfer carries the state
+        # itself, so no step is cut by a QR, and the report still adds up.
         spec = seeded_circuit_spec(n, 2, 4, 0, "maximally-mixed")
         real, shapes = np.linalg.qr, []
         monkeypatch.setattr(np.linalg, "qr", lambda a, mode: shapes.append(a.shape) or real(a, mode=mode))
         pt = build_from_circuit(spec)
-        assert shapes == [(1, 64, 16)] * cuts
+        assert pt.causality.bounds and shapes == []
         assert correlation_report(pt).additivity_residual <= 1e-12
 
     def test_leaky_transfer_names_the_unitary(self):
@@ -1331,3 +1331,100 @@ class TestExactHierarchy:
                 n=n, d=2, env_state=maximally_mixed(2), unitaries=(swap_unitary(2),) * n
             )
             assert max(self.exact(spec)) <= 1e-14
+
+
+def rank_two_env(d_env: int) -> DensityMatrix:
+    """A seeded environment of rank 2 on d_env levels, given by its factor."""
+    rng = np.random.default_rng(5)
+    g = rng.standard_normal((d_env, 2)) + 1j * rng.standard_normal((d_env, 2))
+    return DensityMatrix(None, (d_env,), factor=g / np.linalg.norm(g))
+
+
+class TestDensePhase:
+    """Transfers that carry the environment-ancilla state itself once its factor would be cut."""
+
+    # (n, d, d_env, environment, switch): from step ``switch`` on, the factor
+    # of d_env r rows would have more than d_env r columns, so the state is
+    # carried; its first possible step is 1.
+    SHAPES = [
+        (4, 2, 4, "maximally-mixed", 3), (4, 2, 4, "pure-ground", 2),
+        (4, 2, 4, "seeded-random", 3), (4, 2, 4, "rank-two", 2),
+        (5, 2, 2, "maximally-mixed", 2), (5, 2, 2, "pure-ground", 1),
+        (5, 2, 2, "seeded-random", 2), (5, 2, 2, "rank-two", 2),
+        (3, 3, 2, "maximally-mixed", 1), (3, 3, 2, "pure-ground", 1),
+        (3, 3, 2, "seeded-random", 1), (6, 2, 1, "maximally-mixed", 1),
+        (6, 2, 1, "pure-ground", 1), (6, 2, 1, "seeded-random", 1),
+    ]
+
+    @staticmethod
+    def leaky_spec(n, d, d_env, environment):
+        env_init = "seeded-random" if environment == "rank-two" else environment
+        spec = seeded_circuit_spec(n, d, d_env, 0, env_init, leak=1e-11)
+        if environment == "rank-two":
+            spec = dataclasses.replace(spec, env_state=rank_two_env(d_env))
+        return spec
+
+    @pytest.mark.parametrize("n, d, d_env, environment, switch", SHAPES)
+    def test_matches_the_dense_route(self, monkeypatch, n, d, d_env, environment, switch):
+        # At tolerance 0 the certificate decides nothing, so every level is
+        # read from the transfer: from eigh's factor of each carried state,
+        # one eigh per level after the switch.
+        spec = self.leaky_spec(n, d, d_env, environment)
+        shapes, eigh = [], np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: shapes.append(m.shape) or eigh(m))
+        with causal_tol(0.0):
+            _, rows, certified = build_stack(np.array([spec.unitaries]), spec.env_state.factor[None])
+        assert certified.tolist() == [False]
+        side = d_env * spec.env_state.factor.shape[1]
+        assert shapes == [(1, side, side)] * (n - switch)
+        state = proctensor.processes._choi_state(d, spec.unitaries, spec.env_state.factor)
+        dense = verify_causality(state, 0.0)
+        assert np.max(np.abs(rows[0] - dense.residuals)) <= 1e-12
+        got, want = correlation_report(build_from_circuit(spec, 1.0)), correlation_report(state)
+        for field in ("total", "step_markov", "non_markov"):
+            assert np.max(np.abs(np.subtract(getattr(got, field), getattr(want, field)))) <= 1e-12
+
+    def test_first_leaky_sample_raises_its_single_process_error(self):
+        # At d = 2, d_env = 2 the state is carried from step 2 on. Sample 1
+        # moves the trace beyond DEFAULT_TOL.tr (1.2e-10), sample 2 leaks within it.
+        specs = [seeded_circuit_spec(5, 2, 2, seed, "maximally-mixed", leak=leak)
+                 for seed, leak in ((1, 0.0), (0, 8e-11), (1, 8e-11), (0, 1e-10))]
+        with pytest.raises(NotAStateError, match="^factor trace ") as alone:
+            build_from_circuit(specs[1])
+        for tol in (1e-9, 0.0):
+            with causal_tol(tol), pytest.raises(NotAStateError) as stacked:
+                build_stack(*stack_of(specs))
+            assert str(stacked.value) == str(alone.value)
+        named = leak_named(unitarity_residual(np.array(specs[1].unitaries)))
+        assert named in str(alone.value)
+        with pytest.raises(NotAStateError, match="^factor trace ") as simulated:
+            proctensor.processes._choi_state(2, specs[1].unitaries, specs[1].env_state.factor)
+        assert named in str(simulated.value)
+
+    @pytest.mark.parametrize("n, d, d_env", [(50, 2, 8), (6, 3, 2)])
+    @pytest.mark.parametrize("tol", [0.0, 2e-11])
+    def test_stacked_rows_and_fields_are_each_build_bit_for_bit(self, monkeypatch, n, d, d_env, tol):
+        # One slice of four carries the states of all four samples at once;
+        # at 2e-11 the leaky samples are left to the exact hierarchy.
+        stack_plan(monkeypatch, 4, 4)
+        specs = [seeded_circuit_spec(n, d, d_env, seed, env_init, leak=leak)
+                 for seed, env_init, leak in ((0, "maximally-mixed", 0.0), (1, "seeded-random", 3e-11),
+                                              (2, "seeded-random", 0.0), (3, "maximally-mixed", 3e-11))]
+        with causal_tol(tol):
+            transfer, rows, certified = build_stack(*stack_of(specs))
+        assert certified.tolist() == [tol > 0.0, False, tol > 0.0, False]
+        for k, spec in enumerate(specs):
+            alone = build_from_circuit(spec, 1.0)  # its transfer, as tol does not move it
+            with causal_tol(tol):
+                _, row, _ = build_stack(np.array([spec.unitaries]), spec.env_state.factor[None])
+            assert rows[k].tolist() == row[0].tolist(), k
+            assert np.array_equal(transfer.steps[k], alone.transfer.steps[0]), k
+            assert np.array_equal(transfer.entropy[k], alone.transfer.entropy[0]), k
+
+    @pytest.mark.parametrize("n, d", [(200, 2), (60, 3)])
+    def test_long_swap_chain_saturates_the_maximum(self, n, d):
+        # N = 2 (n - 1) ln d and M_j = 0 for j >= 2; the deviation is the
+        # rounding of the n step entropies, so it is allowed to grow with n.
+        rep = correlation_report(swap_chain_process(n, d))
+        assert abs(rep.non_markov - 2 * (n - 1) * math.log(d)) <= n * 1e-13
+        assert max(abs(m) for m in rep.step_markov[1:]) <= n * 1e-13
