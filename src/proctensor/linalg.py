@@ -327,17 +327,11 @@ def permute_subsystems(rho: DensityMatrix, perm: Sequence[int]) -> DensityMatrix
     return DensityMatrix(None, new_dims, factor=new_factor)
 
 
-def state_spectrum(rho: DensityMatrix) -> np.ndarray:
-    """Zero-padded spectrum of a state, from the Gram matrix F^dag F when F is narrow."""
-    if rho.factor.shape[1] < rho.dim:
-        return _factor_spectra(rho.factor)
-    return np.linalg.eigvalsh(rho.mat)
-
-
 def _factor_spectra(factors: np.ndarray) -> np.ndarray:
     """Zero-padded spectra of F F^dag for a stack (..., dim, k) of factors F.
 
-    From the Gram matrices F^dag F when F is narrow, as ``state_spectrum``.
+    The one spectrum route of a state: from the Gram matrices F^dag F when
+    F is narrow, and else from F F^dag itself, never from a dense input.
     """
     dim, k = factors.shape[-2:]
     fh = factors.conj().swapaxes(-1, -2)
@@ -380,8 +374,8 @@ def _entropy_from_spectrum(w: np.ndarray) -> np.ndarray:
 
 
 def von_neumann_entropy(rho: DensityMatrix) -> float:
-    """-sum(lambda ln lambda) in nats, with 0 ln 0 := 0."""
-    return float(_entropy_from_spectrum(state_spectrum(rho)))
+    """-sum(lambda ln lambda) in nats, with 0 ln 0 := 0: ``factor_entropies`` of rho's factor."""
+    return float(factor_entropies(rho.factor))
 
 
 def von_neumann_entropies(mats: np.ndarray) -> np.ndarray:
@@ -398,9 +392,10 @@ def von_neumann_entropies(mats: np.ndarray) -> np.ndarray:
 def factor_entropies(factors: np.ndarray) -> np.ndarray:
     """Entropies in nats of the states F F^dag of a stack (..., dim, k) of factors F.
 
-    Each spectrum is taken as ``state_spectrum`` takes it; for factors
-    validated at a boundary other than ``DensityMatrix``, such as the final
-    environment states of ``processes._transfer``.
+    Each spectrum comes from ``_factor_spectra``. This is the entropy of
+    every ``DensityMatrix`` (``von_neumann_entropy``) and of factors
+    validated at another boundary, such as the final environment states of
+    ``processes._transfer``.
     """
     return _entropy_from_spectrum(_factor_spectra(factors))
 

@@ -66,7 +66,8 @@ class CorrelationReport:
 
 # The proved bounds in their column order in a row of ``bound_slacks``, each
 # marked True if it has one slack per step k and False if it has one slack.
-# At n = 2 the row starts with the two-step pair, 2 comp_1 - N and comp_2 - N.
+# The paper's two-step pair at n = 2, 2 comp_1 - N and comp_2 - N, is the
+# ordered bound at k = 2 and k = 1, so it has no columns of its own.
 PER_STEP = {
     "unordered": True,          # 2 sum_{j!=k} comp_j - N, comp_j = 2 ln d - M_j
     "ordered": True,            # 2 sum_{j<k} comp_j + sum_{j>k} comp_j - N
@@ -92,9 +93,13 @@ class BoundAudit:
     tol: float
 
     def slack(self, name: str) -> tuple[float, ...]:
-        """The slacks of bound ``name``; ``"two_step"`` gives the n = 2 pair and at other n ()."""
+        """The slacks of bound ``name``, one per step k if it is per step.
+
+        ``"two_step"`` gives the n = 2 pair (2 comp_1 - N, comp_2 - N), which
+        is the ordered slacks at k = 2 and k = 1, and () at other n.
+        """
         if name == "two_step":
-            return self.slacks[:2] if self.n == 2 else ()
+            return self.slack("ordered")[::-1] if self.n == 2 else ()
         starts = [*slack_starts(self.n), len(self.slacks)]
         k = SLACK_NAMES.index(name)
         return self.slacks[starts[k]:starts[k + 1]]
@@ -182,11 +187,11 @@ def audit_bounds(
 def slack_starts(n: int) -> list[int]:
     """First column of each bound of ``PER_STEP`` in an n-step row of ``bound_slacks``.
 
-    At n = 2 the two-step pair comes first. Each bound's columns, n of them
-    if it is per step and else one, run up to the next one's start.
+    Each bound's columns, n of them if it is per step and else one, run up
+    to the next one's start, so a row has 2n + 3 columns at every n.
     """
     widths = [n if per_step else 1 for per_step in PER_STEP.values()]
-    return list(itertools.accumulate(widths[:-1], initial=2 if n == 2 else 0))
+    return list(itertools.accumulate(widths[:-1], initial=0))
 
 
 def bound_slacks(
@@ -195,8 +200,8 @@ def bound_slacks(
     """Signed slacks (bound minus quantity) of every proved inequality, one row per process.
 
     ``step`` is (S, n), ``total`` and ``non_markov`` are (S,), as
-    ``transfer_quantities`` returns them; the columns are laid out as
-    ``slack_starts(n)`` says. Each entry is the float that the scalar
+    ``transfer_quantities`` returns them; the 2n + 3 columns are laid out
+    as ``slack_starts(n)`` says. Each entry is the float that the scalar
     formula gives, term by term in the same order: M is summed in step
     order and the sums over j < k and j > k accumulate outward from the
     ends, as ``sum`` and ``itertools.accumulate`` would on a row, while
@@ -217,9 +222,6 @@ def bound_slacks(
     ordered *= 2.0
     ordered += after                  # ordered: 2 sum_{j<k} + sum_{j>k} comp_j
     slacks[:, mx] = 2.0 * (n - 1) * log_d
-    if n == 2:                        # the two-step bounds: 2 comp_1 and comp_2
-        slacks[:, 0] = 2.0 * comp[:, 0]
-        slacks[:, 1] = comp[:, 1]
     slacks[:, :mx + 1] -= non_markov[:, None]  # each bound so far, minus N
     big_m = np.add.accumulate(step, axis=1)[:, -1]
     if n == 1:

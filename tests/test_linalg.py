@@ -34,8 +34,9 @@ from proctensor.config import DEFAULT_TOL
 from proctensor.io import load_choi, save_choi
 from proctensor.linalg import (
     _certified_factor,
+    _factor_spectra,
+    factor_entropies,
     hermiticity_residual,
-    state_spectrum,
     unitarity_residual,
 )
 
@@ -378,7 +379,7 @@ class TestUnitarityResidual:
 
 class TestEigenvalues:
     def test_depolarizing_spectrum(self):
-        got = state_spectrum(depolarizing_choi(2, 0.5).state)
+        got = _factor_spectra(depolarizing_choi(2, 0.5).state.factor)
         assert np.allclose(got, [1 / 8, 1 / 8, 1 / 8, 5 / 8])
 
 
@@ -547,6 +548,45 @@ class TestMutualInformation:
         assert got == ((0.1 + 0.2) + 0.3) - 0.0625
 
 
+class TestSpectraReadFactors:
+    """Every entropy of a state is taken from its factor (``_factor_spectra``), never from ``mat``."""
+
+    @staticmethod
+    def states(rng, d: int) -> list[DensityMatrix]:
+        dims = (d, d, 2)
+        dim = math.prod(dims)
+        wide = [rng.standard_normal((dim, k)) + 1j * rng.standard_normal((dim, k))
+                for k in (dim, dim + 3)]
+        return [
+            random_density(rng, dims),          # dense, full rank: a square factor
+            random_density(rng, dims, rank=3),  # dense, rank-deficient
+            random_pure(rng, dims),
+            *(DensityMatrix(None, dims, factor=f / np.linalg.norm(f)) for f in wide),
+        ]
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_no_entropy_reads_mat(self, rng, monkeypatch, d):
+        states = self.states(rng, d)
+
+        def no_mat(rho):
+            raise AssertionError("DensityMatrix.mat read")
+
+        monkeypatch.setattr(DensityMatrix, "mat", property(no_mat))
+        # the dense full-rank state and both factor-built ones have wide factors
+        assert [rho.factor.shape[1] >= rho.dim for rho in states] == [True, False, False, True, True]
+        for rho in states:
+            von_neumann_entropy(rho)
+            mutual_information(rho, ((0,), (1,), (2,)))
+            mutual_information(rho, ((0, 2), (1,)))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_entropy_is_the_factor_entropy(self, rng, d):
+        for rho in self.states(rng, d):
+            for state in (rho, partial_trace(rho, (0,)), partial_trace(rho, (1, 2))):
+                got = np.float64(von_neumann_entropy(state))
+                assert got.view(np.int64) == factor_entropies(state.factor).view(np.int64)
+
+
 class TestTraceDistance:
     def test_identical(self, rng):
         rho = random_density(rng, (3,))
@@ -639,7 +679,7 @@ class TestFactorRoutesMatchDenseFormulas:
             assert np.max(np.abs(got - t.reshape(rho.dim, rho.dim))) <= 1e-12
 
     def test_state_spectrum(self, rho):
-        got = state_spectrum(rho)
+        got = _factor_spectra(rho.factor)
         assert np.max(np.abs(got - np.linalg.eigvalsh(rho.mat))) <= 1e-12
 
     def test_trace_distance(self, rho, rng):

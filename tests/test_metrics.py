@@ -39,6 +39,7 @@ from proctensor.metrics import (
     BoundAudit,
     bound_slacks,
     bounds_hold,
+    slack_starts,
     transfer_quantities,
 )
 from proctensor.processes import Transfer, random_processes, verify_causality
@@ -477,14 +478,15 @@ class TestAuditBounds:
 
 
 # The keys that ``analyze`` prints for an audit, in order, each with its column of the
-# ``bound_slacks`` row; ``bounds_pass`` follows them. Written out, not derived, so that
-# a change of names, order or layout shows here.
+# ``bound_slacks`` row; ``bounds_pass`` follows them. At n = 2 the two two-step keys
+# read the ordered columns in reverse. Written out, not derived, so that a change of
+# names, order or layout shows here.
 AUDIT_KEYS = {
     1: [("unordered_slack[1]", 0), ("ordered_slack[1]", 1), ("max_nonmarkov_slack", 2),
         ("markov_tradeoff_slack", 3), ("total_tradeoff_slack", 4)],
-    2: [("unordered_slack[1]", 2), ("unordered_slack[2]", 3), ("ordered_slack[1]", 4),
-        ("ordered_slack[2]", 5), ("max_nonmarkov_slack", 6), ("markov_tradeoff_slack", 7),
-        ("total_tradeoff_slack", 8), ("two_step_slack_first", 0), ("two_step_slack_second", 1)],
+    2: [("unordered_slack[1]", 0), ("unordered_slack[2]", 1), ("ordered_slack[1]", 2),
+        ("ordered_slack[2]", 3), ("max_nonmarkov_slack", 4), ("markov_tradeoff_slack", 5),
+        ("total_tradeoff_slack", 6), ("two_step_slack_first", 3), ("two_step_slack_second", 2)],
     3: [("unordered_slack[1]", 0), ("unordered_slack[2]", 1), ("unordered_slack[3]", 2),
         ("ordered_slack[1]", 3), ("ordered_slack[2]", 4), ("ordered_slack[3]", 5),
         ("max_nonmarkov_slack", 6), ("markov_tradeoff_slack", 7), ("total_tradeoff_slack", 8)],
@@ -498,11 +500,76 @@ class TestAuditLayout:
         row = bound_slacks(np.array([rep.step_markov]), np.array([rep.total]),
                            np.array([rep.non_markov]), d)
         keys = AUDIT_KEYS[n]
-        assert row.shape == (1, len(keys))
+        assert row.shape == (1, 2 * n + 3)
+        assert {col for _, col in keys} == set(range(2 * n + 3))
         lines = io.audit_lines(audit_bounds(rep))
         assert lines == [f"{key} = {io.fmt(row[0, col])}" for key, col in keys] + [
             f"bounds_pass = {bool(bounds_hold(row, DEFAULT_TOL.xcheck)[0])}"
         ]
+
+
+def bits(x) -> np.ndarray:
+    """The float64 bits of ``x``, so that -0.0 and 0.0 differ and NaN equals itself."""
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+class TestOneDefinitionPerBound:
+    """Identities between the bounds of a row: the two-step pair copies two ordered slacks,
+    while the two tradeoff lines part by the additivity gap and so keep a column each."""
+
+    @staticmethod
+    def check_two_step(step: np.ndarray, total: np.ndarray, non_markov: np.ndarray, d: int):
+        """The n = 2 pair (2 comp_1 - N, comp_2 - N) is the ordered slacks at k = 2, 1, bit for bit."""
+        slacks = bound_slacks(step, total, non_markov, d)
+        o = slack_starts(2)[1]
+        comp = 2.0 * math.log(d) - step
+        pair = np.stack([2.0 * comp[:, 0] - non_markov, comp[:, 1] - non_markov], axis=1)
+        assert np.array_equal(bits(pair), bits(slacks[:, [o + 1, o]]))
+
+    @staticmethod
+    def check_report(report: CorrelationReport):
+        audit = audit_bounds(report)
+        assert np.array_equal(bits(audit.slack("two_step")), bits(audit.slack("ordered")[::-1]))
+        comp, big_n = report.step_complement, report.non_markov
+        assert np.array_equal(bits(audit.slack("two_step")),
+                              bits((2.0 * comp[0] - big_n, comp[1] - big_n)))
+
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("d_env", [1, 2, 4])
+    def test_two_step_pair_is_the_ordered_bound_on_random_stacks(self, d, d_env):
+        count = 0
+        for transfer, _, _ in random_processes(RandomSpec(2, d, d_env, 700 + d_env), 300):
+            step, total, non_markov = transfer_quantities(transfer)
+            self.check_two_step(step, total, non_markov, d)
+            count += len(step)
+        assert count == 300
+        for seed in (700, 999):
+            self.check_report(correlation_report(random_process(RandomSpec(2, d, d_env, seed))))
+
+    def test_two_step_pair_is_the_ordered_bound_on_named_processes(self):
+        processes = [cnot_swap_process(), swap_chain_process(2, 2), swap_chain_process(2, 3)]
+        processes += [build_from_circuit(fredkin_spec(p, 2, 2)) for p in np.linspace(0, 1, 11)]
+        for pt in processes:
+            rep = correlation_report(pt)
+            self.check_report(rep)
+            self.check_two_step(np.array([rep.step_markov]), np.array([rep.total]),
+                                np.array([rep.non_markov]), rep.d)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 8])
+    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("d_env", [1, 2, 4])
+    def test_tradeoff_lines_differ_by_the_additivity_gap(self, n, d, d_env):
+        # total_tradeoff - markov_tradeoff = (M + N) - I in exact arithmetic: the
+        # two lines are one inequality, read from I and from M + N, so they
+        # part only where I = M + N is off by rounding.
+        starts = slack_starts(n)
+        mt, tt = starts[SLACK_NAMES.index("markov_tradeoff")], starts[-1]
+        tol = 4 * np.finfo(float).eps * 2 * n * math.log(d)
+        for transfer, _, _ in random_processes(RandomSpec(n, d, d_env, 40 + n), 50):
+            step, total, non_markov = transfer_quantities(transfer)
+            slacks = bound_slacks(step, total, non_markov, d)
+            gap = (np.add.accumulate(step, axis=1)[:, -1] + non_markov) - total
+            assert np.all(np.abs((slacks[:, tt] - slacks[:, mt]) - gap) <= tol)
 
 
 class TestDerivedFields:
@@ -526,10 +593,11 @@ class TestDerivedFields:
             assert audit.slacks == tuple(row[0].tolist())
             assert [len(audit.slack(name)) for name in SLACK_NAMES] == [n, n, 1, 1, 1]
             by_name = sum((audit.slack(name) for name in SLACK_NAMES), ())
-            assert audit.slack("two_step") + by_name == audit.slacks
+            assert by_name == audit.slacks
+            assert audit.slack("two_step") == (audit.slack("ordered")[::-1] if n == 2 else ())
 
-    # Columns of an n-step row of ``bound_slacks``, the n = 2 two-step pair included.
-    WIDTHS = {1: 5, 2: 9, 3: 9}
+    # Columns of an n-step row of ``bound_slacks``: 2n + 3 at every n.
+    WIDTHS = {1: 5, 2: 7, 3: 9}
     COLUMNS = [(n, col) for n, width in WIDTHS.items() for col in range(width)]
 
     @classmethod

@@ -87,7 +87,7 @@ def row_slacks(row: list[float], n: int) -> dict[str, tuple[float, ...]]:
     out = {name: tuple(row[a:b])
            for name, a, b in zip(SLACK_NAMES, starts, [*starts[1:], len(row)])}
     if n == 2:
-        out["two_step"] = tuple(row[:2])
+        out["two_step"] = out["ordered"][::-1]
     return out
 
 
